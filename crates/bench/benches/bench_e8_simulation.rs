@@ -387,37 +387,18 @@ fn emit_bench_json(_c: &mut Criterion) {
         let input = Input::from_counts(vec![n / 2 + n / 20, n - n / 2 - n / 20]);
         let ic = p.initial_config(&input);
         let seeds: Vec<u64> = (0..k as u64).collect();
-        // One rep of the workload under the requested kernel routing.  The
-        // trajectories are bit-identical under both settings (that is the
-        // simd crate's tested contract), so the pair times identical work.
-        let measure_rep = |force_scalar: bool| -> popproto_sim::WavePhaseBreakdown {
-            popproto_sim::simd_control::set_force_scalar(force_scalar);
+        let mut best: Option<popproto_sim::WavePhaseBreakdown> = None;
+        for _ in 0..3 {
             let mut ens = EnsembleSimulator::new(p.clone(), ic.clone(), &seeds);
             ens.advance_uniform(n / 10);
             ens.reset_phase_breakdown();
             ens.advance_uniform(2 * n);
-            popproto_sim::simd_control::set_force_scalar(false);
-            ens.phase_breakdown()
-        };
-        // Interleaved reps (off, on, off, on, ...) so host noise hits both
-        // settings evenly; min kept per setting.
-        let mut best: Option<popproto_sim::WavePhaseBreakdown> = None;
-        let mut best_scalar: Option<popproto_sim::WavePhaseBreakdown> = None;
-        for _ in 0..3 {
-            let scalar_ph = measure_rep(true);
-            if best_scalar
-                .as_ref()
-                .is_none_or(|b| scalar_ph.total_ns() < b.total_ns())
-            {
-                best_scalar = Some(scalar_ph);
-            }
-            let ph = measure_rep(false);
+            let ph = ens.phase_breakdown();
             if best.as_ref().is_none_or(|b| ph.total_ns() < b.total_ns()) {
                 best = Some(ph);
             }
         }
         let ph = best.expect("three reps measured");
-        let scalar_ph = best_scalar.expect("three scalar reps measured");
         let total = ph.total_ns().max(1) as f64;
         let pairing_share = ph.pairing_share();
         let split_share = ph.split_share();
@@ -457,37 +438,8 @@ fn emit_bench_json(_c: &mut Criterion) {
             436_684_483.0 / ph.split_ns.max(1) as f64,
             100.0 * split_share,
         );
-
-        // Paired simd rows: the same workload with the vector kernels
-        // engaged vs forced onto the scalar path, same binary, interleaved
-        // reps.  With the feature off both rows run the scalar path and
-        // the ratio reads ~1.0 — `compiled: false` marks the pair as a
-        // no-op A/A rather than a failed A/B.
-        let (simd_active, cpu_features) = popproto_sim::simd_control::status();
-        let simd_compiled = popproto_sim::simd_control::COMPILED;
-        let split_speedup = scalar_ph.split_ns as f64 / ph.split_ns.max(1) as f64;
-        println!(
-            "[E8] simd split A/B (compiled {simd_compiled}, active {simd_active}, {cpu_features}): \
-             off {} ns -> on {} ns ({split_speedup:.2}x)",
-            scalar_ph.split_ns, ph.split_ns,
-        );
-        let simd_pair = |label: &str, b: &popproto_sim::WavePhaseBreakdown| {
-            format!(
-                "      {{\"simd\": \"{label}\", \"waves\": {}, \"split_ns\": {}, \"pairing_ns\": {}, \"classification_ns\": {}, \"total_ns\": {}}}",
-                b.waves,
-                b.split_ns,
-                b.pairing_ns,
-                b.classification_ns,
-                b.total_ns(),
-            )
-        };
-        let simd_json = format!(
-            "\"simd\": {{\n      \"compiled\": {simd_compiled},\n      \"active\": {simd_active},\n      \"cpu_features\": \"{cpu_features}\",\n      \"host_cpus\": {host_cpus},\n      \"time_sliced\": {time_sliced},\n      \"split_speedup_on_vs_off\": {split_speedup:.3},\n      \"rows\": [\n{},\n{}\n      ]\n    }}",
-            simd_pair("off", &scalar_ph),
-            simd_pair("on", &ph),
-        );
         entries.push(format!(
-            "  \"wave_phase_breakdown\": {{\n    \"population\": {n},\n    \"lanes\": {k},\n    \"waves\": {},\n    \"classification_ns\": {},\n    \"split_ns\": {},\n    \"pairing_ns\": {},\n    \"apply_ns\": {},\n    \"collision_ns\": {},\n    \"silence_ns\": {},\n    \"pairing_share\": {pairing_share:.4},\n    \"split_share\": {split_share:.4},\n    \"baseline_waves\": 3265,\n    \"host_cpus\": {host_cpus},\n    \"time_sliced\": {time_sliced},\n    {simd_json},\n    \"phases\": [\n{}\n    ]\n  }}",
+            "  \"wave_phase_breakdown\": {{\n    \"population\": {n},\n    \"lanes\": {k},\n    \"waves\": {},\n    \"classification_ns\": {},\n    \"split_ns\": {},\n    \"pairing_ns\": {},\n    \"apply_ns\": {},\n    \"collision_ns\": {},\n    \"silence_ns\": {},\n    \"pairing_share\": {pairing_share:.4},\n    \"split_share\": {split_share:.4},\n    \"baseline_waves\": 3265,\n    \"host_cpus\": {host_cpus},\n    \"time_sliced\": {time_sliced},\n    \"phases\": [\n{}\n    ]\n  }}",
             ph.waves,
             ph.classification_ns,
             ph.split_ns,
@@ -666,98 +618,6 @@ fn emit_bench_json(_c: &mut Criterion) {
                 ));
             }
         }
-        // Paired simd planning rows: `CachedHypergeometric::new_many` over
-        // a 256-key batch — the divider/sqrt plan chain is the vectorised
-        // shape — with the vector kernels engaged vs forced scalar, same
-        // binary, interleaved reps.  With the feature off both settings run
-        // the scalar planner and the ratio reads ~1.0 (`simd_compiled`
-        // marks the pair as an A/A control).
-        {
-            use popproto_sim::CachedHypergeometric;
-            let (simd_active, cpu_features) = popproto_sim::simd_control::status();
-            let simd_compiled = popproto_sim::simd_control::COMPILED;
-            for (total, successes, leaf) in [
-                (1_000_000u64, 400_000u64, "hrua_ext"),
-                (10_000_000, 4_000_000, "hrua_stirling"),
-            ] {
-                let keys: Vec<(u64, u64, u64)> = (0..256u64)
-                    .map(|i| (total, successes, 200 + 7 * i))
-                    .collect();
-                let reps_plan = 400u32;
-                let mut out = Vec::new();
-                let mut ns = [f64::INFINITY; 2]; // [on, off]
-                for _ in 0..3 {
-                    for (slot, force) in [(1usize, true), (0, false)] {
-                        popproto_sim::simd_control::set_force_scalar(force);
-                        let t0 = Instant::now();
-                        for _ in 0..reps_plan {
-                            CachedHypergeometric::new_many(&keys, &mut out);
-                            std::hint::black_box(&out);
-                        }
-                        let per_plan = t0.elapsed().as_nanos() as f64
-                            / (f64::from(reps_plan) * keys.len() as f64);
-                        popproto_sim::simd_control::set_force_scalar(false);
-                        ns[slot] = ns[slot].min(per_plan);
-                    }
-                }
-                let speedup = ns[1] / ns[0].max(1e-9);
-                println!(
-                    "[E8] simd plan batch ({leaf}, active {simd_active}): \
-                     off {:.1} ns/plan -> on {:.1} ns/plan ({speedup:.2}x)",
-                    ns[1], ns[0],
-                );
-                crossover_rows.push(format!(
-                    "    {{\"family\": \"simd_plan_batch\", \"total\": {total}, \"successes\": {successes}, \"batch\": 256, \"leaf\": \"{leaf}\", \"plan_ns_simd_off\": {:.1}, \"plan_ns_simd_on\": {:.1}, \"speedup_on_vs_off\": {speedup:.2}, \"simd_compiled\": {simd_compiled}, \"simd_active\": {simd_active}, \"cpu_features\": \"{cpu_features}\", \"host_cpus\": {host_cpus}, \"time_sliced\": {time_sliced}}}",
-                    ns[1], ns[0],
-                ));
-            }
-        }
-
-        // Multi-stream uniform block throughput: 256 per-lane xoshiro
-        // streams advanced one uniform each, vector lockstep vs the scalar
-        // per-stream loop.  This is the block shape where the multi-stream
-        // kernel amortises its state transposes; the rejection loop's
-        // ~2-uniforms-per-lane gathers do not (see crates/simd/README.md),
-        // which is why `hrua_lockstep` stays scalar.
-        #[cfg(feature = "simd")]
-        {
-            let (simd_active, cpu_features) = popproto_sim::simd_control::status();
-            if simd_active {
-                let lanes = 256usize;
-                let rounds = 100_000u32;
-                let mut rngs: Vec<StdRng> = (0..lanes)
-                    .map(|i| StdRng::seed_from_u64(0xB10C + i as u64))
-                    .collect();
-                let t0 = Instant::now();
-                let mut acc = 0.0f64;
-                for _ in 0..rounds {
-                    for r in &mut rngs {
-                        acc += r.gen_range(0.0..1.0f64);
-                    }
-                }
-                let scalar_ns = t0.elapsed().as_nanos() as f64 / (f64::from(rounds) * lanes as f64);
-                let mut states: Vec<[u64; 4]> = rngs.iter().map(|r| r.state()).collect();
-                let mut out = vec![0.0f64; lanes];
-                let t0 = Instant::now();
-                for _ in 0..rounds {
-                    let done = popproto_simd::xoshiro_uniform_prefix(&mut states, &mut out);
-                    debug_assert_eq!(done, lanes);
-                    acc += out[0];
-                }
-                let simd_ns = t0.elapsed().as_nanos() as f64 / (f64::from(rounds) * lanes as f64);
-                std::hint::black_box(acc);
-                let speedup = scalar_ns / simd_ns.max(1e-9);
-                println!(
-                    "[E8] simd uniform block ({cpu_features}): scalar {scalar_ns:.2} ns/uniform \
-                     -> vector {simd_ns:.2} ns/uniform ({speedup:.2}x over 256-lane blocks)"
-                );
-                crossover_rows.push(format!(
-                    "    {{\"family\": \"simd_uniform_block\", \"lanes\": {lanes}, \"uniforms\": {}, \"leaf\": \"xoshiro256**\", \"scalar_ns_per_uniform\": {scalar_ns:.2}, \"simd_ns_per_uniform\": {simd_ns:.2}, \"speedup_on_vs_off\": {speedup:.2}, \"cpu_features\": \"{cpu_features}\", \"host_cpus\": {host_cpus}, \"time_sliced\": {time_sliced}}}",
-                    u64::from(rounds) * lanes as u64,
-                ));
-            }
-        }
-
         entries.push(format!(
             "  \"sampler_crossovers\": [\n{}\n  ]",
             crossover_rows.join(",\n")

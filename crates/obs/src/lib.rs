@@ -170,6 +170,10 @@ impl Trace {
 pub(crate) struct ThreadBuf {
     pub(crate) tid: u64,
     depth: u32,
+    /// Session of the spans counted by `session_depth`.
+    depth_session: u64,
+    /// Live spans on this thread opened in `depth_session`.
+    session_depth: u32,
     session: u64,
     named: bool,
     pub(crate) events: Vec<Event>,
@@ -180,6 +184,8 @@ impl ThreadBuf {
         ThreadBuf {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
             depth: 0,
+            depth_session: 0,
+            session_depth: 0,
             session: 0,
             named: false,
             events: Vec::new(),
@@ -208,6 +214,14 @@ impl ThreadBuf {
         }
     }
 
+    /// `true` while this thread is inside a span opened in the current
+    /// session.  Events that are not spans of their own (phase marks) are
+    /// recorded only then, so they are always true children of a recorded
+    /// span, never siblings of spans that started before tracing did.
+    pub(crate) fn in_session_span(&self) -> bool {
+        self.session_depth > 0 && self.depth_session == SESSION.load(Ordering::Relaxed)
+    }
+
     pub(crate) fn flush_if_idle(&mut self) {
         if self.depth == 0 && !self.events.is_empty() {
             if self.session == SESSION.load(Ordering::Relaxed) {
@@ -230,8 +244,9 @@ pub(crate) fn with_buf<R>(f: impl FnOnce(&mut ThreadBuf) -> R) -> R {
     BUF.with(|b| f(&mut b.borrow_mut()))
 }
 
-/// Pending span payload: start instant, name, optional integer argument.
-type SpanState = (Instant, &'static str, Option<(&'static str, u64)>);
+/// Pending span payload: start instant, name, optional integer argument,
+/// and the session the span was opened in.
+type SpanState = (Instant, &'static str, Option<(&'static str, u64)>, u64);
 
 /// RAII span guard returned by [`span`]; records a `Complete` event on
 /// drop when tracing was enabled at creation time.
@@ -249,11 +264,14 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((t0, name, arg)) = self.live.take() {
+        if let Some((t0, name, arg, session)) = self.live.take() {
             let dur_ns = t0.elapsed().as_nanos() as u64;
             let ts_ns = ns_since_epoch(t0);
             with_buf(|b| {
                 b.depth = b.depth.saturating_sub(1);
+                if b.depth_session == session {
+                    b.session_depth = b.session_depth.saturating_sub(1);
+                }
                 b.sync_session();
                 let tid = b.tid;
                 b.events.push(Event::Complete {
@@ -270,9 +288,17 @@ impl Drop for Span {
 }
 
 fn span_slow(name: &'static str, arg: Option<(&'static str, u64)>) -> Span {
-    with_buf(|b| b.depth += 1);
+    let session = SESSION.load(Ordering::Relaxed);
+    with_buf(|b| {
+        b.depth += 1;
+        if b.depth_session != session {
+            b.depth_session = session;
+            b.session_depth = 0;
+        }
+        b.session_depth += 1;
+    });
     Span {
-        live: Some((Instant::now(), name, arg)),
+        live: Some((Instant::now(), name, arg, session)),
     }
 }
 

@@ -6,10 +6,13 @@
 //! [`Phases::begin_round`] and advances it past each phase boundary with
 //! [`Phases::mark`] — exactly **one** `Instant::now()` per boundary, the
 //! same cost as the bespoke two-`Instant` pattern it replaces.  When
-//! tracing is [enabled](crate::enabled), every boundary additionally
-//! emits a complete span covering the phase's extent, so the same marks
-//! that feed the accumulators also draw the per-round flame rows in the
-//! chrome trace.
+//! tracing is [enabled](crate::enabled) and the thread is inside a span
+//! opened since the last [`start`](crate::start), every boundary
+//! additionally emits a complete span covering the phase's extent, so the
+//! same marks that feed the accumulators also draw the per-round flame
+//! rows in the chrome trace.  Marks outside such a span record nothing: a
+//! round begun before tracing started could otherwise emit a phase that
+//! starts before the session and crosses the spans recorded beside it.
 
 use std::time::Instant;
 
@@ -50,7 +53,8 @@ impl Phases {
 
     /// Closes phase `idx` at the current instant: adds the elapsed time
     /// since the mark to that phase's accumulator, emits a span when
-    /// tracing is enabled, and advances the mark.
+    /// tracing is enabled and the thread is inside a span of the current
+    /// session, and advances the mark.
     #[inline]
     pub fn mark(&mut self, mark: &mut PhaseMark, idx: usize) {
         let now = Instant::now();
@@ -60,6 +64,9 @@ impl Phases {
             let name = self.names[idx];
             let ts_ns = ns_since_epoch(mark.t);
             with_buf(|b| {
+                if !b.in_session_span() {
+                    return;
+                }
                 b.sync_session();
                 let tid = b.tid;
                 b.events.push(Event::Complete {
@@ -156,5 +163,48 @@ mod tests {
         let summary = crate::validate_chrome_trace(&json).expect("phase spans must nest");
         assert_eq!(summary.complete, 3, "wave + alpha + beta: {json}");
         assert!(json.contains("\"alpha\"") && json.contains("\"beta\""));
+    }
+
+    #[test]
+    fn marks_outside_a_session_span_record_nothing() {
+        let _guard = crate::test_support::serial();
+        let complete_names = |t: &crate::Trace| -> Vec<&'static str> {
+            t.events()
+                .iter()
+                .filter_map(|e| match e {
+                    crate::Event::Complete { name, .. } => Some(*name),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut p = Phases::new(&["orphan", "child"]);
+        // A round begun before tracing started, under a span that is
+        // therefore inert: its first phase starts before the session and
+        // must not surface as an orphan beside the recorded spans.
+        let inert = crate::span("inert");
+        let mut m = p.begin_round();
+        crate::start();
+        p.mark(&mut m, 0);
+        drop(inert);
+        // A round under a span of this session records as its child.
+        {
+            let _wave = crate::span("wave");
+            let mut m = p.begin_round();
+            p.mark(&mut m, 1);
+        }
+        // A span left open across a restart belongs to the old session.
+        let stale = crate::span("stale");
+        let first = crate::stop();
+        crate::start();
+        p.mark(&mut m, 0);
+        drop(stale);
+        let second = crate::stop();
+
+        assert_eq!(complete_names(&first), ["child", "wave"]);
+        assert!(!complete_names(&second).contains(&"orphan"));
+        for t in [&first, &second] {
+            crate::validate_chrome_trace(&t.to_chrome_trace()).expect("trace validates");
+        }
+        assert_eq!(p.total_ns(), p.ns(0) + p.ns(1), "accumulators still run");
     }
 }

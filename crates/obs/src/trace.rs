@@ -258,13 +258,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // the byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run up to the next quote or escape in one
+                    // step.  Both are ASCII, so the run ends on a UTF-8
+                    // boundary and only its own bytes need validating.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }

@@ -4,45 +4,13 @@
 //!
 //! ```sh
 //! cargo run --release -p popproto-sim --example split_profile
-//! # A/B the SIMD kernels in one binary (build with --features simd):
-//! cargo run --release -p popproto-sim --features simd --example split_profile -- --simd off
-//! cargo run --release -p popproto-sim --features simd --example split_profile -- --simd on
 //! ```
-//!
-//! `--simd on|off` flips the runtime force-scalar switch — because the
-//! vector kernels are bit-identical to the scalar code, the two settings
-//! produce the same trajectories and differ only in wall time.  In a
-//! build without `--features simd`, `--simd on` warns and runs scalar.
 
 use popproto_model::Input;
-use popproto_sim::{simd_control, EnsembleSimulator};
+use popproto_sim::EnsembleSimulator;
 use popproto_zoo::approximate_majority;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--simd") {
-        match args.get(i + 1).map(String::as_str) {
-            Some("on") => {
-                if !simd_control::set_force_scalar(false) {
-                    eprintln!("warning: built without --features simd; running scalar");
-                }
-            }
-            Some("off") => {
-                simd_control::set_force_scalar(true);
-            }
-            other => {
-                eprintln!("usage: split_profile [--simd on|off] (got {other:?})");
-                std::process::exit(2);
-            }
-        }
-    }
-    let (active, tier) = simd_control::status();
-    println!(
-        "simd: compiled={} active={} cpu={}",
-        simd_control::COMPILED,
-        active,
-        tier
-    );
     let p = approximate_majority();
     let n = 1_000_000u64;
     let k = 256usize;

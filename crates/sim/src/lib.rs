@@ -44,22 +44,7 @@
 //! * [`convergence`] — stabilisation / consensus detection;
 //! * [`stats`] — aggregation over repeated runs;
 //! * [`runner`] — multi-seed experiment driver (seed-parallel);
-//! * [`simd_control`] — runtime switches for the optional `simd` feature.
-//!
-//! # The `simd` cargo feature
-//!
-//! With `--features simd` the three divider-floor shapes of the split
-//! path — the HRUA lockstep uniform pass, the residual exact-test
-//! [`pmath::ln_bulk`] batch, and the batched HRUA planning setup — route
-//! through the feature-detected vector kernels of `popproto-simd`
-//! (AVX-512 / AVX2, scalar fallback).  The kernels are **bit-identical**
-//! to the scalar expressions (correctly rounded elementwise IEEE-754 ops
-//! in the same association order, no FMA; see `crates/simd/README.md`),
-//! so enabling the feature changes throughput and nothing else: per-seed
-//! RNG streams, every sampler value, and every trajectory stay
-//! byte-identical, pinned by the `simd_*_bit_identical_*` suites in
-//! [`sampling`] and the `simd_equivalence` integration tests.  This crate
-//! itself still forbids `unsafe` under either setting.
+//! * [`simd_control`] — vector-kernel provenance for benchmark host tags.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,55 +78,15 @@ pub use sampling::{split_candidates_uniform, AliasTable, CachedBinomial, CachedH
 pub use scheduler::{PairScheduler, UniformScheduler};
 pub use stats::{aggregate_outcomes, ConvergenceStats, SummaryStats};
 
-/// Runtime switches and provenance for the optional `simd` feature.
-///
-/// The API is present under both feature settings so callers (the
-/// `split_profile` example, the bench harness) can A/B without `cfg`
-/// gymnastics: with the feature off every query reports the scalar path
-/// and the toggle is a no-op.  Because the vector kernels are
-/// bit-identical to the scalar code, flipping the toggle mid-process is
-/// observationally pure — it changes which instructions run, never what
-/// they compute.
+/// Vector-kernel provenance, kept for the `perfbench` harness, which reads
+/// these two names for its host tags.  Every sampler runs the one scalar
+/// path, so the answer is always "not compiled, scalar".
 pub mod simd_control {
-    /// Whether this build compiled in the SIMD kernels (`--features simd`).
-    pub const COMPILED: bool = cfg!(feature = "simd");
+    /// Whether this build compiled in vector kernels: never.
+    pub const COMPILED: bool = false;
 
-    /// `(kernels_active, cpu_tier)`: whether vector kernels will actually
-    /// run (compiled in, CPU capable, not forced off) and the detected CPU
-    /// tier string (`"avx512f+avx512dq"`, `"avx2"`, or `"scalar"`).
+    /// `(kernels_active, cpu_tier)`: always `(false, "scalar")`.
     pub fn status() -> (bool, &'static str) {
-        #[cfg(feature = "simd")]
-        {
-            (
-                popproto_simd::active() != popproto_simd::Level::Scalar,
-                popproto_simd::features(),
-            )
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            (false, "scalar")
-        }
-    }
-
-    /// Forces the scalar path at runtime (no-op when the feature is off).
-    /// Returns [`COMPILED`] so callers can tell a genuine A/B from a
-    /// scalar-only build.
-    pub fn set_force_scalar(on: bool) -> bool {
-        #[cfg(feature = "simd")]
-        popproto_simd::set_force_scalar(on);
-        #[cfg(not(feature = "simd"))]
-        let _ = on;
-        COMPILED
-    }
-
-    /// Serialises sections that flip [`set_force_scalar`] for an A/B
-    /// comparison.  The force switch is process-global, so concurrent
-    /// A/B sections (the equivalence suites run under a parallel test
-    /// harness) must hold this guard across the toggle-work-restore
-    /// sequence or they would observe each other's setting.
-    pub fn force_scalar_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        (false, "scalar")
     }
 }

@@ -109,20 +109,9 @@ pub fn exp(x: f64) -> f64 {
 /// into vector registers while every element stays bit-identical to a
 /// scalar [`ln`] call — the same argument that lets the ensemble batch
 /// transforms without perturbing lane streams.
-///
-/// With the `simd` feature the widest vector-covered prefix goes through
-/// `popproto_simd::ln_prefix` — the same fdlibm expressions as explicit
-/// packed intrinsics, bit-identical by the correctly-rounded-elementwise
-/// argument above and pinned by the `simd_ln_bulk_bit_identical` suite —
-/// and the scalar loop finishes the tail (or, at runtime-scalar level,
-/// everything).
 #[inline]
 pub fn ln_bulk(xs: &mut [f64]) {
-    #[cfg(feature = "simd")]
-    let done = popproto_simd::ln_prefix(xs);
-    #[cfg(not(feature = "simd"))]
-    let done = 0;
-    for x in xs[done..].iter_mut() {
+    for x in xs.iter_mut() {
         *x = ln(*x);
     }
 }
@@ -288,42 +277,5 @@ mod tests {
         assert_eq!(cos_tau(0.5), -1.0);
         assert!(cos_tau(0.25).abs() < 1e-12);
         assert!(cos_tau(0.75).abs() < 1e-12);
-    }
-
-    /// 4000-case bitwise identity of the vectorised [`ln_bulk`] prefix
-    /// against the scalar [`ln`] kernel, across the samplers' whole
-    /// operating range (uniforms in (0, 1), squeeze ratios near 1, wide
-    /// decade sweeps) and under both runtime settings.
-    #[cfg(feature = "simd")]
-    #[test]
-    fn simd_ln_bulk_bit_identical() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x1091CA1);
-        let mut xs = Vec::with_capacity(4000);
-        for i in 0..4000usize {
-            xs.push(match i % 4 {
-                0 => rng.gen_range(0.0..1.0f64).max(f64::MIN_POSITIVE),
-                1 => 1.0 + rng.gen_range(-1e-6..1e-6f64),
-                2 => rng.gen_range(1.0..1e9f64),
-                _ => 1.7 * 10f64.powi(rng.gen_range(-300..300i32)),
-            });
-        }
-        let want: Vec<u64> = xs.iter().map(|&x| ln(x).to_bits()).collect();
-        let _guard = crate::simd_control::force_scalar_guard();
-        for force in [false, true] {
-            popproto_simd::set_force_scalar(force);
-            let mut got = xs.clone();
-            ln_bulk(&mut got);
-            popproto_simd::set_force_scalar(false);
-            for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    *w,
-                    "ln({}) diverges (case {i}, force_scalar={force})",
-                    xs[i]
-                );
-            }
-        }
     }
 }

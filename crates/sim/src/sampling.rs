@@ -119,24 +119,6 @@
 //! data-dependent *number* of uniforms, so they execute inline per lane —
 //! their cost is O(1) per draw, which is exactly why no batching is
 //! needed.
-//!
-//! # SIMD routing (feature `simd`)
-//!
-//! With `--features simd` the parameter-only plan setup gains a third
-//! batched shape: [`CachedHypergeometric::new_many`] stages whole key
-//! batches as flat parameter arrays and runs the divider-bound HRUA
-//! setup math through the vector kernels in `popproto-simd`
-//! (1.05–1.23× per plan
-//! measured; `simd_plan_batch` rows in `BENCH_sim.json`), and
-//! [`pmath::ln_bulk`] — which builds the `ln k!` extension chunks —
-//! vectorises.  The per-draw rejection loops stay scalar at every
-//! dispatch level: a scalar xoshiro uniform costs ~3 ns, so the
-//! multi-stream RNG kernels lose their win to state transposes (0.94×
-//! measured even in the favourable 256-lane block shape).  All of it is
-//! bit-identical to the scalar code — value and RNG stream position —
-//! pinned by the `simd_identity` suites in this module and enforced in
-//! CI under both feature settings; with the feature off nothing here
-//! changes at all.
 
 use crate::pmath;
 use rand::rngs::StdRng;
@@ -601,12 +583,6 @@ fn plan_hypergeometric(total: u64, successes: u64, draws: u64) -> DrawPlan {
     plan
 }
 
-/// [`plan_hypergeometric`] in two parts: the finished plan except for an
-/// HRUA setup's `d10` (left `0.0`), plus the four log-factorial arguments
-/// that complete it (`None` for non-HRUA leaves).  The lane-batched entry
-/// points plan all lanes through this and then resolve every lane's `d10`
-/// in one gather pass; the fused wrapper above resolves immediately.
-/// Either way `d10` is the same sum in the same order — identical bits.
 /// The branchless symmetry reductions of the hypergeometric planner:
 /// `H(t, s, d) = s − H(t, s, t−d)` (flip the draw set) and `H(t, s, d) =
 /// d − H(t, t−s, d)` (flip the marking).  With the degenerate supports
@@ -638,64 +614,44 @@ fn hyp_flips(total: u64, successes: u64, draws: u64) -> (u64, u64, Affine) {
     (s, d, outer)
 }
 
+/// [`plan_hypergeometric`] in two parts: the finished plan except for an
+/// HRUA setup's `d10` (left `0.0`), plus the four log-factorial arguments
+/// that complete it (`None` for non-HRUA leaves).  The lane-batched entry
+/// points plan all lanes through this and then resolve every lane's `d10`
+/// in one gather pass; the fused wrapper above resolves immediately.
+/// Either way `d10` is the same sum in the same order — identical bits.
 #[inline]
 fn plan_hypergeometric_parts(
     total: u64,
     successes: u64,
     draws: u64,
 ) -> (DrawPlan, Option<[u64; 4]>) {
-    match plan_hypergeometric_pre(total, successes, draws) {
-        PrePlan::Ready(plan) => (plan, None),
-        PrePlan::Hrua { s, d, outer } => {
-            let (setup, args) = HruaSetup::new_deferred(total, s, d, hyp_floats(total, s, d));
-            (DrawPlan::Hrua { setup, outer }, Some(args))
-        }
-    }
-}
-
-/// The integer half of hypergeometric planning: support checks, symmetry
-/// reductions and regime selection — everything except an HRUA leaf's
-/// float setup (the divider/sqrt chain), which is returned as a request
-/// instead of a finished plan.  The split exists so the lane-batched
-/// planner can collect many lanes' HRUA setups and run their float
-/// chains as one vectorisable pass (8 divisions per instruction under the
-/// `simd` feature) while the scalar [`plan_hypergeometric_parts`] wrapper
-/// completes each request immediately — same expressions either way, so
-/// identical bits.
-#[derive(Debug, Clone, Copy)]
-enum PrePlan {
-    /// A plan that required no float setup (degenerate, urn, popcount).
-    Ready(DrawPlan),
-    /// An HRUA leaf awaiting its float setup, with the *reduced*
-    /// parameters (`2s ≤ total`, `2d ≤ total`) and the composed post-map.
-    Hrua { s: u64, d: u64, outer: Affine },
-}
-
-#[inline]
-fn plan_hypergeometric_pre(total: u64, successes: u64, draws: u64) -> PrePlan {
     debug_assert!(successes <= total && draws <= total);
     let (s, d) = (successes, draws);
     if d == 0 || s == 0 || s == total || d == total {
         // Degenerate supports.  The lane-batched call sites filter these
         // inline, so this branch is all-but-never taken on the hot path.
         if d == 0 || s == 0 {
-            return PrePlan::Ready(DrawPlan::Done(0));
+            return (DrawPlan::Done(0), None);
         }
         if s == total {
-            return PrePlan::Ready(DrawPlan::Done(d));
+            return (DrawPlan::Done(d), None);
         }
-        return PrePlan::Ready(DrawPlan::Done(s));
+        return (DrawPlan::Done(s), None);
     }
     let (s, d, outer) = hyp_flips(total, s, d);
     if d <= URN_MAX_DRAWS {
         // Exact sequential urn simulation: cheapest when the walk is
         // short (one Lemire-rejection integer draw per urn pull).
-        return PrePlan::Ready(DrawPlan::Urn {
-            total,
-            successes: s,
-            draws: d,
-            outer,
-        });
+        return (
+            DrawPlan::Urn {
+                total,
+                successes: s,
+                draws: d,
+                outer,
+            },
+            None,
+        );
     }
     if 2 * s == total && d <= POPCOUNT_MAX_N {
         // Exactly half the population is marked: propose from
@@ -705,15 +661,18 @@ fn plan_hypergeometric_pre(total: u64, successes: u64, draws: u64) -> PrePlan {
         // close to the target that ~1.03 iterations are expected; see
         // `halfpop_draw`.  The trigger is an exact integer predicate, so it
         // can never desynchronise engines.
-        return PrePlan::Ready(DrawPlan::HalfPop {
-            setup: HalfPopSetup {
-                s,
-                d,
-                z_m: d.div_ceil(2),
-                inv_s: 1.0 / s as f64,
+        return (
+            DrawPlan::HalfPop {
+                setup: HalfPopSetup {
+                    s,
+                    d,
+                    z_m: d.div_ceil(2),
+                    inv_s: 1.0 / s as f64,
+                },
+                outer,
             },
-            outer,
-        });
+            None,
+        );
     }
     // Constant expected-time ratio-of-uniforms rejection: exact for every
     // parameter (the log-factorials above the two-level table fall back to
@@ -722,7 +681,8 @@ fn plan_hypergeometric_pre(total: u64, successes: u64, draws: u64) -> PrePlan {
     // PR 6 lost to HRUA at every measured spread (see
     // `sampler_crossovers`), so it survives only as the independent test
     // oracle below.
-    PrePlan::Hrua { s, d, outer }
+    let (setup, args) = HruaSetup::new_deferred(total, s, d, hyp_floats(total, s, d));
+    (DrawPlan::Hrua { setup, outer }, Some(args))
 }
 
 // ---------------------------------------------------------------------------
@@ -1215,33 +1175,6 @@ impl CachedHypergeometric {
         }
     }
 
-    /// Plans many `(total, successes, draws)` parameter sets at once,
-    /// appending one sampler per set to `out` — value-identical to a loop
-    /// of [`Self::new`] (planning is a pure function of the parameters).
-    ///
-    /// Under the `simd` feature the HRUA setups' divider/sqrt chains run
-    /// through the vectorised planning pass (8 divisions per instruction
-    /// on AVX-512) instead of one serialised chain per set — the batch
-    /// form of the plan-time setup the split phases are bound by.  Pinned
-    /// bit-identical to the scalar loop by the
-    /// `simd_cached_planning_bit_identical` suite.
-    pub fn new_many(params: &[(u64, u64, u64)], out: &mut Vec<CachedHypergeometric>) {
-        out.reserve(params.len());
-        #[cfg(feature = "simd")]
-        {
-            let mut plans = Vec::with_capacity(params.len());
-            let mut hb = HypPlanBatch::default();
-            plan_keys_batched(params.iter().copied(), &mut plans, &mut hb);
-            out.extend(plans.into_iter().map(|plan| CachedHypergeometric { plan }));
-        }
-        #[cfg(not(feature = "simd"))]
-        out.extend(
-            params
-                .iter()
-                .map(|&(t, s, d)| CachedHypergeometric::new(t, s, d)),
-        );
-    }
-
     /// Draws one variate, consuming the RNG exactly as the scalar
     /// [`hypergeometric`] would.
     #[inline]
@@ -1342,160 +1275,6 @@ pub struct LaneDrawScratch {
     hrua_g: Vec<f64>,
     hrua_exact: Vec<(u32, f64)>,
     hrua_lnx: Vec<f64>,
-    #[cfg(feature = "simd")]
-    hyp_batch: HypPlanBatch,
-}
-
-/// Staging arrays for the vectorised HRUA planning pass (`simd` feature):
-/// one slot per *distinct consecutive* parameter key that resolved to an
-/// HRUA leaf, plus the `(plan index, slot)` pairs that scatter the
-/// finished setups back into plan order.  Only the raw reduced integers
-/// are staged (24 bytes per slot) — `popproto_simd::hyp_setup_prefix`
-/// performs the `u64 → f64` conversions itself with correctly rounded
-/// packed converts, so the divider/sqrt chains *and* the conversions run
-/// 4/8-wide.
-#[cfg(feature = "simd")]
-#[derive(Debug, Default, Clone)]
-struct HypPlanBatch {
-    /// `(plan index, slot)` in plan order — one entry per HRUA plan.
-    pairs: Vec<(u32, u32)>,
-    /// Per slot: reduced population / marked / draw counts.
-    t: Vec<u64>,
-    s: Vec<u64>,
-    d: Vec<u64>,
-    /// Per slot: the composed post-map of the symmetry reductions.
-    outer: Vec<Affine>,
-    d6: Vec<f64>,
-    d8: Vec<f64>,
-    d9: Vec<f64>,
-    d11: Vec<f64>,
-    /// Per slot: the completed acceptance constant (the log-factorial
-    /// sum is resolved once per distinct key — a pure function of the
-    /// arguments, so identical bits however often it is evaluated).
-    d10: Vec<f64>,
-    /// Per slot: the four log-factorial arguments of the setup.
-    args: Vec<[u64; 4]>,
-}
-
-#[cfg(feature = "simd")]
-impl HypPlanBatch {
-    fn clear(&mut self) {
-        self.pairs.clear();
-        self.t.clear();
-        self.s.clear();
-        self.d.clear();
-        self.outer.clear();
-    }
-
-    /// Stages one HRUA setup request — integers only; the float work all
-    /// happens in [`Self::complete`].
-    fn push(&mut self, total: u64, s: u64, d: u64, outer: Affine) -> u32 {
-        let slot = self.t.len() as u32;
-        self.t.push(total);
-        self.s.push(s);
-        self.d.push(d);
-        self.outer.push(outer);
-        slot
-    }
-
-    /// Completes every staged setup: the widest vector-covered prefix via
-    /// `hyp_setup_prefix` (bit-identical packed forms of the
-    /// [`hyp_floats`] / [`HruaSetup::new_deferred`] expressions), the tail
-    /// — and, at runtime-scalar level, every slot — via those scalar
-    /// functions themselves; then one load-only pass resolves each slot's
-    /// `d10` log-factorial sum (the same [`lf_sum4`] of the same
-    /// arguments the scalar fixup pass computes).
-    fn complete(&mut self) {
-        let n = self.t.len();
-        self.d6.resize(n, 0.0);
-        self.d8.resize(n, 0.0);
-        self.d9.resize(n, 0.0);
-        self.d11.resize(n, 0.0);
-        self.d10.resize(n, 0.0);
-        self.args.resize(n, [0; 4]);
-        let done = {
-            let mut batch = popproto_simd::HypSetupBatch {
-                t: &self.t,
-                s: &self.s,
-                d: &self.d,
-                d6: &mut self.d6,
-                d8: &mut self.d8,
-                d9: &mut self.d9,
-                d11: &mut self.d11,
-            };
-            popproto_simd::hyp_setup_prefix(&mut batch, HruaSetup::D1, HruaSetup::D2)
-        };
-        for slot in 0..n {
-            let (total, s, d) = (self.t[slot], self.s[slot], self.d[slot]);
-            if slot < done {
-                // Same conversion the scalar path applies to its `d9`, same
-                // argument expressions in the same order.
-                let d9u = self.d9[slot] as u64;
-                self.args[slot] = [d9u, s - d9u, d - d9u, (total - s) + d9u - d];
-            } else {
-                let (setup, args) = HruaSetup::new_deferred(total, s, d, hyp_floats(total, s, d));
-                self.d6[slot] = setup.d6;
-                self.d8[slot] = setup.d8;
-                self.d11[slot] = setup.d11;
-                self.args[slot] = args;
-            }
-            self.d10[slot] = lf_sum4(self.args[slot]);
-        }
-    }
-}
-
-/// Plans a stream of `(total, successes, draws)` keys with the same
-/// one-entry consecutive-key memo as the scalar planning loop, but with
-/// every HRUA float setup deferred into one [`HypPlanBatch`] pass —
-/// `plans` come out exactly as the scalar loop over
-/// [`plan_hypergeometric_parts`] would produce them (pinned by the
-/// `simd_planning_bit_identical` suite), with the divider/sqrt chains run
-/// 4/8-wide where the CPU allows.  Unlike the scalar loop, each plan is
-/// written **complete** — `d10` included — so the caller's fixup pass has
-/// nothing to do and `fixups` is left empty.
-#[cfg(feature = "simd")]
-fn plan_keys_batched(
-    keys: impl Iterator<Item = (u64, u64, u64)>,
-    plans: &mut Vec<DrawPlan>,
-    hb: &mut HypPlanBatch,
-) {
-    hb.clear();
-    let mut memo_key: Option<(u64, u64, u64)> = None;
-    let mut memo_pre = PrePlan::Ready(DrawPlan::Done(0));
-    let mut memo_slot = 0u32;
-    for key in keys {
-        if memo_key != Some(key) {
-            memo_pre = plan_hypergeometric_pre(key.0, key.1, key.2);
-            if let PrePlan::Hrua { s, d, outer } = memo_pre {
-                memo_slot = hb.push(key.0, s, d, outer);
-            }
-            memo_key = Some(key);
-        }
-        match memo_pre {
-            PrePlan::Ready(plan) => plans.push(plan),
-            PrePlan::Hrua { .. } => {
-                hb.pairs.push((plans.len() as u32, memo_slot));
-                // Placeholder; overwritten with the finished plan below.
-                plans.push(DrawPlan::Done(0));
-            }
-        }
-    }
-    hb.complete();
-    for &(plan_idx, slot) in &hb.pairs {
-        let sl = slot as usize;
-        plans[plan_idx as usize] = DrawPlan::Hrua {
-            setup: HruaSetup {
-                mingoodbad: hb.s[sl],
-                maxgoodbad: hb.t[sl] - hb.s[sl],
-                m: hb.d[sl],
-                d6: hb.d6[sl],
-                d8: hb.d8[sl],
-                d10: hb.d10[sl],
-                d11: hb.d11[sl],
-            },
-            outer: hb.outer[sl],
-        };
-    }
 }
 
 /// One lane's in-flight HRUA proposal between the uniform pass and the
@@ -1622,41 +1401,24 @@ pub fn hypergeometric_lanes(
     // replicated-initial-condition sweeps), the cached plan — HRUA setup
     // included — is reused instead of replanned.  Planning is a pure
     // function of the parameters, so reuse is value-identical by
-    // construction.  Under the `simd` feature the same memoised stream of
-    // keys is planned through `plan_keys_batched`, which defers every HRUA
-    // float setup into one vector pass — identical plans, with the
-    // divider/sqrt chains run 4/8-wide and `d10` resolved in-pass (so the
-    // fixup gather below has nothing left to do).
+    // construction.
+    let mut memo_key: Option<(u64, u64, u64)> = None;
+    let mut memo_plan = DrawPlan::Done(0);
+    let mut memo_args: Option<[u64; 4]> = None;
     let mut plans = std::mem::take(&mut scratch.plans);
     let mut fixups = std::mem::take(&mut scratch.fixups);
     plans.clear();
     fixups.clear();
-    #[cfg(feature = "simd")]
-    {
-        let mut hb = std::mem::take(&mut scratch.hyp_batch);
-        plan_keys_batched(
-            jobs.iter().map(|&(_, t, s, d)| (t, s, d)),
-            &mut plans,
-            &mut hb,
-        );
-        scratch.hyp_batch = hb;
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let mut memo_key: Option<(u64, u64, u64)> = None;
-        let mut memo_plan = DrawPlan::Done(0);
-        let mut memo_args: Option<[u64; 4]> = None;
-        for &(_, total, successes, draws) in jobs {
-            let key = (total, successes, draws);
-            if memo_key != Some(key) {
-                (memo_plan, memo_args) = plan_hypergeometric_parts(total, successes, draws);
-                memo_key = Some(key);
-            }
-            if let Some(args) = memo_args {
-                fixups.push((plans.len() as u32, args));
-            }
-            plans.push(memo_plan);
+    for &(_, total, successes, draws) in jobs {
+        let key = (total, successes, draws);
+        if memo_key != Some(key) {
+            (memo_plan, memo_args) = plan_hypergeometric_parts(total, successes, draws);
+            memo_key = Some(key);
         }
+        if let Some(args) = memo_args {
+            fixups.push((plans.len() as u32, args));
+        }
+        plans.push(memo_plan);
     }
     // Load-only gather pass: every HRUA plan's deferred `d10` ln-factorial
     // sum is resolved in one tight loop, so the extension-table loads of
@@ -1741,8 +1503,8 @@ fn hrua_lockstep(
     while !active.is_empty() {
         pend.clear();
         let mut kept = 0;
-        for s in 0..active.len() {
-            let (lane, idx) = active[s];
+        for slot in 0..active.len() {
+            let (lane, idx) = active[slot];
             let DrawPlan::Hrua { ref setup, outer } = plans[idx as usize] else {
                 unreachable!("hrua_lockstep only receives Hrua plans")
             };
@@ -3130,154 +2892,5 @@ mod tests {
             (mean / expected - 1.0).abs() < 0.05,
             "mean {mean} vs {expected}"
         );
-    }
-
-    /// SIMD-vs-scalar bit-identity property suites (`--features simd`).
-    ///
-    /// Toggling the process-global force-scalar override mid-run is safe
-    /// precisely *because* of the property under test — the vector kernels
-    /// produce the scalar bits — but the suites still serialise on a mutex
-    /// so each comparison's two halves run under the setting they claim.
-    #[cfg(feature = "simd")]
-    mod simd_identity {
-        use super::*;
-        use crate::simd_control::force_scalar_guard as force_lock;
-        use rand::Rng;
-
-        /// 4000 `(total, successes, draws)` keys across every planner
-        /// regime — degenerate, urn, half-population, HRUA — with runs of
-        /// consecutive repeats so the one-entry memo paths are exercised.
-        fn planner_keys() -> Vec<(u64, u64, u64)> {
-            let mut rng = StdRng::seed_from_u64(0x51D_1DE7);
-            let mut keys = Vec::with_capacity(4000);
-            while keys.len() < 4000 {
-                let total = match keys.len() % 4 {
-                    0 => rng.gen_range(2..200u64),
-                    1 => rng.gen_range(200..20_000u64),
-                    2 => rng.gen_range(20_000..2_000_000u64),
-                    _ => 2 * rng.gen_range(1..1_000_000u64),
-                };
-                let s = if keys.len() % 4 == 3 {
-                    total / 2 // exactly half marked: the popcount regime
-                } else {
-                    rng.gen_range(0..=total)
-                };
-                let d = rng.gen_range(0..=total);
-                let reps = if rng.gen_bool(0.3) {
-                    rng.gen_range(2..6usize)
-                } else {
-                    1
-                };
-                for _ in 0..reps.min(4000 - keys.len()) {
-                    keys.push((total, s, d));
-                }
-            }
-            keys
-        }
-
-        /// The feature-off planning loop, verbatim: one-entry memo over
-        /// [`plan_hypergeometric_parts`], then the `d10` fixup per plan.
-        fn plan_scalar_reference(keys: &[(u64, u64, u64)]) -> Vec<DrawPlan> {
-            let mut plans = Vec::with_capacity(keys.len());
-            let mut memo_key: Option<(u64, u64, u64)> = None;
-            let mut memo_plan = DrawPlan::Done(0);
-            let mut memo_args: Option<[u64; 4]> = None;
-            for &(t, s, d) in keys {
-                if memo_key != Some((t, s, d)) {
-                    (memo_plan, memo_args) = plan_hypergeometric_parts(t, s, d);
-                    memo_key = Some((t, s, d));
-                }
-                let mut plan = memo_plan;
-                if let (DrawPlan::Hrua { ref mut setup, .. }, Some(a)) = (&mut plan, memo_args) {
-                    setup.d10 = lf_sum4(a);
-                }
-                plans.push(plan);
-            }
-            plans
-        }
-
-        #[test]
-        fn simd_planning_bit_identical_4000_keys() {
-            let _guard = force_lock();
-            let keys = planner_keys();
-            let want = plan_scalar_reference(&keys);
-            for force in [false, true] {
-                popproto_simd::set_force_scalar(force);
-                let mut plans = Vec::new();
-                let mut hb = HypPlanBatch::default();
-                plan_keys_batched(keys.iter().copied(), &mut plans, &mut hb);
-                popproto_simd::set_force_scalar(false);
-                assert_eq!(plans.len(), want.len());
-                for (i, (got, want)) in plans.iter().zip(want.iter()).enumerate() {
-                    // Debug formatting round-trips f64 exactly (and
-                    // distinguishes -0.0), so string equality is bit
-                    // equality for every field.
-                    assert_eq!(
-                        format!("{got:?}"),
-                        format!("{want:?}"),
-                        "plan {i} for key {:?} (force_scalar={force})",
-                        keys[i]
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn simd_cached_planning_bit_identical() {
-            let _guard = force_lock();
-            let keys = planner_keys();
-            for force in [false, true] {
-                popproto_simd::set_force_scalar(force);
-                let mut many = Vec::new();
-                CachedHypergeometric::new_many(&keys, &mut many);
-                popproto_simd::set_force_scalar(false);
-                for (i, (got, &(t, s, d))) in many.iter().zip(keys.iter()).enumerate() {
-                    let want = CachedHypergeometric::new(t, s, d);
-                    assert_eq!(
-                        format!("{:?}", got.plan),
-                        format!("{:?}", want.plan),
-                        "cached plan {i} (force_scalar={force})"
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn simd_hypergeometric_lanes_bit_identical_and_stream_preserving() {
-            let _guard = force_lock();
-            const LANES: usize = 64;
-            let mut rng = StdRng::seed_from_u64(0xBEEF_FACE);
-            let mut vec_rngs: Vec<StdRng> = (0..LANES as u64).map(StdRng::seed_from_u64).collect();
-            let mut sca_rngs = vec_rngs.clone();
-            let mut vec_scratch = LaneDrawScratch::default();
-            let mut sca_scratch = LaneDrawScratch::default();
-            // 63 calls × 64 lanes ≈ 4000 job cases, the lane streams
-            // carried across calls so stream positions are checked
-            // cumulatively, not just per draw.
-            for call in 0..63 {
-                let mut jobs = Vec::with_capacity(LANES);
-                for lane in 0..LANES as u32 {
-                    let total = rng.gen_range(2..500_000u64);
-                    let s = rng.gen_range(0..=total);
-                    let d = rng.gen_range(0..=total);
-                    jobs.push((lane, total, s, d));
-                }
-                let mut vec_out = vec![0u64; LANES];
-                let mut sca_out = vec![0u64; LANES];
-                popproto_simd::set_force_scalar(false);
-                hypergeometric_lanes(&mut vec_rngs, &jobs, &mut vec_out, &mut vec_scratch);
-                popproto_simd::set_force_scalar(true);
-                hypergeometric_lanes(&mut sca_rngs, &jobs, &mut sca_out, &mut sca_scratch);
-                popproto_simd::set_force_scalar(false);
-                assert_eq!(vec_out, sca_out, "values diverge at call {call}");
-                for lane in 0..LANES {
-                    assert_eq!(
-                        vec_rngs[lane].state(),
-                        sca_rngs[lane].state(),
-                        "stream position diverges at call {call}, lane {lane}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -16,6 +16,7 @@ use popproto_sim::{
     EnsembleSimulator, SimulationExperiment,
 };
 use popproto_zoo::{approximate_majority, binary_counter};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -109,6 +110,93 @@ fn tracing_and_heartbeats_leave_sharded_outcomes_bit_identical() {
     assert!(last.contains("\"final\":true"));
     let converged = reference.iter().filter(|o| o.converged).count();
     assert!(last.contains(&format!("\"lanes_converged\":{converged}")));
+}
+
+/// Every recorded wave phase lies inside a recorded `wave` span on its own
+/// thread: phases of waves begun before the session are not recorded.
+fn assert_phases_are_wave_children(trace: &obs::Trace, cycle: u64) {
+    let spans: Vec<(&str, u64, u64, u64)> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match *e {
+            obs::Event::Complete {
+                name,
+                tid,
+                ts_ns,
+                dur_ns,
+                ..
+            } => Some((name, tid, ts_ns, ts_ns + dur_ns)),
+            _ => None,
+        })
+        .collect();
+    let phases = [
+        "classification",
+        "split",
+        "pairing",
+        "apply",
+        "collision",
+        "silence",
+    ];
+    for &(name, tid, start, end) in spans.iter().filter(|s| phases.contains(&s.0)) {
+        assert!(
+            spans
+                .iter()
+                .any(|w| w.0 == "wave" && w.1 == tid && w.2 <= start && end <= w.3),
+            "cycle {cycle}: phase {name} [{start}, {end}] on tid {tid} has no enclosing wave"
+        );
+    }
+}
+
+/// Tracing switched on and off while ensembles are mid-wave on the global
+/// pool still yields valid traces: a wave begun before a session must not
+/// emit phase spans that cross the spans recorded beside it.  The
+/// background runs stand for other callers in the same process that never
+/// asked for tracing; their outcomes must not move either.
+#[test]
+fn tracing_toggled_mid_run_on_the_global_pool_yields_valid_traces() {
+    let _serial = obs::test_support::serial();
+    let p = approximate_majority();
+    let ic = p.initial_config(&Input::from_counts(vec![700, 500]));
+    let seeds: Vec<u64> = (0..13).collect();
+    let criterion = ConvergenceCriterion::Silent;
+    let budget = 2_000_000u64;
+    let reference = run_sharded_ensemble_until_convergence(&p, &ic, &seeds, 4, criterion, budget);
+
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let background = s.spawn(|| {
+            let mut runs = 0u32;
+            while runs == 0 || !done.load(Ordering::Relaxed) {
+                let out =
+                    run_sharded_ensemble_until_convergence(&p, &ic, &seeds, 4, criterion, budget);
+                assert_outcomes_identical(&reference, &out, "background run");
+                runs += 1;
+            }
+            runs
+        });
+        // Stops the background loop even when an assertion below unwinds.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let stop = StopOnDrop(&done);
+        // The sleeps only stagger the sessions across the background waves;
+        // the obs crate's `marks_outside_a_session_span_record_nothing`
+        // pins the rule itself without timing.
+        for cycle in 0..8u64 {
+            std::thread::sleep(Duration::from_millis(1 + cycle));
+            obs::start();
+            std::thread::sleep(Duration::from_millis(3));
+            let trace = obs::stop();
+            obs::validate_chrome_trace(&trace.to_chrome_trace())
+                .unwrap_or_else(|e| panic!("trace of cycle {cycle} is invalid: {e}"));
+            assert_phases_are_wave_children(&trace, cycle);
+        }
+        drop(stop);
+        assert!(background.join().expect("background runs") > 0);
+    });
 }
 
 #[test]
