@@ -1,67 +1,62 @@
-//! Busy-beaver pipeline benchmark: the streaming, staged, resumable
-//! `BB_det(4)` prefix search (experiment E12), its **parallel segmented**
-//! rebuild on the work-stealing pool, and the `BB_det(3)` soundness gate,
-//! emitting `BENCH_bb.json`.
+//! Busy-beaver pipeline benchmark: the staged, resumable `BB_det(4)` prefix
+//! search (experiment E12) on the segmented search over the work-stealing
+//! pool, timed against the sequential stream, and the `BB_det(3)` soundness
+//! gate, emitting `BENCH_bb.json`.
 //!
 //! Modes:
 //!
 //! * **smoke** (default, what CI matrix-runs on every push at
-//!   `BENCH_BB_WORKERS` ∈ {1, 4}): a small-budget E12 prefix, the
-//!   sequential kill/resume exercise, the segmented run at the requested
-//!   worker count with (a) a funnel bit-identity assert against the
-//!   sequential stream and (b) a multi-cursor kill/resume assert across a
-//!   *different* worker count, plus the fingerprint-canonicalization
+//!   `BENCH_BB_WORKERS` ∈ {1, 4}): a small-budget E12 prefix through the
+//!   segmented search at the requested worker count, with (a) a funnel
+//!   bit-identity assert against the sequential stream over the same
+//!   candidate range and (b) a three-session kill/resume assert across
+//!   differing worker counts, plus the fingerprint-canonicalization
 //!   hit-rate delta.  The committed `BENCH_bb.json` is left untouched.
-//! * **full** (`BENCH_BB_FULL=1`): streams 10⁶ canonical 4-state orbits
-//!   sequentially and at 1/2/4/8 workers (the `parallel_scaling` section),
-//!   asserts funnel/best/witness bit-identity at every worker count,
-//!   re-runs `BB_det(3)` against the PR 3 reference values as a
+//! * **full** (`BENCH_BB_FULL=1`): streams a 10⁶-orbit prefix at 1/2/4/8
+//!   workers (the `parallel_scaling` section) and through the sequential
+//!   stream over the same candidate range (the `e12_bb4_prefix` row and the
+//!   speedup baseline), asserts funnel/best/witness bit-identity at every
+//!   worker count, re-runs `BB_det(3)` against its reference values as a
 //!   bit-identity gate, measures the canonicalization delta at scale, runs
 //!   an entropy-ordered prefix for contrast, and regenerates
 //!   `BENCH_bb.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use popproto::candidate_pipeline::{PipelineStats, SearchCheckpoint, StreamingSearch};
+use popproto::candidate_pipeline::{CandidatePipeline, PipelineStats};
 use popproto::enumeration::busy_beaver_search;
 use popproto::experiments::{
-    e12_pipeline_config, e12_report_from, e12_segmented_report_from, e12_segmented_search,
-    E12SegmentedReport,
+    e12_pipeline_config, e12_segmented_report_from, e12_segmented_search, E12SegmentedReport,
 };
 use popproto::orbit_stream::SegmentOrder;
 use popproto::segmented::{SegmentedCheckpoint, SegmentedSearch};
+use popproto_bench::sequential_reference;
 use popproto_reach::ExploreLimits;
 use std::time::Instant;
 
 const MAX_INPUT: u64 = 8;
 
-/// Runs the E12 prefix uninterrupted and returns `(search, seconds)`.
-fn straight_run(budget: u64) -> (StreamingSearch, f64) {
-    let start = Instant::now();
-    let mut search = StreamingSearch::new(4, e12_pipeline_config(MAX_INPUT));
-    search.run_for(budget);
-    (search, start.elapsed().as_secs_f64())
-}
-
-/// Replays the same budget split across sessions, each resumed from a
-/// JSON-serialised checkpoint of the previous one; returns the final stats
-/// and the largest checkpoint size seen.
-fn killed_and_resumed(budget: u64, sessions: u64) -> (PipelineStats, Option<u64>, usize) {
-    let burst = budget.div_ceil(sessions);
-    let mut search = StreamingSearch::new(4, e12_pipeline_config(MAX_INPUT));
-    let mut streamed = 0u64;
+/// Streams the E12 prefix to `budget` across `sessions` sessions, each
+/// resumed from a JSON-serialised checkpoint of the previous one, on
+/// alternating worker counts; returns the report and the largest checkpoint
+/// size seen.
+fn killed_and_resumed(
+    budget: u64,
+    sessions: u64,
+    workers: [usize; 2],
+) -> (E12SegmentedReport, usize) {
+    let mut search = e12_segmented_search(MAX_INPUT, SegmentOrder::Index);
     let mut checkpoint_bytes = 0usize;
-    while streamed < budget && !search.is_finished() {
-        let chunk = burst.min(budget - streamed);
-        streamed += search.run_for(chunk);
+    for session in 1..=sessions {
+        search.run(workers[(session % 2) as usize], budget * session / sessions);
         // Kill: drop the search entirely, keep only the serialised bytes.
         let json = serde_json::to_string(&search.checkpoint()).expect("checkpoint serialises");
         checkpoint_bytes = checkpoint_bytes.max(json.len());
-        let checkpoint: SearchCheckpoint =
+        let checkpoint: SegmentedCheckpoint =
             serde_json::from_str(&json).expect("checkpoint deserialises");
-        search = StreamingSearch::from_checkpoint(&checkpoint);
+        search = SegmentedSearch::from_checkpoint(&checkpoint);
     }
-    let best = search.result().best_eta;
-    (search.stats(), best, checkpoint_bytes)
+    let report = e12_segmented_report_from(&search, budget, workers[sessions as usize % 2]);
+    (report, checkpoint_bytes)
 }
 
 /// Runs the segmented E12 at `workers` until the merged prefix holds
@@ -102,99 +97,62 @@ fn pool_json(stats: &popproto_exec::PoolStats) -> String {
     )
 }
 
-/// Asserts the segmented prefix reproduces the sequential stream bit for bit
-/// on the same orbit count: funnel counters, best η, witness set.
-fn assert_segmented_matches_sequential(report: &E12SegmentedReport) {
-    let mut reference = StreamingSearch::new(4, e12_pipeline_config(MAX_INPUT));
-    reference.run_for(report.prefix_orbits);
-    let ref_stats = reference.stats();
-    assert_eq!(
-        report.stats.canonical_orbits, ref_stats.canonical_orbits,
-        "orbit counts diverged"
-    );
-    assert_eq!(
-        report.stats.pruned_symbolic, ref_stats.pruned_symbolic,
-        "symbolic funnel diverged"
-    );
-    assert_eq!(
-        report.stats.pruned_eta_bounded, ref_stats.pruned_eta_bounded,
-        "eta-floor funnel diverged"
-    );
-    assert_eq!(
-        report.stats.profiled, ref_stats.profiled,
-        "profiled diverged"
-    );
-    assert_eq!(
-        report.stats.threshold_protocols, ref_stats.threshold_protocols,
-        "confirmed diverged"
-    );
-    assert_eq!(
-        report.stats.truncated_orbits, ref_stats.truncated_orbits,
-        "truncation diverged"
-    );
+/// Asserts the segmented prefix reproduces the sequential stream over the
+/// same candidate range bit for bit: funnel counters, best η, witness set.
+/// Only the memo hits split differently (segment-local and shared tables).
+fn assert_segmented_matches_sequential(
+    report: &E12SegmentedReport,
+    reference: &CandidatePipeline,
+    ref_stats: &PipelineStats,
+) {
+    let mut seg_stats = report.stats.clone();
+    let mut ref_stats = ref_stats.clone();
+    for s in [&mut seg_stats, &mut ref_stats] {
+        s.memo_hits = 0;
+        s.memo_hits_cross = 0;
+    }
+    assert_eq!(seg_stats, ref_stats, "funnel diverged");
     assert_eq!(
         report.best_eta,
-        reference.result().best_eta,
+        reference.best().map(|b| b.eta),
         "best eta diverged"
     );
-    let ref_confirmed: Vec<u128> = reference.confirmed().to_vec();
     let seg_confirmed: Vec<u128> = report.confirmed.iter().map(|c| c.get()).collect();
-    assert_eq!(seg_confirmed, ref_confirmed, "witness sets diverged");
-}
-
-/// Kills a segmented run mid-budget at `workers_a`, resumes it at
-/// `workers_b` through a JSON multi-cursor checkpoint, and asserts the
-/// completed run equals an uninterrupted single-worker run.
-fn assert_segmented_kill_resume(budget: u64, workers_a: usize, workers_b: usize) {
-    let mut straight = e12_segmented_search(MAX_INPUT, SegmentOrder::Index);
-    straight.run(1, budget);
-    let expected = straight.result();
-
-    let mut search = e12_segmented_search(MAX_INPUT, SegmentOrder::Index);
-    search.run(workers_a, budget / 2);
-    let json = serde_json::to_string(&search.checkpoint()).expect("checkpoint serialises");
-    let checkpoint: SegmentedCheckpoint =
-        serde_json::from_str(&json).expect("checkpoint deserialises");
-    let mut resumed = SegmentedSearch::from_checkpoint(&checkpoint);
-    resumed.run(workers_b, budget);
-    let result = resumed.result();
-    assert_eq!(result.prefix_orbits, expected.prefix_orbits);
-    assert_eq!(result.best, expected.best, "kill/resume best diverged");
     assert_eq!(
-        result.confirmed, expected.confirmed,
-        "kill/resume witness set diverged"
+        seg_confirmed,
+        reference.confirmed(),
+        "witness sets diverged"
     );
-    let mut a = result.stats.clone();
-    let mut b = expected.stats.clone();
-    // Identical segmentation ⟹ identical local hits; only cross may differ.
-    assert_eq!(a.memo_hits, b.memo_hits, "local memo hits diverged");
-    a.memo_hits_cross = 0;
-    b.memo_hits_cross = 0;
-    assert_eq!(a, b, "kill/resume stats diverged");
 }
 
-/// Measures the fingerprint-canonicalization hit-rate delta on a sequential
-/// prefix: `(hit_rate_with, hit_rate_without, entries_with, entries_without)`.
-fn canonicalization_delta(budget: u64) -> (f64, f64, u64, u64) {
+/// Measures the fingerprint-canonicalization hit-rate delta on the
+/// sequential stream over `[0, end)`:
+/// `(hit_rate_with, hit_rate_without, entries_with, entries_without, orbits)`.
+fn canonicalization_delta(end: u128) -> (f64, f64, u64, u64, u64) {
     let run = |canonical: bool| {
         let mut config = e12_pipeline_config(MAX_INPUT);
         config.canonical_fingerprints = canonical;
-        let mut search = StreamingSearch::new(4, config);
-        search.run_for(budget);
-        let stats = search.stats();
+        let (pipeline, stats) = sequential_reference(4, end, &config);
         (
             stats.memo_hits as f64 / stats.canonical_orbits.max(1) as f64,
-            search.memo_len() as u64,
+            pipeline.memo_len() as u64,
+            stats.canonical_orbits,
         )
     };
-    let (with_rate, with_entries) = run(true);
-    let (without_rate, without_entries) = run(false);
+    let (with_rate, with_entries, orbits) = run(true);
+    let (without_rate, without_entries, _) = run(false);
     assert!(
         with_rate >= without_rate,
         "canonicalization must never lose hits ({with_rate} < {without_rate})"
     );
     assert!(with_entries <= without_entries);
-    (with_rate, without_rate, with_entries, without_entries)
+    (
+        with_rate,
+        without_rate,
+        with_entries,
+        without_entries,
+        orbits,
+    )
 }
 
 fn emit_bench_json(_c: &mut Criterion) {
@@ -206,60 +164,56 @@ fn emit_bench_json(_c: &mut Criterion) {
         .unwrap_or(2);
     let sessions = 3u64;
 
-    // 1. The streamed prefix, uninterrupted (the PR 4 sequential baseline).
-    let (search, seconds) = straight_run(budget);
-    let report = e12_report_from(&search, budget);
-    assert_eq!(report.stats.canonical_orbits, budget, "budget not honoured");
-    assert_eq!(
-        report.stats.pruned_symbolic + report.stats.pruned_eta_bounded + report.stats.profiled,
-        report.stats.canonical_orbits,
-        "the funnel must account for every canonical orbit"
-    );
-    assert_eq!(
-        report.stats.truncated_orbits, 0,
-        "no 4-state prefix slice may hit the exploration cap"
-    );
-    println!(
-        "[E12] BB_det(4) prefix: {budget} canonical orbits in {seconds:.2}s \
-         ({:.0} orbits/s), funnel: {} symbolic / {} eta-floor / {} profiled / {} confirmed, \
-         {} memo hits over {} entries, best eta so far {:?}",
-        budget as f64 / seconds,
-        report.stats.pruned_symbolic,
-        report.stats.pruned_eta_bounded,
-        report.stats.profiled,
-        report.stats.threshold_protocols,
-        report.stats.memo_hits,
-        report.memo_entries,
-        report.best_eta,
-    );
-
-    // 2. Kill/resume through serialised checkpoints: bit-identical stats.
-    let (resumed_stats, resumed_best, checkpoint_bytes) = killed_and_resumed(budget, sessions);
-    assert_eq!(
-        resumed_stats, report.stats,
-        "kill/resume must reproduce the per-stage stats bit for bit"
-    );
-    assert_eq!(resumed_best, report.best_eta);
-    println!(
-        "[E12] kill/resume across {sessions} sessions: stats identical, \
-         largest checkpoint {:.1} MB",
-        checkpoint_bytes as f64 / 1e6
-    );
-
-    // 3. Parallel segmented streaming: the scaling matrix (full) or the CI
-    // matrix worker count (smoke), each gated on funnel bit-identity
-    // against the sequential stream.
+    // 1. Segmented streaming: the scaling matrix (full) or the CI matrix
+    // worker count (smoke).  The budget cut is segment-aligned and
+    // worker-independent, so every run merges the same candidate range.
     let scaling_workers: Vec<usize> = if full {
         vec![1, 2, 4, 8]
     } else {
         vec![smoke_workers]
     };
+    let scaling: Vec<_> = scaling_workers
+        .iter()
+        .map(|&workers| (workers, segmented_run(budget, workers, SegmentOrder::Index)))
+        .collect();
+    let straight = &scaling[0].1 .0;
+    assert!(straight.prefix_orbits >= budget, "budget not honoured");
+
+    // 2. The sequential stream over the same candidate range: the
+    // `e12_bb4_prefix` row and the speedup baseline.
+    let end = u128::from(straight.candidates_consumed);
+    let start = Instant::now();
+    let (reference, ref_stats) = sequential_reference(4, end, &e12_pipeline_config(MAX_INPUT));
+    let seconds = start.elapsed().as_secs_f64();
+    let orbits = ref_stats.canonical_orbits;
+    assert_eq!(
+        ref_stats.pruned_symbolic + ref_stats.pruned_eta_bounded + ref_stats.profiled,
+        orbits,
+        "the funnel must account for every canonical orbit"
+    );
+    assert_eq!(
+        ref_stats.truncated_orbits, 0,
+        "no 4-state prefix slice may hit the exploration cap"
+    );
+    let best_eta = reference.best().map(|b| b.eta);
+    println!(
+        "[E12] BB_det(4) prefix, sequential stream: {orbits} canonical orbits in {seconds:.2}s \
+         ({:.0} orbits/s), funnel: {} symbolic / {} eta-floor / {} profiled / {} confirmed, \
+         {} memo hits over {} entries, best eta so far {best_eta:?}",
+        orbits as f64 / seconds,
+        ref_stats.pruned_symbolic,
+        ref_stats.pruned_eta_bounded,
+        ref_stats.profiled,
+        ref_stats.threshold_protocols,
+        ref_stats.memo_hits,
+        reference.memo_len(),
+    );
+
+    // 3. Each segmented run, gated on funnel bit-identity against the
+    // sequential stream.
     let mut scaling_rows = Vec::new();
-    for &workers in &scaling_workers {
-        let (seg_report, seg_seconds, pool_stats) =
-            segmented_run(budget, workers, SegmentOrder::Index);
-        assert!(seg_report.prefix_orbits >= budget);
-        assert_segmented_matches_sequential(&seg_report);
+    for (workers, (seg_report, seg_seconds, pool_stats)) in &scaling {
+        assert_segmented_matches_sequential(seg_report, &reference, &ref_stats);
         let throughput = seg_report.prefix_orbits as f64 / seg_seconds;
         println!(
             "[E12] segmented @ {workers} workers: {} orbits in {seg_seconds:.2}s \
@@ -282,16 +236,26 @@ fn emit_bench_json(_c: &mut Criterion) {
             seg_report.stats.memo_hits,
             seg_report.stats.memo_hits_cross,
             seconds / seg_seconds,
-            pool_json(&pool_stats),
+            pool_json(pool_stats),
         ));
     }
 
-    // 4. Multi-cursor kill/resume across differing worker counts.
-    let (resume_a, resume_b) = (smoke_workers.max(2), 3usize);
-    assert_segmented_kill_resume(budget.min(40_000), resume_a, resume_b);
+    // 4. Multi-session kill/resume through JSON multi-cursor checkpoints,
+    // alternating worker counts: bit-identical to the uninterrupted run.
+    let resume_workers = [smoke_workers.max(2), 3usize];
+    let (resumed, checkpoint_bytes) = killed_and_resumed(budget, sessions, resume_workers);
+    assert_segmented_matches_sequential(&resumed, &reference, &ref_stats);
+    // Identical segmentation ⟹ identical local hits; only cross may differ.
+    assert_eq!(
+        resumed.stats.memo_hits, straight.stats.memo_hits,
+        "kill/resume local memo hits diverged"
+    );
     println!(
-        "[E12] segmented kill/resume: killed @ {resume_a} workers, resumed @ {resume_b} — \
-         stats, best and witness set bit-identical"
+        "[E12] segmented kill/resume across {sessions} sessions @ {} / {} workers: stats, \
+         best and witness set bit-identical, largest checkpoint {:.1} MB",
+        resume_workers[1],
+        resume_workers[0],
+        checkpoint_bytes as f64 / 1e6
     );
 
     // 4b. Checkpoint encoding: the v2 delta-packed memo tables against the
@@ -332,11 +296,11 @@ fn emit_bench_json(_c: &mut Criterion) {
     );
 
     // 5. Fingerprint canonicalization: the hit-rate delta.
-    let canon_budget = budget.min(100_000);
-    let (with_rate, without_rate, with_entries, without_entries) =
-        canonicalization_delta(canon_budget);
+    let canon_end = end.min(1 << 18);
+    let (with_rate, without_rate, with_entries, without_entries, canon_orbits) =
+        canonicalization_delta(canon_end);
     println!(
-        "[E12] fingerprint canonicalization over {canon_budget} orbits: hit rate \
+        "[E12] fingerprint canonicalization over {canon_orbits} orbits: hit rate \
          {:.1}% -> {:.1}%, memo entries {} -> {}",
         without_rate * 100.0,
         with_rate * 100.0,
@@ -393,27 +357,23 @@ fn emit_bench_json(_c: &mut Criterion) {
     }
 
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let stats_json = serde_json::to_string(&report.stats).expect("stats serialise");
+    let stats_json = serde_json::to_string(&ref_stats).expect("stats serialise");
     let entropy_stats_json = serde_json::to_string(&entropy_report.stats).expect("stats serialise");
+    let json_eta = |eta: Option<u64>| eta.map_or_else(|| "null".to_owned(), |e| e.to_string());
     let json = format!(
-        "{{\n  \"e12_bb4_prefix\": {{\n    \"num_states\": 4,\n    \"orbit_budget\": {budget},\n    \"max_input\": {MAX_INPUT},\n    \"eta_floor\": {},\n    \"engine\": \"frontier\",\n    \"seconds\": {seconds:.3},\n    \"orbits_per_second\": {:.0},\n    \"stats\": {stats_json},\n    \"memo_entries\": {},\n    \"candidates_consumed\": {},\n    \"best_eta\": {},\n    \"finished\": {},\n    \"resume_check\": {{\n      \"sessions\": {sessions},\n      \"identical_stats\": true,\n      \"largest_checkpoint_bytes\": {checkpoint_bytes}\n    }}\n  }},\n  \"parallel_scaling\": {{\n    \"orbit_budget\": {budget},\n    \"segment_size\": {},\n    \"host_cpus\": {host_cpus},\n    \"pool_workers\": {},\n    \"time_sliced\": {},\n    \"order\": \"index\",\n    \"note\": \"funnel, best eta and witness set asserted bit-identical to the sequential stream at every worker count; resume asserted across differing worker counts; speedups are bounded by host_cpus — a single-core host time-slices the workers\",\n    \"runs\": [\n{}\n    ]\n  }},\n{encoding_json},\n  \"fingerprint_canonicalization\": {{\n    \"orbit_budget\": {canon_budget},\n    \"hit_rate_without\": {without_rate:.4},\n    \"hit_rate_with\": {with_rate:.4},\n    \"memo_entries_without\": {without_entries},\n    \"memo_entries_with\": {with_entries}\n  }},\n  \"entropy_order\": {{\n    \"orbit_budget\": {entropy_budget},\n    \"seconds\": {entropy_seconds:.3},\n    \"stats\": {entropy_stats_json},\n    \"best_eta\": {}\n  }}{bb3_entry}\n}}\n",
-        report.eta_floor,
-        budget as f64 / seconds,
-        report.memo_entries,
-        report.candidates_consumed,
-        report
-            .best_eta
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "null".into()),
-        report.finished,
-        entropy_report.segment_size,
+        "{{\n  \"e12_bb4_prefix\": {{\n    \"search\": \"sequential stream\",\n    \"num_states\": 4,\n    \"orbit_budget\": {budget},\n    \"max_input\": {MAX_INPUT},\n    \"eta_floor\": {},\n    \"engine\": \"frontier\",\n    \"seconds\": {seconds:.3},\n    \"orbits_per_second\": {:.0},\n    \"stats\": {stats_json},\n    \"memo_entries\": {},\n    \"candidates_consumed\": {end},\n    \"best_eta\": {},\n    \"finished\": {},\n    \"resume_check\": {{\n      \"search\": \"segmented\",\n      \"sessions\": {sessions},\n      \"workers\": [{}, {}],\n      \"identical_stats\": true,\n      \"largest_checkpoint_bytes\": {checkpoint_bytes}\n    }}\n  }},\n  \"parallel_scaling\": {{\n    \"orbit_budget\": {budget},\n    \"segment_size\": {},\n    \"host_cpus\": {host_cpus},\n    \"pool_workers\": {},\n    \"time_sliced\": {},\n    \"order\": \"index\",\n    \"note\": \"funnel, best eta and witness set asserted bit-identical to the sequential stream at every worker count; resume asserted across differing worker counts; speedups are bounded by host_cpus — a single-core host time-slices the workers\",\n    \"runs\": [\n{}\n    ]\n  }},\n{encoding_json},\n  \"fingerprint_canonicalization\": {{\n    \"candidates\": {canon_end},\n    \"canonical_orbits\": {canon_orbits},\n    \"hit_rate_without\": {without_rate:.4},\n    \"hit_rate_with\": {with_rate:.4},\n    \"memo_entries_without\": {without_entries},\n    \"memo_entries_with\": {with_entries}\n  }},\n  \"entropy_order\": {{\n    \"orbit_budget\": {entropy_budget},\n    \"seconds\": {entropy_seconds:.3},\n    \"stats\": {entropy_stats_json},\n    \"best_eta\": {}\n  }}{bb3_entry}\n}}\n",
+        reference.config().eta_floor,
+        orbits as f64 / seconds,
+        reference.memo_len(),
+        json_eta(best_eta),
+        straight.finished,
+        resume_workers[1],
+        resume_workers[0],
+        straight.segment_size,
         popproto_exec::default_workers(),
         host_cpus == 1,
         scaling_rows.join(",\n"),
-        entropy_report
-            .best_eta
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "null".into()),
+        json_eta(entropy_report.best_eta),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bb.json");
     if full {

@@ -18,9 +18,9 @@
 //!   bit-identical to an uninterrupted run;
 //! * the entropy segment order processes the same full-range set.
 
-use popproto::candidate_pipeline::{CandidatePipeline, PipelineConfig, PipelineStats};
-use popproto::orbit_stream::{OrbitSpace, OrbitStream};
+use popproto::candidate_pipeline::{PipelineConfig, PipelineStats};
 use popproto::segmented::{SegmentationConfig, SegmentedCheckpoint, SegmentedSearch};
+use popproto_bench::sequential_reference;
 use popproto_reach::ExploreLimits;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -36,28 +36,6 @@ impl Lcg {
             .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
-}
-
-/// The PR 4 sequential reference: one pipeline over one range scan.
-fn sequential_reference(
-    num_states: usize,
-    end: u128,
-    config: &PipelineConfig,
-) -> (PipelineStats, Option<u64>, Vec<u128>) {
-    let space = OrbitSpace::new(num_states);
-    let mut pipeline = CandidatePipeline::new(num_states, config.clone());
-    let mut stream = OrbitStream::range(&space, 0, end);
-    while let Some(k) = stream.next_canonical() {
-        let outputs = (k % space.output_patterns()) as u32;
-        pipeline.offer(&space, k, stream.current_assignment(), outputs);
-    }
-    let mut stats = pipeline.stats().clone();
-    stats.pruned_symmetric = stream.pruned_symmetric();
-    (
-        stats,
-        pipeline.best().map(|b| b.eta),
-        pipeline.confirmed().to_vec(),
-    )
 }
 
 /// Asserts every deterministic counter matches (the memo split is compared
@@ -77,7 +55,7 @@ fn all_worker_counts_and_random_segment_sizes_match_the_sequential_stream() {
     let limits = ExploreLimits::default();
     let config = PipelineConfig::exact(5, &limits);
     let end = 20_000u128; // a 3-state prefix with plenty of profiled orbits
-    let (ref_stats, ref_best, ref_confirmed) = sequential_reference(3, end, &config);
+    let (reference, ref_stats) = sequential_reference(3, end, &config);
     assert!(ref_stats.threshold_protocols > 0, "trivial reference");
 
     let mut rng = Lcg(0xa11ce);
@@ -90,8 +68,12 @@ fn all_worker_counts_and_random_segment_sizes_match_the_sequential_stream() {
         let context = format!("workers {workers}, segment size {seg_size}");
         assert!(result.finished, "{context}");
         assert_deterministic_stats_eq(&result.stats, &ref_stats, &context);
-        assert_eq!(result.best.map(|b| b.eta), ref_best, "{context}");
-        assert_eq!(result.confirmed, ref_confirmed, "witness set; {context}");
+        assert_eq!(result.best, reference.best(), "{context}");
+        assert_eq!(
+            result.confirmed,
+            reference.confirmed(),
+            "witness set; {context}"
+        );
         // The raw memo total is NOT asserted: memo_hits_cross is
         // scheduling-dependent.  The split invariant that *is* guaranteed:
         // every local hit plus every cross hit answered some canonical
@@ -185,7 +167,7 @@ fn entropy_order_covers_the_same_full_range() {
     let limits = ExploreLimits::default();
     let config = PipelineConfig::exact(5, &limits);
     let end = 12_000u128;
-    let (ref_stats, ref_best, ref_confirmed) = sequential_reference(3, end, &config);
+    let (reference, ref_stats) = sequential_reference(3, end, &config);
 
     for workers in [1, 4] {
         let mut search = SegmentedSearch::new(
@@ -197,8 +179,8 @@ fn entropy_order_covers_the_same_full_range() {
         let result = search.result();
         assert!(result.finished);
         assert_deterministic_stats_eq(&result.stats, &ref_stats, "entropy full range");
-        assert_eq!(result.best.map(|b| b.eta), ref_best);
-        assert_eq!(result.confirmed, ref_confirmed, "witness set");
+        assert_eq!(result.best, reference.best());
+        assert_eq!(result.confirmed, reference.confirmed(), "witness set");
     }
 }
 

@@ -1,5 +1,5 @@
 //! Streaming-vs-materialized equivalence for the busy-beaver generator and
-//! the resumable pipeline.
+//! the resumable search.
 //!
 //! The `BB_det(4)` rung replaced the materialize-and-scan candidate pass
 //! with a lazy canonical-orbit stream and a checkpointable search.  These
@@ -8,17 +8,17 @@
 //! * the stream yields **exactly** the canonical orbit set of the old
 //!   materialized enumeration, in the same (index) order, for the 2- and
 //!   3-state spaces;
-//! * checkpoint/resume at arbitrary (pseudo-random) cut points reproduces
-//!   the bit-identical `busy_beaver_search` result — stats, best η and
-//!   witness included;
-//! * the staged pipeline's memoized verdicts equal the unmemoized ones on
-//!   every candidate (spot-checked through full-space searches).
+//! * segmented checkpoint/resume at pseudo-random budgets and worker counts
+//!   reproduces the bit-identical `busy_beaver_search` result — stats, best
+//!   η and witness included;
+//! * the sequential stream over a capped prefix agrees with the parallel
+//!   search on everything deterministic.
 
-use popproto::candidate_pipeline::{
-    CandidatePipeline, PipelineConfig, ReachEngine, SearchCheckpoint, StreamingSearch,
-};
+use popproto::candidate_pipeline::PipelineConfig;
 use popproto::enumeration::{busy_beaver_search_with_threads, verified_threshold};
 use popproto::orbit_stream::{OrbitSpace, OrbitStream};
+use popproto::segmented::{SegmentationConfig, SegmentedCheckpoint, SegmentedSearch};
+use popproto_bench::sequential_reference;
 use popproto_reach::ExploreLimits;
 
 /// The old semantics: materialise every canonical candidate index of the
@@ -107,23 +107,37 @@ fn randomly_split_ranges_reproduce_the_full_stream() {
 
 #[test]
 fn checkpoint_resume_reproduces_busy_beaver_bit_identically() {
-    // Reference: the one-shot parallel search over the full 2-state space.
+    // Reference: the one-shot search over the full 2-state space on one
+    // worker (a single segment).
     let limits = ExploreLimits::default();
     let reference = busy_beaver_search_with_threads(2, 6, u64::MAX, &limits, 1);
+    assert_eq!(reference.memo_hits_cross, 0, "one segment, one table");
 
-    // Resumable search, killed at pseudo-random points (every kill
-    // round-trips the checkpoint through JSON, as a real session would).
+    // Output-block-sized segments (4 encodings on 2 states), so every
+    // budget cut falls on a fine-grained boundary.
+    let config = PipelineConfig::exact(6, &limits);
+    let segmentation = SegmentationConfig::index_order(4, None);
+    let mut uninterrupted = SegmentedSearch::new(2, config.clone(), segmentation.clone());
+    uninterrupted.run(1, u64::MAX);
+    let straight = uninterrupted.result();
+
+    // Resumable search, killed at pseudo-random budgets on pseudo-random
+    // worker counts (every kill round-trips the checkpoint through JSON, as
+    // a real session would).
     let mut rng = Lcg(0x5eed);
     for round in 0..3 {
-        let mut search = StreamingSearch::new(2, PipelineConfig::exact(6, &limits));
+        let mut search = SegmentedSearch::new(2, config.clone(), segmentation.clone());
+        let mut budget = 0u64;
         while !search.is_finished() {
-            let burst = rng.next() % 29 + 1;
-            search.run_for(burst);
+            budget += rng.next() % 29 + 1;
+            search.run((rng.next() % 3 + 1) as usize, budget);
             let json = serde_json::to_string(&search.checkpoint()).unwrap();
-            let checkpoint: SearchCheckpoint = serde_json::from_str(&json).unwrap();
-            search = StreamingSearch::from_checkpoint(&checkpoint);
+            let checkpoint: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
+            search = SegmentedSearch::from_checkpoint(&checkpoint);
         }
-        let result = search.result();
+        let merged = search.result();
+        assert!(merged.finished, "round {round}");
+        let result = merged.to_enumeration_result(search.space(), 6);
         assert_eq!(result.best_eta, reference.best_eta, "round {round}");
         assert_eq!(result.witness, reference.witness, "round {round}");
         assert_eq!(
@@ -146,63 +160,43 @@ fn checkpoint_resume_reproduces_busy_beaver_bit_identically() {
             result.truncated_orbits, reference.truncated_orbits,
             "round {round}"
         );
-        // The raw combined memo total is deliberately NOT asserted (the
-        // cross-segment count is scheduling-dependent in parallel runs and
-        // exempt everywhere).  What *is* guaranteed here: both runs are
-        // sequential single-table scans, so their deterministic local-hit
-        // counts agree and neither ever touches a shared table.
-        assert_eq!(result.memo_hits, reference.memo_hits, "round {round}");
-        assert_eq!(result.memo_hits_cross, 0, "round {round}");
-        assert_eq!(reference.memo_hits_cross, 0, "round {round}");
+        // Local memo hits are deterministic per segmentation, so they match
+        // the uninterrupted run with the same segments (not the one-segment
+        // reference); the cross-segment count is scheduling-dependent and
+        // never asserted.
+        assert_eq!(
+            merged.stats.memo_hits, straight.stats.memo_hits,
+            "round {round}"
+        );
+        assert_eq!(merged.confirmed, straight.confirmed, "round {round}");
+        // Uncapped, the shared table ends up holding every distinct
+        // restriction of the space, whatever the kill points.
+        assert_eq!(
+            search.shared_memo_len(),
+            uninterrupted.shared_memo_len(),
+            "round {round}"
+        );
     }
 }
 
 #[test]
 fn capped_prefix_range_pipeline_matches_the_parallel_search_for_three_states() {
-    // A 6k-candidate prefix of the 3-state space: a single range-driven
-    // pipeline and the thread-parallel search must agree on everything
-    // deterministic.
+    // A 6k-candidate prefix of the 3-state space: the sequential stream and
+    // the thread-parallel search must agree on everything deterministic.
     let limits = ExploreLimits::default();
     let cap = 6_000u64;
     let parallel = busy_beaver_search_with_threads(3, 5, cap, &limits, 4);
 
-    let space = OrbitSpace::new(3);
-    let mut pipeline = CandidatePipeline::new(3, PipelineConfig::exact(5, &limits));
-    let mut stream = OrbitStream::range(&space, 0, cap as u128);
-    while let Some(k) = stream.next_canonical() {
-        let outputs = (k % space.output_patterns()) as u32;
-        pipeline.offer(&space, k, stream.current_assignment(), outputs);
-    }
-    let stats = pipeline.stats();
+    let (pipeline, stats) =
+        sequential_reference(3, cap as u128, &PipelineConfig::exact(5, &limits));
     assert_eq!(stats.threshold_protocols, parallel.threshold_protocols);
-    assert_eq!(stream.pruned_symmetric(), parallel.pruned_symmetric);
+    assert_eq!(stats.pruned_symmetric, parallel.pruned_symmetric);
     assert_eq!(stats.pruned_symbolic, parallel.pruned_symbolic);
     assert_eq!(stats.truncated_orbits, parallel.truncated_orbits);
     let best = pipeline.best();
     assert_eq!(best.map(|b| b.eta), parallel.best_eta);
     if let (Some(b), Some(witness)) = (best, &parallel.witness) {
-        assert_eq!(space.protocol_at(b.index), *witness);
+        assert_eq!(OrbitSpace::new(3).protocol_at(b.index), *witness);
         assert_eq!(verified_threshold(witness, 5, &limits), Some(b.eta));
     }
-}
-
-#[test]
-fn frontier_engine_search_matches_csr_engine_search() {
-    let limits = ExploreLimits::default();
-    let mut csr_config = PipelineConfig::exact(6, &limits);
-    csr_config.engine = ReachEngine::Csr;
-    let mut frontier_config = PipelineConfig::exact(6, &limits);
-    frontier_config.engine = ReachEngine::Frontier;
-
-    let mut csr = StreamingSearch::new(2, csr_config);
-    while !csr.is_finished() {
-        csr.run_for(u64::MAX);
-    }
-    let mut frontier = StreamingSearch::new(2, frontier_config);
-    while !frontier.is_finished() {
-        frontier.run_for(u64::MAX);
-    }
-    assert_eq!(csr.stats(), frontier.stats());
-    assert_eq!(csr.result().best_eta, frontier.result().best_eta);
-    assert_eq!(csr.result().witness, frontier.result().witness);
 }

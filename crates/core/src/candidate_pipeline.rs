@@ -1,5 +1,5 @@
 //! The triage layer of the busy-beaver pipeline: ordered reject-early
-//! stages, cross-candidate memoization, and the resumable streaming search.
+//! stages and cross-candidate memoization.
 //!
 //! Every canonical candidate produced by the
 //! [generator layer](crate::orbit_stream) runs through the same staged
@@ -49,21 +49,19 @@
 //!
 //! # Resumability
 //!
-//! [`StreamingSearch`] drives the pipeline over the whole candidate space in
-//! bounded bursts.  [`StreamingSearch::checkpoint`] serialises the generator
-//! cursor, the per-stage counters, the best candidate so far *and the memo
-//! table*; [`StreamingSearch::from_checkpoint`] restarts the search
+//! A pipeline is a plain value: its counters, best candidate, witness set
+//! and memo table are what [`CandidatePipeline::memo_records`] and the
+//! crate-private `restore` round-trip.  The busy-beaver search,
+//! [`SegmentedSearch`](crate::segmented::SegmentedSearch), checkpoints them
+//! per segment next to the segment's generator cursor and restarts
 //! bit-identically — same verdicts, same counters, same `memo_hits` — which
-//! the equivalence suite asserts at pseudo-random kill points.
+//! the equivalence suites assert at pseudo-random kill points.
 //!
 //! [`threshold_prefilter`]: popproto_symbolic::threshold_prefilter
 //! [`eta_floor_prefilter`]: popproto_symbolic::eta_floor_prefilter
 //! [`ThresholdProfile`]: popproto_reach::ThresholdProfile
 
-use crate::enumeration::EnumerationResult;
-use crate::orbit_stream::{
-    permutations_fixing_zero, OrbitSpace, OrbitStream, StreamCursor, U128Parts,
-};
+use crate::orbit_stream::{permutations_fixing_zero, OrbitSpace};
 use popproto_model::{Output, Protocol, ProtocolBuilder, StateId};
 use popproto_reach::{frontier_threshold_profile, unary_threshold_profile, ExploreLimits};
 use popproto_symbolic::{eta_floor_prefilter, threshold_prefilter, SymbolicLimits};
@@ -264,9 +262,10 @@ struct MemoSlot {
 impl SharedMemo {
     const SHARDS: usize = 64;
 
-    /// Creates an empty table holding at most `max_entries` entries overall
-    /// (enforced per shard, so the effective cap is within one shard's worth
-    /// of the requested one).
+    /// Creates an empty table holding at most `64 · ⌈max_entries / 64⌉`
+    /// entries: the cap is enforced per shard (`⌈max_entries / 64⌉` each,
+    /// over 64 shards), so it can exceed the requested one by up to 63 — a
+    /// cap of 5 admits 64 entries.
     pub fn new(max_entries: usize) -> Self {
         SharedMemo {
             shards: (0..Self::SHARDS)
@@ -663,8 +662,8 @@ impl CandidatePipeline {
     ///
     /// `assignment` must be the decoded transition assignment of `index`
     /// (the generator exposes it as
-    /// [`OrbitStream::current_assignment`]) and `outputs` its output
-    /// bitmask.
+    /// [`OrbitStream::current_assignment`](crate::orbit_stream::OrbitStream::current_assignment))
+    /// and `outputs` its output bitmask.
     pub fn offer(&mut self, space: &OrbitSpace, index: u128, assignment: &[usize], outputs: u32) {
         self.offer_impl(space, index, assignment, outputs, None);
     }
@@ -965,196 +964,38 @@ fn fingerprint_protocol(bytes: &[u8]) -> Protocol {
         .expect("fingerprint decodes to a well-formed protocol")
 }
 
-/// A serialisable snapshot of a [`StreamingSearch`] between two orbits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SearchCheckpoint {
-    /// Checkpoint format version.
-    pub version: u32,
-    /// State count of the candidate space.
-    pub num_states: usize,
-    /// The pipeline configuration (must not change across resumes).
-    pub config: PipelineConfig,
-    /// The generator cursor.
-    pub cursor: StreamCursor,
-    /// Per-stage counters at the checkpoint.
-    pub stats: PipelineStats,
-    /// Threshold of the best candidate so far.
-    pub best_eta: Option<u64>,
-    /// Encoding index of the best candidate so far.
-    pub best_index: Option<U128Parts>,
-    /// Encoding indices of every confirmed threshold protocol so far (the
-    /// witness set of the streamed prefix).
-    pub confirmed: Vec<U128Parts>,
-    /// The transposition table, sorted by fingerprint.
-    pub memo: Vec<MemoRecord>,
-}
-
-/// The resumable streaming busy-beaver search: generator + pipeline driven
-/// in bounded bursts with serialisable checkpoints in between.
-#[derive(Debug)]
-pub struct StreamingSearch {
-    space: OrbitSpace,
-    pipeline: CandidatePipeline,
-    cursor: StreamCursor,
-}
-
-impl StreamingSearch {
-    /// Starts a fresh search over the whole `num_states` candidate space.
-    pub fn new(num_states: usize, config: PipelineConfig) -> Self {
-        let space = OrbitSpace::new(num_states);
-        let cursor = OrbitStream::new(&space).cursor();
-        StreamingSearch {
-            pipeline: CandidatePipeline::new(num_states, config),
-            space,
-            cursor,
-        }
-    }
-
-    /// Restores a search from a checkpoint, bit-identically: the next
-    /// [`StreamingSearch::run_for`] continues exactly where the
-    /// checkpointed run stopped, with the same memo table.
-    pub fn from_checkpoint(checkpoint: &SearchCheckpoint) -> Self {
-        assert_eq!(checkpoint.version, CHECKPOINT_VERSION, "unknown version");
-        let space = OrbitSpace::new(checkpoint.num_states);
-        let mut pipeline = CandidatePipeline::new(checkpoint.num_states, checkpoint.config.clone());
-        let best = match (checkpoint.best_eta, checkpoint.best_index) {
-            (Some(eta), Some(index)) => Some(BestCandidate {
-                eta,
-                index: index.get(),
-            }),
-            _ => None,
-        };
-        pipeline.restore(
-            checkpoint.stats.clone(),
-            best,
-            checkpoint.confirmed.iter().map(|c| c.get()).collect(),
-            &checkpoint.memo,
-        );
-        StreamingSearch {
-            space,
-            pipeline,
-            cursor: checkpoint.cursor.clone(),
-        }
-    }
-
-    /// Streams up to `max_orbits` further canonical orbits through the
-    /// pipeline; returns how many were processed (less than `max_orbits`
-    /// only when the space is exhausted).
-    pub fn run_for(&mut self, max_orbits: u64) -> u64 {
-        let mut stream = OrbitStream::resume(&self.space, &self.cursor);
-        let mut processed = 0;
-        while processed < max_orbits {
-            let Some(k) = stream.next_canonical() else {
-                break;
-            };
-            let outputs = (k % self.space.output_patterns()) as u32;
-            self.pipeline
-                .offer(&self.space, k, stream.current_assignment(), outputs);
-            processed += 1;
-        }
-        self.cursor = stream.cursor();
-        processed
-    }
-
-    /// Returns `true` once the whole candidate space has been consumed.
-    pub fn is_finished(&self) -> bool {
-        self.cursor.next.get() >= self.cursor.end.get()
-    }
-
-    /// The candidate space being searched.
-    pub fn space(&self) -> &OrbitSpace {
-        &self.space
-    }
-
-    /// The pipeline configuration the search runs with.
-    pub fn config(&self) -> &PipelineConfig {
-        self.pipeline.config()
-    }
-
-    /// The per-stage counters, with the generator's `pruned_symmetric`
-    /// folded in.
-    pub fn stats(&self) -> PipelineStats {
-        let mut stats = self.pipeline.stats().clone();
-        stats.pruned_symmetric = self.cursor.pruned_symmetric;
-        stats
-    }
-
-    /// Number of distinct restrictions in the transposition table.
-    pub fn memo_len(&self) -> usize {
-        self.pipeline.memo_len()
-    }
-
-    /// Serialises the full search state.
-    pub fn checkpoint(&self) -> SearchCheckpoint {
-        let best = self.pipeline.best();
-        SearchCheckpoint {
-            version: CHECKPOINT_VERSION,
-            num_states: self.space.num_states(),
-            config: self.pipeline.config().clone(),
-            cursor: self.cursor.clone(),
-            stats: self.stats(),
-            best_eta: best.map(|b| b.eta),
-            best_index: best.map(|b| b.index.into()),
-            confirmed: self
-                .pipeline
-                .confirmed()
-                .iter()
-                .map(|&c| c.into())
-                .collect(),
-            memo: self.pipeline.memo_records(),
-        }
-    }
-
-    /// Encoding indices of every confirmed threshold protocol so far.
-    pub fn confirmed(&self) -> &[u128] {
-        self.pipeline.confirmed()
-    }
-
-    /// Assembles the search result so far as an [`EnumerationResult`]
-    /// (witness rebuilt from the best candidate's encoding index).
-    pub fn result(&self) -> EnumerationResult {
-        let stats = self.stats();
-        let best = self.pipeline.best();
-        EnumerationResult {
-            num_states: self.space.num_states(),
-            best_eta: best.map(|b| b.eta),
-            witness: best.map(|b| self.space.protocol_at(b.index)),
-            protocols_examined: u64::try_from(self.cursor.next.get()).unwrap_or(u64::MAX),
-            threshold_protocols: stats.threshold_protocols,
-            pruned_symmetric: stats.pruned_symmetric,
-            pruned_symbolic: stats.pruned_symbolic,
-            pruned_eta_bounded: stats.pruned_eta_bounded,
-            truncated_orbits: stats.truncated_orbits,
-            memo_hits: stats.memo_hits,
-            memo_hits_cross: stats.memo_hits_cross,
-            max_input: self.pipeline.config().max_input,
-        }
-    }
-}
-
-const CHECKPOINT_VERSION: u32 = 2;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumeration::verified_threshold;
-    use serde_json;
+    use crate::orbit_stream::OrbitStream;
+    use crate::segmented::{SegmentationConfig, SegmentedCheckpoint, SegmentedSearch};
 
     fn config(max_input: u64) -> PipelineConfig {
         PipelineConfig::exact(max_input, &ExploreLimits::default())
     }
 
-    /// Drives a pipeline over a whole space sequentially.
-    fn run_space(num_states: usize, cfg: PipelineConfig) -> (PipelineStats, Option<BestCandidate>) {
+    /// Drives one pipeline over the candidate range `[0, end)` sequentially;
+    /// returns it with its stats (generator's `pruned_symmetric` folded in).
+    fn drain(
+        num_states: usize,
+        end: u128,
+        cfg: PipelineConfig,
+    ) -> (CandidatePipeline, PipelineStats) {
         let space = OrbitSpace::new(num_states);
         let mut pipeline = CandidatePipeline::new(num_states, cfg);
-        let mut stream = OrbitStream::new(&space);
+        let mut stream = OrbitStream::range(&space, 0, end);
         while let Some(k) = stream.next_canonical() {
             let outputs = (k % space.output_patterns()) as u32;
             pipeline.offer(&space, k, stream.current_assignment(), outputs);
         }
         let mut stats = pipeline.stats().clone();
         stats.pruned_symmetric = stream.pruned_symmetric();
+        (pipeline, stats)
+    }
+
+    /// Drives a pipeline over a whole space sequentially.
+    fn run_space(num_states: usize, cfg: PipelineConfig) -> (PipelineStats, Option<BestCandidate>) {
+        let (pipeline, stats) = drain(num_states, u128::MAX, cfg);
         (stats, pipeline.best())
     }
 
@@ -1199,23 +1040,43 @@ mod tests {
         b.memo_hits = 0;
         assert_eq!(a, b, "only memo_hits may differ under a cap");
 
-        // Kill/resume stays bit-identical under the cap (the table state is
-        // checkpointed, so insertion decisions replay deterministically).
+        // Kill/resume stays bit-identical under the cap: segment-local tables
+        // ride in the checkpoint, so insertion decisions replay
+        // deterministically.
         let mut c = config(6);
         c.memo_max_entries = 5;
-        let mut reference = StreamingSearch::new(2, c.clone());
-        while !reference.is_finished() {
-            reference.run_for(u64::MAX);
-        }
-        let mut search = StreamingSearch::new(2, c);
+        let seg = SegmentationConfig::index_order(16, None);
+        let mut straight = SegmentedSearch::new(2, c.clone(), seg.clone());
+        straight.run(1, u64::MAX);
+        let mut expected = straight.result();
+        let mut search = SegmentedSearch::new(2, c, seg);
+        let mut budget = 0;
         while !search.is_finished() {
-            search.run_for(13);
+            budget += 7;
+            search.run(2, budget);
             let json = serde_json::to_string(&search.checkpoint()).unwrap();
-            let checkpoint: SearchCheckpoint = serde_json::from_str(&json).unwrap();
-            search = StreamingSearch::from_checkpoint(&checkpoint);
+            let checkpoint: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
+            assert!(checkpoint
+                .segments
+                .iter()
+                .all(|e| e.local_memo.entries <= 5));
+            search = SegmentedSearch::from_checkpoint(&checkpoint);
+            // The shared table's cap is per shard: 64 · ⌈5 / 64⌉ = 64.
+            assert!(search.shared_memo_len() <= 64);
         }
-        assert_eq!(search.stats(), reference.stats());
-        assert!(search.memo_len() <= 5);
+        let mut result = search.result();
+        assert!(result.finished);
+        result.stats.memo_hits_cross = 0;
+        expected.stats.memo_hits_cross = 0;
+        assert_eq!(result, expected, "capped kill/resume diverged");
+
+        // The per-shard cap admits more than the requested 5 entries, but
+        // never more than 64.
+        let shared = SharedMemo::new(5);
+        for i in 0..1_000u32 {
+            shared.insert(&i.to_le_bytes(), MemoVerdict::RejectedSymbolic);
+        }
+        assert!(shared.len() > 5 && shared.len() <= 64, "{}", shared.len());
     }
 
     #[test]
@@ -1284,16 +1145,10 @@ mod tests {
         // Same capped 3-state prefix with and without canonicalization:
         // every funnel counter and the best candidate must be identical;
         // canonicalization may only convert computes into hits.
-        let space = OrbitSpace::new(3);
         let run = |canonical: bool| {
             let mut c = config(5);
             c.canonical_fingerprints = canonical;
-            let mut pipeline = CandidatePipeline::new(3, c);
-            let mut stream = OrbitStream::range(&space, 0, 40_000);
-            while let Some(k) = stream.next_canonical() {
-                let outputs = (k % space.output_patterns()) as u32;
-                pipeline.offer(&space, k, stream.current_assignment(), outputs);
-            }
+            let (pipeline, _) = drain(3, 40_000, c);
             (
                 pipeline.stats().clone(),
                 pipeline.best(),
@@ -1358,61 +1213,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_search_matches_the_one_shot_pipeline() {
-        let (stats, best) = run_space(2, config(6));
-        let mut search = StreamingSearch::new(2, config(6));
-        while !search.is_finished() {
-            search.run_for(37);
-        }
-        assert_eq!(search.stats(), stats);
-        let result = search.result();
-        assert_eq!(result.best_eta, best.map(|b| b.eta));
-        if let (Some(b), Some(witness)) = (best, &result.witness) {
-            assert_eq!(
-                verified_threshold(witness, 6, &ExploreLimits::default()),
-                Some(b.eta)
-            );
-            assert_eq!(*witness, search.space().protocol_at(b.index));
-        }
-    }
-
-    #[test]
-    fn checkpoint_resume_reproduces_stats_and_memo_hits() {
-        // Uninterrupted reference.
-        let mut reference = StreamingSearch::new(2, config(6));
-        while !reference.is_finished() {
-            reference.run_for(u64::MAX);
-        }
-        // Kill/resume through serialised checkpoints at awkward points.
-        let mut search = StreamingSearch::new(2, config(6));
-        let mut burst = 1u64;
-        while !search.is_finished() {
-            search.run_for(burst);
-            burst = burst * 3 % 101 + 1;
-            let json = serde_json::to_string(&search.checkpoint()).unwrap();
-            let checkpoint: SearchCheckpoint = serde_json::from_str(&json).unwrap();
-            search = StreamingSearch::from_checkpoint(&checkpoint);
-        }
-        assert_eq!(
-            search.stats(),
-            reference.stats(),
-            "stats must be bit-identical"
-        );
-        assert_eq!(search.memo_len(), reference.memo_len());
-        let a = search.result();
-        let b = reference.result();
-        assert_eq!(a.best_eta, b.best_eta);
-        assert_eq!(a.witness, b.witness);
-        assert_eq!(a.protocols_examined, b.protocols_examined);
-    }
-
-    #[test]
     fn packed_memo_round_trips_and_shrinks_real_tables() {
         // A real table: stream a chunk of the 3-state space and pack the
         // pipeline's sorted memo records.
-        let mut search = StreamingSearch::new(3, config(6));
-        search.run_for(2_000);
-        let records = search.checkpoint().memo;
+        let records = drain(3, 4_000, config(6)).0.memo_records();
         assert!(records.len() > 100, "table too small to exercise packing");
         let packed = PackedMemo::pack(&records);
         assert_eq!(packed.unpack().expect("packed memo decodes"), records);

@@ -59,8 +59,9 @@
 //! per segmentation).
 //!
 //! For searches too large for one sitting (the `BB_det(4)` prefix of
-//! experiment E12), drive the same pipeline through the checkpointable
-//! [`StreamingSearch`](crate::candidate_pipeline::StreamingSearch) instead.
+//! experiment E12), drive the [segmented search](crate::segmented::SegmentedSearch)
+//! directly: budgeted runs, [`SegmentedCheckpoint`](crate::segmented::SegmentedCheckpoint)s
+//! between sessions.
 
 use crate::candidate_pipeline::PipelineConfig;
 use crate::orbit_stream::OrbitSpace;

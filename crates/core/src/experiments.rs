@@ -9,9 +9,7 @@
 
 use crate::ackermann_bound::{theorem_4_5_bound, AckermannBound};
 use crate::busy_beaver::{lower_bound_witnesses, BusyBeaverRecord};
-use crate::candidate_pipeline::{
-    PipelineConfig, PipelineStats, ReachEngine, SearchCheckpoint, StreamingSearch,
-};
+use crate::candidate_pipeline::{PipelineConfig, PipelineStats, ReachEngine};
 use crate::certificate::{search_pumping_certificate, PumpingCertificate};
 use crate::concentration::{find_zero_concentrated_multiset, ConcentrationReport};
 use crate::constants::small_basis_constant;
@@ -390,41 +388,6 @@ pub fn experiment_symbolic(max_slice_input: u64) -> Vec<SymbolicRow> {
     rows
 }
 
-/// The E12 report: a streaming, staged, resumable prefix of the `BB_det(4)`
-/// search.
-///
-/// The 4-state space has ~10¹⁰ relabelling orbits — it can only be searched
-/// in checkpointed sessions.  E12 streams a fixed budget of canonical
-/// orbits through the full triage pipeline (symbolic pre-filter → η-floor
-/// filter → concrete slices on the frontier engine) and reports the
-/// per-stage rejection funnel.  `best_eta` is exact *for the streamed
-/// prefix* whenever no orbit was truncated; the η floor of 3 is sound
-/// because `BB_det(4) ≥ BB_det(3) = 3` (monotonicity: pad a 3-state witness
-/// with an isolated state).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct E12Report {
-    /// State count of the candidate space (4).
-    pub num_states: usize,
-    /// Verification horizon for the concrete slices.
-    pub max_input: u64,
-    /// The η floor the pipeline pruned against.
-    pub eta_floor: u64,
-    /// Canonical orbits requested.
-    pub orbit_budget: u64,
-    /// The per-stage funnel counters.
-    pub stats: PipelineStats,
-    /// Best threshold confirmed within the streamed prefix (only counts
-    /// candidates that could beat the floor).
-    pub best_eta: Option<u64>,
-    /// Distinct coverable-support restrictions in the transposition table.
-    pub memo_entries: u64,
-    /// Candidate encodings consumed (canonical or not).
-    pub candidates_consumed: u64,
-    /// `true` if the whole space was exhausted within the budget (never at
-    /// realistic budgets).
-    pub finished: bool,
-}
-
 /// Builds the pipeline configuration E12 runs with: η floor 3, frontier
 /// exploration engine, memoization on.
 pub fn e12_pipeline_config(max_input: u64) -> PipelineConfig {
@@ -434,50 +397,18 @@ pub fn e12_pipeline_config(max_input: u64) -> PipelineConfig {
     config
 }
 
-/// E12 — the `BB_det(4)` prefix search: streams the first `orbit_budget`
-/// canonical 4-state orbits through the staged pipeline in one session.
-pub fn experiment_e12_bb4_prefix(orbit_budget: u64, max_input: u64) -> E12Report {
-    let mut search = StreamingSearch::new(4, e12_pipeline_config(max_input));
-    search.run_for(orbit_budget);
-    e12_report_from(&search, orbit_budget)
-}
-
-/// Continues an E12 search from a serialised checkpoint for another
-/// `orbit_budget` orbits, returning the report so far and the next
-/// checkpoint.  This is the multi-session entry point: kill the process
-/// after any burst, persist the checkpoint, resume later — the stats are
-/// bit-identical to an uninterrupted run.
-pub fn experiment_e12_resume(
-    checkpoint: &SearchCheckpoint,
-    orbit_budget: u64,
-) -> (E12Report, SearchCheckpoint) {
-    let mut search = StreamingSearch::from_checkpoint(checkpoint);
-    search.run_for(orbit_budget);
-    let report = e12_report_from(&search, checkpoint.stats.canonical_orbits + orbit_budget);
-    let next = search.checkpoint();
-    (report, next)
-}
-
-/// Assembles the E12 report from a (possibly resumed) streaming search.
-pub fn e12_report_from(search: &StreamingSearch, orbit_budget: u64) -> E12Report {
-    let result = search.result();
-    E12Report {
-        num_states: result.num_states,
-        max_input: result.max_input,
-        eta_floor: search.config().eta_floor,
-        orbit_budget,
-        stats: search.stats(),
-        best_eta: result.best_eta,
-        memo_entries: search.memo_len() as u64,
-        candidates_consumed: result.protocols_examined,
-        finished: search.is_finished(),
-    }
-}
-
-/// The E12 *parallel segmented* report: the same staged `BB_det(4)` prefix
-/// funnel, but streamed as deterministic segments over the
-/// [work-stealing pool](popproto_exec) with a shared cross-segment
-/// transposition table and an ordered segment merge.
+/// The E12 report: a staged, resumable prefix of the `BB_det(4)` search.
+///
+/// The 4-state space has ~10¹⁰ relabelling orbits — it can only be searched
+/// in checkpointed sessions.  E12 streams canonical orbits through the full
+/// triage pipeline (symbolic pre-filter → η-floor filter → concrete slices
+/// on the frontier engine) as deterministic segments over the
+/// [work-stealing pool](popproto_exec), with a shared cross-segment
+/// transposition table and an ordered segment merge, and reports the
+/// per-stage rejection funnel of the merged prefix.  `best_eta` is exact
+/// *for that prefix* whenever no orbit was truncated; the η floor of 3 is
+/// sound because `BB_det(4) ≥ BB_det(3) = 3` (monotonicity: pad a 3-state
+/// witness with an isolated state).
 ///
 /// Everything here except [`PipelineStats::memo_hits_cross`] is
 /// bit-identical for every worker count (the property suite pins it); the
@@ -532,14 +463,16 @@ pub fn e12_segmentation(order: SegmentOrder) -> SegmentationConfig {
     }
 }
 
-/// Builds the segmented E12 search (η floor 3, frontier engine, shared
-/// memo) without running it — the bench harness drives bursts and
-/// checkpoints through it directly.
+/// Builds the E12 search (η floor 3, frontier engine, shared memo) without
+/// running it — the multi-session entry point: drive growing budgets
+/// through [`SegmentedSearch::run`], persist
+/// [`SegmentedSearch::checkpoint`] between sessions, and continue with
+/// [`SegmentedSearch::from_checkpoint`].
 pub fn e12_segmented_search(max_input: u64, order: SegmentOrder) -> SegmentedSearch {
     SegmentedSearch::new(4, e12_pipeline_config(max_input), e12_segmentation(order))
 }
 
-/// Assembles the parallel E12 report from a segmented search.
+/// Assembles the E12 report from a (possibly resumed) segmented search.
 pub fn e12_segmented_report_from(
     search: &SegmentedSearch,
     orbit_budget: u64,
@@ -568,9 +501,9 @@ pub fn e12_segmented_report_from(
     }
 }
 
-/// E12, parallel segmented — streams the `BB_det(4)` prefix through the
-/// staged pipeline as work-stealing segments until the ordered merge holds
-/// `orbit_budget` canonical orbits.
+/// E12 — streams the `BB_det(4)` prefix through the staged pipeline as
+/// work-stealing segments until the ordered merge holds at least
+/// `orbit_budget` canonical orbits (the cut is segment-aligned).
 pub fn experiment_e12_segmented(
     orbit_budget: u64,
     max_input: u64,
@@ -646,11 +579,9 @@ pub struct FullReport {
     pub e10: Vec<E10Row>,
     /// E11 — symbolic all-`n` verdicts vs enumerative slices.
     pub symbolic: Vec<SymbolicRow>,
-    /// E12 — the streamed `BB_det(4)` prefix funnel.
-    pub e12: E12Report,
-    /// E12, parallel segmented — the same funnel on the work-stealing pool
-    /// with an entropy-guided segment order.
-    pub e12_parallel: E12SegmentedReport,
+    /// E12 — the `BB_det(4)` prefix funnel on the work-stealing pool, with
+    /// an entropy-guided segment order.
+    pub e12: E12SegmentedReport,
 }
 
 /// Runs every experiment at a small, test-friendly scale.
@@ -669,8 +600,7 @@ pub fn run_all_small() -> FullReport {
         e8_large: experiment_e8_large(&[100_000], 2),
         e10: experiment_e10(2, 2, 200_000),
         symbolic: experiment_symbolic(8),
-        e12: experiment_e12_bb4_prefix(2_000, 6),
-        e12_parallel: experiment_e12_segmented(500, 6, 2, SegmentOrder::EntropyDescending),
+        e12: experiment_e12_segmented(500, 6, 2, SegmentOrder::EntropyDescending),
     }
 }
 
@@ -686,6 +616,9 @@ pub fn run_all_with_large_e8() -> FullReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate_pipeline::CandidatePipeline;
+    use crate::orbit_stream::{OrbitSpace, OrbitStream};
+    use crate::segmented::SegmentedCheckpoint;
 
     #[test]
     fn e1_small() {
@@ -752,12 +685,18 @@ mod tests {
 
     #[test]
     fn e12_prefix_streams_the_requested_budget() {
-        let report = experiment_e12_bb4_prefix(1_500, 6);
+        let report = experiment_e12_segmented(1_500, 6, 2, SegmentOrder::Index);
         assert_eq!(report.num_states, 4);
         assert_eq!(report.eta_floor, 3);
-        assert_eq!(report.stats.canonical_orbits, 1_500);
+        // The budget cut is segment-aligned: at least the budget, in whole
+        // segments.
+        assert!(report.prefix_orbits >= 1_500);
+        assert_eq!(report.stats.canonical_orbits, report.prefix_orbits);
+        assert_eq!(
+            report.candidates_consumed,
+            report.segments_merged * report.segment_size
+        );
         assert!(!report.finished);
-        assert!(report.candidates_consumed >= 1_500);
         // The funnel accounts for every canonical orbit.
         let s = &report.stats;
         assert_eq!(
@@ -773,67 +712,55 @@ mod tests {
 
     #[test]
     fn e12_checkpoint_resume_reproduces_the_stats() {
-        let straight = experiment_e12_bb4_prefix(1_200, 6);
+        let straight = experiment_e12_segmented(9_000, 6, 1, SegmentOrder::Index);
         // Same budget, split across three sessions through serialised
-        // checkpoints.
-        let mut search = StreamingSearch::new(4, e12_pipeline_config(6));
-        search.run_for(400);
-        let json = serde_json::to_string(&search.checkpoint()).unwrap();
-        let cp: SearchCheckpoint = serde_json::from_str(&json).unwrap();
-        let (_, cp) = experiment_e12_resume(&cp, 500);
-        let json = serde_json::to_string(&cp).unwrap();
-        let cp: SearchCheckpoint = serde_json::from_str(&json).unwrap();
-        let (resumed, _) = experiment_e12_resume(&cp, 300);
-        assert_eq!(resumed.stats, straight.stats, "stats must be bit-identical");
+        // checkpoints; two workers leave segments in flight at each kill.
+        let mut search = e12_segmented_search(6, SegmentOrder::Index);
+        for budget in [1_000, 6_000, 9_000] {
+            search.run(2, budget);
+            let json = serde_json::to_string(&search.checkpoint()).unwrap();
+            let cp: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
+            search = SegmentedSearch::from_checkpoint(&cp);
+        }
+        let resumed = e12_segmented_report_from(&search, 9_000, 2);
+        let mut stats = resumed.stats.clone();
+        let mut expected = straight.stats.clone();
+        stats.memo_hits_cross = 0;
+        expected.memo_hits_cross = 0;
+        assert_eq!(stats, expected, "stats must be bit-identical");
         assert_eq!(resumed.best_eta, straight.best_eta);
-        assert_eq!(resumed.memo_entries, straight.memo_entries);
+        assert_eq!(resumed.confirmed, straight.confirmed);
         assert_eq!(resumed.candidates_consumed, straight.candidates_consumed);
     }
 
     #[test]
     fn e12_segmented_matches_the_sequential_stream_on_the_same_range() {
-        // The segmented search at several worker counts must reproduce the
-        // sequential StreamingSearch bit for bit on the same orbit prefix
-        // (the acceptance gate of the parallel rebuild, at test scale).
-        let budget = 800u64;
-        let segmented = experiment_e12_segmented(budget, 6, 2, SegmentOrder::Index);
-        assert!(segmented.prefix_orbits >= budget);
-        // Sequential reference over the exact same orbit count.
-        let mut reference = StreamingSearch::new(4, e12_pipeline_config(6));
-        reference.run_for(segmented.prefix_orbits);
-        let ref_stats = reference.stats();
-        assert_eq!(segmented.stats.canonical_orbits, ref_stats.canonical_orbits);
-        // The prefix scans its last segment to the boundary, the sequential
-        // stream stops at the budget-th orbit: `pruned_symmetric` differs by
-        // exactly that (deterministic) non-canonical tail, so compare it
-        // through the consumption identity instead of bit for bit.
-        assert_eq!(
-            segmented.stats.pruned_symmetric + segmented.stats.canonical_orbits,
-            segmented.candidates_consumed,
-        );
-        assert_eq!(segmented.stats.pruned_symbolic, ref_stats.pruned_symbolic);
-        assert_eq!(
-            segmented.stats.pruned_eta_bounded,
-            ref_stats.pruned_eta_bounded
-        );
-        assert_eq!(segmented.stats.profiled, ref_stats.profiled);
-        assert_eq!(
-            segmented.stats.threshold_protocols,
-            ref_stats.threshold_protocols
-        );
-        assert_eq!(segmented.stats.truncated_orbits, ref_stats.truncated_orbits);
-        assert_eq!(segmented.best_eta, reference.result().best_eta);
-        let ref_confirmed: Vec<u64> = reference
-            .confirmed()
-            .iter()
-            .map(|&c| u64::try_from(c).unwrap())
-            .collect();
-        let seg_confirmed: Vec<u64> = segmented
-            .confirmed
-            .iter()
-            .map(|c| u64::try_from(c.get()).unwrap())
-            .collect();
-        assert_eq!(seg_confirmed, ref_confirmed, "witness sets differ");
+        // The segmented search must reproduce the sequential stream — one
+        // pipeline over one range scan — bit for bit on the candidate range
+        // of its merged prefix (the acceptance gate of the parallel
+        // rebuild, at test scale).
+        let segmented = experiment_e12_segmented(800, 6, 2, SegmentOrder::Index);
+        assert!(segmented.prefix_orbits >= 800);
+        let space = OrbitSpace::new(4);
+        let mut reference = CandidatePipeline::new(4, e12_pipeline_config(6));
+        let mut stream = OrbitStream::range(&space, 0, segmented.candidates_consumed.into());
+        while let Some(k) = stream.next_canonical() {
+            let outputs = (k % space.output_patterns()) as u32;
+            reference.offer(&space, k, stream.current_assignment(), outputs);
+        }
+        let mut ref_stats = reference.stats().clone();
+        ref_stats.pruned_symmetric = stream.pruned_symmetric();
+        // The memo hits split differently between segment-local and shared
+        // tables; every other counter is a function of the range.
+        let mut seg_stats = segmented.stats.clone();
+        for s in [&mut ref_stats, &mut seg_stats] {
+            s.memo_hits = 0;
+            s.memo_hits_cross = 0;
+        }
+        assert_eq!(seg_stats, ref_stats);
+        assert_eq!(segmented.best_eta, reference.best().map(|b| b.eta));
+        let seg_confirmed: Vec<u128> = segmented.confirmed.iter().map(|c| c.get()).collect();
+        assert_eq!(seg_confirmed, reference.confirmed(), "witness sets differ");
     }
 
     #[test]

@@ -35,12 +35,12 @@
 //!   checkpointable for multi-session searches;
 //! * [`candidate_pipeline`] — the staged triage funnel (symbolic
 //!   pre-filter, η-floor filter, concrete slices) with cross-candidate
-//!   memoization and the resumable
-//!   [`StreamingSearch`](candidate_pipeline::StreamingSearch);
-//! * [`segmented`] — parallel segmented streaming: deterministic `u128`
-//!   segments on the [`popproto_exec`] work-stealing pool, a shared
-//!   cross-segment transposition table, ordered segment merges and
-//!   multi-cursor checkpoints that resume on any worker count;
+//!   memoization;
+//! * [`segmented`] — the busy-beaver search: parallel segmented
+//!   streaming: deterministic `u128` segments on the [`popproto_exec`]
+//!   work-stealing pool, a shared cross-segment transposition table,
+//!   ordered segment merges and multi-cursor checkpoints that resume on any
+//!   worker count;
 //! * [`enumeration`] — exact busy-beaver values for tiny state counts by
 //!   exhaustive protocol enumeration (under documented restrictions),
 //!   driving the generator + pipeline over the segmented search;

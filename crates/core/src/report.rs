@@ -2,7 +2,7 @@
 
 use crate::busy_beaver::BusyBeaverRecord;
 use crate::experiments::{
-    E12Report, E12SegmentedReport, E2Row, E4Row, E5Row, E6Row, E8Row, FullReport, SymbolicRow,
+    E12SegmentedReport, E2Row, E4Row, E5Row, E6Row, E8Row, FullReport, SymbolicRow,
 };
 
 /// Renders the E1 witness table as a markdown table.
@@ -154,11 +154,22 @@ pub fn render_symbolic(rows: &[SymbolicRow]) -> String {
     out
 }
 
-/// Renders the E12 staged-funnel table: how the streamed `BB_det(4)` prefix
-/// was whittled down stage by stage.
-pub fn render_e12(report: &E12Report) -> String {
+/// Renders the E12 report: the segment summary, then the staged-funnel
+/// table — how the merged `BB_det(4)` prefix was whittled down stage by
+/// stage — with the memo hits split into the deterministic (segment-local)
+/// and scheduling-dependent (cross-segment) counts.
+pub fn render_e12_segmented(report: &E12SegmentedReport) -> String {
     let s = &report.stats;
-    let mut out = String::from("| stage | candidates | share of canonical |\n|---|---|---|\n");
+    let mut out = format!(
+        "| segments merged | workers | order | orbits | candidates |\n|---|---|---|---|---|\n\
+         | {} | {} | {} | {} | {} |\n\n",
+        report.segments_merged,
+        report.workers,
+        report.order,
+        report.prefix_orbits,
+        report.candidates_consumed,
+    );
+    out.push_str("| stage | candidates | share of canonical |\n|---|---|---|\n");
     let canonical = s.canonical_orbits.max(1);
     let mut row = |stage: &str, count: u64| {
         out.push_str(&format!(
@@ -171,55 +182,24 @@ pub fn render_e12(report: &E12Report) -> String {
     row("rejected: η-floor (SC₀ bounded)", s.pruned_eta_bounded);
     row("profiled on concrete slices", s.profiled);
     row("confirmed a threshold", s.threshold_protocols);
-    row("answered from local memo table", s.memo_hits);
-    out.push_str(&format!(
-        "\n{} non-canonical encodings were skipped by the generator; the memo \
-         table held {} distinct coverable-support restrictions; best η so far: \
-         {} (floor {}), truncated orbits: {}.\n",
-        s.pruned_symmetric,
-        report.memo_entries,
-        report
-            .best_eta
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "—".into()),
-        report.eta_floor,
-        s.truncated_orbits
-    ));
-    out
-}
-
-/// Renders the parallel segmented E12 report: the same staged funnel, but
-/// merged from deterministic work-stealing segments, with the memo hits
-/// split into the deterministic (local) and scheduling-dependent
-/// (cross-segment) counts.
-pub fn render_e12_segmented(report: &E12SegmentedReport) -> String {
-    let s = &report.stats;
-    let mut out = format!(
-        "| segments merged | workers | order | orbits | candidates |\n|---|---|---|---|---|\n\
-         | {} | {} | {} | {} | {} |\n\n",
-        report.segments_merged,
-        report.workers,
-        report.order,
-        report.prefix_orbits,
-        report.candidates_consumed,
+    row("memo hits, local (deterministic)", s.memo_hits);
+    row(
+        "memo hits, cross-segment (scheduling-dependent)",
+        s.memo_hits_cross,
     );
     out.push_str(&format!(
-        "Funnel: {} symbolic / {} η-floor / {} profiled / {} confirmed; best η {} \
-         (floor {}); memo hits {} local (deterministic) + {} cross-segment \
-         (scheduling-dependent) over {} shared entries; witness set: {} confirmed \
+        "\n{} non-canonical encodings were skipped by the generator; the shared \
+         memo table held {} distinct coverable-support restrictions; best η so \
+         far: {} (floor {}), truncated orbits: {}; witness set: {} confirmed \
          candidate indices.\n",
-        s.pruned_symbolic,
-        s.pruned_eta_bounded,
-        s.profiled,
-        s.threshold_protocols,
+        s.pruned_symmetric,
+        report.shared_memo_entries,
         report
             .best_eta
             .map(|e| e.to_string())
             .unwrap_or_else(|| "—".into()),
         report.eta_floor,
-        s.memo_hits,
-        s.memo_hits_cross,
-        report.shared_memo_entries,
+        s.truncated_orbits,
         report.confirmed.len(),
     ));
     out
@@ -289,30 +269,23 @@ pub fn render_full(report: &FullReport) -> String {
              for every population size, not just the cross-checked slices.\n",
         );
     }
-    if report.e12.stats.canonical_orbits > 0 {
-        out.push_str("\n## E12 — streamed BB_det(4) prefix (staged pipeline)\n\n");
-        out.push_str(&render_e12(&report.e12));
+    if report.e12.prefix_orbits > 0 {
+        out.push_str("\n## E12 — BB_det(4) prefix (staged pipeline, work-stealing pool)\n\n");
+        out.push_str(&render_e12_segmented(&report.e12));
         out.push_str(
             "\nThe 4-state candidate space (~10¹⁰ relabelling orbits) is searched as a \
              stream: a lazy canonical-orbit generator feeds a staged triage pipeline \
              (symbolic pre-filter, η-floor filter, concrete slices) whose verdicts are \
-             memoized across candidates sharing a coverable-support restriction, and \
-             the whole search state — generator cursor, funnel counters, memo table, \
-             best witness — checkpoints to JSON for multi-session resumption.\n",
-        );
-    }
-    if report.e12_parallel.prefix_orbits > 0 {
-        out.push_str("\n## E12 — parallel segmented streaming (work-stealing pool)\n\n");
-        out.push_str(&render_e12_segmented(&report.e12_parallel));
-        out.push_str(
-            "\nThe same pipeline, parallel: the candidate range is cut into \
-             deterministic segments, workers pull segments from a work-stealing pool \
-             and share one cross-segment transposition table, and the per-segment \
-             results are folded in a fixed segment order — so every number above \
-             except the cross-segment memo hits is bit-identical at any worker \
-             count.  The `entropy` order visits segments by descending \
-             function-index entropy, surfacing non-degenerate candidates long \
-             before an index-ordered scan would reach them.\n",
+             memoized across candidates sharing a coverable-support restriction.  The \
+             candidate range is cut into deterministic segments, workers pull segments \
+             from a work-stealing pool and share one cross-segment transposition table, \
+             and the per-segment results are folded in a fixed segment order — so every \
+             number above except the cross-segment memo hits is bit-identical at any \
+             worker count.  The whole search state (one generator cursor, funnel and \
+             memo table per segment, plus the shared table) checkpoints to JSON for \
+             multi-session resumption.  The `entropy` order visits segments by \
+             descending function-index entropy, surfacing non-degenerate candidates \
+             long before an index-ordered scan would reach them.\n",
         );
     }
     if !report.e8_large.is_empty() {
@@ -365,13 +338,22 @@ mod tests {
 
     #[test]
     fn e12_funnel_renders_all_stages() {
-        let report = experiments::experiment_e12_bb4_prefix(500, 6);
-        let table = render_e12(&report);
+        let report = experiments::experiment_e12_segmented(
+            500,
+            6,
+            1,
+            crate::orbit_stream::SegmentOrder::Index,
+        );
+        let table = render_e12_segmented(&report);
         assert!(table.contains("canonical orbits streamed"));
         assert!(table.contains("symbolic pre-filter"));
         assert!(table.contains("η-floor"));
+        assert!(table.contains("share of canonical"));
         assert!(table.contains("memo table"));
-        assert!(table.contains("| 500 |"));
+        assert!(table.contains(&format!(
+            "| canonical orbits streamed | {} | 100.0% |",
+            report.prefix_orbits
+        )));
     }
 
     #[test]

@@ -2,17 +2,21 @@
 //! `u128` segments, a work-stealing worker pool, a shared cross-segment
 //! transposition table, and ordered segment merges.
 //!
+//! This is the workspace's only busy-beaver search loop: exhaustive
+//! searches ([`crate::enumeration`]) and the checkpointed `BB_det(4)` prefix
+//! (experiment E12) both run through it.
+//!
 //! # Why segments
 //!
-//! The PR 4 [`StreamingSearch`](crate::candidate_pipeline::StreamingSearch)
-//! walks one cursor over one index range — inherently single-threaded.  This
+//! One cursor over one index range is inherently single-threaded.  This
 //! module splits a candidate range into fixed-size **segments** (aligned to
 //! whole output blocks so every segment decodes its own function indices
 //! from scratch exactly once) and makes the segment the unit of
-//! parallelism: workers pull segments from a work-stealing pool
-//! ([`popproto_exec`]), run each through its own
+//! parallelism, of checkpointing and of budget cuts: workers pull segments
+//! from a work-stealing pool ([`popproto_exec`]), run each through its own
 //! [`CandidatePipeline`] funnel, and probe a [`SharedMemo`] between their
-//! segment-local table and the triage stages.
+//! segment-local table and the triage stages.  One worker with one segment
+//! is the sequential stream: one pipeline over one range scan.
 //!
 //! # The determinism argument
 //!
@@ -309,6 +313,14 @@ impl SegmentedSearch {
     /// Restores a search from a checkpoint.  The plan is recomputed from
     /// the checkpointed segmentation (it is a pure function of it), so the
     /// resumed search continues bit-identically **at any worker count**.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint does not match the recomputed plan: a
+    /// segment entry whose `start` or `end` is not a plan segment's, a
+    /// second entry for the same segment, a cursor that would scan outside
+    /// its segment, or a `done` segment whose cursor stopped short of its
+    /// end.
     pub fn from_checkpoint(checkpoint: &SegmentedCheckpoint) -> Self {
         assert_eq!(
             checkpoint.version, SEGMENTED_CHECKPOINT_VERSION,
@@ -333,6 +345,25 @@ impl SegmentedSearch {
                 seg_id < search.runs.len() && start == search.seg_size * seg_id as u128,
                 "checkpoint segment does not match the recomputed plan"
             );
+            let end = (start + search.seg_size).min(search.end);
+            assert_eq!(
+                entry.end.get(),
+                end,
+                "checkpoint segment end does not match the recomputed plan"
+            );
+            assert!(
+                search.runs[seg_id].is_none(),
+                "checkpoint holds two entries for the segment at {start}"
+            );
+            let (next, cursor_end) = (entry.cursor.next.get(), entry.cursor.end.get());
+            assert!(
+                start <= next && next <= end && cursor_end == end,
+                "checkpoint cursor scans outside its segment"
+            );
+            assert!(
+                !entry.done || next == end,
+                "checkpoint marks a segment done before its cursor reached the end"
+            );
             let mut pipeline =
                 CandidatePipeline::new(checkpoint.num_states, checkpoint.config.clone());
             let best = match (entry.best_eta, entry.best_index) {
@@ -355,7 +386,7 @@ impl SegmentedSearch {
             );
             search.runs[seg_id] = Some(SegmentRun {
                 start,
-                end: entry.end.get(),
+                end,
                 cursor: entry.cursor.clone(),
                 pipeline,
                 done: entry.done,
@@ -997,6 +1028,64 @@ mod tests {
         assert_eq!(
             result.stats.threshold_protocols,
             straight.stats.threshold_protocols
+        );
+    }
+
+    #[test]
+    fn checkpoint_entries_that_do_not_match_the_plan_are_rejected() {
+        let mut search =
+            SegmentedSearch::new(2, config(6), SegmentationConfig::index_order(16, None));
+        search.run(2, 20);
+        let json = serde_json::to_string(&search.checkpoint()).unwrap();
+        let parsed: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
+        // The intact checkpoint loads.
+        SegmentedSearch::from_checkpoint(&parsed);
+        // A finished segment past the first, so its cursor can be moved
+        // below its start.
+        let last = parsed
+            .segments
+            .iter()
+            .rposition(|e| e.done && e.start.get() > 0)
+            .expect("the budget finishes at least two segments");
+        let corrupt = |edit: &dyn Fn(&mut SegmentedCheckpoint), expected: &str| {
+            let mut checkpoint = parsed.clone();
+            edit(&mut checkpoint);
+            let Err(panic) =
+                std::panic::catch_unwind(|| SegmentedSearch::from_checkpoint(&checkpoint))
+            else {
+                panic!("a corrupt checkpoint was accepted ({expected:?})");
+            };
+            let message = match panic.downcast_ref::<&str>() {
+                Some(text) => text.to_string(),
+                None => panic.downcast_ref::<String>().cloned().unwrap_or_default(),
+            };
+            assert!(
+                message.contains(expected),
+                "{expected:?} not in {message:?}"
+            );
+        };
+        corrupt(
+            &|c| c.segments[last].end = (c.segments[last].end.get() + 16).into(),
+            "segment end does not match",
+        );
+        corrupt(
+            &|c| c.segments[last].cursor.next = (c.segments[last].start.get() - 4).into(),
+            "cursor scans outside its segment",
+        );
+        corrupt(
+            &|c| c.segments[last].cursor.end = (c.segments[last].end.get() + 16).into(),
+            "cursor scans outside its segment",
+        );
+        corrupt(
+            &|c| {
+                let duplicate = c.segments[0].clone();
+                c.segments.push(duplicate);
+            },
+            "two entries for the segment",
+        );
+        corrupt(
+            &|c| c.segments[last].cursor.next = c.segments[last].start,
+            "done before its cursor reached the end",
         );
     }
 
