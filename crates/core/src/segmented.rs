@@ -479,11 +479,13 @@ impl SegmentedSearch {
         self.prefix_state().1
     }
 
-    /// Returns `true` once every segment of the plan is done.
+    /// Returns `true` once [`Self::result`] covers the whole plan: every
+    /// segment is done and the last run's budget does not cut the merge
+    /// short.  Segments can all finish under a smaller budget (a wave's
+    /// overshoot is kept), but the merge still stops at the budget, so
+    /// "all segments done" alone does not mean the result is finished.
     pub fn is_finished(&self) -> bool {
-        self.order
-            .iter()
-            .all(|&id| self.runs[id as usize].as_ref().is_some_and(|r| r.done))
+        self.result().finished
     }
 
     /// `(first unfinished plan position, orbits in the completed prefix)`.

@@ -47,7 +47,9 @@ use rand::{Rng, SeedableRng};
 
 /// Populations below this size are simulated with exact sequential steps;
 /// batching only pays off once √n clears the O(|Q|²) per-batch overhead.
-const MIN_BATCHED_POPULATION: u64 = 256;
+/// The ensemble engine classifies its lanes with this same constant, which
+/// keeps lane-level bit-equivalence across the threshold.
+pub(crate) const MIN_BATCHED_POPULATION: u64 = 256;
 
 /// Crossover between the exact tabulated birthday-collision sampler and the
 /// Rayleigh approximation.

@@ -47,20 +47,13 @@
 //!
 //! [`BatchedSimulator`]: crate::BatchedSimulator
 
-use crate::batched::birthday_sampler_for;
+use crate::batched::{birthday_sampler_for, MIN_BATCHED_POPULATION};
 use crate::compiled::CompiledProtocol;
-use crate::sampling::{
-    hypergeometric_lanes, split_candidates_uniform, BirthdaySampler, LaneDrawScratch,
-};
+use crate::sampling::{hypergeometric, split_candidates_uniform, BirthdaySampler};
 use popproto_model::{Config, Output, Protocol};
 use popproto_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Mirrors `MIN_BATCHED_POPULATION` in `batched.rs` (kept private there to
-/// preserve its doc story; the values must agree for lane equivalence, which
-/// the equivalence suite checks at populations straddling the threshold).
-const MIN_BATCHED_POPULATION: u64 = 256;
 
 /// Adds `m[k]` to both post-state rows of a transition, for every lane, in
 /// one pass — the fused delta-apply kernel of the ensemble engine.
@@ -130,7 +123,8 @@ const PH_SILENCE: usize = 5;
 pub struct WavePhaseBreakdown {
     /// Waves timed.
     pub waves: u64,
-    /// Phase 0: wave classification plus the lane-batched birthday draw.
+    /// Phase 0: wave classification plus each batching lane's birthday
+    /// draw.
     pub classification_ns: u64,
     /// Phases 1–2: initiator and responder multivariate-hypergeometric
     /// splits, including batch-participant removal.
@@ -253,13 +247,6 @@ pub struct EnsembleSimulator {
     /// writes into (both sized by the widest nondeterministic pair).
     cand_shares: Vec<u64>,
     lane_split: Vec<u64>,
-    /// Lane-batched draw plumbing: per-site job lists, the lane-indexed
-    /// result buffer, and the deferred-transform scratch shared with
-    /// `sampling` (see its module docs for the batching contract).
-    hyp_jobs: Vec<(u32, u64, u64, u64)>,
-    lane_buf: Vec<u32>,
-    draw_out: Vec<u64>,
-    lane_scratch: LaneDrawScratch,
     /// Cumulative per-phase wave timings (and, when tracing is enabled,
     /// the per-wave phase spans of the chrome trace).
     phases: obs::Phases,
@@ -320,10 +307,6 @@ impl EnsembleSimulator {
             kind: vec![WaveKind::Idle; k],
             cand_shares: vec![0; max_candidates * k],
             lane_split: vec![0; max_candidates],
-            hyp_jobs: Vec::with_capacity(k),
-            lane_buf: Vec::with_capacity(k),
-            draw_out: vec![0; k],
-            lane_scratch: LaneDrawScratch::default(),
             phases: obs::Phases::new(WAVE_PHASES),
         };
         sim.refresh_silence(None);
@@ -467,12 +450,11 @@ impl EnsembleSimulator {
         let _wave_span = obs::span_with_arg("wave", "lanes", active as u64);
         let mut mark = self.phases.begin_round();
 
-        // Phase 0: per-lane wave classification, then one lane-batched
-        // birthday draw covering every batching candidate.  The budget
-        // checks precede any RNG consumption, mirroring the scalar engine's
-        // `batch`.
+        // Phase 0: per-lane wave classification, with each batching lane's
+        // birthday draw.  The budget checks precede any RNG consumption,
+        // mirroring the scalar engine's `batch`.
         self.wave_l[..active].fill(0);
-        self.lane_buf.clear();
+        let mut batchers = 0usize;
         for k in 0..active {
             let budget = budgets[k] - done[k];
             if budget == 0 || self.silent[k] {
@@ -483,19 +465,7 @@ impl EnsembleSimulator {
                 self.kind[k] = WaveKind::Sequential;
                 continue;
             }
-            self.lane_buf.push(k as u32);
-        }
-        self.birthday.draw_lanes(
-            &mut self.rngs,
-            &self.lane_buf,
-            &mut self.draw_out,
-            &mut self.lane_scratch,
-        );
-        let mut batchers = 0usize;
-        for i in 0..self.lane_buf.len() {
-            let k = self.lane_buf[i] as usize;
-            let budget = budgets[k] - done[k];
-            let draws = self.draw_out[k];
+            let draws = self.birthday.draw(&mut self.rngs[k]);
             let l = (draws.saturating_sub(1) / 2).min(budget - 1).min(n / 2);
             if l == 0 {
                 self.kind[k] = WaveKind::Sequential;
@@ -509,21 +479,15 @@ impl EnsembleSimulator {
 
         if batchers > 0 {
             // Phase 1: initiator split — one pass over the state axis, all
-            // lanes per state (the conditional multivariate-hypergeometric
-            // chain of the scalar engine, per lane).  Each state-row is one
-            // batched `hypergeometric_lanes` call, which since PR 9 runs on
-            // the parameter-cached sampler machinery: rejection setup lives
-            // in the plan, a one-entry memo reuses it across consecutive
-            // same-parameter lanes (non-diverged or replicated lanes), and
-            // the per-iteration log-factorials are table loads up to
-            // populations ≈ 2²¹ (see `sampling::CachedHypergeometric`).
+            // lanes per state: each lane runs the scalar engine's
+            // conditional multivariate-hypergeometric chain, one scalar
+            // `hypergeometric` draw per state against its own RNG.
             for k in 0..active {
                 self.rem_total[k] = n;
                 self.rem_draws[k] = self.wave_l[k];
             }
             for s in 0..q {
                 let row = s * stride;
-                self.hyp_jobs.clear();
                 for k in 0..active {
                     if self.kind[k] != WaveKind::Batch {
                         continue;
@@ -533,30 +497,13 @@ impl EnsembleSimulator {
                         continue;
                     }
                     let size = self.counts[row + k];
-                    if size == 0 || size == self.rem_total[k] {
-                        // Deterministic chain tail (the planner's `Done`
-                        // case, no RNG consumed): resolve inline.
-                        let d = if size == 0 { 0 } else { self.rem_draws[k] };
-                        self.ini[row + k] = d;
-                        self.rem_draws[k] -= d;
-                        self.rem_total[k] -= size;
-                        continue;
-                    }
-                    self.hyp_jobs
-                        .push((k as u32, self.rem_total[k], size, self.rem_draws[k]));
-                }
-                // The lane-batched sampler writes each lane's draw straight
-                // into this state's `ini` row (indexed by lane), so the
-                // writeback below only has to advance the chain state.
-                hypergeometric_lanes(
-                    &mut self.rngs,
-                    &self.hyp_jobs,
-                    &mut self.ini[row..row + stride],
-                    &mut self.lane_scratch,
-                );
-                for &(lane, _, size, _) in &self.hyp_jobs {
-                    let k = lane as usize;
-                    let d = self.ini[row + k];
+                    let d = hypergeometric(
+                        &mut self.rngs[k],
+                        self.rem_total[k],
+                        size,
+                        self.rem_draws[k],
+                    );
+                    self.ini[row + k] = d;
                     self.rem_draws[k] -= d;
                     self.rem_total[k] -= size;
                 }
@@ -569,7 +516,6 @@ impl EnsembleSimulator {
             }
             for s in 0..q {
                 let row = s * stride;
-                self.hyp_jobs.clear();
                 for k in 0..active {
                     if self.kind[k] != WaveKind::Batch {
                         continue;
@@ -579,25 +525,13 @@ impl EnsembleSimulator {
                         continue;
                     }
                     let size = self.counts[row + k] - self.ini[row + k];
-                    if size == 0 || size == self.rem_total[k] {
-                        let d = if size == 0 { 0 } else { self.rem_draws[k] };
-                        self.resp[row + k] = d;
-                        self.rem_draws[k] -= d;
-                        self.rem_total[k] -= size;
-                        continue;
-                    }
-                    self.hyp_jobs
-                        .push((k as u32, self.rem_total[k], size, self.rem_draws[k]));
-                }
-                hypergeometric_lanes(
-                    &mut self.rngs,
-                    &self.hyp_jobs,
-                    &mut self.resp[row..row + stride],
-                    &mut self.lane_scratch,
-                );
-                for &(lane, _, size, _) in &self.hyp_jobs {
-                    let k = lane as usize;
-                    let d = self.resp[row + k];
+                    let d = hypergeometric(
+                        &mut self.rngs[k],
+                        self.rem_total[k],
+                        size,
+                        self.rem_draws[k],
+                    );
+                    self.resp[row + k] = d;
                     self.rem_draws[k] -= d;
                     self.rem_total[k] -= size;
                 }
@@ -637,7 +571,6 @@ impl EnsembleSimulator {
                 }
                 for b in 0..q {
                     let brow = b * stride;
-                    self.hyp_jobs.clear();
                     let mut any_m = false;
                     for k in 0..active {
                         if self.need[k] == 0 {
@@ -649,48 +582,21 @@ impl EnsembleSimulator {
                             self.m_lane[k] = 0;
                             continue;
                         }
-                        let pool = self.pool[k];
-                        if available == pool || self.need[k] == pool {
-                            // Deterministic tail of the conditional chain:
-                            // every remaining responder is type `b`, or
-                            // every remaining responder pairs with an `a`
-                            // initiator.  The planner would emit `Done`
-                            // (no RNG consumed), so resolving it inline is
-                            // stream-identical and skips the whole job.
-                            let m = if available == pool {
-                                self.need[k]
-                            } else {
-                                available
-                            };
-                            self.pool[k] -= available;
-                            self.m_lane[k] = m;
+                        // Conditional allocation of lane k's initiator-a
+                        // interactions to responder state b.
+                        let m = hypergeometric(
+                            &mut self.rngs[k],
+                            self.pool[k],
+                            available,
+                            self.need[k],
+                        );
+                        self.pool[k] -= available;
+                        self.m_lane[k] = m;
+                        if m > 0 {
                             self.resp[brow + k] -= m;
                             self.resp_left[k] -= m;
                             self.need[k] -= m;
                             any_m = true;
-                            continue;
-                        }
-                        self.hyp_jobs
-                            .push((k as u32, pool, available, self.need[k]));
-                    }
-                    if !self.hyp_jobs.is_empty() {
-                        hypergeometric_lanes(
-                            &mut self.rngs,
-                            &self.hyp_jobs,
-                            &mut self.draw_out,
-                            &mut self.lane_scratch,
-                        );
-                        for &(lane, _, available, _) in &self.hyp_jobs {
-                            let k = lane as usize;
-                            let m = self.draw_out[k];
-                            self.pool[k] -= available;
-                            self.m_lane[k] = m;
-                            if m > 0 {
-                                self.resp[brow + k] -= m;
-                                self.resp_left[k] -= m;
-                                self.need[k] -= m;
-                                any_m = true;
-                            }
                         }
                     }
                     if !any_m {

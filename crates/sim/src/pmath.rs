@@ -1,23 +1,18 @@
-//! Portable, branch-light transcendentals shared by the scalar and ensemble
-//! samplers.
+//! Portable transcendentals shared by both batched engines' samplers.
 //!
 //! Lane-level bit-equivalence between [`BatchedSimulator`] and
 //! [`EnsembleSimulator`] requires both engines to evaluate *exactly the same*
-//! float expressions, so the transcendental kernels the samplers need are
-//! written once here and called from the scalar samplers directly and from
-//! the ensemble's bulk transform loops over packed lane arrays.  Elementwise
-//! IEEE-754 operations produce identical bits whether evaluated one at a
-//! time or packed into vector registers, and Rust never contracts `a*b + c`
-//! into an FMA on its own — so the compiler is free to autovectorise the
-//! bulk loops without perturbing a single lane's stream.  To keep that
-//! autovectorisation possible, every kernel body is straight-line,
-//! if-convertible code: no table lookups, no early returns, no
-//! data-dependent loops.
+//! float expressions; both draw through the one set of scalar samplers in
+//! [`sampling`](crate::sampling), which call the kernels written once here.
+//! The kernels are plain Rust rather than `std`'s `ln`/`exp`, which defer
+//! to the platform libm, so the samplers' floats — and with them every
+//! pinned RNG stream — do not depend on the platform.  Rust never contracts
+//! `a*b + c` into an FMA on its own, so a kernel's result depends only on
+//! its argument.
 //!
 //! The `ln` and `exp` kernels are the classic fdlibm/musl polynomial
-//! kernels (~1 ulp over the samplers' operating range); `cos_tau` evaluates
-//! `cos(2πu)` for `u ∈ [0, 1)` by quarter-period folding and a Taylor
-//! polynomial (absolute error < 4e-15).  The accuracy is far below the
+//! kernels (~1 ulp over the samplers' operating range); `ln_gamma` is
+//! Stirling's series on top of them.  The accuracy is far below the
 //! Monte-Carlo noise floor of any sampler built on top — the statistical
 //! acceptance tests in [`sampling`](crate::sampling) all run against these
 //! implementations.
@@ -102,53 +97,6 @@ pub fn exp(x: f64) -> f64 {
     (1.0 + (r * c / (2.0 - c) - lo + hi)) * scale
 }
 
-/// Elementwise in-place [`ln`] over a packed slice — the bulk form the
-/// samplers use when many logarithms are needed at once (log-factorial
-/// table construction, deferred lane transforms).  The body is a plain
-/// elementwise loop over the scalar kernel, so the compiler may pack it
-/// into vector registers while every element stays bit-identical to a
-/// scalar [`ln`] call — the same argument that lets the ensemble batch
-/// transforms without perturbing lane streams.
-#[inline]
-pub fn ln_bulk(xs: &mut [f64]) {
-    for x in xs.iter_mut() {
-        *x = ln(*x);
-    }
-}
-
-/// `cos(2πu)` for `u ∈ [0, 1)` (the Box–Muller angle): quarter-period
-/// folding plus one even Taylor polynomial — no π-sized range reduction
-/// needed because the caller's argument is already a fraction of a turn.
-#[inline(always)]
-pub fn cos_tau(u: f64) -> f64 {
-    // w ∈ (-0.5, 0.5] is u reduced to the nearest whole turn; cosine is
-    // even, so fold to a ∈ [0, 0.5], then reflect the second quarter-turn
-    // onto the first: cos(2πa) = -cos(2π(0.5 - a)) for a > 0.25.
-    let w = u - (u + 0.5).floor();
-    let a = w.abs();
-    let refl = a > 0.25;
-    let b = if refl { 0.5 - a } else { a };
-    let y = std::f64::consts::TAU * b; // |y| ≤ π/2
-    let z = y * y;
-    // cos(y) = Σ (-1)ᵏ y²ᵏ/(2k)!, truncated at k = 9: |error| < 4e-15 on
-    // z ≤ (π/2)².
-    let p = 1.0
-        + z * (-1.0 / 2.0
-            + z * (1.0 / 24.0
-                + z * (-1.0 / 720.0
-                    + z * (1.0 / 40_320.0
-                        + z * (-1.0 / 3_628_800.0
-                            + z * (1.0 / 479_001_600.0
-                                + z * (-1.0 / 87_178_291_200.0
-                                    + z * (1.0 / 20_922_789_888_000.0
-                                        + z * (-1.0 / 6_402_373_705_728_000.0)))))))));
-    if refl {
-        -p
-    } else {
-        p
-    }
-}
-
 /// `ln Γ(x)` for `x ≥ 1` — the log-factorial kernel behind the O(1)
 /// rejection samplers (`ln k! = ln_gamma(k + 1)`).
 ///
@@ -157,8 +105,8 @@ pub fn cos_tau(u: f64) -> f64 {
 /// the first dropped term is `< 7e-12`, so the absolute error is bounded by
 /// ~1e-11 over the whole domain — far below the acceptance-test tolerances
 /// of the samplers built on top (their squeeze bounds have slack of order
-/// 1e-7), and identical on the scalar and lane-batched paths because both
-/// call this one kernel.  The samplers only reach this function for integer
+/// 1e-7), and identical in both engines because both call this one
+/// kernel.  The samplers only reach this function for integer
 /// arguments above the shared log-factorial table (k > 8192), where the
 /// shift loop never runs; the loop exists so the kernel is total on `x ≥ 1`
 /// for the accuracy tests.
@@ -262,20 +210,5 @@ mod tests {
             (ln_gamma(k + 1.0) - reference).abs() / reference < 1e-9,
             "large-argument ln_gamma"
         );
-    }
-
-    #[test]
-    fn cos_tau_matches_std_cos() {
-        let mut worst = 0.0f64;
-        for i in 0..100_000 {
-            let u = i as f64 / 100_000.0;
-            let err = (cos_tau(u) - (std::f64::consts::TAU * u).cos()).abs();
-            worst = worst.max(err);
-        }
-        assert!(worst < 1e-11, "worst absolute cos_tau error {worst}");
-        assert_eq!(cos_tau(0.0), 1.0);
-        assert_eq!(cos_tau(0.5), -1.0);
-        assert!(cos_tau(0.25).abs() < 1e-12);
-        assert!(cos_tau(0.75).abs() < 1e-12);
     }
 }

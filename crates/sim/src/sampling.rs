@@ -18,7 +18,7 @@
 //! independent of the parameters.  All samplers draw from the caller's
 //! seeded RNG, so batched runs stay reproducible.
 //!
-//! # Plan → leaf structure, and why the ensemble needs it
+//! # Plan → leaf structure
 //!
 //! Every draw resolves in two stages: a *planner* (`plan_hypergeometric` /
 //! `plan_binomial`) runs the branchy, RNG-free part — support checks,
@@ -31,20 +31,16 @@
 //! parameter-cached entry points ([`CachedHypergeometric`],
 //! [`CachedBinomial`]) hold a finished plan and execute it any number of
 //! times (`draw` / `draw_many`), paying setup once per *distribution*
-//! instead of once per draw.  The lane-batched entry points
-//! ([`hypergeometric_lanes`], [`binomial_lanes`],
-//! [`BirthdaySampler::draw_lanes`]) used by the
-//! [`EnsembleSimulator`](crate::EnsembleSimulator) are built on the cached
-//! form (a one-entry plan memo reuses the setup across consecutive
-//! same-parameter lanes), consume each lane's uniforms in the scalar
-//! order, and defer the remaining deferrable transforms to bulk loops over
-//! packed arrays that the compiler autovectorises — see [`crate::pmath`].
-//! Because planner, leaves and transforms are *shared code*, a lane of the
-//! ensemble consumes its RNG and computes its floats bit-identically to a
-//! scalar sampler call, which is the foundation of lane-level
-//! bit-equivalence between the two engines — and for the same reason the
-//! cached path is value- and stream-position-identical to the uncached one
-//! *by construction* (pinned by 4000-case property suites).
+//! instead of once per draw.  The cached path is value- and
+//! stream-position-identical to the uncached one *by construction* (pinned
+//! by 4000-case property suites).
+//!
+//! Both batched engines draw through the same scalar entry points: the
+//! [`EnsembleSimulator`](crate::EnsembleSimulator) calls [`hypergeometric`]
+//! and [`BirthdaySampler::draw`] once per lane against that lane's own RNG,
+//! exactly as a solo [`BatchedSimulator`](crate::BatchedSimulator) calls
+//! them against its one RNG.  One draw path per distribution is the
+//! foundation of lane-level bit-equivalence between the two engines.
 //!
 //! # The pairing-pass hot path: walks below the crossover, rejection above
 //!
@@ -81,11 +77,10 @@
 //! * **a two-level `ln k!` table** — the dense level-1 table (≤ 8192,
 //!   byte-identical to PR 7's) is extended by 64 lazily built 32768-entry
 //!   chunks to `LOG_FACTORIAL_EXT_MAX` = 2 105 344 ≈ 2²¹, sized from the
-//!   measured split-draw totals; chunk construction batches its `ln`
-//!   evaluations through [`pmath::ln_bulk`] and carries a Kahan-compensated
-//!   running sum across chunk boundaries, so extension values are
-//!   demand-order-independent, a few ulp from exact, and *cheaper and more
-//!   accurate* than the Stirling calls they replace;
+//!   measured split-draw totals; chunk construction carries a
+//!   Kahan-compensated running sum across chunk boundaries, so extension
+//!   values are demand-order-independent, a few ulp from exact, and
+//!   *cheaper and more accurate* than the Stirling calls they replace;
 //! * **an ln-free exact-half leaf** — when exactly half the (reduced)
 //!   population is marked, `HALF_POP` proposes from the popcount
 //!   `Binomial(d, ½)` and corrects with a multiply-only rejection walk
@@ -113,15 +108,9 @@
 //! they are independent implementations of the same distributions and,
 //! together with the test-only inversion oracle (`inv_walk`), serve as the
 //! *test oracle* for the rejection samplers (see the chi-square suites in
-//! this module).  The lane-batched entry points still run queued CDF walks
-//! in branch-free lockstep (`cdf_walk8`) with their `ln`/`exp` transforms
-//! batched into autovectorisable loops; the rejection leaves consume a
-//! data-dependent *number* of uniforms, so they execute inline per lane —
-//! their cost is O(1) per draw, which is exactly why no batching is
-//! needed.
+//! this module).
 
 use crate::pmath;
-use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use std::sync::OnceLock;
 
@@ -247,11 +236,9 @@ fn log_factorials() -> &'static [f64] {
 
 /// The level-2 extension chunk `i`, built on first demand.  Construction
 /// forces every earlier chunk first (each needs its predecessor's carry),
-/// fills a scratch with the raw arguments, takes their logs through the
-/// bulk kernel [`pmath::ln_bulk`] (one autovectorisable pass instead of
-/// per-lookup Stirling work — this is where the split phase's "residual
-/// ln" cost is batched), and finishes with a Kahan-compensated prefix sum
-/// whose carry crosses chunk boundaries.  Compensation keeps the absolute
+/// takes the `ln` of every argument in the chunk (one pass instead of
+/// per-lookup Stirling work), and finishes with a Kahan-compensated prefix
+/// sum whose carry crosses chunk boundaries.  Compensation keeps the absolute
 /// error of the 2-million-term running sum at the few-ulp level (a plain
 /// sum drifts to ~3e-6 by the end of the extension), so extension values
 /// are *more* accurate than the Stirling kernel they replace.  Values are
@@ -267,8 +254,9 @@ fn lf_ext_chunk(i: usize) -> &'static LfChunk {
             (prev.sum, prev.comp)
         };
         let start_k = LOG_FACTORIAL_TABLE_MAX + 1 + (i * LF_CHUNK) as u64;
-        let mut vals: Vec<f64> = (0..LF_CHUNK as u64).map(|j| (start_k + j) as f64).collect();
-        pmath::ln_bulk(&mut vals);
+        let mut vals: Vec<f64> = (0..LF_CHUNK as u64)
+            .map(|j| pmath::ln((start_k + j) as f64))
+            .collect();
         for v in vals.iter_mut() {
             let y = *v - comp;
             let t = sum + y;
@@ -289,7 +277,7 @@ fn lf_ext_chunk(i: usize) -> &'static LfChunk {
 /// [`LOG_FACTORIAL_EXT_MAX`], Stirling kernel ([`pmath::ln_gamma`])
 /// beyond.  One function shared by every sampler and both engines, so the
 /// table/Stirling crossover is a deterministic function of `k` alone and
-/// can never desynchronise the scalar and lane-batched paths.
+/// can never desynchronise the two engines.
 #[inline(always)]
 fn ln_factorial(k: u64) -> f64 {
     if k <= LOG_FACTORIAL_TABLE_MAX {
@@ -346,74 +334,38 @@ impl HruaSetup {
     /// `3 − 2·√(3/e)`, the hat width offset.
     const D2: f64 = 0.898_916_162_058_898_8;
 
-    /// The memory-free part of the setup: everything except `d10`, which
-    /// is left at `0.0`, plus the four log-factorial arguments that define
-    /// it.  Takes the division/square-root quantities of [`hyp_floats`];
-    /// the lane-batched planner builds all lanes' setups in a pure-
-    /// arithmetic pass and then resolves every lane's table loads in one
-    /// load-only gather loop, while the scalar planner recombines the two
-    /// parts immediately via the same [`lf_sum4`] — either way every
-    /// field is computed from the same expressions in the same order, so
-    /// the values are bit-identical.
-    #[inline]
-    fn new_deferred(total: u64, successes: u64, draws: u64, fl: HypFloats) -> (Self, [u64; 4]) {
+    /// The setup for *reduced* parameters (`2·successes ≤ total`,
+    /// `2·draws ≤ total`).  `d4` is the success fraction, `d7` the hat
+    /// width (≥ the standard deviation, plus slack), `d9` the mode and
+    /// `d10` the mode's `Σ ln aᵢ!`.
+    fn new(total: u64, successes: u64, draws: u64) -> Self {
         debug_assert!(2 * successes <= total && 2 * draws <= total);
+        let popsize = total as f64;
         let mingoodbad = successes;
         let maxgoodbad = total - successes;
         let m = draws;
         let mf = m as f64;
-        let HypFloats { d4, d7, d9 } = fl;
+        let d4 = mingoodbad as f64 / popsize;
+        let d5 = 1.0 - d4;
         let d6 = mf * d4 + 0.5;
+        let d7 = ((popsize - mf) * mf * d4 * d5 / (popsize - 1.0) + 0.5).sqrt();
         let d8 = Self::D1 * d7 + Self::D2;
-        let d9u = d9 as u64; // the mode
+        let d9 = ((mf + 1.0) * (mingoodbad + 1) as f64 / (popsize + 2.0)).floor() as u64;
+        let d10 = ln_factorial(d9)
+            + ln_factorial(mingoodbad - d9)
+            + ln_factorial(m - d9)
+            + ln_factorial(maxgoodbad + d9 - m);
         let d11 = ((m.min(mingoodbad) + 1) as f64).min((d6 + 16.0 * d7).floor());
-        (
-            HruaSetup {
-                mingoodbad,
-                maxgoodbad,
-                m,
-                d6,
-                d8,
-                d10: 0.0,
-                d11,
-            },
-            [d9u, mingoodbad - d9u, m - d9u, maxgoodbad + d9u - m],
-        )
+        HruaSetup {
+            mingoodbad,
+            maxgoodbad,
+            m,
+            d6,
+            d8,
+            d10,
+            d11,
+        }
     }
-}
-
-/// The three division/square-root quantities of the HRUA setup — the
-/// latency chains of planning.  `d4` is the success fraction, `d7` the
-/// hat width (≥ the standard deviation, plus slack), `d9` the mode.
-#[derive(Debug, Clone, Copy, Default)]
-struct HypFloats {
-    d4: f64,
-    d7: f64,
-    d9: f64,
-}
-
-/// Computes [`HypFloats`] for *reduced* parameters (`2·successes ≤ total`,
-/// `2·draws ≤ total`).  This is the single source of these expressions,
-/// shared by every planner path, so the quantities are identical bits
-/// wherever they are evaluated.
-#[inline(always)]
-fn hyp_floats(total: u64, successes: u64, draws: u64) -> HypFloats {
-    let popsize = total as f64;
-    let mingoodbad = successes;
-    let mf = draws as f64;
-    let d4 = mingoodbad as f64 / popsize;
-    let d5 = 1.0 - d4;
-    let d7 = ((popsize - mf) * mf * d4 * d5 / (popsize - 1.0) + 0.5).sqrt();
-    let d9 = ((mf + 1.0) * (mingoodbad + 1) as f64 / (popsize + 2.0)).floor();
-    HypFloats { d4, d7, d9 }
-}
-
-/// `Σ ln aᵢ!` over the four arguments, in argument order — the exact sum
-/// the HRUA setup historically computed inline, shared by the fused and
-/// deferred setup paths so both produce identical bits.
-#[inline(always)]
-fn lf_sum4(args: [u64; 4]) -> f64 {
-    ln_factorial(args[0]) + ln_factorial(args[1]) + ln_factorial(args[2]) + ln_factorial(args[3])
 }
 
 /// BTRS's parameter-only setup: squeeze and hat constants plus the mode's
@@ -466,8 +418,7 @@ impl BtrsSetup {
 
 /// The exact-half leaf's parameter-only setup: the envelope's argmax and
 /// the scale used to keep the acceptance product in f64 range.  All
-/// integer decisions — no float whose rounding could shift between scalar
-/// and lane paths.
+/// integer decisions, so the leaf's trigger is exact.
 #[derive(Debug, Clone, Copy)]
 struct HalfPopSetup {
     /// Post-reduction marked count (`= total / 2`).
@@ -483,13 +434,13 @@ struct HalfPopSetup {
 
 /// A fully resolved single draw: which leaf sampler runs with which
 /// parameters, plus the clamp/affine post-processing.  Planning consumes no
-/// randomness, so a plan can be executed immediately (scalar path) or have
-/// its uniforms drawn now and its transforms evaluated later in bulk
-/// (lane-batched path) — both yield bit-identical results.  Since PR 9 the
-/// rejection leaves carry their full parameter-only setup (hat/squeeze
-/// constants, mode log-factorials, `pmf(0)` for the CDF walk), so a plan
-/// held in a [`CachedHypergeometric`] / [`CachedBinomial`] pays setup once
-/// however many draws it executes.
+/// randomness, so a plan can be executed immediately (scalar path) or held
+/// and executed any number of times (cached path) — both yield
+/// bit-identical results.  The rejection leaves carry their full
+/// parameter-only setup (hat/squeeze constants, mode log-factorials,
+/// `pmf(0)` for the CDF walk), so a plan held in a
+/// [`CachedHypergeometric`] / [`CachedBinomial`] pays setup once however
+/// many draws it executes.
 ///
 /// Post-processing order: `outer(inner(leaf))`, where `inner` is the
 /// binomial `p > ½` flip and `outer` composes the hypergeometric symmetry
@@ -572,17 +523,6 @@ fn plan_binomial(n: u64, p: f64) -> DrawPlan {
     }
 }
 
-/// Resolves `Hypergeometric(total, successes, draws)` to a leaf plan (no
-/// RNG consumed): support checks, symmetry reductions keeping `draws` and
-/// `successes` at most `total/2`, then regime selection.
-fn plan_hypergeometric(total: u64, successes: u64, draws: u64) -> DrawPlan {
-    let (mut plan, args) = plan_hypergeometric_parts(total, successes, draws);
-    if let (DrawPlan::Hrua { ref mut setup, .. }, Some(a)) = (&mut plan, args) {
-        setup.d10 = lf_sum4(a);
-    }
-    plan
-}
-
 /// The branchless symmetry reductions of the hypergeometric planner:
 /// `H(t, s, d) = s − H(t, s, t−d)` (flip the draw set) and `H(t, s, d) =
 /// d − H(t, t−s, d)` (flip the marking).  With the degenerate supports
@@ -590,10 +530,8 @@ fn plan_hypergeometric(total: u64, successes: u64, draws: u64) -> DrawPlan {
 /// draw flip can only *shrink* `d`, so applying them in this order
 /// reaches `s, d ≤ total/2` in one straight-line pass.  The select
 /// arithmetic produces exactly the values the historical flip loop
-/// produced — it is the same integer math, minus the data-dependent
-/// branches that went unpredicted when consecutive lanes straddle the
-/// `total/2` boundary.  Shared by the scalar planner and the lane-batched
-/// prepass so both reduce identically.
+/// produced — it is the same integer math, minus its data-dependent
+/// branches.
 #[inline(always)]
 fn hyp_flips(total: u64, successes: u64, draws: u64) -> (u64, u64, Affine) {
     let (mut s, mut d) = (successes, draws);
@@ -614,44 +552,31 @@ fn hyp_flips(total: u64, successes: u64, draws: u64) -> (u64, u64, Affine) {
     (s, d, outer)
 }
 
-/// [`plan_hypergeometric`] in two parts: the finished plan except for an
-/// HRUA setup's `d10` (left `0.0`), plus the four log-factorial arguments
-/// that complete it (`None` for non-HRUA leaves).  The lane-batched entry
-/// points plan all lanes through this and then resolve every lane's `d10`
-/// in one gather pass; the fused wrapper above resolves immediately.
-/// Either way `d10` is the same sum in the same order — identical bits.
-#[inline]
-fn plan_hypergeometric_parts(
-    total: u64,
-    successes: u64,
-    draws: u64,
-) -> (DrawPlan, Option<[u64; 4]>) {
+/// Resolves `Hypergeometric(total, successes, draws)` to a leaf plan (no
+/// RNG consumed): support checks, symmetry reductions keeping `draws` and
+/// `successes` at most `total/2`, then regime selection.
+fn plan_hypergeometric(total: u64, successes: u64, draws: u64) -> DrawPlan {
     debug_assert!(successes <= total && draws <= total);
     let (s, d) = (successes, draws);
-    if d == 0 || s == 0 || s == total || d == total {
-        // Degenerate supports.  The lane-batched call sites filter these
-        // inline, so this branch is all-but-never taken on the hot path.
-        if d == 0 || s == 0 {
-            return (DrawPlan::Done(0), None);
-        }
-        if s == total {
-            return (DrawPlan::Done(d), None);
-        }
-        return (DrawPlan::Done(s), None);
+    if d == 0 || s == 0 {
+        return DrawPlan::Done(0);
+    }
+    if s == total {
+        return DrawPlan::Done(d);
+    }
+    if d == total {
+        return DrawPlan::Done(s);
     }
     let (s, d, outer) = hyp_flips(total, s, d);
     if d <= URN_MAX_DRAWS {
         // Exact sequential urn simulation: cheapest when the walk is
         // short (one Lemire-rejection integer draw per urn pull).
-        return (
-            DrawPlan::Urn {
-                total,
-                successes: s,
-                draws: d,
-                outer,
-            },
-            None,
-        );
+        return DrawPlan::Urn {
+            total,
+            successes: s,
+            draws: d,
+            outer,
+        };
     }
     if 2 * s == total && d <= POPCOUNT_MAX_N {
         // Exactly half the population is marked: propose from
@@ -661,18 +586,15 @@ fn plan_hypergeometric_parts(
         // close to the target that ~1.03 iterations are expected; see
         // `halfpop_draw`.  The trigger is an exact integer predicate, so it
         // can never desynchronise engines.
-        return (
-            DrawPlan::HalfPop {
-                setup: HalfPopSetup {
-                    s,
-                    d,
-                    z_m: d.div_ceil(2),
-                    inv_s: 1.0 / s as f64,
-                },
-                outer,
+        return DrawPlan::HalfPop {
+            setup: HalfPopSetup {
+                s,
+                d,
+                z_m: d.div_ceil(2),
+                inv_s: 1.0 / s as f64,
             },
-            None,
-        );
+            outer,
+        };
     }
     // Constant expected-time ratio-of-uniforms rejection: exact for every
     // parameter (the log-factorials above the two-level table fall back to
@@ -681,12 +603,14 @@ fn plan_hypergeometric_parts(
     // PR 6 lost to HRUA at every measured spread (see
     // `sampler_crossovers`), so it survives only as the independent test
     // oracle below.
-    let (setup, args) = HruaSetup::new_deferred(total, s, d, hyp_floats(total, s, d));
-    (DrawPlan::Hrua { setup, outer }, Some(args))
+    DrawPlan::Hrua {
+        setup: HruaSetup::new(total, s, d),
+        outer,
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Leaf executors (shared between the scalar and lane-batched paths)
+// Leaf executors (shared by the scalar and cached entry points)
 // ---------------------------------------------------------------------------
 
 /// Exact sequential urn walk.
@@ -795,12 +719,6 @@ fn inv_walk(u: f64, total: u64, successes: u64, draws: u64, mode: u64, pmf_mode:
     }
 }
 
-/// How many deferred walks run interleaved in the lane-batched flush: 8
-/// independent recurrence chains hide the division latency that makes a
-/// single walk serial-bound, and give the compiler a fixed-width,
-/// if-convertible inner loop.
-const WALK_LANES: usize = 8;
-
 /// The binomial CDF walk from zero, given the uniform and the
 /// already-exponentiated `pmf(0) = qⁿ`.
 fn cdf_walk(u: f64, pmf0: f64, n: u64, p: f64) -> u64 {
@@ -809,9 +727,8 @@ fn cdf_walk(u: f64, pmf0: f64, n: u64, p: f64) -> u64 {
     let mut pmf = pmf0;
     let mut cdf = pmf;
     let mut k = 0u64;
-    // The step expression is written EXACTLY as in `cdf_walk8` (a single
-    // `p·(num/den)` with one division) — textual divergence breaks the
-    // bit-identity between the scalar and lane-batched engines.
+    // The step expression is stream-pinned: rewriting it (e.g. splitting
+    // the single division) moves the last ulp and with it the stream.
     while cdf < u && k < n {
         pmf *= ratio * (n - k) as f64 / ((k + 1) as f64);
         cdf += pmf;
@@ -821,62 +738,6 @@ fn cdf_walk(u: f64, pmf0: f64, n: u64, p: f64) -> u64 {
         }
     }
     k
-}
-
-/// [`cdf_walk`] over up to 8 independent walks in lockstep, branch-free.
-///
-/// All walk state lives in the f64 domain: every quantity involved is an
-/// integer of magnitude well below 2⁵³, so the float steps evaluate to
-/// bit-identical values to the scalar walk's integer-indexed ones.  Each
-/// lane runs the scalar walk's exact operation sequence; finished lanes
-/// are masked with selects rather than branches, so the interleaving
-/// overlaps the lanes' serial multiply/divide chains.
-fn cdf_walk8(
-    m: usize,
-    u: &[f64; WALK_LANES],
-    pmf0: &[f64; WALK_LANES],
-    n: &[u64; WALK_LANES],
-    p: &[f64; WALK_LANES],
-    res: &mut [u64; WALK_LANES],
-) {
-    debug_assert!(m <= WALK_LANES);
-    let mut done = [true; WALK_LANES];
-    let mut ratio = [0.0f64; WALK_LANES];
-    let mut pmf = [0.0f64; WALK_LANES];
-    let mut cdf = [0.0f64; WALK_LANES];
-    let mut kf = [0.0f64; WALK_LANES];
-    let mut nf = [1.0f64; WALK_LANES];
-    let mut resf = [0.0f64; WALK_LANES];
-    for j in 0..m {
-        ratio[j] = p[j] / (1.0 - p[j]);
-        pmf[j] = pmf0[j];
-        cdf[j] = pmf0[j];
-        nf[j] = n[j] as f64;
-        done[j] = false;
-    }
-    loop {
-        let mut all = true;
-        for j in 0..WALK_LANES {
-            let can = !done[j] & (cdf[j] < u[j]) & (kf[j] < nf[j]);
-            let np = pmf[j] * (ratio[j] * (nf[j] - kf[j]) / (kf[j] + 1.0));
-            cdf[j] = if can { cdf[j] + np } else { cdf[j] };
-            pmf[j] = if can { np } else { pmf[j] };
-            kf[j] = if can { kf[j] + 1.0 } else { kf[j] };
-            // Finished either by crossing u / hitting n (condition false at
-            // the top) or by pmf underflow after the step; in both cases
-            // the scalar walk returns the *current* k.
-            let fin = (!done[j] & !can) | (can & (np < 1e-300));
-            resf[j] = if fin { kf[j] } else { resf[j] };
-            done[j] |= fin;
-            all &= done[j];
-        }
-        if all {
-            break;
-        }
-    }
-    for j in 0..m {
-        res[j] = resf[j] as u64;
-    }
 }
 
 /// Exact `Binomial(n, ½)` by bit counting: the `n` fair coins are the low
@@ -1012,10 +873,7 @@ fn halfpop_draw<R: RngCore + ?Sized>(rng: &mut R, s: &HalfPopSetup) -> u64 {
 /// the planner's reductions `draws ≤ total/2` and `successes ≤ total/2`.
 #[cfg(test)]
 fn hrua_draw<R: RngCore + ?Sized>(rng: &mut R, total: u64, successes: u64, draws: u64) -> u64 {
-    let fl = hyp_floats(total, successes, draws);
-    let (mut setup, args) = HruaSetup::new_deferred(total, successes, draws, fl);
-    setup.d10 = lf_sum4(args);
-    hrua_loop(rng, &setup)
+    hrua_loop(rng, &HruaSetup::new(total, successes, draws))
 }
 
 /// The HRUA rejection loop, given a prepared [`HruaSetup`] — the part of
@@ -1153,9 +1011,8 @@ pub fn multivariate_hypergeometric<R: RngCore + ?Sized>(
 /// square root) and executes in one call, so a loop of scalar calls pays
 /// the setup once per *draw*.  `CachedHypergeometric` holds the finished
 /// `DrawPlan` so the setup is paid once per *distribution*; [`Self::draw`]
-/// runs only the part that consumes randomness.  This is the kernel
-/// boundary the lane-batched entry points, and eventually SIMD/GPU
-/// backends, build on: one plan, many executions.
+/// runs only the part that consumes randomness: one plan, many
+/// executions.
 ///
 /// **Stream contract:** `draw` is value- and stream-position-identical to
 /// a scalar [`hypergeometric`] call with the same parameters — both
@@ -1183,8 +1040,8 @@ impl CachedHypergeometric {
     }
 
     /// Fills `out` with independent variates — exactly a loop of
-    /// [`Self::draw`], provided as the batch entry point SIMD/GPU
-    /// backends and the bench harness share.
+    /// [`Self::draw`], provided as the batch entry point the bench harness
+    /// uses.
     pub fn draw_many<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
         for o in out.iter_mut() {
             *o = execute_plan(rng, &self.plan);
@@ -1225,14 +1082,6 @@ impl CachedBinomial {
     }
 }
 
-/// The Rayleigh-tail inversion shared by the scalar and lane-batched
-/// birthday paths: maps one uniform to a (pre-clamp) collision time.
-#[inline(always)]
-fn rayleigh_from_uniform(n: u64, u: f64) -> f64 {
-    let u = (1.0 - u).max(f64::MIN_POSITIVE); // uniform in (0, 1]
-    (-2.0 * n as f64 * pmath::ln(u)).sqrt().ceil()
-}
-
 /// Samples the number of uniform agent draws until the first repeat (the
 /// "birthday" collision time) in a population of `n` agents.
 ///
@@ -1241,356 +1090,9 @@ fn rayleigh_from_uniform(n: u64, u: f64) -> f64 {
 /// batched engine only uses this path for large `n`.
 pub fn birthday_collision_draws<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     let u: f64 = rng.gen_range(0.0..1.0);
-    (rayleigh_from_uniform(n, u) as u64).clamp(2, n)
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched entry points (the ensemble engine's draw sites)
-// ---------------------------------------------------------------------------
-
-/// A planned draw whose uniform is already consumed but whose transform is
-/// deferred to a bulk loop.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    lane: u32,
-    u1: f64,
-    plan: DrawPlan,
-}
-
-/// Deferred-transform records and packed argument arrays, reused across the
-/// ensemble's draw sites to keep waves allocation-free.  `plans` stages the
-/// planning pass of the lane-batched entry points: planning is RNG-free,
-/// so all lanes' plans are built in one tight loop (whose independent
-/// division/square-root setup chains pipeline in the CPU instead of
-/// serialising behind each lane's rejection loop) before any randomness is
-/// consumed, without perturbing any lane's stream.
-#[derive(Debug, Default, Clone)]
-pub struct LaneDrawScratch {
-    cdf: Vec<Pending>,
-    fa: Vec<f64>,
-    plans: Vec<DrawPlan>,
-    fixups: Vec<(u32, [u64; 4])>,
-    hrua_active: Vec<(u32, u32)>,
-    hrua_pend: Vec<HruaPend>,
-    hrua_g: Vec<f64>,
-    hrua_exact: Vec<(u32, f64)>,
-    hrua_lnx: Vec<f64>,
-}
-
-/// One lane's in-flight HRUA proposal between the uniform pass and the
-/// acceptance pass of a lockstep round: the hat draw `x`, the proposed
-/// variate `z`, and everything the later passes need (log-factorial
-/// arguments, acceptance constant, post-map) copied out of the setup while
-/// it is already in registers — so the gather and acceptance passes stream
-/// sequentially over this record instead of re-loading `plans[idx]`.
-#[derive(Debug, Clone, Copy)]
-struct HruaPend {
-    lane: u32,
-    idx: u32,
-    x: f64,
-    z: u64,
-    d10: f64,
-    outer: Affine,
-    args: [u64; 4],
-}
-
-impl LaneDrawScratch {
-    fn clear(&mut self) {
-        self.cdf.clear();
-    }
-
-    /// Plans one lane's draw, consumes its uniforms in the scalar order,
-    /// and either finishes it immediately (integer-only and rejection
-    /// leaves — the latter consume a data-dependent number of uniforms but
-    /// constant expected work, so there is nothing to batch) or queues its
-    /// transform.  The leaves are called directly (not through
-    /// [`execute_plan`]) so the per-lane hot path does a single match on a
-    /// borrowed plan instead of copying the plan enum into a second
-    /// dispatch — the leaf code is the same, so values and stream
-    /// positions are untouched.
-    #[inline]
-    fn dispatch(&mut self, rng: &mut StdRng, lane: u32, plan: &DrawPlan, out: &mut [u64]) {
-        match *plan {
-            DrawPlan::Done(v) => out[lane as usize] = v,
-            DrawPlan::Urn {
-                total,
-                successes,
-                draws,
-                outer,
-            } => out[lane as usize] = outer.apply(urn_walk(rng, total, successes, draws)),
-            DrawPlan::Hrua { ref setup, outer } => {
-                out[lane as usize] = outer.apply(hrua_loop(rng, setup));
-            }
-            DrawPlan::HalfPop { ref setup, outer } => {
-                out[lane as usize] = outer.apply(halfpop_draw(rng, setup));
-            }
-            DrawPlan::Pop { n } => out[lane as usize] = popcount_binomial(rng, n),
-            DrawPlan::Bern { n, p, inner } => {
-                out[lane as usize] = inner.apply(bern_count(rng, n, p));
-            }
-            DrawPlan::Btrs { ref setup, inner } => {
-                out[lane as usize] = inner.apply(btrs_loop(rng, setup));
-            }
-            DrawPlan::Cdf { .. } => {
-                let u1: f64 = rng.gen_range(0.0..1.0);
-                self.cdf.push(Pending {
-                    lane,
-                    u1,
-                    plan: *plan,
-                });
-            }
-        }
-    }
-
-    /// Runs the deferred walks in bulk and writes every queued lane's
-    /// result.  The `pmf(0)` transform that used to be packed and
-    /// exponentiated here is now part of each plan (computed once at plan
-    /// time from the same expression), so the flush goes straight to the
-    /// lockstep walks.
-    fn flush(&mut self, out: &mut [u64]) {
-        if !self.cdf.is_empty() {
-            let mut base = 0;
-            while base < self.cdf.len() {
-                let m = (self.cdf.len() - base).min(WALK_LANES);
-                let mut wu = [0.0f64; WALK_LANES];
-                let mut wpmf0 = [0.0f64; WALK_LANES];
-                let mut wn = [0u64; WALK_LANES];
-                let mut wp = [0.0f64; WALK_LANES];
-                let mut wres = [0u64; WALK_LANES];
-                for j in 0..m {
-                    let r = &self.cdf[base + j];
-                    let DrawPlan::Cdf { n, p, pmf0, .. } = r.plan else {
-                        unreachable!("cdf queue only holds Cdf plans")
-                    };
-                    wu[j] = r.u1;
-                    wpmf0[j] = pmf0;
-                    wn[j] = n;
-                    wp[j] = p;
-                }
-                cdf_walk8(m, &wu, &wpmf0, &wn, &wp, &mut wres);
-                for (j, &res) in wres.iter().enumerate().take(m) {
-                    let r = &self.cdf[base + j];
-                    let DrawPlan::Cdf { inner, .. } = r.plan else {
-                        unreachable!()
-                    };
-                    out[r.lane as usize] = inner.apply(res);
-                }
-                base += m;
-            }
-        }
-        self.clear();
-    }
-}
-
-/// Draws `Hypergeometric(total, successes, draws)` for each job
-/// `(lane, total, successes, draws)`, writing `out[lane]` — bit-identically
-/// to per-lane scalar [`hypergeometric`] calls, but with the transcendental
-/// transforms hoisted into vectorisable bulk loops.
-///
-/// Each lane's uniforms are consumed in the scalar sampler's order; lanes
-/// are independent streams, so the order *across* lanes is immaterial.
-pub fn hypergeometric_lanes(
-    rngs: &mut [StdRng],
-    jobs: &[(u32, u64, u64, u64)],
-    out: &mut [u64],
-    scratch: &mut LaneDrawScratch,
-) {
-    scratch.clear();
-    // One-entry plan memo: when consecutive lanes draw from the *same*
-    // distribution (lanes whose state counts have not yet diverged, or
-    // replicated-initial-condition sweeps), the cached plan — HRUA setup
-    // included — is reused instead of replanned.  Planning is a pure
-    // function of the parameters, so reuse is value-identical by
-    // construction.
-    let mut memo_key: Option<(u64, u64, u64)> = None;
-    let mut memo_plan = DrawPlan::Done(0);
-    let mut memo_args: Option<[u64; 4]> = None;
-    let mut plans = std::mem::take(&mut scratch.plans);
-    let mut fixups = std::mem::take(&mut scratch.fixups);
-    plans.clear();
-    fixups.clear();
-    for &(_, total, successes, draws) in jobs {
-        let key = (total, successes, draws);
-        if memo_key != Some(key) {
-            (memo_plan, memo_args) = plan_hypergeometric_parts(total, successes, draws);
-            memo_key = Some(key);
-        }
-        if let Some(args) = memo_args {
-            fixups.push((plans.len() as u32, args));
-        }
-        plans.push(memo_plan);
-    }
-    // Load-only gather pass: every HRUA plan's deferred `d10` ln-factorial
-    // sum is resolved in one tight loop, so the extension-table loads of
-    // independent lanes overlap in the memory system instead of each
-    // serialising behind its own lane's division/square-root setup chain.
-    // `lf_sum4` is a pure function of the recorded arguments, so the
-    // resulting setup is identical to the fused scalar path's.
-    for &(idx, args) in &fixups {
-        if let DrawPlan::Hrua { ref mut setup, .. } = plans[idx as usize] {
-            setup.d10 = lf_sum4(args);
-        }
-    }
-    let mut active = std::mem::take(&mut scratch.hrua_active);
-    active.clear();
-    for (i, (plan, &(lane, ..))) in plans.iter().zip(jobs).enumerate() {
-        if matches!(plan, DrawPlan::Hrua { .. }) {
-            // HRUA lanes run their rejection loops in lockstep below, so
-            // every lane's four log-factorial lookups land in one bulk
-            // load pass instead of stalling each lane's loop in turn.
-            // (Each job targets a distinct lane, so deferring a lane's
-            // draw cannot reorder that lane's uniform consumption.)
-            active.push((lane, i as u32));
-        } else {
-            scratch.dispatch(&mut rngs[lane as usize], lane, plan, out);
-        }
-    }
-    let mut pend = std::mem::take(&mut scratch.hrua_pend);
-    let mut gs = std::mem::take(&mut scratch.hrua_g);
-    let mut exact = std::mem::take(&mut scratch.hrua_exact);
-    let mut lnx = std::mem::take(&mut scratch.hrua_lnx);
-    hrua_lockstep(
-        rngs,
-        &plans,
-        &mut active,
-        &mut pend,
-        &mut gs,
-        &mut exact,
-        &mut lnx,
-        out,
-    );
-    scratch.hrua_active = active;
-    scratch.hrua_pend = pend;
-    scratch.hrua_g = gs;
-    scratch.hrua_exact = exact;
-    scratch.hrua_lnx = lnx;
-    scratch.plans = plans;
-    scratch.fixups = fixups;
-    scratch.flush(out);
-}
-
-/// Runs the HRUA rejection loops of many independent lanes in lockstep
-/// rounds.  Each round makes three passes over the still-active lanes:
-///
-/// 1. **uniform pass** — draw `x, y` from the lane's own RNG, form the
-///    hat proposal `w`, and bounds-test it (no memory traffic);
-/// 2. **gather pass** — compute every surviving proposal's
-///    `Σ ln aᵢ!` in one tight loop, so the log-factorial extension-table
-///    loads of independent lanes overlap in the memory system instead of
-///    serialising one rejection loop at a time;
-/// 3. **acceptance pass** — the scalar loop's squeeze tests, verbatim;
-///    the proposals neither squeeze resolves are set aside, their `ln x`
-///    computed through [`pmath::ln_bulk`] (elementwise the same [`pmath::ln`]
-///    the scalar loop calls, so identical bits), and the exact test applied
-///    last.
-///
-/// Every lane draws its uniforms from its own stream in the scalar
-/// iteration order and the accept/reject arithmetic is expression-for-
-/// expression the scalar [`hrua_loop`]'s, so each lane's value *and*
-/// stream position are bit-identical to a scalar draw — only the
-/// interleaving across (independent) lanes changes.
-#[allow(clippy::too_many_arguments)]
-fn hrua_lockstep(
-    rngs: &mut [StdRng],
-    plans: &[DrawPlan],
-    active: &mut Vec<(u32, u32)>,
-    pend: &mut Vec<HruaPend>,
-    gs: &mut Vec<f64>,
-    exact: &mut Vec<(u32, f64)>,
-    lnx: &mut Vec<f64>,
-    out: &mut [u64],
-) {
-    while !active.is_empty() {
-        pend.clear();
-        let mut kept = 0;
-        for slot in 0..active.len() {
-            let (lane, idx) = active[slot];
-            let DrawPlan::Hrua { ref setup, outer } = plans[idx as usize] else {
-                unreachable!("hrua_lockstep only receives Hrua plans")
-            };
-            let rng = &mut rngs[lane as usize];
-            let x: f64 = rng.gen_range(0.0..1.0);
-            let y: f64 = rng.gen_range(0.0..1.0);
-            let w = setup.d6 + setup.d8 * (y - 0.5) / x;
-            if w < 0.0 || w >= setup.d11 {
-                active[kept] = (lane, idx);
-                kept += 1;
-            } else {
-                let z = w.floor() as u64;
-                pend.push(HruaPend {
-                    lane,
-                    idx,
-                    x,
-                    z,
-                    d10: setup.d10,
-                    outer,
-                    args: [
-                        z,
-                        setup.mingoodbad - z,
-                        setup.m - z,
-                        setup.maxgoodbad + z - setup.m,
-                    ],
-                });
-            }
-        }
-        active.truncate(kept);
-        gs.clear();
-        for p in pend.iter() {
-            gs.push(lf_sum4(p.args));
-        }
-        exact.clear();
-        lnx.clear();
-        for (j, (p, &g)) in pend.iter().zip(gs.iter()).enumerate() {
-            let t = p.d10 - g;
-            let x = p.x;
-            if x * (4.0 - x) - 3.0 <= t {
-                out[p.lane as usize] = p.outer.apply(p.z);
-            } else if x * (x - t) >= 1.0 {
-                active.push((p.lane, p.idx));
-            } else {
-                exact.push((j as u32, t));
-                lnx.push(x);
-            }
-        }
-        pmath::ln_bulk(lnx);
-        for (&(j, t), &lx) in exact.iter().zip(lnx.iter()) {
-            let p = &pend[j as usize];
-            if 2.0 * lx <= t {
-                out[p.lane as usize] = p.outer.apply(p.z);
-            } else {
-                active.push((p.lane, p.idx));
-            }
-        }
-    }
-}
-
-/// Draws `Binomial(n, p)` for each job `(lane, n, p)`, writing `out[lane]`
-/// — the lane-batched counterpart of [`binomial`], same contract as
-/// [`hypergeometric_lanes`].
-pub fn binomial_lanes(
-    rngs: &mut [StdRng],
-    jobs: &[(u32, u64, f64)],
-    out: &mut [u64],
-    scratch: &mut LaneDrawScratch,
-) {
-    scratch.clear();
-    // Same one-entry plan memo as `hypergeometric_lanes` (BTRS setup and
-    // the CDF walk's pmf(0) are the reusable parts here).  Binomial leaves
-    // all execute in constant rounds, so there is no lockstep pass to
-    // stage plans for — each lane dispatches as soon as it is planned.
-    let mut memo_key: Option<(u64, u64)> = None;
-    let mut memo = CachedBinomial {
-        plan: DrawPlan::Done(0),
-    };
-    for &(lane, n, p) in jobs {
-        let key = (n, p.to_bits());
-        if memo_key != Some(key) {
-            memo = CachedBinomial::new(n, p);
-            memo_key = Some(key);
-        }
-        scratch.dispatch(&mut rngs[lane as usize], lane, &memo.plan, out);
-    }
-    scratch.flush(out);
+    let u = (1.0 - u).max(f64::MIN_POSITIVE); // uniform in (0, 1]
+    let t = (-2.0 * n as f64 * pmath::ln(u)).sqrt().ceil();
+    (t as u64).clamp(2, n)
 }
 
 // ---------------------------------------------------------------------------
@@ -1605,7 +1107,7 @@ pub fn binomial_lanes(
 /// Built once per nondeterministic pair by
 /// [`CompiledProtocol`](crate::CompiledProtocol) and shared by both
 /// engines, so the candidate-split streams stay bit-identical between the
-/// scalar and lane-batched paths by construction.
+/// two engines by construction.
 #[derive(Debug, Clone)]
 pub struct AliasTable {
     /// Scaled acceptance probability of each column.
@@ -1820,39 +1322,6 @@ impl BirthdaySampler {
         }
     }
 
-    /// Draws a collision time for every listed lane, writing `out[lane]` —
-    /// bit-identical to per-lane [`BirthdaySampler::draw`] calls.  In
-    /// approximate mode the Rayleigh transform runs as one packed pass.
-    pub fn draw_lanes(
-        &self,
-        rngs: &mut [StdRng],
-        lanes: &[u32],
-        out: &mut [u64],
-        scratch: &mut LaneDrawScratch,
-    ) {
-        match &self.survival {
-            Some(_) => {
-                // Exact mode: the binary search is already cheap and
-                // table-backed; nothing to batch.
-                for &k in lanes {
-                    out[k as usize] = self.draw(&mut rngs[k as usize]);
-                }
-            }
-            None => {
-                scratch.fa.clear();
-                for &k in lanes {
-                    scratch.fa.push(rngs[k as usize].gen_range(0.0..1.0));
-                }
-                for u in scratch.fa.iter_mut() {
-                    *u = rayleigh_from_uniform(self.n, *u);
-                }
-                for (&k, &t) in lanes.iter().zip(&scratch.fa) {
-                    out[k as usize] = (t as u64).clamp(2, self.n);
-                }
-            }
-        }
-    }
-
     /// Whether this sampler uses the exact tabulated CDF.
     pub fn is_exact(&self) -> bool {
         self.survival.is_some()
@@ -1946,96 +1415,6 @@ mod tests {
             let k = hypergeometric(&mut rng, total, successes, draws);
             assert!(k <= draws && k <= successes);
             assert!(k + (total - successes) >= draws, "too few failures drawn");
-        }
-    }
-
-    #[test]
-    fn lane_batched_hypergeometric_is_bit_identical_to_scalar() {
-        // The core contract of the plan/leaf split: one lane-batched job
-        // consumes the lane's RNG and produces its value exactly like a
-        // scalar call — across every leaf path (urn, HRUA rejection, and
-        // the RNG-free Done short-circuits).
-        let mut meta = StdRng::seed_from_u64(0xD1CE);
-        let mut scratch = LaneDrawScratch::default();
-        for case in 0..4_000u64 {
-            let total: u64 = match case % 4 {
-                0 => meta.gen_range(2..100u64),              // urn / small support
-                1 => meta.gen_range(100..8192u64),           // urn + HRUA in the table
-                2 => meta.gen_range(8193..100_000u64),       // HRUA beyond the table
-                _ => meta.gen_range(100_000..10_000_000u64), // HRUA, huge totals
-            };
-            let successes = meta.gen_range(0..=total);
-            let draws = meta.gen_range(0..=total);
-            let seed = meta.gen_range(0..u64::MAX);
-            let mut scalar_rng = StdRng::seed_from_u64(seed);
-            let expected = hypergeometric(&mut scalar_rng, total, successes, draws);
-            let mut lane_rngs = vec![StdRng::seed_from_u64(seed)];
-            let mut out = [0u64; 1];
-            hypergeometric_lanes(
-                &mut lane_rngs,
-                &[(0, total, successes, draws)],
-                &mut out,
-                &mut scratch,
-            );
-            assert_eq!(
-                out[0], expected,
-                "value (t={total}, s={successes}, d={draws})"
-            );
-            assert_eq!(
-                lane_rngs[0].next_u64(),
-                scalar_rng.next_u64(),
-                "RNG stream position (t={total}, s={successes}, d={draws})"
-            );
-        }
-    }
-
-    #[test]
-    fn lane_batched_binomial_is_bit_identical_to_scalar() {
-        let mut meta = StdRng::seed_from_u64(0xB1B0);
-        let mut scratch = LaneDrawScratch::default();
-        for _ in 0..4_000 {
-            let n = meta.gen_range(0..5_000u64);
-            let p = meta.gen_range(0.0..1.0f64);
-            let seed = meta.gen_range(0..u64::MAX);
-            let mut scalar_rng = StdRng::seed_from_u64(seed);
-            let expected = binomial(&mut scalar_rng, n, p);
-            let mut lane_rngs = vec![StdRng::seed_from_u64(seed)];
-            let mut out = [0u64; 1];
-            binomial_lanes(&mut lane_rngs, &[(0, n, p)], &mut out, &mut scratch);
-            assert_eq!(out[0], expected, "value (n={n}, p={p})");
-            assert_eq!(
-                lane_rngs[0].next_u64(),
-                scalar_rng.next_u64(),
-                "RNG stream position (n={n}, p={p})"
-            );
-        }
-    }
-
-    #[test]
-    fn lane_batched_sites_handle_many_lanes_with_mixed_paths() {
-        // One call mixing all leaf kinds across lanes must write every
-        // lane's slot and leave every lane's RNG where scalar calls would.
-        let mut scratch = LaneDrawScratch::default();
-        let params: Vec<(u32, u64, u64, u64)> = vec![
-            (0, 50, 20, 3),                  // urn (draws ≤ URN_MAX_DRAWS)
-            (1, 4_000, 1_500, 900),          // HRUA, wide spread
-            (2, 100_000, 40_000, 500),       // HRUA (total beyond the table)
-            (3, 4_000, 1_500, 50),           // HRUA, narrow spread
-            (4, 1_000_000, 600_000, 90_000), // HRUA, huge total
-            (5, 77, 0, 30),                  // Done
-        ];
-        let mut lane_rngs: Vec<StdRng> = (0..6).map(|i| StdRng::seed_from_u64(900 + i)).collect();
-        let mut out = [0u64; 6];
-        hypergeometric_lanes(&mut lane_rngs, &params, &mut out, &mut scratch);
-        for &(lane, t, s, d) in &params {
-            let mut solo = StdRng::seed_from_u64(900 + lane as u64);
-            let expected = hypergeometric(&mut solo, t, s, d);
-            assert_eq!(out[lane as usize], expected, "lane {lane}");
-            assert_eq!(
-                lane_rngs[lane as usize].next_u64(),
-                solo.next_u64(),
-                "stream of lane {lane}"
-            );
         }
     }
 
@@ -2706,7 +2085,7 @@ mod tests {
     #[test]
     fn split_candidates_consumes_no_rng_in_trivial_cases() {
         // m = 0 and c = 1 must leave the stream untouched — the engines
-        // rely on this to keep scalar/lane streams aligned.
+        // rely on this to keep their streams aligned.
         let mut out = [0u64; 3];
         for (m, table) in [(0u64, AliasTable::uniform(3)), (99, AliasTable::uniform(1))] {
             let mut a = StdRng::seed_from_u64(59);
@@ -2834,32 +2213,6 @@ mod tests {
             sampler.draw(&mut a);
             let _: f64 = b.gen_range(0.0..1.0);
             assert_eq!(a.next_u64(), b.next_u64(), "exact={exact}");
-        }
-    }
-
-    #[test]
-    fn lane_batched_birthday_matches_scalar_draws() {
-        let mut scratch = LaneDrawScratch::default();
-        for (n, exact) in [(4_096u64, true), (1_000_000, false)] {
-            let sampler = BirthdaySampler::new(n, exact);
-            let mut lane_rngs: Vec<StdRng> =
-                (0..8).map(|i| StdRng::seed_from_u64(70 + i)).collect();
-            let lanes: Vec<u32> = (0..8).collect();
-            let mut out = [0u64; 8];
-            sampler.draw_lanes(&mut lane_rngs, &lanes, &mut out, &mut scratch);
-            for lane in 0..8u64 {
-                let mut solo = StdRng::seed_from_u64(70 + lane);
-                assert_eq!(
-                    out[lane as usize],
-                    sampler.draw(&mut solo),
-                    "lane {lane} (n={n})"
-                );
-                assert_eq!(
-                    lane_rngs[lane as usize].next_u64(),
-                    solo.next_u64(),
-                    "stream of lane {lane} (n={n})"
-                );
-            }
         }
     }
 

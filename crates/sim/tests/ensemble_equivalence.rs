@@ -70,28 +70,42 @@ fn assert_lane_matches(ens: &EnsembleSimulator, lane: usize, solo: &BatchedSimul
 
 #[test]
 fn lanes_are_bit_identical_to_solo_runs_on_random_protocols() {
+    // Three populations, one per sampler regime: n = 2 000 (exact birthday
+    // table, every `ln k!` in the dense table), n = 300 000 (past the
+    // 2^17 exact-birthday bound: Rayleigh batch lengths) and n = 3 000 000
+    // (past the ~2.1e6 log-factorial table).  At n = 3 000 000 the input is
+    // split 5:1 so the first initiator/responder split draw already needs
+    // `ln 2 500 000!` and takes the Stirling kernel.
     let mut rng = StdRng::seed_from_u64(0xE15E_AB1E);
     for proto_tag in 0..5u64 {
         let p = random_protocol(&mut rng, proto_tag);
-        let input = Input::from_counts(vec![1_200, 800]);
-        let ic = p.initial_config(&input);
-        for k in [1usize, 3, 64] {
-            let seeds: Vec<u64> = (0..k as u64).map(|i| 1_000 * proto_tag + i).collect();
-            let mut ens = EnsembleSimulator::new(p.clone(), ic.clone(), &seeds);
-            let mut solos: Vec<BatchedSimulator> = seeds
-                .iter()
-                .map(|&s| BatchedSimulator::new(p.clone(), ic.clone(), s))
-                .collect();
-            for round in 0..4 {
-                ens.advance_uniform(15_000);
-                for (lane, solo) in solos.iter_mut().enumerate() {
-                    solo.advance(15_000);
-                    assert_lane_matches(
-                        &ens,
-                        lane,
-                        solo,
-                        &format!("protocol {proto_tag}, K={k}, lane {lane}, round {round}"),
-                    );
+        for counts in [
+            vec![1_200, 800],
+            vec![180_000, 120_000],
+            vec![2_500_000, 500_000],
+        ] {
+            let n: u64 = counts.iter().sum();
+            let ic = p.initial_config(&Input::from_counts(counts));
+            for k in [1usize, 3, 64] {
+                let seeds: Vec<u64> = (0..k as u64).map(|i| 1_000 * proto_tag + i).collect();
+                let mut ens = EnsembleSimulator::new(p.clone(), ic.clone(), &seeds);
+                let mut solos: Vec<BatchedSimulator> = seeds
+                    .iter()
+                    .map(|&s| BatchedSimulator::new(p.clone(), ic.clone(), s))
+                    .collect();
+                for round in 0..4 {
+                    ens.advance_uniform(15_000);
+                    for (lane, solo) in solos.iter_mut().enumerate() {
+                        solo.advance(15_000);
+                        assert_lane_matches(
+                            &ens,
+                            lane,
+                            solo,
+                            &format!(
+                                "protocol {proto_tag}, n={n}, K={k}, lane {lane}, round {round}"
+                            ),
+                        );
+                    }
                 }
             }
         }
