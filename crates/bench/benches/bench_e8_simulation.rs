@@ -36,8 +36,8 @@ use popproto::experiments::experiment_e8;
 use popproto::report::render_e8;
 use popproto_model::{Config, Input, Pair, Protocol};
 use popproto_sim::{
-    fused_delta_apply, fused_delta_apply_same, run_until_convergence, BatchedSimulator,
-    ConvergenceCriterion, EnsembleSimulator, SimulationEngine, Simulator,
+    run_until_convergence, BatchedSimulator, ConvergenceCriterion, EnsembleSimulator,
+    SimulationEngine, Simulator,
 };
 use popproto_zoo::{approximate_majority, binary_counter};
 use rand::rngs::StdRng;
@@ -177,28 +177,6 @@ fn bench_engine_comparison(c: &mut Criterion) {
     group.finish();
 }
 
-/// Throughput of the ensemble engine's inner kernel: the branch-free
-/// slice-arithmetic delta apply over the lane dimension.  Divide the
-/// reported time per iteration by the lane count for per-lane cost; a
-/// scalar (non-packed) u64 loop on this hardware sustains well under 1
-/// lane/ns, so multi-lane/ns throughput is the vectorisation witness.
-fn bench_fused_delta_apply(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e8_fused_delta_apply");
-    for lanes in [256usize, 4096] {
-        let mut lo = vec![1_000u64; lanes];
-        let mut hi = vec![1_000u64; lanes];
-        let mut row = vec![1_000u64; lanes];
-        let m = vec![1u64; lanes];
-        group.bench_with_input(BenchmarkId::new("two_rows", lanes), &lanes, |b, _| {
-            b.iter(|| fused_delta_apply(&mut lo, &mut hi, &m))
-        });
-        group.bench_with_input(BenchmarkId::new("same_row", lanes), &lanes, |b, _| {
-            b.iter(|| fused_delta_apply_same(&mut row, &m))
-        });
-    }
-    group.finish();
-}
-
 /// Single-shot wall-clock measurements written to BENCH_sim.json.
 fn emit_bench_json(_c: &mut Criterion) {
     let p = approximate_majority();
@@ -314,11 +292,10 @@ fn emit_bench_json(_c: &mut Criterion) {
     // both sides simulate bit-identical trajectories).  Interleaved min-of-2
     // reps filter scheduler noise on the shared benchmark host; a short
     // warm-up advance precedes each timed window so one-time setup (plan
-    // tables, allocation) is excluded.  Since the O(1)-expected rejection
-    // samplers (HRUA/BTRS) replaced the data-dependent walks in the pairing
-    // pass, the per-lane sampler cost no longer grows with sd = Θ(n^¼), so
-    // the ensemble's edge at n = 10⁶ reflects table-pass amortisation
-    // rather than being capped by serial walk time.  `host_cpus` and
+    // tables, allocation) is excluded.  Every ensemble lane runs the solo
+    // engine's own batch phases, so the two sides do the same sampling
+    // work, and the ensemble only shares one compiled protocol, birthday
+    // sampler and wave loop across its lanes.  `host_cpus` and
     // `time_sliced` record whether the host could actually run anything in
     // parallel — on a single-core container every speedup here is a
     // time-sliced measurement, not a parallel one.
@@ -630,11 +607,5 @@ fn emit_bench_json(_c: &mut Criterion) {
     println!("[E8] wrote {path}");
 }
 
-criterion_group!(
-    benches,
-    bench_e8,
-    bench_engine_comparison,
-    bench_fused_delta_apply,
-    emit_bench_json
-);
+criterion_group!(benches, bench_e8, bench_engine_comparison, emit_bench_json);
 criterion_main!(benches);

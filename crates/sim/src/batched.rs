@@ -37,19 +37,27 @@
 //! both agents from the post-batch counts instead of reusing the one
 //! repeated agent.  For small populations (`n < 256`) the engine bypasses
 //! batching entirely and takes exact sequential steps.
+//!
+//! # One batch, two engines
+//!
+//! Steps 1–5 are written once, as the phase methods of the crate-private
+//! `Lane` (one trajectory's RNG and counters) over state shared by every
+//! trajectory of the protocol.  [`BatchedSimulator`] runs one lane;
+//! [`EnsembleSimulator`](crate::EnsembleSimulator) runs many, phase by
+//! phase across its lanes.
 
 use crate::compiled::CompiledProtocol;
 use crate::engine_api::SimulationEngine;
-use crate::sampling::{multivariate_hypergeometric, split_candidates_uniform, BirthdaySampler};
+use crate::sampling::{
+    hypergeometric, multivariate_hypergeometric, split_candidates_uniform, BirthdaySampler,
+};
 use popproto_model::{Config, Output, Protocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Populations below this size are simulated with exact sequential steps;
 /// batching only pays off once √n clears the O(|Q|²) per-batch overhead.
-/// The ensemble engine classifies its lanes with this same constant, which
-/// keeps lane-level bit-equivalence across the threshold.
-pub(crate) const MIN_BATCHED_POPULATION: u64 = 256;
+const MIN_BATCHED_POPULATION: u64 = 256;
 
 /// Crossover between the exact tabulated birthday-collision sampler and the
 /// Rayleigh approximation.
@@ -62,13 +70,247 @@ pub(crate) const MIN_BATCHED_POPULATION: u64 = 256;
 /// per simulator, negligible against a single batch.  Beyond `2¹⁷` the bias
 /// (< 0.3 % of a batch length, and only in the batch-*length* distribution,
 /// never in the pairing itself) is far below Monte-Carlo noise, so the
-/// approximation takes over.  Both engines (scalar and ensemble) share this
-/// constant, which keeps lane-level bit-equivalence across the crossover.
-pub(crate) const BIRTHDAY_EXACT_MAX_POPULATION: u64 = 1 << 17;
+/// approximation takes over.
+const BIRTHDAY_EXACT_MAX_POPULATION: u64 = 1 << 17;
 
-/// Builds the birthday sampler both engines use for population `n`.
-pub(crate) fn birthday_sampler_for(n: u64) -> BirthdaySampler {
-    BirthdaySampler::new(n, n <= BIRTHDAY_EXACT_MAX_POPULATION)
+/// The parts of a batched run that every trajectory of one protocol and
+/// population shares: the compiled tables, the birthday sampler and the
+/// candidate-split scratch.  An [`EnsembleSimulator`] holds one `Shared`
+/// for all its lanes; a [`BatchedSimulator`] holds one for its single lane.
+///
+/// [`EnsembleSimulator`]: crate::EnsembleSimulator
+#[derive(Debug, Clone)]
+pub(crate) struct Shared {
+    pub(crate) protocol: Protocol,
+    pub(crate) compiled: CompiledProtocol,
+    pub(crate) population: u64,
+    birthday: BirthdaySampler,
+    /// Candidate-split scratch, sized to the widest nondeterministic pair.
+    shares: Vec<u64>,
+}
+
+impl Shared {
+    /// Compiles `protocol` for runs from configurations the size of
+    /// `initial`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the initial configuration holds fewer than two agents.
+    pub(crate) fn new(protocol: Protocol, initial: &Config) -> Self {
+        let population = initial.size();
+        assert!(
+            population >= 2,
+            "population protocols require at least two agents"
+        );
+        let compiled = CompiledProtocol::new(&protocol);
+        let q = protocol.num_states();
+        let max_candidates = (0..q * (q + 1) / 2)
+            .map(|p| compiled.candidates(p).len())
+            .max()
+            .unwrap_or(0);
+        Shared {
+            protocol,
+            compiled,
+            population,
+            birthday: BirthdaySampler::new(population, population <= BIRTHDAY_EXACT_MAX_POPULATION),
+            shares: vec![0; max_candidates],
+        }
+    }
+
+    /// Words per lane cell: `counts | initiators | responders`.
+    pub(crate) fn cell_len(&self) -> usize {
+        3 * self.compiled.num_states()
+    }
+
+    /// A fresh cell holding `initial`'s counts.
+    pub(crate) fn cell(&self, initial: &Config) -> Vec<u64> {
+        let mut cell = vec![0; self.cell_len()];
+        cell[..initial.counts().len()].copy_from_slice(initial.counts());
+        cell
+    }
+}
+
+/// One trajectory's own state: its RNG stream and counters.  The lane's
+/// configuration lives in a *cell* of `3·|Q|` words owned by the caller,
+/// `counts | initiators | responders`, so a lane holds no heap memory.
+///
+/// A batch is four phases, each a method: [`plan`](Self::plan),
+/// [`split`](Self::split), [`pair`](Self::pair) and the collision's
+/// [`sequential_step`](Self::sequential_step).  Both batched engines run
+/// exactly these, so lane `i` of an ensemble and a solo run with seed `i`
+/// consume one RNG stream in one order.
+#[derive(Debug, Clone)]
+pub(crate) struct Lane {
+    rng: StdRng,
+    pub(crate) interactions: u64,
+    pub(crate) effective_interactions: u64,
+}
+
+impl Lane {
+    pub(crate) fn new(seed: u64) -> Self {
+        Lane {
+            rng: StdRng::seed_from_u64(seed),
+            interactions: 0,
+            effective_interactions: 0,
+        }
+    }
+
+    /// Step 1: the batch length for a remaining budget of `budget > 0`
+    /// interactions, from one birthday draw (exact tabulated CDF up to
+    /// [`BIRTHDAY_EXACT_MAX_POPULATION`], Rayleigh beyond).  0 means one
+    /// exact sequential step instead: small populations and tiny budgets
+    /// skip the draw.  The final interaction of a batch is reserved for the
+    /// collision step, and a batch never uses more than the n agents.
+    pub(crate) fn plan(&mut self, shared: &Shared, budget: u64) -> u64 {
+        debug_assert!(budget > 0);
+        let n = shared.population;
+        if n < MIN_BATCHED_POPULATION || budget < 4 {
+            return 0;
+        }
+        let draws = shared.birthday.draw(&mut self.rng);
+        (draws.saturating_sub(1) / 2).min(budget - 1).min(n / 2)
+    }
+
+    /// Step 2: draws the `l` initiators, then the `l` responders, without
+    /// replacement, and removes all 2·l participants from the counts; each
+    /// pair's outcome is added back by [`pair`](Self::pair).  These chain
+    /// draws have totals of order n (unlike the √n-length pairing draws),
+    /// so their HRUA log-factorials come from the two-level table in
+    /// `sampling` up to populations ≈ 2²¹ and from the Stirling kernel
+    /// beyond.
+    pub(crate) fn split(&mut self, cell: &mut [u64], l: u64) {
+        let (counts, rest) = cell.split_at_mut(cell.len() / 3);
+        let (initiators, responders) = rest.split_at_mut(counts.len());
+        multivariate_hypergeometric(&mut self.rng, counts, l, initiators);
+        for (c, ini) in counts.iter_mut().zip(initiators.iter()) {
+            *c -= ini;
+        }
+        multivariate_hypergeometric(&mut self.rng, counts, l, responders);
+        for (c, resp) in counts.iter_mut().zip(responders.iter()) {
+            *c -= resp;
+        }
+    }
+
+    /// Steps 3 and 4: pairs the split's initiators with its responders
+    /// state by state and applies the `l` interactions as count deltas.
+    pub(crate) fn pair(&mut self, shared: &mut Shared, cell: &mut [u64], l: u64) {
+        let (counts, rest) = cell.split_at_mut(cell.len() / 3);
+        let (initiators, responders) = rest.split_at_mut(counts.len());
+        let mut responders_left = l;
+        for (a, &ini) in initiators.iter().enumerate() {
+            let mut need = ini;
+            if need == 0 {
+                continue;
+            }
+            let mut pool = responders_left;
+            for (b, resp) in responders.iter_mut().enumerate() {
+                if need == 0 {
+                    break;
+                }
+                let available = *resp;
+                if available == 0 {
+                    continue;
+                }
+                // Conditional allocation of initiator-a interactions to
+                // responder state b.
+                let m = hypergeometric(&mut self.rng, pool, available, need);
+                pool -= available;
+                if m > 0 {
+                    *resp -= m;
+                    responders_left -= m;
+                    need -= m;
+                    self.apply_pair(shared, counts, a, b, m);
+                }
+            }
+            debug_assert_eq!(need, 0);
+        }
+        self.interactions += l;
+    }
+
+    /// Applies `m` interactions of the ordered state pair `(a, b)`, whose
+    /// agents have been removed from `counts`, splitting across candidate
+    /// transitions where the protocol is nondeterministic.
+    fn apply_pair(&mut self, shared: &mut Shared, counts: &mut [u64], a: usize, b: usize, m: u64) {
+        let compiled = &shared.compiled;
+        let pidx = compiled.pair_index_of(a, b);
+        match compiled.candidates(pidx) {
+            // No transition: the agents return to their states.
+            [] => {
+                counts[a] += m;
+                counts[b] += m;
+            }
+            &[t] => self.fire(compiled, counts, t, (a, b), m),
+            candidates => {
+                let alias = compiled
+                    .candidate_alias(pidx)
+                    .expect("nondeterministic pair has a cached alias table");
+                split_candidates_uniform(&mut self.rng, m, alias, &mut shared.shares);
+                for (&t, &share) in candidates.iter().zip(&shared.shares) {
+                    if share > 0 {
+                        self.fire(compiled, counts, t, (a, b), share);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fires transition `t` `times` times on pairs in states `pre`.
+    fn fire(
+        &mut self,
+        compiled: &CompiledProtocol,
+        counts: &mut [u64],
+        t: u32,
+        pre: (usize, usize),
+        times: u64,
+    ) {
+        let (x, y) = if compiled.is_non_silent(t) {
+            self.effective_interactions += times;
+            compiled.post(t)
+        } else {
+            pre
+        };
+        counts[x] += times;
+        counts[y] += times;
+    }
+
+    /// Step 5, and the whole step for small populations and tiny budgets:
+    /// one exact sequential interaction on the cell's counts.
+    pub(crate) fn sequential_step(&mut self, shared: &Shared, cell: &mut [u64]) {
+        let counts = &mut cell[..shared.compiled.num_states()];
+        self.interactions += 1;
+        let n = shared.population;
+        // First agent.
+        let mut pos = self.rng.gen_range(0..n);
+        let mut a = 0usize;
+        for (q, &c) in counts.iter().enumerate() {
+            if pos < c {
+                a = q;
+                break;
+            }
+            pos -= c;
+        }
+        // Second agent among the remaining n-1.
+        let mut pos = self.rng.gen_range(0..n - 1);
+        let mut b = 0usize;
+        for (q, &c) in counts.iter().enumerate() {
+            let available = if q == a { c - 1 } else { c };
+            if pos < available {
+                b = q;
+                break;
+            }
+            pos -= available;
+        }
+        let compiled = &shared.compiled;
+        let t = match compiled.candidates(compiled.pair_index_of(a, b)) {
+            [] => return,
+            &[t] => t,
+            candidates => candidates[self.rng.gen_range(0..candidates.len())],
+        };
+        if compiled.is_non_silent(t) {
+            compiled.delta(t).apply(counts);
+            self.effective_interactions += 1;
+        }
+    }
 }
 
 /// A batched stochastic simulator for a population protocol.
@@ -90,20 +332,10 @@ pub(crate) fn birthday_sampler_for(n: u64) -> BirthdaySampler {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchedSimulator {
-    protocol: Protocol,
-    compiled: CompiledProtocol,
-    counts: Vec<u64>,
-    population: u64,
-    rng: StdRng,
-    birthday: BirthdaySampler,
-    interactions: u64,
-    effective_interactions: u64,
-    // Scratch buffers, reused across batches to avoid allocation.
-    initiators: Vec<u64>,
-    responders: Vec<u64>,
-    remaining: Vec<u64>,
-    /// Candidate-split scratch, sized to the widest nondeterministic pair.
-    shares: Vec<u64>,
+    shared: Shared,
+    lane: Lane,
+    /// `counts | initiators | responders` (see [`Lane`]).
+    cell: Vec<u64>,
 }
 
 impl BatchedSimulator {
@@ -114,257 +346,67 @@ impl BatchedSimulator {
     ///
     /// Panics if the initial configuration holds fewer than two agents.
     pub fn new(protocol: Protocol, initial: Config, seed: u64) -> Self {
-        let population = initial.size();
-        assert!(
-            population >= 2,
-            "population protocols require at least two agents"
-        );
-        let compiled = CompiledProtocol::new(&protocol);
-        let q = protocol.num_states();
-        let max_candidates = (0..q * (q + 1) / 2)
-            .map(|p| compiled.candidates(p).len())
-            .max()
-            .unwrap_or(0);
+        let shared = Shared::new(protocol, &initial);
+        let cell = shared.cell(&initial);
         BatchedSimulator {
-            protocol,
-            compiled,
-            counts: initial.counts().to_vec(),
-            population,
-            rng: StdRng::seed_from_u64(seed),
-            birthday: birthday_sampler_for(population),
-            interactions: 0,
-            effective_interactions: 0,
-            initiators: vec![0; q],
-            responders: vec![0; q],
-            remaining: vec![0; q],
-            shares: vec![0; max_candidates],
+            shared,
+            lane: Lane::new(seed),
+            cell,
         }
     }
 
     /// The current per-state counts.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Runs one batch (or one exact sequential step for small populations /
-    /// small remaining budgets).  Returns the number of interactions
-    /// simulated, at most `budget`.  Must not be called on a silent
-    /// configuration.
-    fn batch(&mut self, budget: u64) -> u64 {
-        debug_assert!(budget > 0);
-        let n = self.population;
-        if n < MIN_BATCHED_POPULATION || budget < 4 {
-            self.sequential_step();
-            return 1;
-        }
-        // 1. Interactions until the first agent repeat (exact tabulated CDF
-        // up to BIRTHDAY_EXACT_MAX_POPULATION, Rayleigh beyond).
-        let draws = self.birthday.draw(&mut self.rng);
-        // Reserve the final interaction of the batch for the exact collision
-        // step, and never use more than the n available agents.
-        let l = ((draws.saturating_sub(1)) / 2).min(budget - 1).min(n / 2);
-        if l == 0 {
-            self.sequential_step();
-            return 1;
-        }
-
-        // 2. Draw initiators, then responders, without replacement.  These
-        // chain draws have totals of order n (unlike the √n-length pairing
-        // draws below), so their HRUA log-factorials are served by the
-        // two-level table in `sampling` up to populations ≈ 2²¹ and by the
-        // Stirling kernel beyond — the same crossover the ensemble's split
-        // phases use, keeping lane-level bit-equivalence.
-        multivariate_hypergeometric(&mut self.rng, &self.counts, l, &mut self.initiators);
-        for (rem, (c, ini)) in self
-            .remaining
-            .iter_mut()
-            .zip(self.counts.iter().zip(&self.initiators))
-        {
-            *rem = c - ini;
-        }
-        multivariate_hypergeometric(&mut self.rng, &self.remaining, l, &mut self.responders);
-
-        // Remove all 2·l batch participants from the configuration; each
-        // pair's outcome (or the pair itself, for no-op interactions) is
-        // added back in step 4.
-        for ((c, ini), resp) in self
-            .counts
-            .iter_mut()
-            .zip(&self.initiators)
-            .zip(&self.responders)
-        {
-            *c -= ini + resp;
-        }
-
-        // 3.+4. Pair initiators with responders state by state and apply the
-        // interactions as count deltas.
-        let num_states = self.compiled.num_states();
-        let mut responders_left = l;
-        for a in 0..num_states {
-            let mut need = self.initiators[a];
-            if need == 0 {
-                continue;
-            }
-            let mut pool = responders_left;
-            for b in 0..num_states {
-                if need == 0 {
-                    break;
-                }
-                let available = self.responders[b];
-                if available == 0 {
-                    continue;
-                }
-                // Conditional allocation of initiator-a interactions to
-                // responder state b.
-                let m = crate::sampling::hypergeometric(&mut self.rng, pool, available, need);
-                pool -= available;
-                if m > 0 {
-                    self.responders[b] -= m;
-                    responders_left -= m;
-                    need -= m;
-                    self.apply_pair_interactions(a, b, m);
-                }
-            }
-            debug_assert_eq!(need, 0);
-        }
-        self.interactions += l;
-
-        // 5. The colliding interaction, as an exact sequential step.
-        self.sequential_step();
-        l + 1
-    }
-
-    /// Applies `m` interactions of the ordered state pair `(a, b)` as count
-    /// deltas, splitting across candidate transitions where necessary.
-    fn apply_pair_interactions(&mut self, a: usize, b: usize, m: u64) {
-        let pidx = self.compiled.pair_index_of(a, b);
-        let candidates = self.compiled.candidates(pidx);
-        match candidates {
-            [] => {
-                // No transition: the interaction is a no-op; return the
-                // agents to their states.
-                self.counts[a] += m;
-                self.counts[b] += m;
-            }
-            [t] => self.apply_transition_times(*t, a, b, m),
-            _ => {
-                // Nondeterministic pair: split m uniformly across the
-                // candidates via the canonical alias/binomial-chain split
-                // (the same stream the ensemble engine consumes).
-                let k = candidates.len();
-                let mut shares = std::mem::take(&mut self.shares);
-                let alias = self
-                    .compiled
-                    .candidate_alias(pidx)
-                    .expect("nondeterministic pair has a cached alias table");
-                split_candidates_uniform(&mut self.rng, m, alias, &mut shares);
-                for (i, &share) in shares.iter().enumerate().take(k) {
-                    if share > 0 {
-                        let t = self.compiled.candidates(pidx)[i];
-                        self.apply_transition_times(t, a, b, share);
-                    }
-                }
-                self.shares = shares;
-            }
-        }
-    }
-
-    /// Applies transition `t` to `times` interacting pairs whose agents have
-    /// already been removed from `counts`.
-    fn apply_transition_times(&mut self, t: u32, a: usize, b: usize, times: u64) {
-        if self.compiled.is_non_silent(t) {
-            let (lo, hi) = self.compiled.post(t);
-            self.counts[lo] += times;
-            self.counts[hi] += times;
-            self.effective_interactions += times;
-        } else {
-            self.counts[a] += times;
-            self.counts[b] += times;
-        }
-    }
-
-    /// One exact sequential interaction on the counts vector (used for small
-    /// populations, tiny budgets and the per-batch collision step).
-    fn sequential_step(&mut self) {
-        self.interactions += 1;
-        let n = self.population;
-        // First agent.
-        let mut pos = self.rng.gen_range(0..n);
-        let mut a = 0usize;
-        for (q, &c) in self.counts.iter().enumerate() {
-            if pos < c {
-                a = q;
-                break;
-            }
-            pos -= c;
-        }
-        // Second agent among the remaining n-1.
-        let mut pos = self.rng.gen_range(0..n - 1);
-        let mut b = 0usize;
-        for (q, &c) in self.counts.iter().enumerate() {
-            let available = if q == a { c - 1 } else { c };
-            if pos < available {
-                b = q;
-                break;
-            }
-            pos -= available;
-        }
-        let pidx = self.compiled.pair_index_of(a, b);
-        let candidates = self.compiled.candidates(pidx);
-        let t = match candidates {
-            [] => return,
-            [t] => *t,
-            _ => candidates[self.rng.gen_range(0..candidates.len())],
-        };
-        if self.compiled.is_non_silent(t) {
-            self.compiled.delta(t).apply(&mut self.counts);
-            self.effective_interactions += 1;
-        }
+        &self.cell[..self.shared.compiled.num_states()]
     }
 }
 
 impl SimulationEngine for BatchedSimulator {
     fn protocol(&self) -> &Protocol {
-        &self.protocol
+        &self.shared.protocol
     }
 
     fn population(&self) -> u64 {
-        self.population
+        self.shared.population
     }
 
     fn interactions(&self) -> u64 {
-        self.interactions
+        self.lane.interactions
     }
 
     fn effective_interactions(&self) -> u64 {
-        self.effective_interactions
+        self.lane.effective_interactions
     }
 
     fn is_silent(&self) -> bool {
-        self.compiled.is_silent_counts(&self.counts)
+        self.shared.compiled.is_silent_counts(self.counts())
     }
 
     fn current_output(&self) -> Option<Output> {
-        self.protocol.output(&self.snapshot())
+        self.shared.protocol.output(&self.snapshot())
     }
 
     fn snapshot(&self) -> Config {
-        Config::from_counts(self.counts.clone())
+        Config::from_counts(self.counts().to_vec())
     }
 
     fn advance(&mut self, max_interactions: u64) -> u64 {
         let mut done = 0;
-        while done < max_interactions {
-            if self.is_silent() {
-                break;
+        while done < max_interactions && !self.is_silent() {
+            let l = self.lane.plan(&self.shared, max_interactions - done);
+            if l > 0 {
+                self.lane.split(&mut self.cell, l);
+                self.lane.pair(&mut self.shared, &mut self.cell, l);
+                done += l;
             }
-            done += self.batch(max_interactions - done);
+            self.lane.sequential_step(&self.shared, &mut self.cell);
+            done += 1;
         }
         done
     }
 
     fn check_granularity(&self) -> u64 {
-        (self.population / 2).max(1)
+        (self.shared.population / 2).max(1)
     }
 }
 

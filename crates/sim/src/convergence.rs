@@ -148,7 +148,7 @@ pub fn run_until_convergence<E: SimulationEngine>(
 /// driver would, finalises and retires the lanes that are done (compacting
 /// the ensemble, so later waves only pay for live trajectories), and
 /// advances the survivors by their per-lane chunk budgets in lockstep.
-/// Because lane RNG streams never mix and retirement only moves columns,
+/// Because lane RNG streams never mix and retirement only moves cells,
 /// every lane's outcome is identical to running
 /// `run_until_convergence(&mut BatchedSimulator::new(p, ic, seed), ..)`
 /// with that lane's seed — `tests/ensemble_equivalence.rs` pins this.
@@ -200,7 +200,7 @@ pub fn run_ensemble_until_convergence_observed<F: FnMut(&EnsembleProgress)>(
     let mut outcomes: Vec<Option<ConvergenceOutcome>> = vec![None; total];
     // Indexed by original lane id, so it survives compaction.
     let mut consensus_since: Vec<Option<u64>> = vec![None; total];
-    // Interactions banked by retired lanes (their columns are gone, but
+    // Interactions banked by retired lanes (their cells are gone, but
     // the progress reports still count them).
     let mut retired_interactions = 0u64;
 
@@ -308,6 +308,21 @@ pub fn run_ensemble_until_convergence_observed<F: FnMut(&EnsembleProgress)>(
         .collect()
 }
 
+/// The shard partition of the threads × lanes drivers: `seeds` in at most
+/// `shards` contiguous blocks of `⌈len / shards⌉` seeds, in seed order
+/// (`shards == 0`: one block per worker of the global pool).
+pub(crate) fn shard_blocks(seeds: &[u64], shards: usize) -> Vec<Vec<u64>> {
+    let shards = match shards {
+        0 => popproto_exec::global().workers(),
+        s => s,
+    }
+    .max(1);
+    seeds
+        .chunks(seeds.len().div_ceil(shards).max(1))
+        .map(<[u64]>::to_vec)
+        .collect()
+}
+
 /// Threads × lanes: runs one logical `seeds.len()`-lane ensemble as
 /// `shards` contiguous lane sub-blocks, each a private [`EnsembleSimulator`]
 /// advanced to convergence on the process-wide persistent worker pool
@@ -334,21 +349,14 @@ pub fn run_sharded_ensemble_until_convergence(
     if seeds.is_empty() {
         return Vec::new();
     }
-    let shards = if shards == 0 {
-        popproto_exec::global().workers()
-    } else {
-        shards
-    }
-    .max(1);
-    let chunk = seeds.len().div_ceil(shards);
-    if shards == 1 || chunk == seeds.len() {
+    let blocks = shard_blocks(seeds, shards);
+    if blocks.len() == 1 {
         let mut sim = EnsembleSimulator::new(protocol.clone(), initial.clone(), seeds);
         return run_ensemble_until_convergence(&mut sim, criterion, max_interactions);
     }
     // The pool's jobs are 'static: share the protocol and configuration.
     let protocol = Arc::new(protocol.clone());
     let initial = Arc::new(initial.clone());
-    let blocks: Vec<Vec<u64>> = seeds.chunks(chunk).map(<[u64]>::to_vec).collect();
     let per_block = popproto_exec::global().map(blocks, move |shard, block| {
         let _shard_span = obs::span_with_arg("shard", "shard", shard as u64);
         let mut sim = EnsembleSimulator::new((*protocol).clone(), (*initial).clone(), &block);
@@ -388,14 +396,7 @@ pub fn run_sharded_ensemble_with_heartbeat(
     if seeds.is_empty() {
         return Vec::new();
     }
-    let shards = if shards == 0 {
-        popproto_exec::global().workers()
-    } else {
-        shards
-    }
-    .max(1);
-    let chunk = seeds.len().div_ceil(shards);
-    let blocks: Vec<Vec<u64>> = seeds.chunks(chunk).map(<[u64]>::to_vec).collect();
+    let blocks = shard_blocks(seeds, shards);
     let lanes_total = seeds.len();
     let shard_count = blocks.len();
 

@@ -17,7 +17,7 @@ pub enum EngineKind {
     /// The lockstep ensemble engine
     /// ([`EnsembleSimulator`](crate::EnsembleSimulator)): seeds are
     /// partitioned into blocks of `lanes` trajectories, each block advanced
-    /// in lockstep with one pair-table pass per wave.  Outcomes are
+    /// in lockstep waves of one batch per lane.  Outcomes are
     /// bit-identical to [`EngineKind::Batched`] with the same seeds; only
     /// the throughput differs.
     ///

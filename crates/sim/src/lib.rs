@@ -12,7 +12,7 @@
 //! results quoted in the paper's introduction.
 //!
 //! Two engines implement the common [`SimulationEngine`] trait, and a third
-//! amortises the second across many trajectories:
+//! runs the second's batches for many trajectories in lockstep:
 //!
 //! * [`Simulator`] — **tier 1**, the sequential engine: exact step
 //!   semantics, rebuilt around a [`CompiledProtocol`] (dense pair-transition
@@ -23,10 +23,10 @@
 //!   sampling (ppsim / Berenbrink et al., arXiv:2005.03584), making
 //!   populations of 10⁸–10⁹ agents tractable;
 //! * [`EnsembleSimulator`] — **tier 2, ensemble form**: K independent
-//!   trajectories of one protocol advanced in lockstep waves over a
-//!   structure-of-arrays count matrix, one pair-table pass per wave for all
-//!   lanes, with per-lane RNG streams keeping every lane bit-identical to a
-//!   solo [`BatchedSimulator`] run with the same seed.
+//!   trajectories of one protocol advanced in lockstep waves, each lane
+//!   running the batched engine's own batch phases on its own RNG stream,
+//!   so every lane is bit-identical to a solo [`BatchedSimulator`] run with
+//!   the same seed.
 //!
 //! See `crates/sim/README.md` for when each engine wins and for the
 //! batch-sampling math.
@@ -70,9 +70,7 @@ pub use convergence::{
 };
 pub use engine::Simulator;
 pub use engine_api::SimulationEngine;
-pub use ensemble::{
-    fused_delta_apply, fused_delta_apply_same, EnsembleSimulator, WavePhaseBreakdown,
-};
+pub use ensemble::{EnsembleSimulator, WavePhaseBreakdown};
 pub use runner::{run_experiment, EngineKind, SimulationExperiment};
 pub use sampling::{split_candidates_uniform, AliasTable, CachedBinomial, CachedHypergeometric};
 pub use scheduler::{PairScheduler, UniformScheduler};

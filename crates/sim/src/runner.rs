@@ -2,7 +2,8 @@
 
 use crate::batched::BatchedSimulator;
 use crate::convergence::{
-    run_ensemble_until_convergence, run_until_convergence, ConvergenceCriterion, ConvergenceOutcome,
+    run_ensemble_until_convergence, run_until_convergence, shard_blocks, ConvergenceCriterion,
+    ConvergenceOutcome,
 };
 use crate::engine::Simulator;
 use crate::ensemble::EnsembleSimulator;
@@ -106,19 +107,10 @@ pub fn run_experiment(experiment: &SimulationExperiment) -> ExperimentResult {
     let experiment = Arc::new(experiment.clone());
     let outcomes = match experiment.engine {
         EngineKind::Ensemble { lanes, shards } => {
-            let lanes = lanes.max(1);
-            let shards = if shards == 0 {
-                popproto_exec::global().workers()
-            } else {
-                shards
-            }
-            .max(1);
-            let sub = lanes.div_ceil(shards);
             let blocks: Vec<Vec<u64>> = experiment
                 .seeds
-                .chunks(lanes)
-                .flat_map(|block| block.chunks(sub))
-                .map(<[u64]>::to_vec)
+                .chunks(lanes.max(1))
+                .flat_map(|block| shard_blocks(block, shards))
                 .collect();
             let per_block = popproto_exec::global().map(blocks, move |i, block| {
                 let _span = obs::span_with_arg("seed_block", "block", i as u64);
