@@ -1172,8 +1172,11 @@ mod tests {
         assert_eq!(a, b, "only memo_hits may differ under the quotient");
         // Note: the delta can legitimately be zero on a canonical-orbit
         // prefix (the generator already emits orbit-minimal *candidates*,
-        // which biases restrictions towards their own canonical form); the
-        // measured positive delta at scale lives in `BENCH_bb.json`.
+        // which biases restrictions towards their own canonical form); at
+        // scale it is positive but small: a historical single run over the
+        // first 2^18 candidates of the 4-state space (94,904 canonical
+        // orbits) measured the hit rate at 58.34 % without and 58.58 % with
+        // canonicalization.
     }
 
     #[test]

@@ -252,6 +252,20 @@ mod tests {
     }
 
     #[test]
+    fn three_state_busy_beaver_reproduces_the_published_values() {
+        // The exhaustive BB_det(3) gate: the exact value and the funnel
+        // counts of the whole 3-state space.  With the symbolic pre-filter
+        // on, the unchanged count of confirmed protocols also shows that no
+        // verifying orbit was rejected before exploration.
+        let result = busy_beaver_search(3, 6, u64::MAX, &ExploreLimits::default());
+        assert_eq!(result.best_eta, Some(3), "BB_det(3) changed");
+        assert_eq!(result.threshold_protocols, 46_144);
+        assert_eq!(result.pruned_symmetric, 186_336);
+        assert!(result.is_exact(), "no orbit may be truncated");
+        assert!(result.pruned_symbolic > 0, "the pre-filter never fired");
+    }
+
+    #[test]
     fn enumeration_respects_protocol_cap() {
         let limits = ExploreLimits::default();
         let result = busy_beaver_search(2, 5, 10, &limits);

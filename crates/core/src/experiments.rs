@@ -1,11 +1,11 @@
-//! The experiment drivers E1–E10 behind EXPERIMENTS.md and the benchmark
-//! harness.
+//! The experiment drivers E1–E10 behind EXPERIMENTS.md, plus the E12
+//! `BB_det(4)` prefix search.
 //!
 //! The paper has no tables or figures (it is a theory paper); each experiment
 //! instead makes one of its quantitative claims executable.  Every driver
 //! returns a serialisable report and is exercised both by the integration
-//! tests (small parameters) and by the Criterion benches in
-//! `crates/bench` (larger parameters).
+//! tests (small parameters) and by the `state_complexity_report` example,
+//! which prints every report.
 
 use crate::ackermann_bound::{theorem_4_5_bound, AckermannBound};
 use crate::busy_beaver::{lower_bound_witnesses, BusyBeaverRecord};

@@ -39,7 +39,7 @@
 //! (and never asserted).  A full range processed at any worker count is
 //! therefore **bit-identical** (stats, best η, witness set, funnel) to the
 //! same range processed sequentially, which the property suite in
-//! `crates/bench/tests/parallel_equivalence.rs` pins for worker counts
+//! `crates/core/tests/parallel_equivalence.rs` pins for worker counts
 //! {1, 2, 4, 7}, random segment sizes, and kill/resume across differing
 //! worker counts.
 //!

@@ -20,8 +20,11 @@
 
 use popproto::candidate_pipeline::{PipelineConfig, PipelineStats};
 use popproto::segmented::{SegmentationConfig, SegmentedCheckpoint, SegmentedSearch};
-use popproto_bench::sequential_reference;
 use popproto_reach::ExploreLimits;
+
+#[path = "support/sequential.rs"]
+mod sequential;
+use sequential::sequential_reference;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
 

@@ -1,14 +1,17 @@
 //! Old-vs-new equivalence: the arena/CSR reachability stack, the bitset
 //! stable sets, the profile-based verification and the symmetry-pruned
 //! parallel busy-beaver search must reproduce the seed semantics exactly
-//! (reference implementation: `popproto_bench::naive`).
+//! (reference implementation: `support/naive.rs`).
 
-use popproto::enumeration::{
-    busy_beaver_search, busy_beaver_search_with_threads, verified_threshold,
-};
-use popproto_bench::naive::{
+#[path = "support/naive.rs"]
+mod naive;
+
+use naive::{
     naive_busy_beaver_search, naive_verified_threshold, naive_verify_unary_threshold,
     NaiveReachabilityGraph, NaiveStableSets,
+};
+use popproto::enumeration::{
+    busy_beaver_search, busy_beaver_search_with_threads, verified_threshold,
 };
 use popproto_model::{Output, Protocol, ProtocolBuilder};
 use popproto_reach::{verify_unary_threshold, ExploreLimits, ReachabilityGraph, StableSets};
@@ -90,6 +93,21 @@ fn truncated_explorations_match_the_seed() {
             assert_eq!(*old.config(id), new.config(id as u32), "cap {cap} id {id}");
         }
     }
+}
+
+/// `binary_counter(3)` at input 80 has 411,140 reachable configurations:
+/// the seed's default cap truncates the slice, the current default
+/// explores it to completion.
+#[test]
+fn seed_default_cap_truncates_a_slice_the_current_default_completes() {
+    let p = binary_counter(3);
+    let ic = p.initial_config_unary(80);
+    let seed_limits = ExploreLimits::with_max_configs(ExploreLimits::SEED_DEFAULT_MAX_CONFIGS);
+    let truncated = ReachabilityGraph::explore(&p, std::slice::from_ref(&ic), &seed_limits);
+    assert!(!truncated.is_complete());
+    let full = ReachabilityGraph::explore(&p, &[ic], &ExploreLimits::default());
+    assert!(full.is_complete());
+    assert_eq!(full.len(), 411_140);
 }
 
 #[test]

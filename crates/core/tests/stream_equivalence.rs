@@ -18,8 +18,11 @@ use popproto::candidate_pipeline::PipelineConfig;
 use popproto::enumeration::{busy_beaver_search_with_threads, verified_threshold};
 use popproto::orbit_stream::{OrbitSpace, OrbitStream};
 use popproto::segmented::{SegmentationConfig, SegmentedCheckpoint, SegmentedSearch};
-use popproto_bench::sequential_reference;
 use popproto_reach::ExploreLimits;
+
+#[path = "support/sequential.rs"]
+mod sequential;
+use sequential::sequential_reference;
 
 /// The old semantics: materialise every canonical candidate index of the
 /// space prefix by a straight scan (decode + canonicality test per index).

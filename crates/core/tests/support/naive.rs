@@ -1,7 +1,6 @@
 //! A faithful reimplementation of the *seed's* reachability, stable-set,
-//! verification and busy-beaver-enumeration stack, kept as the baseline for
-//! the `bench_reach` benchmark and as the reference semantics for the
-//! old-vs-new equivalence tests.
+//! verification and busy-beaver-enumeration stack, kept as the reference
+//! semantics for the old-vs-new equivalence tests.
 //!
 //! Characteristics reproduced on purpose (these are the costs the arena/CSR
 //! refactor removed — do not "fix" them here):
@@ -94,11 +93,6 @@ impl NaiveReachabilityGraph {
         self.configs.len()
     }
 
-    /// Returns `true` if no configuration was explored.
-    pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
-    }
-
     /// Returns `true` if the exploration terminated without hitting limits.
     pub fn is_complete(&self) -> bool {
         self.complete
@@ -107,16 +101,6 @@ impl NaiveReachabilityGraph {
     /// The configuration with internal identifier `id`.
     pub fn config(&self, id: usize) -> &Config {
         &self.configs[id]
-    }
-
-    /// All explored configurations, in discovery order.
-    pub fn configs(&self) -> &[Config] {
-        &self.configs
-    }
-
-    /// The internal identifier of a configuration, if explored.
-    pub fn id_of(&self, c: &Config) -> Option<usize> {
-        self.index.get(c).copied()
     }
 
     /// Identifiers of the initial configurations.

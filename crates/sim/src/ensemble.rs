@@ -58,8 +58,8 @@ const PH_SILENCE: usize = 5;
 
 /// Cumulative wall-clock time spent in each phase of the lockstep waves,
 /// in nanoseconds — the machine-checkable evidence behind pairing-share
-/// claims (exported as the `wave_phase_breakdown` section of
-/// `BENCH_sim.json`).
+/// claims (reported by the `ensemble_1e6` workload of `perfbench` as the
+/// `sim.ensemble.*_ns` metrics).
 ///
 /// This is a *view*: the accumulation itself lives in an
 /// [`obs::Phases`] (one `Instant::now()` per phase boundary, costing
@@ -105,8 +105,8 @@ impl WavePhaseBreakdown {
 
     /// Fraction of [`Self::total_ns`] spent in the split phases (the
     /// initiator/responder multivariate-hypergeometric chains) — the
-    /// machine-checkable number behind split-wall claims, mirrored as
-    /// `split_share` in `BENCH_sim.json`.  Zero when nothing was timed.
+    /// machine-checkable number behind split-wall claims.  Zero when
+    /// nothing was timed.
     pub fn split_share(&self) -> f64 {
         let total = self.total_ns();
         if total == 0 {
@@ -116,9 +116,9 @@ impl WavePhaseBreakdown {
         }
     }
 
-    /// Fraction of [`Self::total_ns`] spent in the pairing pass (mirrored
-    /// as `pairing_share` in `BENCH_sim.json`).  Zero when nothing was
-    /// timed.
+    /// Fraction of [`Self::total_ns`] spent in the pairing pass (the
+    /// O(|Q|²) conditional hypergeometric chains and candidate splits).
+    /// Zero when nothing was timed.
     pub fn pairing_share(&self) -> f64 {
         let total = self.total_ns();
         if total == 0 {

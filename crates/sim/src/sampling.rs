@@ -87,8 +87,8 @@
 //!   (envelope constant ≈ 1 + d/4s): no `ln`, no log-factorials, no
 //!   uniform-hungry hat.
 //!
-//! ## Crossover thresholds (microbenched on the build host, see
-//! `BENCH_sim.json` `sampler_crossovers` for the ns/draw curves)
+//! ## Crossover thresholds (set from historical single-run ns/draw sweeps
+//! straddling each threshold on a 1-CPU host)
 //!
 //! | constant | value | below it | above it |
 //! |---|---|---|---|

@@ -1,14 +1,13 @@
 //! Split-phase smoke: the wave-phase accounting must attribute time to the
 //! split phases and expose well-formed, machine-checkable shares.
 //!
-//! This is the contract the `wave_phase_breakdown` section of
-//! `BENCH_sim.json` (and its `split_share` / `pairing_share` fields) is
-//! built on: a batched ensemble run times every wave phase, the split
-//! phases actually register work, and the shares are consistent with the
-//! raw nanosecond counters.  Run in release in CI next to the ensemble
-//! equivalence suites — together they pin both sides of the split-phase
-//! optimisation: the accounting that measures it and the lane equivalence
-//! the cached samplers must preserve.
+//! This is the contract the `sim.ensemble.*_ns` metrics of `perfbench`
+//! (and any `split_share` / `pairing_share` claim) are built on: a batched
+//! ensemble run times every wave phase, the split phases actually register
+//! work, and the shares are consistent with the raw nanosecond counters.
+//! Run in release in CI next to the ensemble equivalence suites — together
+//! they pin both sides of the split-phase optimisation: the accounting that
+//! measures it and the lane equivalence the cached samplers must preserve.
 
 use popproto_model::Input;
 use popproto_sim::EnsembleSimulator;
