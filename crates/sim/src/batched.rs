@@ -11,7 +11,7 @@
 //! first repeat is the birthday collision time, Θ(√n) in expectation, so for
 //! large populations Θ(√n) interactions can be processed as *one batch*:
 //!
-//! 1. sample the collision time `T` (≈ Rayleigh(√n)), giving
+//! 1. sample the collision time `T` (Θ(√n); see *Exactness*), giving
 //!    `l = ⌊(T-1)/2⌋` interactions whose 2·l agents are all distinct;
 //! 2. draw the `l` initiator agents and the `l` responder agents from the
 //!    counts vector via multivariate hypergeometric sampling — O(|Q|) draws;
@@ -29,11 +29,13 @@
 //!
 //! # Exactness
 //!
-//! Steps 2–4 are the exact conditional distribution given no collision.  Two
-//! standard approximations remain (both are also made by ppsim's
-//! large-population regime and vanish as `n` grows):
-//! the collision time is sampled from its Rayleigh limit rather than the
-//! exact birthday distribution, and the colliding interaction re-samples
+//! Steps 2–4 are the exact conditional distribution given no collision.
+//! The collision time of step 1 is exact up to n = 2¹⁷
+//! (`BIRTHDAY_EXACT_MAX_POPULATION`): each simulator tabulates the exact
+//! birthday CDF once and every draw inverts it.  Above that the draw comes
+//! from the Rayleigh limit.  Two approximations remain, both vanishing as
+//! `n` grows (ppsim's large-population regime makes them too): the
+//! Rayleigh draw above 2¹⁷, and the colliding interaction, which re-samples
 //! both agents from the post-batch counts instead of reusing the one
 //! repeated agent.  For small populations (`n < 256`) the engine bypasses
 //! batching entirely and takes exact sequential steps.
@@ -120,6 +122,12 @@ impl Shared {
     /// Words per lane cell: `counts | initiators | responders`.
     pub(crate) fn cell_len(&self) -> usize {
         3 * self.compiled.num_states()
+    }
+
+    /// The batched engines' convergence-check granularity: one check per
+    /// n/2 interactions, the length of the longest batch.
+    pub(crate) fn check_granularity(&self) -> u64 {
+        (self.population / 2).max(1)
     }
 
     /// A fresh cell holding `initial`'s counts.
@@ -406,7 +414,7 @@ impl SimulationEngine for BatchedSimulator {
     }
 
     fn check_granularity(&self) -> u64 {
-        (self.shared.population / 2).max(1)
+        self.shared.check_granularity()
     }
 }
 

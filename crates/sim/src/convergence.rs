@@ -54,6 +54,108 @@ pub struct ConvergenceOutcome {
     pub population: u64,
 }
 
+/// What a driver does next with one trajectory.
+#[derive(Debug)]
+enum Next {
+    /// The run is over: `Some(i)` if the criterion first held at
+    /// interaction `i`, `None` if the budget ran out or a silent
+    /// disagreement can never converge.
+    Stop(Option<u64>),
+    /// Advance by up to this many interactions (always ≥ 1), then check
+    /// again.
+    Advance(u64),
+}
+
+/// One trajectory's stopping rule: the one place that evaluates a
+/// [`ConvergenceCriterion`].  Every driver asks it, at each check, whether
+/// the run is done and, if not, how far to advance before the next check.
+#[derive(Debug, Clone)]
+struct Stopping {
+    criterion: ConvergenceCriterion,
+    max_interactions: u64,
+    /// The engine's check granularity, at least 1.
+    granularity: u64,
+    /// Where the current consensus began, under
+    /// [`ConvergenceCriterion::ConsensusPersistence`].
+    consensus_since: Option<u64>,
+}
+
+impl Stopping {
+    fn new(criterion: ConvergenceCriterion, max_interactions: u64, granularity: u64) -> Self {
+        Stopping {
+            criterion,
+            max_interactions,
+            granularity: granularity.max(1),
+            consensus_since: None,
+        }
+    }
+
+    /// Checks a trajectory that has simulated `interactions` interactions.
+    /// `silent` and `consensus` report whether its configuration is silent
+    /// and whether its agents agree on an output; each is only asked when
+    /// the criterion needs it.
+    ///
+    /// Engines stop advancing once the configuration is silent, and a
+    /// silent configuration can never change, so silence decides the run:
+    /// a silent consensus persists forever, a silent disagreement never
+    /// converges.  Hence a trajectory told to advance is never silent.
+    fn next(
+        &mut self,
+        interactions: u64,
+        silent: impl Fn() -> bool,
+        consensus: impl Fn() -> bool,
+    ) -> Next {
+        let converged_at = match self.criterion {
+            ConvergenceCriterion::Silent => silent().then_some(interactions),
+            ConvergenceCriterion::ConsensusPersistence { window } => {
+                if consensus() {
+                    let since = *self.consensus_since.get_or_insert(interactions);
+                    (interactions - since >= window || silent()).then_some(since)
+                } else {
+                    self.consensus_since = None;
+                    if silent() {
+                        return Next::Stop(None);
+                    }
+                    None
+                }
+            }
+        };
+        if converged_at.is_some() || interactions >= self.max_interactions {
+            return Next::Stop(converged_at);
+        }
+        let left = self.max_interactions - interactions;
+        Next::Advance(match self.criterion {
+            // Engines stop at silence on their own; no finer checks needed.
+            ConvergenceCriterion::Silent => left,
+            ConvergenceCriterion::ConsensusPersistence { window } => {
+                let until_window = match self.consensus_since {
+                    Some(since) => window - (interactions - since),
+                    None => self.granularity,
+                };
+                until_window.min(self.granularity).min(left)
+            }
+        })
+    }
+}
+
+/// The outcome of a trajectory that stopped at `interactions` with
+/// consensus `output`.
+fn outcome(
+    population: u64,
+    interactions: u64,
+    output: Option<Output>,
+    converged_at: Option<u64>,
+) -> ConvergenceOutcome {
+    ConvergenceOutcome {
+        converged: converged_at.is_some(),
+        output: output.map(Output::as_bool),
+        interactions,
+        interactions_to_convergence: converged_at,
+        parallel_time: converged_at.map(|i| i as f64 / population as f64),
+        population,
+    }
+}
+
 /// Runs any [`SimulationEngine`] until the convergence criterion holds or
 /// `max_interactions` interactions have been simulated.
 ///
@@ -69,87 +171,39 @@ pub fn run_until_convergence<E: SimulationEngine>(
     criterion: ConvergenceCriterion,
     max_interactions: u64,
 ) -> ConvergenceOutcome {
-    let population = sim.population();
-    let mut consensus_since: Option<u64> = None;
-    let mut converged_at: Option<u64> = None;
-
-    loop {
-        let interactions = sim.interactions();
-        if converged_at.is_none() {
-            match criterion {
-                ConvergenceCriterion::Silent => {
-                    if sim.is_silent() {
-                        converged_at = Some(interactions);
-                    }
-                }
-                ConvergenceCriterion::ConsensusPersistence { window } => {
-                    if sim.current_output().is_some() {
-                        let since = *consensus_since.get_or_insert(interactions);
-                        if interactions - since >= window {
-                            converged_at = Some(since);
-                        } else if sim.is_silent() {
-                            // Silent consensus: it trivially persists.
-                            converged_at = Some(since);
-                        }
-                    } else {
-                        consensus_since = None;
-                        if sim.is_silent() {
-                            // Silent disagreement: it can never converge.
-                            break;
-                        }
-                    }
-                }
+    let mut stopping = Stopping::new(criterion, max_interactions, sim.check_granularity());
+    let converged_at = loop {
+        let next = stopping.next(
+            sim.interactions(),
+            || sim.is_silent(),
+            || sim.current_output().is_some(),
+        );
+        match next {
+            Next::Stop(converged_at) => break converged_at,
+            Next::Advance(budget) => {
+                let advanced = sim.advance(budget);
+                debug_assert!(advanced > 0, "a non-silent engine advances");
             }
         }
-        if converged_at.is_some() || interactions >= max_interactions {
-            break;
-        }
-        let chunk = match criterion {
-            // Engines stop at silence on their own; no finer checks needed.
-            ConvergenceCriterion::Silent => max_interactions - interactions,
-            ConvergenceCriterion::ConsensusPersistence { window } => {
-                let until_window = match consensus_since {
-                    Some(since) => window - (interactions - since),
-                    None => sim.check_granularity(),
-                };
-                until_window
-                    .max(1)
-                    .min(sim.check_granularity().max(1))
-                    .min(max_interactions - interactions)
-            }
-        };
-        let advanced = sim.advance(chunk);
-        if advanced == 0 {
-            // Silent: no further progress is possible; decide at the top of
-            // the next loop iteration.
-            if sim.current_output().is_none() {
-                break;
-            }
-        }
-    }
-
-    let output = sim.current_output().map(Output::as_bool);
-    ConvergenceOutcome {
-        converged: converged_at.is_some(),
-        output,
-        interactions: sim.interactions(),
-        interactions_to_convergence: converged_at,
-        parallel_time: converged_at.map(|i| i as f64 / population as f64),
-        population,
-    }
+    };
+    outcome(
+        sim.population(),
+        sim.interactions(),
+        sim.current_output(),
+        converged_at,
+    )
 }
 
 /// Runs every lane of an [`EnsembleSimulator`] until the convergence
 /// criterion holds for that lane (or its budget of `max_interactions` runs
 /// out), retiring lanes as they finish.
 ///
-/// This is the per-lane transliteration of [`run_until_convergence`]: each
-/// round checks the criterion on every live lane exactly as the scalar
-/// driver would, finalises and retires the lanes that are done (compacting
-/// the ensemble, so later waves only pay for live trajectories), and
-/// advances the survivors by their per-lane chunk budgets in lockstep.
-/// Because lane RNG streams never mix and retirement only moves cells,
-/// every lane's outcome is identical to running
+/// Each round checks every live lane with the stopping rule of
+/// [`run_until_convergence`], finalises and retires the lanes that are done
+/// (compacting the ensemble, so later waves only pay for live
+/// trajectories), and advances the survivors by their per-lane chunk
+/// budgets in lockstep.  Because lane RNG streams never mix and retirement
+/// only moves cells, every lane's outcome is identical to running
 /// `run_until_convergence(&mut BatchedSimulator::new(p, ic, seed), ..)`
 /// with that lane's seed — `tests/ensemble_equivalence.rs` pins this.
 ///
@@ -161,145 +215,72 @@ pub fn run_ensemble_until_convergence(
     criterion: ConvergenceCriterion,
     max_interactions: u64,
 ) -> Vec<ConvergenceOutcome> {
-    run_ensemble_until_convergence_observed(sim, criterion, max_interactions, |_| {})
+    drive_ensemble(sim, criterion, max_interactions, |_, _| {})
 }
 
-/// A progress snapshot of one ensemble convergence drive, handed to the
-/// observer of [`run_ensemble_until_convergence_observed`] after each
-/// check/retire pass.
-#[derive(Debug, Clone, Copy)]
-pub struct EnsembleProgress {
-    /// Lanes the drive started with.
-    pub lanes_total: usize,
-    /// Lanes still advancing.
-    pub lanes_live: usize,
-    /// Lanes already finalised (converged, stuck, or out of budget).
-    pub lanes_finished: usize,
-    /// Lockstep waves executed so far.
-    pub waves: u64,
-    /// Total interactions simulated across all lanes (live and retired).
-    pub interactions: u64,
-}
-
-/// [`run_ensemble_until_convergence`] with a progress observer.
-///
-/// `observe` fires after every check/retire pass with a read-only
-/// snapshot.  It is a **pure observer**: the wave structure, per-lane
-/// chunk budgets and RNG consumption are computed exactly as in the
-/// unobserved drive, so the outcomes are bit-identical whether or not an
-/// observer is attached (the sharded-equivalence suite pins this).
-pub fn run_ensemble_until_convergence_observed<F: FnMut(&EnsembleProgress)>(
+/// [`run_ensemble_until_convergence`] with a progress observer, called
+/// after every check-and-retire round with the number of lanes finished
+/// and the interactions simulated across all lanes, live and retired.  The
+/// observer cannot touch the ensemble, so it can never change a wave, a
+/// budget or an RNG draw.
+fn drive_ensemble(
     sim: &mut EnsembleSimulator,
     criterion: ConvergenceCriterion,
     max_interactions: u64,
-    mut observe: F,
+    mut observe: impl FnMut(usize, u64),
 ) -> Vec<ConvergenceOutcome> {
     let population = sim.population();
     let total = sim.lanes();
-    let check_granularity = (population / 2).max(1);
+    // One rule per lane, indexed by original lane id so it survives
+    // compaction.
+    let rule = Stopping::new(criterion, max_interactions, sim.check_granularity());
+    let mut stopping = vec![rule; total];
     let mut outcomes: Vec<Option<ConvergenceOutcome>> = vec![None; total];
-    // Indexed by original lane id, so it survives compaction.
-    let mut consensus_since: Vec<Option<u64>> = vec![None; total];
-    // Interactions banked by retired lanes (their cells are gone, but
-    // the progress reports still count them).
+    // Interactions banked by retired lanes (their cells are gone, but the
+    // progress reports still count them).
     let mut retired_interactions = 0u64;
 
-    let finalize =
-        |sim: &EnsembleSimulator, lane: usize, converged_at: Option<u64>| ConvergenceOutcome {
-            converged: converged_at.is_some(),
-            output: sim.lane_output(lane).map(Output::as_bool),
-            interactions: sim.lane_interactions(lane),
-            interactions_to_convergence: converged_at,
-            parallel_time: converged_at.map(|i| i as f64 / population as f64),
-            population,
-        };
-
-    while sim.lanes() > 0 {
-        // Check pass: evaluate the criterion on every live lane; collect the
-        // lanes whose scalar loop would break here.
-        let mut finished: Vec<usize> = Vec::new();
+    loop {
+        // One budget per live lane; a finished lane's slot is removed with
+        // the lane, so the survivors' budgets follow their cells.
+        let mut budgets = Vec::with_capacity(sim.lanes());
+        let mut finished = Vec::new();
         for lane in 0..sim.lanes() {
             let id = sim.lane_id(lane);
             let interactions = sim.lane_interactions(lane);
-            let mut converged_at: Option<u64> = None;
-            let mut silent_disagreement = false;
-            match criterion {
-                ConvergenceCriterion::Silent => {
-                    if sim.lane_is_silent(lane) {
-                        converged_at = Some(interactions);
-                    }
+            let next = stopping[id].next(
+                interactions,
+                || sim.lane_is_silent(lane),
+                || sim.lane_output(lane).is_some(),
+            );
+            match next {
+                Next::Stop(converged_at) => {
+                    retired_interactions += interactions;
+                    let output = sim.lane_output(lane);
+                    outcomes[id] = Some(outcome(population, interactions, output, converged_at));
+                    finished.push(lane);
+                    budgets.push(0);
                 }
-                ConvergenceCriterion::ConsensusPersistence { window } => {
-                    if sim.lane_output(lane).is_some() {
-                        let since = *consensus_since[id].get_or_insert(interactions);
-                        if interactions - since >= window || sim.lane_is_silent(lane) {
-                            converged_at = Some(since);
-                        }
-                    } else {
-                        consensus_since[id] = None;
-                        silent_disagreement = sim.lane_is_silent(lane);
-                    }
-                }
-            }
-            if converged_at.is_some() || silent_disagreement || interactions >= max_interactions {
-                retired_interactions += interactions;
-                outcomes[id] = Some(finalize(sim, lane, converged_at));
-                finished.push(lane);
+                Next::Advance(budget) => budgets.push(budget),
             }
         }
         // Retire in descending index order so swap-removal never disturbs a
         // lane still awaiting retirement.
         for &lane in finished.iter().rev() {
             sim.retire_lane(lane);
+            budgets.swap_remove(lane);
         }
         let live = sim.lanes();
         let live_interactions: u64 = (0..live).map(|lane| sim.lane_interactions(lane)).sum();
-        observe(&EnsembleProgress {
-            lanes_total: total,
-            lanes_live: live,
-            lanes_finished: total - live,
-            waves: sim.phase_breakdown().waves,
-            interactions: retired_interactions + live_interactions,
-        });
-        if sim.lanes() == 0 {
+        observe(total - live, retired_interactions + live_interactions);
+        if live == 0 {
             break;
         }
-
-        // Budget pass: each survivor gets the chunk the scalar driver would
-        // request, then all lanes advance in lockstep.
-        let mut budgets = vec![0u64; sim.lanes()];
-        for (lane, budget) in budgets.iter_mut().enumerate() {
-            let id = sim.lane_id(lane);
-            let interactions = sim.lane_interactions(lane);
-            *budget = match criterion {
-                ConvergenceCriterion::Silent => max_interactions - interactions,
-                ConvergenceCriterion::ConsensusPersistence { window } => {
-                    let until_window = match consensus_since[id] {
-                        Some(since) => window - (interactions - since),
-                        None => check_granularity,
-                    };
-                    until_window
-                        .max(1)
-                        .min(check_granularity)
-                        .min(max_interactions - interactions)
-                }
-            };
-        }
         let advanced = sim.advance_all(&budgets);
-
-        // Zero-advance pass: a lane that cannot progress and holds no
-        // consensus will never converge (mirrors the scalar driver's break).
-        let mut stuck: Vec<usize> = Vec::new();
-        for lane in 0..sim.lanes() {
-            if advanced[lane] == 0 && sim.lane_output(lane).is_none() {
-                retired_interactions += sim.lane_interactions(lane);
-                outcomes[sim.lane_id(lane)] = Some(finalize(sim, lane, None));
-                stuck.push(lane);
-            }
-        }
-        for &lane in stuck.iter().rev() {
-            sim.retire_lane(lane);
-        }
+        debug_assert!(
+            advanced.iter().all(|&a| a > 0),
+            "a non-silent lane advances"
+        );
     }
 
     outcomes
@@ -311,7 +292,7 @@ pub fn run_ensemble_until_convergence_observed<F: FnMut(&EnsembleProgress)>(
 /// The shard partition of the threads × lanes drivers: `seeds` in at most
 /// `shards` contiguous blocks of `⌈len / shards⌉` seeds, in seed order
 /// (`shards == 0`: one block per worker of the global pool).
-pub(crate) fn shard_blocks(seeds: &[u64], shards: usize) -> Vec<Vec<u64>> {
+fn shard_blocks(seeds: &[u64], shards: usize) -> Vec<Vec<u64>> {
     let shards = match shards {
         0 => popproto_exec::global().workers(),
         s => s,
@@ -346,31 +327,23 @@ pub fn run_sharded_ensemble_until_convergence(
     criterion: ConvergenceCriterion,
     max_interactions: u64,
 ) -> Vec<ConvergenceOutcome> {
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    let blocks = shard_blocks(seeds, shards);
-    if blocks.len() == 1 {
-        let mut sim = EnsembleSimulator::new(protocol.clone(), initial.clone(), seeds);
-        return run_ensemble_until_convergence(&mut sim, criterion, max_interactions);
-    }
-    // The pool's jobs are 'static: share the protocol and configuration.
-    let protocol = Arc::new(protocol.clone());
-    let initial = Arc::new(initial.clone());
-    let per_block = popproto_exec::global().map(blocks, move |shard, block| {
-        let _shard_span = obs::span_with_arg("shard", "shard", shard as u64);
-        let mut sim = EnsembleSimulator::new((*protocol).clone(), (*initial).clone(), &block);
-        run_ensemble_until_convergence(&mut sim, criterion, max_interactions)
-    });
-    per_block.into_iter().flatten().collect()
+    drive_shards(
+        protocol,
+        initial,
+        seeds,
+        shards,
+        criterion,
+        max_interactions,
+        None,
+    )
 }
 
 /// [`run_sharded_ensemble_until_convergence`] with streaming JSONL
 /// progress.
 ///
-/// Every shard reports its check-pass snapshots into shared atomics;
-/// whichever shard finds the heartbeat due (and uncontended) emits one
-/// line aggregating all shards:
+/// Every shard reports its progress after each check round into shared
+/// atomics; whichever shard finds the heartbeat due (and uncontended)
+/// emits one line aggregating all shards:
 ///
 /// ```json
 /// {"kind":"ensemble_heartbeat","seq":0,"elapsed_s":1.25,
@@ -393,105 +366,123 @@ pub fn run_sharded_ensemble_with_heartbeat(
     max_interactions: u64,
     heartbeat: &Arc<Mutex<obs::Heartbeat>>,
 ) -> Vec<ConvergenceOutcome> {
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    let blocks = shard_blocks(seeds, shards);
-    let lanes_total = seeds.len();
-    let shard_count = blocks.len();
+    drive_shards(
+        protocol,
+        initial,
+        seeds,
+        shards,
+        criterion,
+        max_interactions,
+        Some(heartbeat),
+    )
+}
 
-    // Per-shard progress cells, aggregated by whichever shard emits.
-    let finished: Arc<Vec<AtomicU64>> =
-        Arc::new((0..shard_count).map(|_| AtomicU64::new(0)).collect());
-    let interactions: Arc<Vec<AtomicU64>> =
-        Arc::new((0..shard_count).map(|_| AtomicU64::new(0)).collect());
+/// Per-shard progress cells of a heartbeat-observed drive, aggregated by
+/// whichever shard emits.
+struct ShardProgress {
+    heartbeat: Arc<Mutex<obs::Heartbeat>>,
+    lanes_total: usize,
+    finished: Vec<AtomicU64>,
+    interactions: Vec<AtomicU64>,
+}
 
-    let emit = {
-        let finished = Arc::clone(&finished);
-        let interactions = Arc::clone(&interactions);
-        let heartbeat = Arc::clone(heartbeat);
-        move || {
-            // try_lock: a contended heartbeat just means another shard is
-            // emitting this very line — skip, never block the wave loop.
-            let Ok(mut hb) = heartbeat.try_lock() else {
-                return;
-            };
-            if !hb.due() {
-                return;
-            }
-            let done: u64 = finished.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-            let inter: u64 = interactions.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-            let elapsed = hb.elapsed_s();
-            let rate = if elapsed > 0.0 {
-                inter as f64 / elapsed
-            } else {
-                0.0
-            };
-            let line = format!(
-                "{{\"kind\":\"ensemble_heartbeat\",\"seq\":{},\"elapsed_s\":{elapsed:.3},\
-                 \"lanes_total\":{lanes_total},\"lanes_finished\":{done},\
-                 \"shards\":{shard_count},\"interactions\":{inter},\
-                 \"interactions_per_s\":{rate:.1}}}",
-                hb.seq(),
-            );
-            hb.emit(&line);
-        }
-    };
-
-    let per_block = if shard_count == 1 {
-        let mut sim = EnsembleSimulator::new(protocol.clone(), initial.clone(), &blocks[0]);
-        let observe = |p: &EnsembleProgress| {
-            finished[0].store(p.lanes_finished as u64, Ordering::Relaxed);
-            interactions[0].store(p.interactions, Ordering::Relaxed);
-            emit();
+impl ShardProgress {
+    /// Records shard `shard`'s progress and emits a heartbeat line if one
+    /// is due.
+    fn report(&self, shard: usize, finished: usize, interactions: u64) {
+        self.finished[shard].store(finished as u64, Ordering::Relaxed);
+        self.interactions[shard].store(interactions, Ordering::Relaxed);
+        // try_lock: a contended heartbeat just means another shard is
+        // emitting this very line — skip, never block the wave loop.
+        let Ok(mut hb) = self.heartbeat.try_lock() else {
+            return;
         };
-        vec![run_ensemble_until_convergence_observed(
-            &mut sim,
-            criterion,
-            max_interactions,
-            observe,
-        )]
-    } else {
-        let protocol = Arc::new(protocol.clone());
-        let initial = Arc::new(initial.clone());
-        let finished = Arc::clone(&finished);
-        let interactions = Arc::clone(&interactions);
-        let emit = emit.clone();
-        popproto_exec::global().map(blocks, move |shard, block| {
-            let _shard_span = obs::span_with_arg("shard", "shard", shard as u64);
-            let mut sim = EnsembleSimulator::new((*protocol).clone(), (*initial).clone(), &block);
-            let observe = |p: &EnsembleProgress| {
-                finished[shard].store(p.lanes_finished as u64, Ordering::Relaxed);
-                interactions[shard].store(p.interactions, Ordering::Relaxed);
-                emit();
-            };
-            run_ensemble_until_convergence_observed(&mut sim, criterion, max_interactions, observe)
-        })
-    };
+        if hb.due() {
+            self.emit(&mut hb, None);
+        }
+    }
 
-    let outcomes: Vec<ConvergenceOutcome> = per_block.into_iter().flatten().collect();
-
-    // Final line: the aggregate cells are complete now, and the converged
-    // count is exact.
-    {
-        let converged = outcomes.iter().filter(|o| o.converged).count();
-        let done: u64 = finished.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        let inter: u64 = interactions.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        let mut hb = heartbeat.lock().expect("heartbeat poisoned");
+    /// Emits one line aggregating every shard's cells; the final line also
+    /// carries the number of converged lanes.
+    fn emit(&self, hb: &mut obs::Heartbeat, converged: Option<usize>) {
+        let sum =
+            |cells: &[AtomicU64]| -> u64 { cells.iter().map(|c| c.load(Ordering::Relaxed)).sum() };
+        let (done, inter) = (sum(&self.finished), sum(&self.interactions));
         let elapsed = hb.elapsed_s();
         let rate = if elapsed > 0.0 {
             inter as f64 / elapsed
         } else {
             0.0
         };
+        let (converged, last) = match converged {
+            Some(c) => (format!("\"lanes_converged\":{c},"), ",\"final\":true"),
+            None => (String::new(), ""),
+        };
         let line = format!(
             "{{\"kind\":\"ensemble_heartbeat\",\"seq\":{},\"elapsed_s\":{elapsed:.3},\
-             \"lanes_total\":{lanes_total},\"lanes_finished\":{done},\
-             \"lanes_converged\":{converged},\"shards\":{shard_count},\
-             \"interactions\":{inter},\"interactions_per_s\":{rate:.1},\"final\":true}}",
+             \"lanes_total\":{},\"lanes_finished\":{done},{converged}\
+             \"shards\":{},\"interactions\":{inter},\"interactions_per_s\":{rate:.1}{last}}}",
             hb.seq(),
+            self.lanes_total,
+            self.finished.len(),
         );
         hb.emit(&line);
+    }
+}
+
+/// The body of both sharded drivers: one private ensemble per shard block,
+/// on the calling thread when there is one block and on the global pool
+/// otherwise, observed by `heartbeat` when there is one.
+fn drive_shards(
+    protocol: &Protocol,
+    initial: &Config,
+    seeds: &[u64],
+    shards: usize,
+    criterion: ConvergenceCriterion,
+    max_interactions: u64,
+    heartbeat: Option<&Arc<Mutex<obs::Heartbeat>>>,
+) -> Vec<ConvergenceOutcome> {
+    if seeds.is_empty() {
+        return Vec::new();
+    }
+    let mut blocks = shard_blocks(seeds, shards);
+    let progress = heartbeat.map(|heartbeat| {
+        Arc::new(ShardProgress {
+            heartbeat: Arc::clone(heartbeat),
+            lanes_total: seeds.len(),
+            finished: blocks.iter().map(|_| AtomicU64::new(0)).collect(),
+            interactions: blocks.iter().map(|_| AtomicU64::new(0)).collect(),
+        })
+    });
+    // The pool's jobs are 'static: share the protocol and configuration.
+    let (protocol, initial) = (Arc::new(protocol.clone()), Arc::new(initial.clone()));
+    let drive_block = {
+        let progress = progress.clone();
+        move |shard: usize, block: Vec<u64>| {
+            let mut sim = EnsembleSimulator::new((*protocol).clone(), (*initial).clone(), &block);
+            drive_ensemble(&mut sim, criterion, max_interactions, |finished, inter| {
+                if let Some(progress) = &progress {
+                    progress.report(shard, finished, inter);
+                }
+            })
+        }
+    };
+    let outcomes: Vec<ConvergenceOutcome> = if blocks.len() == 1 {
+        drive_block(0, blocks.remove(0))
+    } else {
+        let per_block = popproto_exec::global().map(blocks, move |shard, block| {
+            let _shard_span = obs::span_with_arg("shard", "shard", shard as u64);
+            drive_block(shard, block)
+        });
+        per_block.into_iter().flatten().collect()
+    };
+
+    // Final line: the aggregate cells are complete now, and the converged
+    // count is exact.
+    if let Some(progress) = &progress {
+        let converged = outcomes.iter().filter(|o| o.converged).count();
+        let mut hb = progress.heartbeat.lock().expect("heartbeat poisoned");
+        progress.emit(&mut hb, Some(converged));
     }
     outcomes
 }
@@ -574,47 +565,43 @@ mod tests {
         assert_eq!(outcome.population, 20_000);
     }
 
-    #[test]
-    fn ensemble_runner_matches_scalar_runner_per_lane() {
-        let p = flock(3);
-        let ic = p.initial_config_unary(20_000);
-        let seeds = [21u64, 22, 23];
-        let mut ens = EnsembleSimulator::new(p.clone(), ic.clone(), &seeds);
-        let outcomes =
-            run_ensemble_until_convergence(&mut ens, ConvergenceCriterion::Silent, u64::MAX);
+    /// Drives `seeds` as one ensemble and asserts every lane's outcome
+    /// equals a solo batched run with its seed.
+    fn assert_lanes_match_solo_runs(
+        p: &Protocol,
+        ic: &Config,
+        seeds: &[u64],
+        criterion: ConvergenceCriterion,
+    ) {
+        let mut ens = EnsembleSimulator::new(p.clone(), ic.clone(), seeds);
+        let outcomes = run_ensemble_until_convergence(&mut ens, criterion, u64::MAX);
         assert_eq!(outcomes.len(), seeds.len());
-        for (i, &seed) in seeds.iter().enumerate() {
+        for (lane, &seed) in outcomes.iter().zip(seeds) {
             let mut solo = BatchedSimulator::new(p.clone(), ic.clone(), seed);
-            let scalar = run_until_convergence(&mut solo, ConvergenceCriterion::Silent, u64::MAX);
-            assert_eq!(outcomes[i].converged, scalar.converged, "seed {seed}");
-            assert_eq!(outcomes[i].output, scalar.output);
-            assert_eq!(outcomes[i].interactions, scalar.interactions);
+            let scalar = run_until_convergence(&mut solo, criterion, u64::MAX);
+            assert_eq!(lane.converged, scalar.converged, "seed {seed}");
+            assert_eq!(lane.output, scalar.output);
+            assert_eq!(lane.interactions, scalar.interactions);
             assert_eq!(
-                outcomes[i].interactions_to_convergence,
+                lane.interactions_to_convergence,
                 scalar.interactions_to_convergence
             );
         }
     }
 
     #[test]
+    fn ensemble_runner_matches_scalar_runner_per_lane() {
+        let p = flock(3);
+        let ic = p.initial_config_unary(20_000);
+        assert_lanes_match_solo_runs(&p, &ic, &[21, 22, 23], ConvergenceCriterion::Silent);
+    }
+
+    #[test]
     fn ensemble_runner_matches_scalar_runner_under_persistence() {
         let p = binary_counter(3);
         let ic = p.initial_config_unary(5_000);
-        let seeds = [9u64, 10, 11, 12];
         let criterion = ConvergenceCriterion::ConsensusPersistence { window: 10_000 };
-        let mut ens = EnsembleSimulator::new(p.clone(), ic.clone(), &seeds);
-        let outcomes = run_ensemble_until_convergence(&mut ens, criterion, u64::MAX);
-        for (i, &seed) in seeds.iter().enumerate() {
-            let mut solo = BatchedSimulator::new(p.clone(), ic.clone(), seed);
-            let scalar = run_until_convergence(&mut solo, criterion, u64::MAX);
-            assert_eq!(outcomes[i].converged, scalar.converged, "seed {seed}");
-            assert_eq!(outcomes[i].output, scalar.output);
-            assert_eq!(outcomes[i].interactions, scalar.interactions);
-            assert_eq!(
-                outcomes[i].interactions_to_convergence,
-                scalar.interactions_to_convergence
-            );
-        }
+        assert_lanes_match_solo_runs(&p, &ic, &[9, 10, 11, 12], criterion);
     }
 
     #[test]

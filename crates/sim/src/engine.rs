@@ -244,23 +244,6 @@ impl Simulator {
         }
         max_interactions
     }
-
-    /// Simulates until `predicate` holds for the current configuration or
-    /// `max_interactions` interactions have elapsed.  Returns `true` if the
-    /// predicate was satisfied.
-    pub fn run_until(
-        &mut self,
-        mut predicate: impl FnMut(&Protocol, &Config) -> bool,
-        max_interactions: u64,
-    ) -> bool {
-        for _ in 0..max_interactions {
-            if predicate(&self.protocol, &self.config) {
-                return true;
-            }
-            self.step();
-        }
-        predicate(&self.protocol, &self.config)
-    }
 }
 
 impl SimulationEngine for Simulator {
@@ -300,8 +283,16 @@ impl SimulationEngine for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::{run_until_convergence, ConvergenceCriterion};
     use popproto_model::Output;
     use popproto_zoo::{binary_counter, flock, majority};
+
+    /// Runs `sim` to silence within `max_interactions` and returns the
+    /// stable output, `None` if the budget ran out first.
+    fn run_to_silence(sim: &mut Simulator, max_interactions: u64) -> Option<bool> {
+        let outcome = run_until_convergence(sim, ConvergenceCriterion::Silent, max_interactions);
+        outcome.converged.then_some(outcome.output).flatten()
+    }
 
     #[test]
     fn population_size_is_invariant() {
@@ -318,8 +309,7 @@ mod tests {
         let p = flock(4);
         // 6 ≥ 4: all agents eventually report true.
         let mut sim = Simulator::new(p.clone(), p.initial_config_unary(6), 3);
-        let converged = sim.run_until(|pr, c| pr.output(c) == Some(Output::True), 100_000);
-        assert!(converged);
+        assert_eq!(run_to_silence(&mut sim, 100_000), Some(true));
         // 3 < 4: the protocol must never report a true consensus.
         let mut sim = Simulator::new(p.clone(), p.initial_config_unary(3), 3);
         sim.run(50_000);
@@ -330,9 +320,9 @@ mod tests {
     fn binary_counter_accepts_large_inputs() {
         let p = binary_counter(4); // x ≥ 16
         let mut sim = Simulator::new(p.clone(), p.initial_config_unary(40), 7);
-        let converged = sim.run_until(|pr, c| pr.output(c) == Some(Output::True), 500_000);
-        assert!(
-            converged,
+        assert_eq!(
+            run_to_silence(&mut sim, 500_000),
+            Some(true),
             "40 ≥ 16 should eventually reach a true consensus"
         );
     }
@@ -344,15 +334,12 @@ mod tests {
         // passive tie-breaking rule also pushes towards "no").
         let input = popproto_model::Input::from_counts(vec![3, 8]);
         let mut sim = Simulator::new(p.clone(), p.initial_config(&input), 11);
-        let converged = sim.run_until(|pr, c| pr.output(c).is_some(), 500_000);
-        assert!(converged);
-        assert_eq!(p.output(sim.config()), Some(Output::False));
+        assert_eq!(run_to_silence(&mut sim, 500_000), Some(false));
 
         // A slim x₀-majority on a tiny population also converges, albeit slowly.
         let input = popproto_model::Input::from_counts(vec![4, 2]);
         let mut sim = Simulator::new(p.clone(), p.initial_config(&input), 13);
-        let converged = sim.run_until(|pr, c| pr.output(c) == Some(Output::True), 2_000_000);
-        assert!(converged);
+        assert_eq!(run_to_silence(&mut sim, 2_000_000), Some(true));
     }
 
     #[test]

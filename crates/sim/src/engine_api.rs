@@ -14,29 +14,6 @@ pub enum EngineKind {
     /// ([`BatchedSimulator`](crate::BatchedSimulator)), recommended for
     /// populations of 10⁵ agents and beyond.
     Batched,
-    /// The lockstep ensemble engine
-    /// ([`EnsembleSimulator`](crate::EnsembleSimulator)): seeds are
-    /// partitioned into blocks of `lanes` trajectories, each block advanced
-    /// in lockstep waves of one batch per lane.  Outcomes are
-    /// bit-identical to [`EngineKind::Batched`] with the same seeds; only
-    /// the throughput differs.
-    ///
-    /// **Threads × lanes**: each `lanes`-wide block is further sharded into
-    /// `shards` contiguous lane sub-blocks, run concurrently on the
-    /// process-wide persistent worker pool.  The lane→shard assignment is a
-    /// pure function of the seed order, and lane `i` of any ensemble is
-    /// bit-identical to a solo batched run with seed `i`, so the sharded
-    /// outcomes are bit-identical to the unsharded ones for every `shards`
-    /// value — sharding is a throughput knob, never a semantics knob.
-    Ensemble {
-        /// Trajectories per lockstep block (e.g. 64–256).  Values of 0 are
-        /// treated as 1.
-        lanes: usize,
-        /// Lane sub-blocks to run concurrently per block.  `0` means
-        /// auto-detect (one shard per pool worker); `1` keeps each block on
-        /// a single worker (the pre-sharding behaviour).
-        shards: usize,
-    },
 }
 
 /// A stochastic simulation engine for a population protocol.

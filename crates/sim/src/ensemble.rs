@@ -200,6 +200,12 @@ impl EnsembleSimulator {
         self.shared.population
     }
 
+    /// The convergence-check granularity of every lane, as for a solo
+    /// [`BatchedSimulator`](crate::BatchedSimulator).
+    pub(crate) fn check_granularity(&self) -> u64 {
+        self.shared.check_granularity()
+    }
+
     /// The number of active (non-retired) lanes.
     pub fn lanes(&self) -> usize {
         self.lanes.len()

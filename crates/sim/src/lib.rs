@@ -35,7 +35,6 @@
 //!
 //! * [`compiled`] — protocols lowered to dense lookup tables;
 //! * [`engine_api`] — the [`SimulationEngine`] trait;
-//! * [`scheduler`] — standalone pair-selection strategies;
 //! * [`engine`] — the sequential engine;
 //! * [`batched`] — the batched engine;
 //! * [`ensemble`] — the lockstep ensemble engine;
@@ -58,22 +57,20 @@ pub mod ensemble;
 pub mod pmath;
 pub mod runner;
 pub mod sampling;
-pub mod scheduler;
 pub mod stats;
 
 pub use batched::BatchedSimulator;
 pub use compiled::CompiledProtocol;
 pub use convergence::{
-    run_ensemble_until_convergence, run_ensemble_until_convergence_observed,
-    run_sharded_ensemble_until_convergence, run_sharded_ensemble_with_heartbeat,
-    run_until_convergence, ConvergenceCriterion, ConvergenceOutcome, EnsembleProgress,
+    run_ensemble_until_convergence, run_sharded_ensemble_until_convergence,
+    run_sharded_ensemble_with_heartbeat, run_until_convergence, ConvergenceCriterion,
+    ConvergenceOutcome,
 };
 pub use engine::Simulator;
 pub use engine_api::SimulationEngine;
 pub use ensemble::{EnsembleSimulator, WavePhaseBreakdown};
 pub use runner::{run_experiment, EngineKind, SimulationExperiment};
 pub use sampling::{split_candidates_uniform, AliasTable, CachedBinomial, CachedHypergeometric};
-pub use scheduler::{PairScheduler, UniformScheduler};
 pub use stats::{aggregate_outcomes, ConvergenceStats, SummaryStats};
 
 /// Vector-kernel provenance, kept for the `perfbench` harness, which reads

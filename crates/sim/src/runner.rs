@@ -1,12 +1,8 @@
 //! Multi-seed simulation experiments, engine-generic and seed-parallel.
 
 use crate::batched::BatchedSimulator;
-use crate::convergence::{
-    run_ensemble_until_convergence, run_until_convergence, shard_blocks, ConvergenceCriterion,
-    ConvergenceOutcome,
-};
+use crate::convergence::{run_until_convergence, ConvergenceCriterion, ConvergenceOutcome};
 use crate::engine::Simulator;
-use crate::ensemble::EnsembleSimulator;
 use crate::stats::{aggregate_outcomes, ConvergenceStats};
 use popproto_model::{Config, Input, Protocol};
 use popproto_obs as obs;
@@ -70,20 +66,11 @@ fn run_one_seed(experiment: &SimulationExperiment, ic: &Config, seed: u64) -> Co
             let mut sim = Simulator::new(experiment.protocol.clone(), ic.clone(), seed);
             run_until_convergence(&mut sim, experiment.criterion, experiment.max_interactions)
         }
-        EngineKind::Batched | EngineKind::Ensemble { .. } => {
+        EngineKind::Batched => {
             let mut sim = BatchedSimulator::new(experiment.protocol.clone(), ic.clone(), seed);
             run_until_convergence(&mut sim, experiment.criterion, experiment.max_interactions)
         }
     }
-}
-
-fn run_seed_block(
-    experiment: &SimulationExperiment,
-    ic: &Config,
-    seeds: &[u64],
-) -> Vec<ConvergenceOutcome> {
-    let mut sim = EnsembleSimulator::new(experiment.protocol.clone(), ic.clone(), seeds);
-    run_ensemble_until_convergence(&mut sim, experiment.criterion, experiment.max_interactions)
 }
 
 /// Runs the experiment, fanning the work out across the process-wide
@@ -92,40 +79,18 @@ fn run_seed_block(
 /// `run_experiment` many times reuse the same threads instead of paying a
 /// spawn/join per call.
 ///
-/// For the sequential and batched engines the unit of work is one seed; for
-/// [`EngineKind::Ensemble`] the seeds are partitioned into blocks of `lanes`
-/// trajectories, each block is sharded into `shards` contiguous lane
-/// sub-blocks (threads × lanes; `shards == 0` auto-detects one shard per
-/// pool worker), and the unit of work is one lockstep sub-block.  Runs are
-/// independent and deterministic, and sharding cannot perturb a lane's
-/// stream, so outcomes come back in seed order — bit-identical for every
-/// `shards` value — regardless of scheduling.
+/// The unit of work is one seed.  Runs are independent and deterministic,
+/// so outcomes come back in seed order regardless of scheduling.
 pub fn run_experiment(experiment: &SimulationExperiment) -> ExperimentResult {
     let ic = Arc::new(experiment.protocol.initial_config(&experiment.input));
     // The pool's jobs are 'static: share the experiment via Arc instead of
     // borrowing it.
     let experiment = Arc::new(experiment.clone());
-    let outcomes = match experiment.engine {
-        EngineKind::Ensemble { lanes, shards } => {
-            let blocks: Vec<Vec<u64>> = experiment
-                .seeds
-                .chunks(lanes.max(1))
-                .flat_map(|block| shard_blocks(block, shards))
-                .collect();
-            let per_block = popproto_exec::global().map(blocks, move |i, block| {
-                let _span = obs::span_with_arg("seed_block", "block", i as u64);
-                run_seed_block(&experiment, &ic, &block)
-            });
-            per_block.into_iter().flatten().collect()
-        }
-        _ => {
-            let seeds = experiment.seeds.clone();
-            popproto_exec::global().map(seeds, move |_, seed| {
-                let _span = obs::span_with_arg("seed", "seed", seed);
-                run_one_seed(&experiment, &ic, seed)
-            })
-        }
-    };
+    let seeds = experiment.seeds.clone();
+    let outcomes = popproto_exec::global().map(seeds, move |_, seed| {
+        let _span = obs::span_with_arg("seed", "seed", seed);
+        run_one_seed(&experiment, &ic, seed)
+    });
     let stats = aggregate_outcomes(&outcomes);
     ExperimentResult { outcomes, stats }
 }
@@ -133,6 +98,8 @@ pub fn run_experiment(experiment: &SimulationExperiment) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::run_ensemble_until_convergence;
+    use crate::ensemble::EnsembleSimulator;
     use popproto_zoo::{binary_counter, majority};
 
     #[test]
@@ -178,15 +145,15 @@ mod tests {
     #[test]
     fn ensemble_engine_matches_batched_engine_outcome_for_outcome() {
         let p = binary_counter(3);
-        let base = SimulationExperiment::new(p, Input::unary(2_000), 7, u64::MAX);
-        let batched = run_experiment(&base.clone().with_engine(EngineKind::Batched));
-        // 7 seeds over 3-lane blocks: exercises a ragged final block.
-        let ensemble = run_experiment(&base.with_engine(EngineKind::Ensemble {
-            lanes: 3,
-            shards: 1,
-        }));
-        assert_eq!(batched.outcomes.len(), ensemble.outcomes.len());
-        for (b, e) in batched.outcomes.iter().zip(&ensemble.outcomes) {
+        let exp = SimulationExperiment::new(p, Input::unary(2_000), 7, u64::MAX)
+            .with_engine(EngineKind::Batched);
+        let batched = run_experiment(&exp);
+        let ic = exp.protocol.initial_config(&exp.input);
+        let mut ens = EnsembleSimulator::new(exp.protocol.clone(), ic, &exp.seeds);
+        let ensemble =
+            run_ensemble_until_convergence(&mut ens, exp.criterion, exp.max_interactions);
+        assert_eq!(batched.outcomes.len(), ensemble.len());
+        for (b, e) in batched.outcomes.iter().zip(&ensemble) {
             assert_eq!(b.converged, e.converged);
             assert_eq!(b.output, e.output);
             assert_eq!(b.interactions, e.interactions);
@@ -196,14 +163,7 @@ mod tests {
 
     #[test]
     fn engine_kinds_serialise_round_trip() {
-        for kind in [
-            EngineKind::Sequential,
-            EngineKind::Batched,
-            EngineKind::Ensemble {
-                lanes: 64,
-                shards: 2,
-            },
-        ] {
+        for kind in [EngineKind::Sequential, EngineKind::Batched] {
             let json = serde_json::to_string(&kind).unwrap();
             let back: EngineKind = serde_json::from_str(&json).unwrap();
             assert_eq!(kind, back);

@@ -4,18 +4,18 @@
 //! The contract under test: running a K-lane ensemble as P contiguous lane
 //! sub-blocks on the worker pool is **bit-identical** to running it as one
 //! unsharded ensemble — for every tested P, including P values that do not
-//! divide K, P ≥ K (one lane per shard), and the auto-detect setting — at
-//! the convergence-driver level and the `run_experiment` level.  Sharding
-//! is a throughput knob, never a semantics knob.
+//! divide K, P ≥ K (one lane per shard), and the auto-detect setting.
+//! Sharding is a throughput knob, never a semantics knob.
 
 use popproto_model::Input;
 use popproto_obs as obs;
 use popproto_sim::{
     run_ensemble_until_convergence, run_sharded_ensemble_until_convergence,
-    run_sharded_ensemble_with_heartbeat, ConvergenceCriterion, ConvergenceOutcome, EngineKind,
-    EnsembleSimulator, SimulationExperiment,
+    run_sharded_ensemble_with_heartbeat, ConvergenceCriterion, ConvergenceOutcome,
+    EnsembleSimulator,
 };
 use popproto_zoo::{approximate_majority, binary_counter};
+use serde::Deserialize as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -112,6 +112,57 @@ fn tracing_and_heartbeats_leave_sharded_outcomes_bit_identical() {
     assert!(last.contains(&format!("\"lanes_converged\":{converged}")));
 }
 
+/// The count `name` of a JSON heartbeat line.
+fn field(line: &serde::Value, name: &str) -> u64 {
+    line.field(name)
+        .and_then(u64::from_value)
+        .unwrap_or_else(|e| panic!("heartbeat field {name}: {e:?}"))
+}
+
+/// The final heartbeat line adds up the outcomes it reports on, whether the
+/// lanes run as one ensemble on the calling thread or as shards on the pool.
+#[test]
+fn final_heartbeat_line_matches_the_outcomes_for_one_and_many_shards() {
+    let p = approximate_majority();
+    let ic = p.initial_config(&Input::from_counts(vec![700, 500]));
+    let seeds: Vec<u64> = (0..13).collect();
+    let criterion = ConvergenceCriterion::Silent;
+    // Short enough that some lanes run out of budget.
+    let budget = 14_000u64;
+    for shards in [1usize, 4] {
+        let (heartbeat, lines) = obs::Heartbeat::shared_buffer(Duration::ZERO);
+        let heartbeat = Arc::new(Mutex::new(heartbeat));
+        let outcomes = run_sharded_ensemble_with_heartbeat(
+            &p, &ic, &seeds, shards, criterion, budget, &heartbeat,
+        );
+        let converged = outcomes.iter().filter(|o| o.converged).count() as u64;
+        assert!(
+            0 < converged && converged < seeds.len() as u64,
+            "P = {shards}: a mix"
+        );
+        let text = String::from_utf8(lines.lock().unwrap().clone()).unwrap();
+        let last = text.lines().last().expect("final heartbeat line");
+        assert!(last.contains("\"final\":true"), "P = {shards}: {last}");
+        let last: serde::Value = serde_json::from_str(last).expect("heartbeat line is JSON");
+        assert_eq!(
+            field(&last, "lanes_total"),
+            seeds.len() as u64,
+            "P = {shards}"
+        );
+        assert_eq!(
+            field(&last, "lanes_finished"),
+            seeds.len() as u64,
+            "P = {shards}"
+        );
+        assert_eq!(field(&last, "lanes_converged"), converged, "P = {shards}");
+        assert_eq!(
+            field(&last, "interactions"),
+            outcomes.iter().map(|o| o.interactions).sum::<u64>(),
+            "P = {shards}"
+        );
+    }
+}
+
 /// Every recorded wave phase lies inside a recorded `wave` span on its own
 /// thread: phases of waves begun before the session are not recorded.
 fn assert_phases_are_wave_children(trace: &obs::Trace, cycle: u64) {
@@ -197,26 +248,4 @@ fn tracing_toggled_mid_run_on_the_global_pool_yields_valid_traces() {
         drop(stop);
         assert!(background.join().expect("background runs") > 0);
     });
-}
-
-#[test]
-fn experiment_runner_is_shard_count_invariant() {
-    let p = binary_counter(3);
-    let base = SimulationExperiment::new(p, Input::unary(2_000), 11, u64::MAX);
-    let reference = popproto_sim::run_experiment(&base.clone().with_engine(EngineKind::Ensemble {
-        lanes: 4,
-        shards: 1,
-    }));
-    for shards in [2usize, 3, 0] {
-        let sharded = popproto_sim::run_experiment(
-            &base
-                .clone()
-                .with_engine(EngineKind::Ensemble { lanes: 4, shards }),
-        );
-        assert_outcomes_identical(
-            &reference.outcomes,
-            &sharded.outcomes,
-            &format!("run_experiment, P = {shards}"),
-        );
-    }
 }

@@ -7,7 +7,7 @@
 //! work, and the shares are consistent with the raw nanosecond counters.
 //! Run in release in CI next to the ensemble equivalence suites — together
 //! they pin both sides of the split-phase optimisation: the accounting that
-//! measures it and the lane equivalence the cached samplers must preserve.
+//! measures it and the lane equivalence the samplers must preserve.
 
 use popproto_model::Input;
 use popproto_sim::EnsembleSimulator;

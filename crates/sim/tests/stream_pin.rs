@@ -4,8 +4,8 @@
 //! with solo batched runs, so a change that moved every stream the same way
 //! would pass both.  This suite pins the streams themselves: exact
 //! `(interactions, effective_interactions, counts)` of [`BatchedSimulator`]
-//! trajectories at fixed seeds, and the per-lane interaction totals of one
-//! 4-lane ensemble convergence drive.  The inputs cover every sampler regime
+//! trajectories at fixed seeds, and the per-lane outcomes of two ensemble
+//! convergence drives, one per criterion.  The inputs cover every sampler regime
 //! a batch can hit: exact sequential steps (n < 256), the tabulated birthday
 //! sampler (n ≤ 2¹⁷), the Rayleigh birthday limit beyond it, and split
 //! chains whose totals run past the two-level log-factorial table into the
@@ -132,4 +132,32 @@ fn ensemble_convergence_is_pinned() {
     let outcomes = run_ensemble_until_convergence(&mut ens, ConvergenceCriterion::Silent, u64::MAX);
     let got: Vec<u64> = outcomes.iter().map(|o| o.interactions).collect();
     assert_eq!(got, [117_160, 129_533, 141_112, 123_990]);
+}
+
+/// Per-lane `(interactions, interactions_to_convergence, output)` of a
+/// 6-lane ensemble drive under the persistence criterion.  The window and
+/// budget give every way a lane can finish: converged at silence (lanes 0
+/// and 5), converged once the consensus outlasts the window (lanes 1–3),
+/// and out of budget with an unconfirmed consensus (lane 4).
+#[test]
+fn ensemble_persistence_convergence_is_pinned() {
+    let (p, ic) = majority(6_000, 4_000);
+    let mut ens = EnsembleSimulator::new(p, ic, &[21, 22, 23, 24, 25, 26]);
+    let criterion = ConvergenceCriterion::ConsensusPersistence { window: 2_000 };
+    let outcomes = run_ensemble_until_convergence(&mut ens, criterion, 150_000);
+    let got: Vec<(u64, Option<u64>, Option<bool>)> = outcomes
+        .iter()
+        .map(|o| (o.interactions, o.interactions_to_convergence, o.output))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (129_395, Some(129_395), Some(true)),
+            (127_000, Some(125_000), Some(true)),
+            (132_000, Some(130_000), Some(true)),
+            (132_000, Some(130_000), Some(true)),
+            (150_000, None, Some(true)),
+            (120_776, Some(120_000), Some(true)),
+        ]
+    );
 }
