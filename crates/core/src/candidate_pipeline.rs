@@ -17,6 +17,13 @@
 //!    `n` with reject-on-first-failure, on the CSR or the
 //!    frontier-compressed exploration engine.
 //!
+//! The pipeline runs the two symbolic stages on one [`Prefilter`] it owns:
+//! their flat rows are reused from miss to miss, and the Karp–Miller cover
+//! both stages intersect with is computed once per transition structure —
+//! the η-floor stage reuses the cover of the stage before it, and so does
+//! every following miss with the same non-silent transitions.  Verdicts are
+//! those of the free functions, whatever the order of the misses.
+//!
 //! # Cross-candidate memoization
 //!
 //! All three stages are functions of the candidate's *coverable-support
@@ -64,7 +71,7 @@
 use crate::orbit_stream::{permutations_fixing_zero, OrbitSpace};
 use popproto_model::{Output, Protocol, ProtocolBuilder, StateId};
 use popproto_reach::{frontier_threshold_profile, unary_threshold_profile, ExploreLimits};
-use popproto_symbolic::{eta_floor_prefilter, threshold_prefilter, SymbolicLimits};
+use popproto_symbolic::{Prefilter, SymbolicLimits};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -610,6 +617,8 @@ pub struct CandidatePipeline {
     fingerprint: Vec<u8>,
     scratch: Vec<u8>,
     scratch_best: Vec<u8>,
+    /// The symbolic stages' working memory, shared by every memo miss.
+    prefilter: Prefilter,
 }
 
 impl CandidatePipeline {
@@ -634,6 +643,7 @@ impl CandidatePipeline {
             fingerprint: Vec::new(),
             scratch: Vec::new(),
             scratch_best: Vec::new(),
+            prefilter: Prefilter::default(),
         }
     }
 
@@ -714,7 +724,11 @@ impl CandidatePipeline {
             );
         }
         if !self.config.memoize {
-            let verdict = triage(&fingerprint_protocol(&self.fingerprint), &self.config);
+            let verdict = triage(
+                &fingerprint_protocol(&self.fingerprint),
+                &self.config,
+                &mut self.prefilter,
+            );
             self.apply(verdict, index);
             return;
         }
@@ -731,7 +745,11 @@ impl CandidatePipeline {
                 return;
             }
         }
-        let verdict = triage(&fingerprint_protocol(&self.fingerprint), &self.config);
+        let verdict = triage(
+            &fingerprint_protocol(&self.fingerprint),
+            &self.config,
+            &mut self.prefilter,
+        );
         self.insert_local(verdict);
         if let Some(table) = shared {
             table.insert(&self.fingerprint, verdict);
@@ -866,11 +884,11 @@ pub(crate) fn canonicalize_fingerprint(
 }
 
 /// The staged triage of one (restricted) candidate protocol.
-fn triage(protocol: &Protocol, config: &PipelineConfig) -> MemoVerdict {
-    if !threshold_prefilter(protocol, config.max_input, &config.symbolic) {
+fn triage(protocol: &Protocol, config: &PipelineConfig, prefilter: &mut Prefilter) -> MemoVerdict {
+    if !prefilter.threshold(protocol, config.max_input, &config.symbolic) {
         return MemoVerdict::RejectedSymbolic;
     }
-    if !eta_floor_prefilter(protocol, config.eta_floor, &config.symbolic) {
+    if !prefilter.eta_floor(protocol, config.eta_floor, &config.symbolic) {
         return MemoVerdict::RejectedEta;
     }
     let profile = match config.engine {

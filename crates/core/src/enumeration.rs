@@ -262,7 +262,16 @@ mod tests {
         assert_eq!(result.threshold_protocols, 46_144);
         assert_eq!(result.pruned_symmetric, 186_336);
         assert!(result.is_exact(), "no orbit may be truncated");
-        assert!(result.pruned_symbolic > 0, "the pre-filter never fired");
+        // The exact pre-filter funnel: a changed symbolic verdict on any
+        // orbit moves this count even when the best value survives.
+        assert_eq!(
+            result.pruned_symbolic, 130_956,
+            "the pre-filter funnel changed"
+        );
+        assert_eq!(
+            result.pruned_eta_bounded, 0,
+            "the η floor is off at BB_det(3)"
+        );
     }
 
     #[test]

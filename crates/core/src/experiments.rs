@@ -708,6 +708,12 @@ mod tests {
             "the early 4-state space must share restrictions"
         );
         assert_eq!(s.truncated_orbits, 0);
+        // The exact funnel of this prefix: a changed pre-filter verdict
+        // anywhere in it moves these counts.
+        assert_eq!(s.pruned_symbolic, 6_034);
+        assert_eq!(s.pruned_eta_bounded, 1_402);
+        assert_eq!(s.profiled, 0);
+        assert_eq!(s.threshold_protocols, 0);
     }
 
     #[test]

@@ -271,8 +271,10 @@ pub struct SegmentedSearch {
     end: u128,
     /// Segment ids in visit order.
     order: Vec<u32>,
-    /// Runtime state per segment id (`None` = untouched).
-    runs: Vec<Option<SegmentRun>>,
+    /// Runtime state per segment id (`None` = untouched).  Boxed: a range
+    /// has far more segments than a search touches, and an untouched slot
+    /// then costs one pointer, not a whole pipeline.
+    runs: Vec<Option<Box<SegmentRun>>>,
     /// The orbit target of the latest [`SegmentedSearch::run`] — the merge
     /// cut: [`SegmentedSearch::result`] folds the minimal in-order segment
     /// prefix whose canonical-orbit count reaches it, which keeps the
@@ -384,13 +386,13 @@ impl SegmentedSearch {
                     .unpack()
                     .expect("corrupt packed local memo in checkpoint"),
             );
-            search.runs[seg_id] = Some(SegmentRun {
+            search.runs[seg_id] = Some(Box::new(SegmentRun {
                 start,
                 end,
                 cursor: entry.cursor.clone(),
                 pipeline,
                 done: entry.done,
-            });
+            }));
         }
         search
     }
@@ -721,14 +723,14 @@ impl SegmentedSearch {
 
         // Move each wave segment's state into its job; results are moved
         // back afterwards (distinct segments, so no sharing is needed).
-        let jobs: Vec<(usize, u32, SegmentRun)> = positions
+        let jobs: Vec<(usize, u32, Box<SegmentRun>)> = positions
             .iter()
             .map(|&pos| {
                 let seg_id = self.order[pos];
                 let run = self.runs[seg_id as usize].take().unwrap_or_else(|| {
                     let start = self.seg_size * seg_id as u128;
                     let end = (start + self.seg_size).min(self.end);
-                    SegmentRun {
+                    Box::new(SegmentRun {
                         start,
                         end,
                         cursor: OrbitStream::range(&self.space, start, end).cursor(),
@@ -737,7 +739,7 @@ impl SegmentedSearch {
                             self.config.clone(),
                         ),
                         done: false,
-                    }
+                    })
                 });
                 (pos, seg_id, run)
             })
@@ -748,9 +750,9 @@ impl SegmentedSearch {
         let tracker = Arc::new(Mutex::new(tracker));
         let space = Arc::clone(&self.space);
         let shared = Arc::clone(&self.shared);
-        let finished: Vec<(u32, SegmentRun)> = pool.map(
+        let finished: Vec<(u32, Box<SegmentRun>)> = pool.map(
             jobs,
-            move |_, (pos, seg_id, mut run): (usize, u32, SegmentRun)| {
+            move |_, (pos, seg_id, mut run): (usize, u32, Box<SegmentRun>)| {
                 if run.done || cancel.load(Ordering::Relaxed) {
                     return (seg_id, run);
                 }

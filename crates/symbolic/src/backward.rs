@@ -17,6 +17,7 @@
 //! (Lemma 3.1 in action: the finite basis witnesses downward closure for
 //! *all* population sizes simultaneously).
 
+use crate::omega::{ideal_rows_to_set, OMEGA_BOUND};
 use crate::SymbolicLimits;
 use popproto_model::{Output, Protocol};
 use popproto_vas::{DownwardClosedSet, Ideal};
@@ -51,65 +52,24 @@ impl CoverabilityBasis {
 /// For a transition `t : (a, b) ↦ (c, d)` and a minimal target `m`, the
 /// minimal configuration that fires `t` into `↑m` is
 /// `q ↦ max(pre_t(q), m(q) − post_t(q) + pre_t(q))`.
+///
+/// # Panics
+///
+/// Panics if a target has the wrong dimension.
 pub fn backward_coverability(
     protocol: &Protocol,
     targets: &[Vec<u64>],
     limits: &SymbolicLimits,
 ) -> CoverabilityBasis {
     let n = protocol.num_states();
-    let transitions: Vec<(Vec<u64>, Vec<u64>)> = protocol
-        .non_silent_transitions()
-        .map(|t| {
-            let mut pre = vec![0u64; n];
-            pre[t.pre.lo().index()] += 1;
-            pre[t.pre.hi().index()] += 1;
-            let mut post = vec![0u64; n];
-            post[t.post.lo().index()] += 1;
-            post[t.post.hi().index()] += 1;
-            (pre, post)
-        })
-        .collect();
-
-    let mut minimal: Vec<Vec<u64>> = Vec::new();
-    let mut worklist: Vec<Vec<u64>> = Vec::new();
-    let mut generated = 0usize;
-    let insert = |cand: Vec<u64>, minimal: &mut Vec<Vec<u64>>, worklist: &mut Vec<Vec<u64>>| {
-        if minimal
-            .iter()
-            .any(|m| m.iter().zip(&cand).all(|(a, b)| a <= b))
-        {
-            return;
-        }
-        minimal.retain(|m| !cand.iter().zip(m).all(|(a, b)| a <= b));
-        worklist.push(cand.clone());
-        minimal.push(cand);
-    };
+    let mut rows = FlatRows::default();
     for t in targets {
         assert_eq!(t.len(), n, "target dimension mismatch");
-        insert(t.clone(), &mut minimal, &mut worklist);
+        rows.targets.extend_from_slice(t);
     }
-
-    let mut complete = true;
-    while let Some(m) = worklist.pop() {
-        // A frontier element subsumed since it was queued contributes only
-        // non-minimal predecessors; skip it.
-        if !minimal.contains(&m) {
-            continue;
-        }
-        if minimal.len() > limits.max_backward_basis || generated > 64 * limits.max_backward_basis {
-            complete = false;
-            break;
-        }
-        for (pre, post) in &transitions {
-            generated += 1;
-            let cand: Vec<u64> = (0..n)
-                .map(|q| pre[q].max((m[q] + pre[q]).saturating_sub(post[q])))
-                .collect();
-            insert(cand, &mut minimal, &mut worklist);
-        }
-    }
+    let (generated, complete) = rows.backward(protocol, limits);
     CoverabilityBasis {
-        minimal,
+        minimal: rows.minimal.chunks_exact(n).map(<[u64]>::to_vec).collect(),
         generated,
         complete,
     }
@@ -123,32 +83,236 @@ pub fn backward_coverability(
 /// complements.  Returns `None` if an intermediate antichain exceeds
 /// `limits.max_ideals` (the result would not be trustworthy to compute
 /// further with).
+///
+/// # Panics
+///
+/// Panics if an element has the wrong dimension.
 pub fn complement_of_upward(
     minimal: &[Vec<u64>],
     num_states: usize,
     limits: &SymbolicLimits,
 ) -> Option<DownwardClosedSet> {
-    let mut result = DownwardClosedSet::from_ideal(Ideal::full(num_states));
+    if num_states == 0 {
+        // The only configuration is the empty one, covered by any element.
+        return Some(if minimal.is_empty() {
+            DownwardClosedSet::from_ideal(Ideal::full(0))
+        } else {
+            DownwardClosedSet::empty()
+        });
+    }
+    let mut rows = FlatRows::default();
     for m in minimal {
-        let mut layer = DownwardClosedSet::empty();
-        for (q, &count) in m.iter().enumerate() {
-            if count == 0 {
+        assert_eq!(m.len(), num_states, "element dimension mismatch");
+        rows.minimal.extend_from_slice(m);
+    }
+    rows.complement(num_states, limits)
+        .then(|| ideal_rows_to_set(&rows.ideals, num_states))
+}
+
+/// The flat working rows of the backward fixpoint and of its complement,
+/// reused across calls so that a pre-filter miss allocates nothing once
+/// the buffers have grown.
+///
+/// Every buffer holds rows of stride `|Q|`: `targets` and `minimal` are
+/// count vectors, `ideals` are ideal bounds with [`OMEGA_BOUND`] as `ω`, so
+/// inclusion of ideals is the pointwise `≤` and their intersection the
+/// pointwise `min`.
+#[derive(Debug, Default)]
+pub(crate) struct FlatRows {
+    /// Transition rows, `pre_t` then `post_t`, `2·|Q|` entries per
+    /// transition.
+    deltas: Vec<u64>,
+    /// The targets of the next [`FlatRows::backward`] call.
+    targets: Vec<u64>,
+    /// The minimal antichain of the last backward fixpoint, in the order
+    /// the reference `Vec<Vec<u64>>` algorithm keeps it.
+    minimal: Vec<u64>,
+    worklist: Vec<u64>,
+    row: Vec<u64>,
+    candidate: Vec<u64>,
+    /// The ideal basis of the last complement (an antichain, unsorted).
+    ideals: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl FlatRows {
+    /// The ideal rows of the last successful [`FlatRows::stable_set`] or
+    /// [`FlatRows::complement`].
+    pub(crate) fn ideals(&self) -> &[u64] {
+        &self.ideals
+    }
+
+    /// `SC_b` as flat ideal rows in [`FlatRows::ideals`]: the complement of
+    /// the least backward fixpoint of the states with output `≠ b`.
+    ///
+    /// Returns `None` if the complement exceeded `limits.max_ideals`,
+    /// otherwise the basis size and whether the fixpoint converged.
+    pub(crate) fn stable_set(
+        &mut self,
+        protocol: &Protocol,
+        b: Output,
+        limits: &SymbolicLimits,
+    ) -> Option<(usize, bool)> {
+        let n = protocol.num_states();
+        self.targets.clear();
+        for q in protocol.state_ids() {
+            if protocol.output_of(q) != b {
+                let start = self.targets.len();
+                self.targets.resize(start + n, 0);
+                self.targets[start + q.index()] = 1;
+            }
+        }
+        let (_, complete) = self.backward(protocol, limits);
+        let basis_size = self.minimal.len() / n;
+        self.complement(n, limits).then_some((basis_size, complete))
+    }
+
+    /// The backward fixpoint from `self.targets` into `self.minimal`;
+    /// returns the number of generated candidates and whether it converged.
+    ///
+    /// The pop order and the insert/retain order are those of the
+    /// row-per-`Vec` algorithm, so `minimal` comes out in the same order.
+    fn backward(&mut self, protocol: &Protocol, limits: &SymbolicLimits) -> (usize, bool) {
+        let n = protocol.num_states();
+        let FlatRows {
+            deltas,
+            targets,
+            minimal,
+            worklist,
+            row,
+            candidate,
+            ..
+        } = self;
+        deltas.clear();
+        for t in protocol.non_silent_transitions() {
+            let start = deltas.len();
+            deltas.resize(start + 2 * n, 0);
+            deltas[start + t.pre.lo().index()] += 1;
+            deltas[start + t.pre.hi().index()] += 1;
+            deltas[start + n + t.post.lo().index()] += 1;
+            deltas[start + n + t.post.hi().index()] += 1;
+        }
+        minimal.clear();
+        worklist.clear();
+        for target in targets.chunks_exact(n) {
+            insert_minimal(target, minimal, worklist);
+        }
+
+        let mut generated = 0usize;
+        let mut complete = true;
+        let max_generated = limits.max_backward_basis.saturating_mul(64);
+        while let Some(start) = worklist.len().checked_sub(n) {
+            row.clear();
+            row.extend_from_slice(&worklist[start..]);
+            worklist.truncate(start);
+            // A frontier element subsumed since it was queued contributes
+            // only non-minimal predecessors; skip it.
+            if !minimal.chunks_exact(n).any(|m| m == row.as_slice()) {
                 continue;
             }
-            let mut bounds: Vec<Option<u64>> = vec![None; num_states];
-            bounds[q] = Some(count - 1);
-            layer.insert(Ideal::new(bounds));
+            if minimal.len() / n > limits.max_backward_basis || generated > max_generated {
+                complete = false;
+                break;
+            }
+            for delta in deltas.chunks_exact(2 * n) {
+                generated += 1;
+                let (pre, post) = delta.split_at(n);
+                // A post-set outside supp(m) leaves the candidate at
+                // m + pre ≥ m, which the antichain already covers.
+                if post.iter().zip(row.iter()).all(|(&p, &m)| p == 0 || m == 0) {
+                    continue;
+                }
+                candidate.clear();
+                candidate
+                    .extend((0..n).map(|q| pre[q].max((row[q] + pre[q]).saturating_sub(post[q]))));
+                insert_minimal(candidate, minimal, worklist);
+            }
         }
-        // An all-zero element covers everything: the complement is empty.
-        result = result.intersect(&layer);
-        if result.len() > limits.max_ideals {
-            return None;
+        (generated, complete)
+    }
+
+    /// The complement of `↑self.minimal` into `self.ideals`; returns `false`
+    /// if an intermediate antichain exceeded `limits.max_ideals`.
+    ///
+    /// The size of each intermediate antichain does not depend on the order
+    /// its ideals are generated in, so the cap fires at the same step as in
+    /// the [`DownwardClosedSet`] computation.
+    fn complement(&mut self, n: usize, limits: &SymbolicLimits) -> bool {
+        let FlatRows {
+            minimal,
+            row,
+            ideals,
+            next,
+            ..
+        } = self;
+        ideals.clear();
+        ideals.resize(n, OMEGA_BOUND);
+        for m in minimal.chunks_exact(n) {
+            // `¬↑m` is the union of the ideals bounding one supported state
+            // `q` by `m(q) − 1`; they are pairwise incomparable, and meeting
+            // one with an ideal lowers a single entry.
+            next.clear();
+            for ideal in ideals.chunks_exact(n) {
+                for (q, &count) in m.iter().enumerate() {
+                    if count == 0 {
+                        continue;
+                    }
+                    row.clear();
+                    row.extend_from_slice(ideal);
+                    row[q] = row[q].min(count - 1);
+                    insert_maximal(row, next);
+                }
+            }
+            std::mem::swap(ideals, next);
+            if ideals.len() / n > limits.max_ideals {
+                return false;
+            }
+            if ideals.is_empty() {
+                break;
+            }
         }
-        if result.is_empty() {
-            break;
+        true
+    }
+}
+
+/// Adds `candidate` to the antichain of minimal rows unless an element lies
+/// below it, dropping the elements above it and queueing it on `worklist`.
+fn insert_minimal(candidate: &[u64], minimal: &mut Vec<u64>, worklist: &mut Vec<u64>) {
+    let n = candidate.len();
+    if minimal.chunks_exact(n).any(|m| row_leq_u64(m, candidate)) {
+        return;
+    }
+    retain_rows(minimal, n, |m| !row_leq_u64(candidate, m));
+    worklist.extend_from_slice(candidate);
+    minimal.extend_from_slice(candidate);
+}
+
+/// Adds the ideal `row` to the antichain of maximal ideal rows unless an
+/// element contains it, dropping the elements it contains.
+fn insert_maximal(row: &[u64], maximal: &mut Vec<u64>) {
+    let n = row.len();
+    if maximal.chunks_exact(n).any(|m| row_leq_u64(row, m)) {
+        return;
+    }
+    retain_rows(maximal, n, |m| !row_leq_u64(m, row));
+    maximal.extend_from_slice(row);
+}
+
+/// Keeps, in order, the rows of stride `n` that satisfy `keep`.
+fn retain_rows(rows: &mut Vec<u64>, n: usize, keep: impl Fn(&[u64]) -> bool) {
+    let mut kept = 0;
+    for r in 0..rows.len() / n {
+        if keep(&rows[r * n..(r + 1) * n]) {
+            rows.copy_within(r * n..(r + 1) * n, kept * n);
+            kept += 1;
         }
     }
-    Some(result)
+    rows.truncate(kept * n);
+}
+
+/// Pointwise `a ≤ b`.
+fn row_leq_u64(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
 /// A symbolically computed stable set `SC_b`, valid for every population
@@ -177,23 +341,13 @@ pub fn symbolic_stable_sets(
     b: Output,
     limits: &SymbolicLimits,
 ) -> Option<SymbolicStableSet> {
-    let n = protocol.num_states();
-    let targets: Vec<Vec<u64>> = protocol
-        .state_ids()
-        .filter(|&q| protocol.output_of(q) != b)
-        .map(|q| {
-            let mut unit = vec![0u64; n];
-            unit[q.index()] = 1;
-            unit
-        })
-        .collect();
-    let basis = backward_coverability(protocol, &targets, limits);
-    let set = complement_of_upward(&basis.minimal, n, limits)?;
+    let mut rows = FlatRows::default();
+    let (basis_size, exact) = rows.stable_set(protocol, b, limits)?;
     Some(SymbolicStableSet {
         output: b,
-        set,
-        basis_size: basis.minimal.len(),
-        exact: basis.complete,
+        set: ideal_rows_to_set(rows.ideals(), protocol.num_states()),
+        basis_size,
+        exact,
     })
 }
 
@@ -274,5 +428,23 @@ mod tests {
         };
         let basis = backward_coverability(&p, &[vec![0, 0, 1]], &limits);
         assert!(!basis.complete);
+    }
+
+    #[test]
+    fn huge_basis_cap_does_not_overflow_the_candidate_cap() {
+        // `64 · max_backward_basis` does not fit a `usize`: the candidate
+        // cap saturates instead of wrapping to 0 (or panicking).
+        let p = threshold2_protocol();
+        let limits = SymbolicLimits {
+            max_backward_basis: 1 << 58,
+            ..SymbolicLimits::default()
+        };
+        let basis = backward_coverability(&p, &[vec![0, 0, 1]], &limits);
+        assert!(basis.complete);
+        assert!(
+            symbolic_stable_sets(&p, Output::True, &limits)
+                .unwrap()
+                .exact
+        );
     }
 }

@@ -19,10 +19,12 @@
 //!   enlarge the cover, so the label set keeps the completeness invariant
 //!   *every reachable configuration lies below some generated label*.
 //!
-//! The result is returned as a canonical
-//! [`DownwardClosedSet`] (the antichain of maximal labels).  `complete`
-//! is `false` when the label cap was hit; callers that rely on the cover
-//! being an over-approximation of reachability must check it.
+//! The label loop returns the arena of labels; [`karp_miller`] and
+//! [`karp_miller_from`] turn it into a canonical [`DownwardClosedSet`] (the
+//! antichain of maximal labels), while the busy-beaver pre-filter reads the
+//! labels directly.  `complete` is `false` when the label cap was hit;
+//! callers that rely on the cover being an over-approximation of
+//! reachability must check it.
 
 use crate::omega::{row_leq, row_to_ideal, OmegaArena, OMEGA};
 use crate::SymbolicLimits;
@@ -61,15 +63,8 @@ impl KarpMillerCover {
 /// Runs Karp–Miller from the ω-initial row `L + ω·I(x)` (every input
 /// variable receives `ω` agents; leaders keep their exact counts).
 pub fn karp_miller(protocol: &Protocol, limits: &SymbolicLimits) -> KarpMillerCover {
-    let mut root: Vec<u32> = protocol
-        .leaders()
-        .counts()
-        .iter()
-        .map(|&c| u32::try_from(c).expect("leader count exceeds u32"))
-        .collect();
-    for var in protocol.input_variables() {
-        root[var.state.index()] = OMEGA;
-    }
+    let mut root = Vec::new();
+    omega_initial_row(protocol, &mut root);
     karp_miller_from(protocol, &[root], limits)
 }
 
@@ -83,19 +78,74 @@ pub fn karp_miller_from(
     roots: &[Vec<u32>],
     limits: &SymbolicLimits,
 ) -> KarpMillerCover {
-    let n = protocol.num_states();
-    let deltas: Vec<[usize; 4]> = protocol
-        .non_silent_transitions()
-        .map(|t| {
-            [
-                t.pre.lo().index(),
-                t.pre.hi().index(),
-                t.post.lo().index(),
-                t.post.hi().index(),
-            ]
-        })
-        .collect();
+    let mut deltas = Vec::new();
+    transition_deltas(protocol, &mut deltas);
+    let (arena, expanded, complete) = karp_miller_labels(
+        protocol.num_states(),
+        &deltas,
+        roots.iter().map(Vec::as_slice),
+        limits.max_cover_labels,
+    );
+    let mut set = DownwardClosedSet::empty();
+    for (_, row) in arena.iter() {
+        set.insert(row_to_ideal(row));
+    }
+    set.canonicalize();
+    KarpMillerCover {
+        set,
+        labels: arena.len(),
+        expanded,
+        complete,
+    }
+}
 
+/// Writes the ω-initial row `L + ω·I(x)` into `root`.
+///
+/// # Panics
+///
+/// Panics if a leader count does not fit a finite ω-row entry.
+pub(crate) fn omega_initial_row(protocol: &Protocol, root: &mut Vec<u32>) {
+    root.clear();
+    root.extend(
+        protocol
+            .leaders()
+            .counts()
+            .iter()
+            .map(|&c| u32::try_from(c).expect("leader count exceeds u32")),
+    );
+    for var in protocol.input_variables() {
+        root[var.state.index()] = OMEGA;
+    }
+}
+
+/// Writes the non-silent transitions of `protocol`, in order, as
+/// `[pre_lo, pre_hi, post_lo, post_hi]` state indices into `deltas`.
+pub(crate) fn transition_deltas(protocol: &Protocol, deltas: &mut Vec<[usize; 4]>) {
+    deltas.clear();
+    deltas.extend(protocol.non_silent_transitions().map(|t| {
+        [
+            t.pre.lo().index(),
+            t.pre.hi().index(),
+            t.post.lo().index(),
+            t.post.hi().index(),
+        ]
+    }));
+}
+
+/// The Karp–Miller label loop over `n` states and the transitions `deltas`
+/// (as written by [`transition_deltas`]): returns the label arena, the
+/// number of labels expanded and whether the loop finished below
+/// `max_labels` labels.
+///
+/// # Panics
+///
+/// Panics if a root has a dimension other than `n`.
+pub(crate) fn karp_miller_labels<'a>(
+    n: usize,
+    deltas: &[[usize; 4]],
+    roots: impl IntoIterator<Item = &'a [u32]>,
+    max_labels: usize,
+) -> (OmegaArena, usize, bool) {
     let mut arena = OmegaArena::new(n);
     // `parent[id]` is the node whose expansion produced label `id`
     // (`u32::MAX` for roots); labels are created exactly once, so label ids
@@ -112,13 +162,13 @@ pub fn karp_miller_from(
     let mut complete = true;
     let mut head: usize = 0;
     while head < arena.len() {
-        if arena.len() > limits.max_cover_labels {
+        if arena.len() > max_labels {
             complete = false;
             break;
         }
         let id = head as u32;
         head += 1;
-        for &[p0, p1, q0, q1] in &deltas {
+        for &[p0, p1, q0, q1] in deltas {
             {
                 let row = arena.row(id);
                 let enabled = if p0 == p1 {
@@ -167,17 +217,7 @@ pub fn karp_miller_from(
         }
     }
 
-    let mut set = DownwardClosedSet::empty();
-    for (_, row) in arena.iter() {
-        set.insert(row_to_ideal(row));
-    }
-    set.canonicalize();
-    KarpMillerCover {
-        set,
-        labels: arena.len(),
-        expanded: head,
-        complete,
-    }
+    (arena, head, complete)
 }
 
 /// Decrements entry `q` of an ω-row (`ω − 1 = ω`).

@@ -22,8 +22,10 @@
 //!   bound on wrong-consensus silent configurations;
 //! * [`verifier`] — the [`SymbolicVerifier`], which combines all of the
 //!   above into sound all-`n` verdicts for threshold predicates, and the
-//!   [`threshold_prefilter`] that rejects busy-beaver candidates before any
-//!   concrete slice is explored.
+//!   [`threshold_prefilter`] and [`eta_floor_prefilter`] that reject
+//!   busy-beaver candidates before any concrete slice is explored, on the
+//!   reusable [`Prefilter`] that keeps their flat rows and one
+//!   Karp–Miller cover between calls.
 //!
 //! See `crates/symbolic/README.md` for the acceleration/antichain design
 //! notes and the full soundness argument.
@@ -49,7 +51,8 @@ pub use omega::{row_leq, row_to_ideal, OmegaArena, OMEGA};
 pub use rays::nonneg_cone_generators;
 pub use termination::{find_silencing_certificate, EliminationRound, SilencingCertificate};
 pub use verifier::{
-    eta_floor_prefilter, silent_ideals, threshold_prefilter, SymbolicVerifier, ThresholdVerdict,
+    eta_floor_prefilter, silent_ideals, threshold_prefilter, Prefilter, SymbolicVerifier,
+    ThresholdVerdict,
 };
 
 use popproto_reach::ExploreLimits;

@@ -1,15 +1,19 @@
 //! ω-configurations as flat `u32` rows, and the interning [`OmegaArena`].
 //!
 //! An ω-configuration is an element of `(N ∪ {ω})^Q`; the forward
-//! acceleration of [`crate::cover`] and the backward antichains of
-//! [`crate::backward`] manipulate hundreds to thousands of them.  Mirroring
-//! `popproto_reach::ConfigArena`'s flat-buffer design, every row lives inside
-//! one backing `Vec<u32>` with the sentinel [`OMEGA`] marking unbounded
-//! entries, and deduplication goes through an open-addressed table that
-//! hashes the raw slices — subsumption checks and membership tests are
-//! allocation-free slice walks.
+//! acceleration of [`crate::cover`] manipulates hundreds to thousands of
+//! them.  Mirroring `popproto_reach::ConfigArena`'s flat-buffer design, every
+//! row lives inside one backing `Vec<u32>` with the sentinel [`OMEGA`]
+//! marking unbounded entries, and deduplication goes through an
+//! open-addressed table that hashes the raw slices — subsumption checks and
+//! membership tests are allocation-free slice walks.
+//!
+//! The backward antichains of [`crate::backward`] and the ideal bases of the
+//! stable sets are flat rows too: `u64` rows of stride `|Q|` in one buffer
+//! each, with `u64::MAX` as `ω` in ideal bounds.  Only the public results
+//! convert them to `Vec<Vec<u64>>` and [`DownwardClosedSet`].
 
-use popproto_vas::Ideal;
+use popproto_vas::{DownwardClosedSet, Ideal};
 
 /// The `ω` sentinel: a count of `u32::MAX` means "unbounded".
 ///
@@ -32,6 +36,34 @@ pub fn row_to_ideal(row: &[u32]) -> Ideal {
             .map(|&c| if c == OMEGA { None } else { Some(c as u64) })
             .collect(),
     )
+}
+
+/// The `ω` bound of a flat `u64` ideal row.  Finite bounds of ideals are
+/// `m(q) − 1` for a count `m(q)`, or Karp–Miller counts below [`OMEGA`], so
+/// they never reach it; inclusion of ideal rows is then the pointwise `≤`
+/// and their intersection the pointwise `min`.
+pub(crate) const OMEGA_BOUND: u64 = u64::MAX;
+
+/// The canonical [`DownwardClosedSet`] of flat ideal rows of stride `n`.
+pub(crate) fn ideal_rows_to_set(rows: &[u64], n: usize) -> DownwardClosedSet {
+    let mut set = DownwardClosedSet::empty();
+    for row in rows.chunks_exact(n) {
+        set.insert(Ideal::new(
+            row.iter()
+                .map(|&b| (b != OMEGA_BOUND).then_some(b))
+                .collect(),
+        ));
+    }
+    set.canonicalize();
+    set
+}
+
+/// The ideals of `set` as flat rows of stride `|Q|`.
+pub(crate) fn set_to_ideal_rows(set: &DownwardClosedSet) -> Vec<u64> {
+    set.ideals()
+        .iter()
+        .flat_map(|ideal| ideal.bounds().iter().map(|b| b.unwrap_or(OMEGA_BOUND)))
+        .collect()
 }
 
 /// Interns ω-rows (count vectors over a fixed state set, with [`OMEGA`]

@@ -36,9 +36,12 @@
 //! `verified_threshold` — it is rejected before a single concrete slice is
 //! explored.
 
-use crate::backward::{symbolic_stable_sets, SymbolicStableSet};
-use crate::cover::{karp_miller, KarpMillerCover};
+use crate::backward::{symbolic_stable_sets, FlatRows, SymbolicStableSet};
+use crate::cover::{
+    karp_miller, karp_miller_labels, omega_initial_row, transition_deltas, KarpMillerCover,
+};
 use crate::invariants::{invariant_cones, max_bad_silent_size, BadSilentBound, InvariantCones};
+use crate::omega::{set_to_ideal_rows, OMEGA, OMEGA_BOUND};
 use crate::termination::{find_silencing_certificate, SilencingCertificate};
 use crate::{complement_of_upward, SymbolicLimits};
 use popproto_model::{Output, Protocol};
@@ -172,13 +175,21 @@ impl SymbolicVerifier {
     /// `verified_threshold` at horizon `max_input` (see
     /// [`threshold_prefilter`]); `true` means "cannot rule it out".
     pub fn may_compute_threshold(&self, max_input: u64) -> bool {
-        let bound = self
-            .stable_set(Output::True)
-            .and_then(|sc1| accepting_population_bound(sc1, &self.cover));
-        match bound {
+        match self.sc1_population_bound() {
             None => true,
             Some(max) => max >= self.protocol.leaders().size() + max_input,
         }
+    }
+
+    /// The [`stable_population_bound`] of `SC_1`, if it was computed.
+    fn sc1_population_bound(&self) -> Option<u64> {
+        let sc1 = self.stable_set(Output::True)?;
+        stable_population_bound(
+            &set_to_ideal_rows(&sc1.set),
+            &set_to_ideal_rows(&self.cover.set),
+            self.cover.complete,
+            self.protocol.num_states(),
+        )
     }
 
     /// Decides `x ≥ eta` for every population size, as far as the symbolic
@@ -186,10 +197,7 @@ impl SymbolicVerifier {
     pub fn certify_threshold(&self, eta: u64) -> ThresholdVerdict {
         // Sound refutation first: no unboundedly large reachable 1-stable
         // configurations means no threshold verifies at any horizon.
-        if let Some(max) = self
-            .stable_set(Output::True)
-            .and_then(|sc1| accepting_population_bound(sc1, &self.cover))
-        {
+        if let Some(max) = self.sc1_population_bound() {
             return ThresholdVerdict::Refuted {
                 reason: format!(
                     "reachable 1-stable configurations have at most {max} agents: \
@@ -316,82 +324,11 @@ pub fn silent_ideals(protocol: &Protocol, limits: &SymbolicLimits) -> Option<Dow
 /// 3. the exact check: `SC_1 ∩ cover` contains no configuration of
 ///    `|L| + max_input` agents, so the mandatory accept at `max_input`
 ///    cannot happen.
-pub fn threshold_prefilter(protocol: &Protocol, max_input: u64, limits: &SymbolicLimits) -> bool {
-    // Stage 1: an accepting consensus needs at least one 1-output state.
-    if protocol.states_with_output(Output::True).is_empty() {
-        return false;
-    }
-
-    // Stage 2: support saturation (a Boolean abstraction of the cover).
-    let n = protocol.num_states();
-    let mut coverable = vec![false; n];
-    for var in protocol.input_variables() {
-        coverable[var.state.index()] = true;
-    }
-    for (q, &count) in protocol.leaders().counts().iter().enumerate() {
-        if count > 0 {
-            coverable[q] = true;
-        }
-    }
-    loop {
-        let mut changed = false;
-        for t in protocol.non_silent_transitions() {
-            if coverable[t.pre.lo().index()] && coverable[t.pre.hi().index()] {
-                for q in [t.post.lo().index(), t.post.hi().index()] {
-                    if !coverable[q] {
-                        coverable[q] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    if !protocol
-        .state_ids()
-        .any(|q| protocol.output_of(q) == Output::True && coverable[q.index()])
-    {
-        return false;
-    }
-
-    // Stage 3: bounded accepting stable sets.
-    let Some(sc1) = symbolic_stable_sets(protocol, Output::True, limits) else {
-        return true;
-    };
-    if sc1.set.is_empty() {
-        return false;
-    }
-    let cover = karp_miller(protocol, limits);
-    match accepting_population_bound(&sc1, &cover) {
-        None => true,
-        Some(max) => max >= protocol.leaders().size() + max_input,
-    }
-}
-
-/// The largest population of a reachable b-stable configuration, when it is
-/// provably finite: `Some(max)` only if the cover is complete (a sound
-/// over-approximation of reachability) and `SC_b ∩ cover` is bounded.
 ///
-/// This single bound backs all four consumers — the pre-filter stage 3,
-/// [`eta_floor_prefilter`], [`SymbolicVerifier::may_compute_threshold`] and
-/// the all-thresholds refutation of
-/// [`SymbolicVerifier::certify_threshold`] — so the soundness direction is
-/// encoded exactly once.  `SC_b` itself may be an over-approximation (a
-/// truncated backward fixpoint under-approximates `pre*`, so its complement
-/// over-approximates the stable set); a finite bound on the
-/// over-approximation bounds the true set a fortiori.
-fn stable_population_bound(sc: &SymbolicStableSet, cover: &KarpMillerCover) -> Option<u64> {
-    if !cover.complete {
-        return None;
-    }
-    sc.set.intersect(&cover.set).max_population()
-}
-
-/// The [`stable_population_bound`] for the accepting stable set `SC_1`.
-fn accepting_population_bound(sc1: &SymbolicStableSet, cover: &KarpMillerCover) -> Option<u64> {
-    stable_population_bound(sc1, cover)
+/// One call on a fresh [`Prefilter`]; a caller that filters many candidates
+/// keeps one [`Prefilter`] instead.
+pub fn threshold_prefilter(protocol: &Protocol, max_input: u64, limits: &SymbolicLimits) -> bool {
+    Prefilter::default().threshold(protocol, max_input, limits)
 }
 
 /// The η-aware symbolic pre-filter: returns `false` only when the protocol
@@ -410,26 +347,255 @@ fn accepting_population_bound(sc1: &SymbolicStableSet, cover: &KarpMillerCover) 
 /// With `eta_floor ≤ 2` the filter never rejects (every profile shape is
 /// still admissible), so a caller that must preserve the unfloored search
 /// semantics bit for bit can simply pass `2`.
+///
+/// One call on a fresh [`Prefilter`], like [`threshold_prefilter`].
 pub fn eta_floor_prefilter(protocol: &Protocol, eta_floor: u64, limits: &SymbolicLimits) -> bool {
-    if eta_floor <= 2 {
-        return true;
+    Prefilter::default().eta_floor(protocol, eta_floor, limits)
+}
+
+/// The two busy-beaver pre-filters with their working memory: the flat rows
+/// of the stable sets, and the Karp–Miller cover of the last transition
+/// structure it was asked about.
+///
+/// Both filters intersect a stable set with the same cover, and successive
+/// candidates of a busy-beaver search often share their non-silent
+/// transitions (they differ in outputs, or in transitions that are silent).
+/// The cover depends only on the state count, the ω-initial row, the
+/// ordered non-silent transitions and the label cap, so the filter keeps
+/// the cover of the last such input and recomputes it only when one of
+/// them changes.  Verdicts are those of [`threshold_prefilter`] and
+/// [`eta_floor_prefilter`] whatever the sequence of calls.
+///
+/// # Examples
+///
+/// ```
+/// use popproto_model::{Output, ProtocolBuilder};
+/// use popproto_symbolic::{Prefilter, SymbolicLimits};
+///
+/// // Two accepting agents destroy each other: no large input accepts.
+/// let mut b = ProtocolBuilder::new("self-destructing-accept");
+/// let a = b.add_state("a", Output::False);
+/// let q = b.add_state("b", Output::True);
+/// b.add_transition((q, q), (a, a)).unwrap();
+/// b.set_input_state("x", q);
+/// let p = b.build().unwrap();
+///
+/// let mut filter = Prefilter::default();
+/// let limits = SymbolicLimits::prefilter();
+/// assert!(!filter.threshold(&p, 6, &limits));
+/// assert!(filter.eta_floor(&p, 2, &limits));
+/// ```
+#[derive(Debug, Default)]
+pub struct Prefilter {
+    rows: FlatRows,
+    coverable: Vec<bool>,
+    /// The cover input of the current call, compared against `cover.key`.
+    probe: CoverKey,
+    cover: CachedCover,
+}
+
+/// Everything the Karp–Miller cover of a pre-filter call depends on.
+#[derive(Debug, Default, PartialEq)]
+struct CoverKey {
+    /// The ω-initial row; its length is the state count.
+    root: Vec<u32>,
+    transitions: Vec<[usize; 4]>,
+    max_labels: usize,
+}
+
+/// The cover of [`CachedCover::key`], as flat ideal rows.
+#[derive(Debug, Default)]
+struct CachedCover {
+    /// `None` until the first cover is computed.
+    key: Option<CoverKey>,
+    labels: Vec<u64>,
+    complete: bool,
+}
+
+impl Prefilter {
+    /// [`threshold_prefilter`] on this filter's working memory.
+    pub fn threshold(
+        &mut self,
+        protocol: &Protocol,
+        max_input: u64,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        // Stage 1: an accepting consensus needs at least one 1-output state.
+        if !protocol
+            .state_ids()
+            .any(|q| protocol.output_of(q) == Output::True)
+        {
+            return false;
+        }
+
+        // Stage 2: support saturation (a Boolean abstraction of the cover).
+        let coverable = &mut self.coverable;
+        coverable.clear();
+        coverable.resize(protocol.num_states(), false);
+        for var in protocol.input_variables() {
+            coverable[var.state.index()] = true;
+        }
+        for (q, &count) in protocol.leaders().counts().iter().enumerate() {
+            if count > 0 {
+                coverable[q] = true;
+            }
+        }
+        loop {
+            let mut changed = false;
+            for t in protocol.non_silent_transitions() {
+                if coverable[t.pre.lo().index()] && coverable[t.pre.hi().index()] {
+                    for q in [t.post.lo().index(), t.post.hi().index()] {
+                        if !coverable[q] {
+                            coverable[q] = true;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        if !protocol
+            .state_ids()
+            .any(|q| protocol.output_of(q) == Output::True && coverable[q.index()])
+        {
+            return false;
+        }
+
+        // Stage 3: bounded accepting stable sets.
+        self.stable_set_reaches(
+            protocol,
+            Output::True,
+            protocol.leaders().size() + max_input,
+            limits,
+        )
     }
-    // No 0-output state at all: no configuration is 0-stable, nothing can
-    // ever be rejected.
-    if protocol.states_with_output(Output::False).is_empty() {
-        return false;
+
+    /// [`eta_floor_prefilter`] on this filter's working memory.
+    pub fn eta_floor(
+        &mut self,
+        protocol: &Protocol,
+        eta_floor: u64,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        if eta_floor <= 2 {
+            return true;
+        }
+        // No 0-output state at all: no configuration is 0-stable, nothing can
+        // ever be rejected.
+        if !protocol
+            .state_ids()
+            .any(|q| protocol.output_of(q) == Output::False)
+        {
+            return false;
+        }
+        self.stable_set_reaches(
+            protocol,
+            Output::False,
+            protocol.leaders().size() + 2,
+            limits,
+        )
     }
-    let Some(sc0) = symbolic_stable_sets(protocol, Output::False, limits) else {
-        return true; // representation cap hit: cannot rule the candidate out
-    };
-    if sc0.set.is_empty() {
-        return false;
+
+    /// `false` only if the reachable `b`-stable configurations provably all
+    /// have fewer than `size` agents.
+    fn stable_set_reaches(
+        &mut self,
+        protocol: &Protocol,
+        b: Output,
+        size: u64,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        if self.rows.stable_set(protocol, b, limits).is_none() {
+            return true; // representation cap hit: cannot rule the candidate out
+        }
+        if self.rows.ideals().is_empty() {
+            return false;
+        }
+        self.load_cover(protocol, limits);
+        match stable_population_bound(
+            self.rows.ideals(),
+            &self.cover.labels,
+            self.cover.complete,
+            protocol.num_states(),
+        ) {
+            None => true,
+            Some(max) => max >= size,
+        }
     }
-    let cover = karp_miller(protocol, limits);
-    match stable_population_bound(&sc0, &cover) {
-        None => true,
-        Some(max) => max >= protocol.leaders().size() + 2,
+
+    /// Makes `self.cover` the Karp–Miller cover of `protocol`, recomputing
+    /// it only when its input differs from the cached one.
+    fn load_cover(&mut self, protocol: &Protocol, limits: &SymbolicLimits) {
+        let probe = &mut self.probe;
+        omega_initial_row(protocol, &mut probe.root);
+        transition_deltas(protocol, &mut probe.transitions);
+        probe.max_labels = limits.max_cover_labels;
+        if self.cover.key.as_ref() == Some(probe) {
+            return;
+        }
+        let (arena, _, complete) = karp_miller_labels(
+            probe.root.len(),
+            &probe.transitions,
+            [probe.root.as_slice()],
+            probe.max_labels,
+        );
+        let cover = &mut self.cover;
+        cover.labels.clear();
+        for (_, row) in arena.iter() {
+            cover.labels.extend(row.iter().map(|&c| {
+                if c == OMEGA {
+                    OMEGA_BOUND
+                } else {
+                    u64::from(c)
+                }
+            }));
+        }
+        cover.complete = complete;
+        std::mem::swap(cover.key.get_or_insert_with(CoverKey::default), probe);
     }
+}
+
+/// The largest population of a reachable b-stable configuration, when it is
+/// provably finite: `Some(max)` only if the cover is complete (a sound
+/// over-approximation of reachability) and `SC_b ∩ cover` is bounded.
+///
+/// `sc` and `cover` are flat ideal rows of stride `n` (`OMEGA_BOUND` as
+/// `ω`).  The bound is the largest `Σ_q min(sc(q), cover(q))` over every
+/// pair of an `SC_b` ideal and a cover ideal, without reducing the pairwise
+/// intersections to an antichain: a dropped intersection lies inside a kept
+/// one, whose size bound is at least as large and which is unbounded if the
+/// dropped one is.
+///
+/// This single bound backs all four consumers — the pre-filter stage 3,
+/// [`eta_floor_prefilter`], [`SymbolicVerifier::may_compute_threshold`] and
+/// the all-thresholds refutation of
+/// [`SymbolicVerifier::certify_threshold`] — so the soundness direction is
+/// encoded exactly once.  `SC_b` itself may be an over-approximation (a
+/// truncated backward fixpoint under-approximates `pre*`, so its complement
+/// over-approximates the stable set); a finite bound on the
+/// over-approximation bounds the true set a fortiori.
+fn stable_population_bound(
+    sc: &[u64],
+    cover: &[u64],
+    cover_complete: bool,
+    n: usize,
+) -> Option<u64> {
+    if !cover_complete {
+        return None;
+    }
+    let mut max = 0u64;
+    for ideal in sc.chunks_exact(n) {
+        for label in cover.chunks_exact(n) {
+            let size = ideal.iter().zip(label).try_fold(0u64, |acc, (&a, &b)| {
+                let bound = a.min(b);
+                (bound != OMEGA_BOUND).then(|| acc.saturating_add(bound))
+            })?;
+            max = max.max(size);
+        }
+    }
+    Some(max)
 }
 
 #[cfg(test)]
@@ -519,6 +685,57 @@ mod tests {
 
         // A genuine threshold protocol passes.
         assert!(threshold_prefilter(&threshold2_protocol(), 6, &limits));
+    }
+
+    #[test]
+    fn prefilter_reuses_the_cover_only_for_the_same_cover_input() {
+        let limits = SymbolicLimits::default();
+        let p = threshold2_protocol();
+        // Same transitions, input and leaders; state 1 now accepts too.
+        let mut b = ProtocolBuilder::new("x >= 2, other outputs");
+        let zero = b.add_state("0", Output::False);
+        let one = b.add_state("1", Output::True);
+        let two = b.add_state("2", Output::True);
+        b.add_transition((one, one), (zero, two)).unwrap();
+        b.add_transition((zero, two), (two, two)).unwrap();
+        b.add_transition((one, two), (two, two)).unwrap();
+        b.set_input_state("x", one);
+        let outputs_only = b.build().unwrap();
+        let mut b = ProtocolBuilder::new("x >= 2, with a leader");
+        let zero = b.add_state("0", Output::False);
+        let one = b.add_state("1", Output::False);
+        let two = b.add_state("2", Output::True);
+        b.add_transition((one, one), (zero, two)).unwrap();
+        b.add_transition((zero, two), (two, two)).unwrap();
+        b.add_transition((one, two), (two, two)).unwrap();
+        b.add_leader(two, 1);
+        b.set_input_state("x", one);
+        let with_leader = b.build().unwrap();
+        let smaller_cap = SymbolicLimits {
+            max_cover_labels: limits.max_cover_labels - 1,
+            ..limits.clone()
+        };
+        for q in [&p, &outputs_only, &with_leader] {
+            assert!(threshold_prefilter(q, 6, &limits), "{}", q.name());
+        }
+
+        // Replaces the cached cover by one bounded at zero agents: a call
+        // that reuses it rejects, one that recomputes passes.
+        let poison = |filter: &mut Prefilter| {
+            filter.cover.labels.fill(0);
+            filter.cover.complete = true;
+        };
+        let mut filter = Prefilter::default();
+        assert!(filter.threshold(&p, 6, &limits));
+        poison(&mut filter);
+        assert!(
+            !filter.threshold(&outputs_only, 6, &limits),
+            "outputs only: hit"
+        );
+        assert!(filter.threshold(&with_leader, 6, &limits), "leaders: miss");
+        assert!(filter.threshold(&p, 6, &limits));
+        poison(&mut filter);
+        assert!(filter.threshold(&p, 6, &smaller_cap), "label cap: miss");
     }
 
     #[test]
