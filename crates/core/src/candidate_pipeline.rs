@@ -519,7 +519,11 @@ impl PackedMemo {
         for pair in hex.chunks_exact(2) {
             bytes.push((digit(pair[0])? * 16 + digit(pair[1])?) as u8);
         }
-        let mut records = Vec::with_capacity(usize::try_from(self.entries).unwrap_or(0));
+        // Every record takes at least three bytes (two length varints and a
+        // verdict code), so the stream, not the untrusted count, bounds the
+        // reservation.
+        let mut records =
+            Vec::with_capacity(usize::try_from(self.entries).map_or(0, |n| n.min(bytes.len() / 3)));
         let mut previous: Vec<u8> = Vec::new();
         let mut pos = 0usize;
         for _ in 0..self.entries {
@@ -1307,6 +1311,12 @@ mod tests {
             stream: "zz".to_owned(),
         };
         assert!(garbage.unpack().is_err());
+        // A corrupt count must not size an allocation.
+        let huge = PackedMemo {
+            entries: 1 << 40,
+            stream: String::new(),
+        };
+        assert!(huge.unpack().is_err());
     }
 
     #[test]

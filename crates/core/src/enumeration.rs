@@ -47,7 +47,7 @@
 //! including the soundness of the cross-candidate memoization.
 //!
 //! The index space is segmented and fanned out across the
-//! [work-stealing pool](popproto_exec) via the
+//! [worker pool](popproto_exec) via the
 //! [segmented search](crate::segmented::SegmentedSearch), with a shared
 //! cross-segment transposition table.  The result is deterministic
 //! regardless of worker count: ties between equal thresholds are broken
@@ -144,7 +144,7 @@ pub fn busy_beaver_search(
 }
 
 /// [`busy_beaver_search`] with an explicit worker count on the
-/// work-stealing pool.
+/// worker pool.
 ///
 /// The result is identical for every `threads ≥ 1` with two exceptions,
 /// both memo diagnostics: [`EnumerationResult::memo_hits_cross`] is
@@ -167,7 +167,7 @@ pub fn busy_beaver_search_with_threads(
         .min(max_protocols as u128);
     let config = PipelineConfig::exact(max_input, limits);
     // One segment per worker is the old static chunking; eight per worker
-    // gives the pool something to steal when stage costs are skewed.
+    // gives idle workers something to take when stage costs are skewed.
     let seg_size = if threads <= 1 {
         total.max(1)
     } else {

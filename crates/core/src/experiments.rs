@@ -403,7 +403,7 @@ pub fn e12_pipeline_config(max_input: u64) -> PipelineConfig {
 /// in checkpointed sessions.  E12 streams canonical orbits through the full
 /// triage pipeline (symbolic pre-filter → η-floor filter → concrete slices
 /// on the frontier engine) as deterministic segments over the
-/// [work-stealing pool](popproto_exec), with a shared cross-segment
+/// [worker pool](popproto_exec), with a shared cross-segment
 /// transposition table and an ordered segment merge, and reports the
 /// per-stage rejection funnel of the merged prefix.  `best_eta` is exact
 /// *for that prefix* whenever no orbit was truncated; the η floor of 3 is
@@ -452,7 +452,7 @@ pub struct E12SegmentedReport {
 }
 
 /// The segmentation E12 runs with: 16Ki-candidate segments (≈ 5.4k canonical
-/// orbits each — fine-grained enough for the pool to steal) over the first
+/// orbits each — fine-grained enough for the pool to balance) over the first
 /// 2²⁸ encodings of the 4-state space (16384 segments — far deeper than any
 /// realistic orbit budget) in the given visit order.
 pub fn e12_segmentation(order: SegmentOrder) -> SegmentationConfig {
@@ -502,7 +502,7 @@ pub fn e12_segmented_report_from(
 }
 
 /// E12 — streams the `BB_det(4)` prefix through the staged pipeline as
-/// work-stealing segments until the ordered merge holds at least
+/// pool-scheduled segments until the ordered merge holds at least
 /// `orbit_budget` canonical orbits (the cut is segment-aligned).
 pub fn experiment_e12_segmented(
     orbit_budget: u64,
@@ -579,7 +579,7 @@ pub struct FullReport {
     pub e10: Vec<E10Row>,
     /// E11 — symbolic all-`n` verdicts vs enumerative slices.
     pub symbolic: Vec<SymbolicRow>,
-    /// E12 — the `BB_det(4)` prefix funnel on the work-stealing pool, with
+    /// E12 — the `BB_det(4)` prefix funnel on the worker pool, with
     /// an entropy-guided segment order.
     pub e12: E12SegmentedReport,
 }

@@ -38,7 +38,7 @@
 //!   memoization;
 //! * [`segmented`] — the busy-beaver search: parallel segmented
 //!   streaming: deterministic `u128` segments on the [`popproto_exec`]
-//!   work-stealing pool, a shared cross-segment transposition table,
+//!   worker pool, a shared cross-segment transposition table,
 //!   ordered segment merges and multi-cursor checkpoints that resume on any
 //!   worker count;
 //! * [`enumeration`] — exact busy-beaver values for tiny state counts by

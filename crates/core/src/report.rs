@@ -270,7 +270,7 @@ pub fn render_full(report: &FullReport) -> String {
         );
     }
     if report.e12.prefix_orbits > 0 {
-        out.push_str("\n## E12 — BB_det(4) prefix (staged pipeline, work-stealing pool)\n\n");
+        out.push_str("\n## E12 — BB_det(4) prefix (staged pipeline, worker pool)\n\n");
         out.push_str(&render_e12_segmented(&report.e12));
         out.push_str(
             "\nThe 4-state candidate space (~10¹⁰ relabelling orbits) is searched as a \
@@ -278,7 +278,7 @@ pub fn render_full(report: &FullReport) -> String {
              (symbolic pre-filter, η-floor filter, concrete slices) whose verdicts are \
              memoized across candidates sharing a coverable-support restriction.  The \
              candidate range is cut into deterministic segments, workers pull segments \
-             from a work-stealing pool and share one cross-segment transposition table, \
+             from a shared worker pool and share one cross-segment transposition table, \
              and the per-segment results are folded in a fixed segment order — so every \
              number above except the cross-segment memo hits is bit-identical at any \
              worker count.  The whole search state (one generator cursor, funnel and \

@@ -1,5 +1,5 @@
 //! Parallel segmented streaming for the busy-beaver search: deterministic
-//! `u128` segments, a work-stealing worker pool, a shared cross-segment
+//! `u128` segments, a persistent worker pool, a shared cross-segment
 //! transposition table, and ordered segment merges.
 //!
 //! This is the workspace's only busy-beaver search loop: exhaustive
@@ -13,10 +13,10 @@
 //! whole output blocks so every segment decodes its own function indices
 //! from scratch exactly once) and makes the segment the unit of
 //! parallelism, of checkpointing and of budget cuts: workers pull segments
-//! from a work-stealing pool ([`popproto_exec`]), run each through its own
-//! [`CandidatePipeline`] funnel, and probe a [`SharedMemo`] between their
-//! segment-local table and the triage stages.  One worker with one segment
-//! is the sequential stream: one pipeline over one range scan.
+//! from a shared-queue worker pool ([`popproto_exec`]), run each through
+//! its own [`CandidatePipeline`] funnel, and probe a [`SharedMemo`] between
+//! their segment-local table and the triage stages.  One worker with one
+//! segment is the sequential stream: one pipeline over one range scan.
 //!
 //! # The determinism argument
 //!
@@ -502,7 +502,7 @@ impl SegmentedSearch {
         (self.order.len(), orbits)
     }
 
-    /// Runs segments on `workers` work-stealing workers (`0` = the
+    /// Runs segments on a pool of `workers` workers (`0` = the
     /// machine's parallelism) until the completed in-order prefix holds at
     /// least `target_prefix_orbits` canonical orbits (or the plan is
     /// exhausted).  Returns the prefix orbit count afterwards.
@@ -659,11 +659,6 @@ impl SegmentedSearch {
         target: u64,
         workers: usize,
     ) -> Vec<usize> {
-        let workers = if workers == 0 {
-            popproto_exec::default_workers()
-        } else {
-            workers
-        };
         // Estimate how many segments the remaining budget needs from the
         // canonical-orbit density observed so far (pure scheduling hint —
         // results never depend on it; overshoot is kept, not discarded).
@@ -1090,6 +1085,10 @@ mod tests {
         corrupt(
             &|c| c.segments[last].cursor.next = c.segments[last].start,
             "done before its cursor reached the end",
+        );
+        corrupt(
+            &|c| c.shared_memo.entries = 1 << 40,
+            "corrupt packed shared memo",
         );
     }
 

@@ -1,4 +1,5 @@
-//! A small, offline work-stealing executor for coarse-grained fan-out.
+//! A small, offline executor for coarse-grained fan-out: one persistent
+//! worker pool.
 //!
 //! The build environment has no crates.io access, so rayon is unavailable;
 //! before this crate the workspace fanned work out with ad-hoc
@@ -7,40 +8,23 @@
 //! situation, where a segment full of symbolically-rejected candidates is two
 //! orders of magnitude cheaper than one full of profiled candidates.
 //!
-//! The design is a **chunked injector + per-worker deques with stealing**:
+//! [`Pool`] spawns its workers once and reuses them for every
+//! [`Pool::map`]:
 //!
-//! * items are dealt round-robin into one deque per worker up front (the
-//!   "chunked injector" — there is no central queue to contend on);
-//! * each worker pops its *own* deque from the front, so it processes its
-//!   items in increasing submission order (good for searches that want the
-//!   low-index prefix finished first);
-//! * a worker whose deque runs dry **steals from the back** of a victim's
-//!   deque — the opposite end from the one the owner uses, which keeps
-//!   owner/thief contention low for the same reason classic LIFO/Chase-Lev
-//!   schemes steal from the far end;
-//! * results carry their submission index and are reassembled into
-//!   submission order at the end, so the output of [`map`] is **independent
-//!   of scheduling**: same `Vec` for any worker count, stealing or not.
+//! * a call enqueues one job per item on a **shared FIFO queue**, so items
+//!   start in submission order and an idle worker takes the next one —
+//!   skewed items cannot strand a pre-dealt chunk behind a slow one;
+//! * the submitting thread **helps** while it waits, running queued jobs
+//!   itself, so nested `map` calls from inside jobs cannot deadlock;
+//! * results carry their submission index and come back **in submission
+//!   order**, so the output of [`Pool::map`] is independent of scheduling:
+//!   the same `Vec` for any worker count.
 //!
-//! Everything is `std`: `Mutex<VecDeque>` deques (tasks here are coarse —
-//! microseconds to seconds each — so lock traffic is noise), scoped threads
-//! (borrowing closures work), and an atomic remaining-items counter for
-//! termination.  See `crates/exec/README.md` for the determinism argument
-//! this executor underwrites in the segmented busy-beaver search.
-
-//! # Scoped map vs persistent pool
-//!
-//! Two entry points share the work-distribution duty:
-//!
-//! * [`map`] — *scoped*: borrows its closure, spawns fresh scoped threads
-//!   per call.  Right for one-shot fan-outs where the closure borrows local
-//!   state and thread-spawn cost is amortised by the call's own size.
-//! * [`Pool`] — *persistent*: threads live as long as the pool, jobs are
-//!   `'static` (callers share state via `Arc`), and repeated
-//!   [`Pool::map`] calls reuse the same workers.  Right for wave-structured
-//!   drivers (the segmented busy-beaver search, the ensemble experiment
-//!   runner) that would otherwise pay a spawn/join per wave.  A process-wide
-//!   default lives behind [`global`].
+//! Everything is `std`: one `Mutex<VecDeque>` queue and a condvar (tasks
+//! here are coarse — microseconds to seconds each — so lock traffic is
+//! noise).  A process-wide default pool lives behind [`global`].  See
+//! `crates/exec/README.md` for the determinism argument this executor
+//! underwrites in the segmented busy-beaver search.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,44 +32,40 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use popproto_obs as obs;
 
-/// Scheduling counters of one [`map_with_stats`] run or one [`Pool`]'s
-/// lifetime (diagnostic only — the *results* never depend on them).
+/// Scheduling counters of one [`Pool`]'s lifetime (diagnostic only — the
+/// *results* never depend on them).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads that ran (1 = inline execution, no threads spawned).
+    /// Worker threads (excluding helping submitters).
     pub workers: usize,
-    /// Items executed by a worker other than the one they were dealt to.
-    pub steals: u64,
-    /// Jobs executed by a submitting thread in a [`Pool`]'s helping wait
-    /// (always 0 for the scoped [`map`], which has no submitter queue).
+    /// Jobs executed by a submitting thread in the helping wait.
     pub helped: u64,
-    /// Items executed by each worker, indexed by worker.
+    /// Jobs executed by each worker, indexed by worker.
     pub per_worker_tasks: Vec<u64>,
-    /// Wall-clock nanoseconds each worker spent idle (backing off with an
-    /// empty deque, or parked on the queue condvar), indexed by worker.
+    /// Wall-clock nanoseconds each worker spent parked on the queue
+    /// condvar, indexed by worker.
     pub per_worker_idle_ns: Vec<u64>,
 }
 
 impl PoolStats {
-    /// Total items executed by workers (excluding helping submitters).
+    /// Total jobs executed by workers (excluding helping submitters).
     pub fn total_tasks(&self) -> u64 {
         self.per_worker_tasks.iter().sum()
     }
 
     /// Publishes the counters into the global metrics registry: gauges
-    /// `{prefix}.workers` / `{prefix}.steals` / `{prefix}.helped`, and
-    /// histograms `{prefix}.worker_tasks` / `{prefix}.worker_idle_ns`
-    /// with one observation per worker.
+    /// `{prefix}.workers` / `{prefix}.helped`, and histograms
+    /// `{prefix}.worker_tasks` / `{prefix}.worker_idle_ns` with one
+    /// observation per worker.
     pub fn publish(&self, prefix: &str) {
         let reg = obs::registry();
         reg.set_gauge(&format!("{prefix}.workers"), self.workers as i64);
-        reg.set_gauge(&format!("{prefix}.steals"), self.steals as i64);
         reg.set_gauge(&format!("{prefix}.helped"), self.helped as i64);
         let tasks = reg.histogram(&format!("{prefix}.worker_tasks"));
         for &n in &self.per_worker_tasks {
@@ -98,198 +78,12 @@ impl PoolStats {
     }
 }
 
-/// The worker count [`map`] uses when the caller passes `0`: the machine's
-/// available parallelism.
-pub fn default_workers() -> usize {
+/// The worker count [`Pool::new`] uses when the caller passes `0`: the
+/// machine's available parallelism.
+fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Maps `f` over `items` on a work-stealing pool of `workers` threads
-/// (`0` = [`default_workers`]), returning the results in submission order.
-///
-/// `f` receives `(item_index, item)`.  The output is bit-identical for every
-/// worker count; only wall-clock and [`PoolStats`] vary.  Panics in `f`
-/// propagate to the caller.
-pub fn map<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    map_with_stats(workers, items, f).0
-}
-
-/// [`map`] with the scheduling counters of the run.
-pub fn map_with_stats<I, T, F>(workers: usize, items: Vec<I>, f: F) -> (Vec<T>, PoolStats)
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    let workers = if workers == 0 {
-        default_workers()
-    } else {
-        workers
-    };
-    let workers = workers.min(items.len()).max(1);
-    if workers == 1 {
-        // Inline fast path: no threads, no locks — and the reference
-        // semantics every multi-worker run must reproduce.
-        let total = items.len() as u64;
-        let results = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let _task = obs::span_with_arg("task", "item", i as u64);
-                f(i, item)
-            })
-            .collect();
-        return (
-            results,
-            PoolStats {
-                workers: 1,
-                steals: 0,
-                helped: 0,
-                per_worker_tasks: vec![total],
-                per_worker_idle_ns: vec![0],
-            },
-        );
-    }
-
-    let total = items.len();
-    // Deal items round-robin into per-worker deques: worker `w` owns items
-    // w, w + workers, w + 2·workers, …  Every deque is front-loaded with its
-    // owner's lowest indices, so owner-front pops process the global
-    // low-index prefix early regardless of stealing.
-    let mut deques: Vec<VecDeque<(usize, I)>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].push_back((i, item));
-    }
-    let deques: Vec<Mutex<VecDeque<(usize, I)>>> = deques.into_iter().map(Mutex::new).collect();
-    let remaining = AtomicUsize::new(total);
-    let steals = AtomicU64::new(0);
-
-    let mut buckets: Vec<(Vec<(usize, T)>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let deques = &deques;
-                let remaining = &remaining;
-                let steals = &steals;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, T)> = Vec::new();
-                    let mut idle_spins = 0u32;
-                    let mut idle_ns = 0u64;
-                    // Start of the current contiguous idle stretch, plus
-                    // the span guard drawing it in the trace.
-                    let mut idle_since: Option<Instant> = None;
-                    let mut idle_span: Option<obs::Span> = None;
-                    loop {
-                        // 1. Own deque, front (submission order).
-                        let own = deques[me].lock().expect("deque poisoned").pop_front();
-                        let (job, stolen_from) = match own {
-                            Some(job) => (Some(job), None),
-                            None => {
-                                if remaining.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                // 2. Steal from the back of a victim.
-                                let mut stolen = None;
-                                let mut victim_id = None;
-                                for off in 1..workers {
-                                    let victim = (me + off) % workers;
-                                    if let Some(job) =
-                                        deques[victim].lock().expect("deque poisoned").pop_back()
-                                    {
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        stolen = Some(job);
-                                        victim_id = Some(victim);
-                                        break;
-                                    }
-                                }
-                                (stolen, victim_id)
-                            }
-                        };
-                        match job {
-                            Some((i, item)) => {
-                                idle_spins = 0;
-                                if let Some(t0) = idle_since.take() {
-                                    idle_ns += t0.elapsed().as_nanos() as u64;
-                                    drop(idle_span.take());
-                                }
-                                if let Some(victim) = stolen_from {
-                                    obs::instant_with_arg("steal", "victim", victim as u64);
-                                }
-                                // Decrement on pop, not on completion: if `f`
-                                // panics, the other workers must still see
-                                // the counter reach zero and exit (the panic
-                                // itself propagates at scope join).
-                                remaining.fetch_sub(1, Ordering::Release);
-                                let task = obs::span_with_arg("task", "item", i as u64);
-                                out.push((i, f(i, item)));
-                                drop(task);
-                            }
-                            None => {
-                                // All deques empty but items still in flight
-                                // on other workers: back off politely.
-                                if idle_since.is_none() {
-                                    idle_since = Some(Instant::now());
-                                    if obs::enabled() {
-                                        idle_span = Some(obs::span("idle"));
-                                    }
-                                }
-                                idle_spins = idle_spins.saturating_add(1);
-                                if idle_spins < 16 {
-                                    std::thread::yield_now();
-                                } else {
-                                    std::thread::sleep(std::time::Duration::from_micros(50));
-                                }
-                            }
-                        }
-                    }
-                    if let Some(t0) = idle_since.take() {
-                        idle_ns += t0.elapsed().as_nanos() as u64;
-                        drop(idle_span.take());
-                    }
-                    (out, idle_ns)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
-            .collect()
-    });
-
-    // Reassemble into submission order: scheduling cannot leak into the
-    // output.
-    let mut per_worker_tasks = Vec::with_capacity(workers);
-    let mut per_worker_idle_ns = Vec::with_capacity(workers);
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    for (bucket, idle_ns) in buckets.drain(..) {
-        per_worker_tasks.push(bucket.len() as u64);
-        per_worker_idle_ns.push(idle_ns);
-        for (i, value) in bucket {
-            debug_assert!(slots[i].is_none(), "item {i} executed twice");
-            slots[i] = Some(value);
-        }
-    }
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.expect("item lost by the pool"))
-        .collect();
-    (
-        results,
-        PoolStats {
-            workers,
-            steals: steals.load(Ordering::Relaxed),
-            helped: 0,
-            per_worker_tasks,
-            per_worker_idle_ns,
-        },
-    )
 }
 
 /// A boxed unit of pool work.  Jobs never unwind: panics are caught inside
@@ -336,7 +130,7 @@ struct MapCall<T> {
 /// (and while waiting it *helps*, executing queued jobs itself, which also
 /// makes nested `map` calls from inside jobs deadlock-free).  Results come
 /// back in submission order and panics in jobs propagate to the submitting
-/// thread, exactly like [`map`].
+/// thread.
 pub struct Pool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -344,7 +138,8 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawns a pool of `workers` threads (`0` = [`default_workers`]).
+    /// Spawns a pool of `workers` threads (`0` = the machine's available
+    /// parallelism).
     pub fn new(workers: usize) -> Self {
         let workers = if workers == 0 {
             default_workers()
@@ -384,12 +179,10 @@ impl Pool {
 
     /// Cumulative scheduling counters since the pool was created: jobs
     /// per worker, condvar-parked nanoseconds per worker, and jobs run
-    /// by helping submitters.  `steals` is always 0 — the persistent
-    /// pool has one shared queue, so nothing is ever "stolen".
+    /// by helping submitters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             workers: self.workers,
-            steals: 0,
             helped: self.shared.helped.load(Ordering::Relaxed),
             per_worker_tasks: self
                 .shared
@@ -558,10 +351,11 @@ fn worker_loop(shared: &PoolShared, me: usize) {
     }
 }
 
-/// The process-wide default pool, sized to [`default_workers`], created on
-/// first use and never torn down.  Library fan-outs that run many times per
-/// process (experiment runs, search waves) go through this pool so the
-/// whole process shares one set of threads.
+/// The process-wide default pool, sized to the machine's available
+/// parallelism, created on first use and never torn down.  Library
+/// fan-outs that run many times per process (experiment runs, search
+/// waves) go through this pool so the whole process shares one set of
+/// threads.
 pub fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
     GLOBAL.get_or_init(|| Pool::new(0))
@@ -570,13 +364,13 @@ pub fn global() -> &'static Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as TestCounter;
 
     #[test]
     fn results_come_back_in_submission_order() {
-        for workers in [1, 2, 3, 7, 16] {
+        for workers in [0, 1, 2, 3, 7, 16] {
+            let pool = Pool::new(workers);
             let items: Vec<u64> = (0..257).collect();
-            let out = map(workers, items.clone(), |i, x| {
+            let out = pool.map(items.clone(), |i, x| {
                 assert_eq!(i as u64, x);
                 x * 3 + 1
             });
@@ -586,66 +380,11 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_state_is_visible_to_jobs() {
-        let base = [10u64, 20, 30];
-        let out = map(3, vec![0usize, 1, 2], |_, i| base[i] + 1);
-        assert_eq!(out, vec![11, 21, 31]);
-    }
-
-    #[test]
-    fn skewed_items_get_stolen() {
-        // Worker 0 is dealt one enormous item; the rest are tiny.  With the
-        // round-robin deal, items 2, 4, 6 … also belong to worker 0 — they
-        // can only finish promptly if other workers steal them.
-        let executed = TestCounter::new(0);
-        let (out, stats) = map_with_stats(4, (0..64u64).collect(), |_, x| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if x == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(40));
-            }
-            x
-        });
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
-        assert_eq!(executed.load(Ordering::Relaxed), 64);
-        assert_eq!(stats.workers, 4);
-        assert!(
-            stats.steals > 0,
-            "the blocked worker's items were never stolen"
-        );
-        assert_eq!(stats.per_worker_tasks.len(), 4);
-        assert_eq!(stats.per_worker_idle_ns.len(), 4);
-        assert_eq!(stats.total_tasks(), 64);
-    }
-
-    #[test]
-    fn worker_count_is_clamped_to_items() {
-        let (out, stats) = map_with_stats(64, vec![1, 2, 3], |_, x| x);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert!(stats.workers <= 3);
-    }
-
-    #[test]
-    fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = map(4, Vec::<u32>::new(), |_, x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn zero_workers_means_available_parallelism() {
-        let (out, stats) = map_with_stats(0, vec![5u32; 9], |_, x| x);
-        assert_eq!(out.len(), 9);
-        assert!(stats.workers >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "pool worker panicked")]
-    fn job_panics_propagate() {
-        map(2, vec![0u32, 1, 2, 3], |_, x| {
-            if x == 2 {
-                panic!("boom");
-            }
-            x
-        });
+        let pool = Pool::new(0);
+        assert_eq!(pool.workers(), default_workers());
+        assert!(pool.workers() >= 1);
+        assert_eq!(pool.map(vec![5u32; 9], |_, x| x), vec![5u32; 9]);
     }
 
     #[test]
@@ -653,7 +392,7 @@ mod tests {
         let pool = Pool::new(3);
         for round in 0..5u64 {
             let items: Vec<u64> = (0..97).collect();
-            let expected = map(3, items.clone(), |_, x| x * 7 + round);
+            let expected: Vec<u64> = items.iter().map(|x| x * 7 + round).collect();
             let got = pool.map(items, move |i, x| {
                 assert_eq!(i as u64, x);
                 x * 7 + round
@@ -706,6 +445,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "boom")]
+    fn job_panics_propagate() {
+        // A single worker that panics on the first job still hands the panic
+        // back to the submitter instead of hanging the map.
+        let pool = Pool::new(1);
+        pool.map(vec![0u32, 1, 2, 3], |_, x| {
+            if x == 0 {
+                panic!("boom");
+            }
+            x
+        });
+    }
+
+    #[test]
     fn pool_survives_a_panicked_map() {
         let pool = Pool::new(2);
         let poisoned = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -732,6 +485,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_input_yields_empty_output() {
+        for workers in [0, 1, 4] {
+            let pool = Pool::new(workers);
+            let out: Vec<u32> = pool.map(Vec::<u32>::new(), |_, x| x);
+            assert!(out.is_empty());
+            assert_eq!(pool.stats().total_tasks(), 0);
+        }
+    }
+
+    #[test]
     fn pool_stats_account_for_every_job() {
         let pool = Pool::new(2);
         for _ in 0..3 {
@@ -739,7 +502,6 @@ mod tests {
         }
         let stats = pool.stats();
         assert_eq!(stats.workers, 2);
-        assert_eq!(stats.steals, 0, "the shared-queue pool never steals");
         assert_eq!(stats.per_worker_tasks.len(), 2);
         assert_eq!(stats.per_worker_idle_ns.len(), 2);
         assert_eq!(
@@ -753,7 +515,6 @@ mod tests {
     fn pool_stats_publish_lands_in_the_metrics_registry() {
         let stats = PoolStats {
             workers: 3,
-            steals: 5,
             helped: 2,
             per_worker_tasks: vec![10, 11, 12],
             per_worker_idle_ns: vec![0, 1_000, 2_000],
@@ -768,7 +529,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("gauge {name} missing"))
         };
         assert_eq!(gauge("exec.test.pool.workers"), 3);
-        assert_eq!(gauge("exec.test.pool.steals"), 5);
         assert_eq!(gauge("exec.test.pool.helped"), 2);
         let tasks = snap
             .histograms

@@ -1,8 +1,8 @@
-//! Zero-dependency observability for the popproto workspace.
+//! Observability for the popproto workspace.
 //!
 //! Three cooperating layers, all inert unless explicitly switched on:
 //!
-//! * **Spans and instants** ([`span`], [`span_with_arg`], [`instant`]) — a
+//! * **Spans** ([`span`], [`span_with_arg`]) — a
 //!   global tracing gate guarded by a single relaxed atomic load.  While
 //!   tracing is disabled (the default) a span check costs one load and a
 //!   trivially-dead guard; the crate's test suite asserts the per-check
@@ -14,8 +14,8 @@
 //!   (viewable in `chrome://tracing` or Perfetto).
 //! * **Metrics registry** ([`registry`]) — named counters, gauges and
 //!   log-bucketed histograms behind atomics, snapshotted into a
-//!   deterministic, name-sorted [`ObsSnapshot`] that serializes to JSON
-//!   without any external dependency.
+//!   deterministic, name-sorted [`ObsSnapshot`] that serializes itself
+//!   to JSON.
 //! * **Heartbeats** ([`Heartbeat`]) — period-gated JSONL progress lines
 //!   for long-running searches; callers embed their own resume token
 //!   (e.g. a serialized checkpoint) so any heartbeat line is a valid
@@ -45,7 +45,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Global tracing gate.  `false` (the default) short-circuits every span
-/// and instant to a no-op after one relaxed load.
+/// to a no-op after one relaxed load.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Monotone session counter, bumped by [`start`].  Thread-local buffers
@@ -73,7 +73,7 @@ pub(crate) fn ns_since_epoch(t: Instant) -> u64 {
     t.duration_since(epoch()).as_nanos() as u64
 }
 
-/// Returns `true` while span/instant recording is switched on.
+/// Returns `true` while span recording is switched on.
 ///
 /// This is the fast-path check: one relaxed atomic load.
 #[inline(always)]
@@ -114,17 +114,6 @@ pub enum Event {
         ts_ns: u64,
         /// Duration in nanoseconds.
         dur_ns: u64,
-        /// Optional single integer argument.
-        arg: Option<(&'static str, u64)>,
-    },
-    /// A zero-duration marker.
-    Instant {
-        /// Marker name.
-        name: &'static str,
-        /// Recording thread id.
-        tid: u64,
-        /// Timestamp, nanoseconds since the trace epoch.
-        ts_ns: u64,
         /// Optional single integer argument.
         arg: Option<(&'static str, u64)>,
     },
@@ -323,37 +312,6 @@ pub fn span_with_arg(name: &'static str, key: &'static str, value: u64) -> Span 
     span_slow(name, Some((key, value)))
 }
 
-fn instant_slow(name: &'static str, arg: Option<(&'static str, u64)>) {
-    let ts_ns = ns_since_epoch(Instant::now());
-    with_buf(|b| {
-        b.sync_session();
-        let tid = b.tid;
-        b.events.push(Event::Instant {
-            name,
-            tid,
-            ts_ns,
-            arg,
-        });
-        b.flush_if_idle();
-    });
-}
-
-/// Records a zero-duration marker.  No-op while tracing is disabled.
-#[inline]
-pub fn instant(name: &'static str) {
-    if enabled() {
-        instant_slow(name, None);
-    }
-}
-
-/// Like [`instant`], with a single integer argument.
-#[inline]
-pub fn instant_with_arg(name: &'static str, key: &'static str, value: u64) {
-    if enabled() {
-        instant_slow(name, Some((key, value)));
-    }
-}
-
 pub mod test_support {
     //! Serialisation for tests that toggle the global tracing gate —
     //! public so downstream crates' inertness suites can use it too.
@@ -412,7 +370,6 @@ mod tests {
                 let _inner = span("inner");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            instant_with_arg("tick", "n", 7);
         }
         let worker = std::thread::Builder::new()
             .name("obs-test-worker".into())
@@ -428,7 +385,7 @@ mod tests {
         let json = trace.to_chrome_trace();
         let summary = validate_chrome_trace(&json).expect("trace must validate");
         assert_eq!(summary.complete, 3, "outer + inner + worker-job");
-        assert_eq!(summary.instants, 1);
+        assert_eq!(summary.instants, 0);
         assert!(summary.tids >= 2, "two recording threads");
         assert!(summary.max_depth >= 2, "inner nests inside outer");
         assert!(json.contains("obs-test-worker"));
@@ -445,13 +402,12 @@ mod tests {
         drop(open); // flushes into the sink, but for the old session
 
         start();
-        instant("fresh");
+        drop(span("fresh"));
         let second = stop();
         let names: Vec<&str> = second
             .events()
             .iter()
             .filter_map(|e| match e {
-                Event::Instant { name, .. } => Some(*name),
                 Event::Complete { name, .. } => Some(*name),
                 Event::ThreadName { .. } => None,
             })
@@ -464,11 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_instants_record_nothing() {
+    fn disabled_spans_record_nothing() {
         let _guard = test_support::serial();
         start();
         let _ = stop(); // tracing now off, sink empty
-        instant("ghost");
+        drop(span("ghost"));
         start();
         let t = stop();
         assert!(t.is_empty(), "ghost event appeared: {:?}", t.events());

@@ -1,12 +1,13 @@
 //! Chrome Trace Event Format export and validation.
 //!
 //! The exporter writes the subset of the format the viewers need:
-//! `"X"` (complete) events with microsecond `ts`/`dur`, `"i"` instants,
-//! and `"M"` `thread_name` metadata.  The validator re-parses an emitted
-//! file with a small self-contained JSON parser (the vendored
-//! `serde_json` stand-in has no dynamic `Value` type) and checks that
-//! complete events nest properly per thread — the property
+//! `"X"` (complete) events with microsecond `ts`/`dur` and `"M"`
+//! `thread_name` metadata.  The validator reads any trace — its own or
+//! another tool's — into a `serde::Value` with the workspace's `serde_json`
+//! and checks that complete events nest properly per thread — the property
 //! `chrome://tracing` relies on to build flame rows.
+
+use serde::Value;
 
 use crate::Event;
 
@@ -66,22 +67,6 @@ pub(crate) fn to_chrome_trace(events: &[Event]) -> String {
                 push_arg(&mut out, arg);
                 out.push('}');
             }
-            Event::Instant {
-                name,
-                tid,
-                ts_ns,
-                arg,
-            } => {
-                out.push_str(&format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\
-                     \"cat\":\"popproto\",\"name\":\"{}\"",
-                    tid,
-                    fmt_us(*ts_ns),
-                    json_escape(name)
-                ));
-                push_arg(&mut out, arg);
-                out.push('}');
-            }
             Event::ThreadName { tid, name } => {
                 out.push_str(&format!(
                     "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
@@ -96,257 +81,16 @@ pub(crate) fn to_chrome_trace(events: &[Event]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON value + parser (validation only; not a public API).
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+/// The number in field `key` of `ev` as `f64`, whichever of the three
+/// number shapes the reader produced; `None` for a missing field, a
+/// non-number or a non-object.
+fn as_f64(ev: &Value, key: &str) -> Option<f64> {
+    match *ev.field(key).ok()? {
+        Value::UInt(n) => Some(n as f64),
+        Value::Int(n) => Some(n as f64),
+        Value::Float(x) => Some(x),
+        _ => None,
     }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {}", self.pos, msg)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", Value::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Value::Bool(false)),
-            Some(b'n') => self.parse_lit("null", Value::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.parse_hex4()?;
-                            // Surrogate pair: expect a trailing \uXXXX.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let low = self.parse_hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume the run up to the next quote or escape in one
-                    // step.  Both are ASCII, so the run ends on a UTF-8
-                    // boundary and only its own bytes need validating.
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(run);
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parses a complete JSON document (used by the validator and by tests
-/// that check emitted artifacts).
-pub(crate) fn parse_json(s: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    Ok(v)
 }
 
 /// What [`validate_chrome_trace`] found in a well-formed trace.
@@ -371,11 +115,10 @@ pub struct TraceSummary {
 /// on the same thread either nesting or being disjoint (±1 ns slack for
 /// the microsecond rounding).  Returns a [`TraceSummary`] on success.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
-    let doc = parse_json(json)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| "missing top-level \"traceEvents\" array".to_owned())?;
+    let doc: Value = serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
+    let Ok(Value::Array(events)) = doc.field("traceEvents") else {
+        return Err("missing top-level \"traceEvents\" array".to_owned());
+    };
 
     let mut summary = TraceSummary::default();
     // Per-tid complete events as (start_ns, end_ns).
@@ -383,31 +126,23 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
     let mut tids_seen: Vec<u64> = Vec::new();
 
     for (i, ev) in events.iter().enumerate() {
-        let ph = ev
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {i}: missing \"ph\""))?;
-        let tid = ev
-            .get("tid")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("event {i}: missing numeric \"tid\""))? as u64;
+        let Ok(Value::Str(ph)) = ev.field("ph") else {
+            return Err(format!("event {i}: missing \"ph\""));
+        };
+        let tid =
+            as_f64(ev, "tid").ok_or_else(|| format!("event {i}: missing numeric \"tid\""))? as u64;
         if !tids_seen.contains(&tid) {
             tids_seen.push(tid);
         }
-        match ph {
+        match ph.as_str() {
             "X" => {
                 summary.complete += 1;
-                let name = ev
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("event {i}: X event without a name"))?;
-                let ts = ev
-                    .get("ts")
-                    .and_then(Value::as_f64)
+                let Ok(Value::Str(name)) = ev.field("name") else {
+                    return Err(format!("event {i}: X event without a name"));
+                };
+                let ts = as_f64(ev, "ts")
                     .ok_or_else(|| format!("event {i} ({name}): missing \"ts\""))?;
-                let dur = ev
-                    .get("dur")
-                    .and_then(Value::as_f64)
+                let dur = as_f64(ev, "dur")
                     .ok_or_else(|| format!("event {i} ({name}): missing \"dur\""))?;
                 if ts < 0.0 || dur < 0.0 {
                     return Err(format!("event {i} ({name}): negative ts/dur"));
@@ -480,14 +215,13 @@ mod tests {
                 dur_ns: 3_000,
                 arg: None,
             },
-            Event::Instant {
-                name: "tick",
-                tid: 1,
-                ts_ns: 6_000,
-                arg: None,
-            },
         ];
-        let json = to_chrome_trace(&events);
+        // The exporter writes no instants; the validator still counts
+        // instants of traces written elsewhere.
+        let json = to_chrome_trace(&events).replace(
+            "]}",
+            r#",{"ph":"i","pid":1,"tid":1,"ts":6.000,"s":"t","name":"tick"}]}"#,
+        );
         let summary = validate_chrome_trace(&json).expect("must validate");
         assert_eq!(
             summary,
@@ -547,23 +281,51 @@ mod tests {
     }
 
     #[test]
+    fn malformed_traces_are_rejected() {
+        for bad in [
+            // truncated document
+            r#"{"traceEvents":[{"ph":"M","tid":1"#,
+            // trailing garbage
+            r#"{"traceEvents":[]} x"#,
+            // no traceEvents
+            r#"{"events":[]}"#,
+            // unknown phase
+            r#"{"traceEvents":[{"ph":"Q","tid":1}]}"#,
+            // X event without ts
+            r#"{"traceEvents":[{"ph":"X","tid":1,"name":"a","dur":1}]}"#,
+            // X event without dur
+            r#"{"traceEvents":[{"ph":"X","tid":1,"name":"a","ts":1}]}"#,
+            // non-numeric tid
+            r#"{"traceEvents":[{"ph":"M","tid":"1","name":"thread_name"}]}"#,
+        ] {
+            assert!(validate_chrome_trace(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn escaped_surrogate_pair_in_a_thread_name_validates() {
+        let json = r#"{"traceEvents":[{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"\ud83d\ude00"}}]}"#;
+        let summary = validate_chrome_trace(json).expect("valid JSON with a surrogate pair");
+        assert_eq!(summary.metadata, 1);
+        assert_eq!(summary.tids, 1);
+    }
+
+    #[test]
     fn parser_handles_escapes_and_nested_docs() {
-        let v = parse_json(r#"{"a":[1,2.5,-3e2],"b":"q\"\\\nA😀","c":null}"#).expect("parses");
-        assert_eq!(
-            v.get("a").and_then(Value::as_arr).map(<[Value]>::len),
-            Some(3)
-        );
-        assert_eq!(v.get("b").and_then(Value::as_str), Some("q\"\\\nA😀"));
-        assert_eq!(v.get("c"), Some(&Value::Null));
-        assert!(parse_json("{\"open\":").is_err());
-        assert!(parse_json("[1,2] trailing").is_err());
+        let v: Value = serde_json::from_str(r#"{"a":[1,2.5,-3e2],"b":"q\"\\\nA😀","c":null}"#)
+            .expect("parses");
+        assert!(matches!(v.field("a"), Ok(Value::Array(a)) if a.len() == 3));
+        assert_eq!(v.field("b").unwrap(), &Value::Str("q\"\\\nA😀".to_owned()));
+        assert_eq!(v.field("c").unwrap(), &Value::Null);
+        assert!(serde_json::from_str::<Value>("{\"open\":").is_err());
+        assert!(serde_json::from_str::<Value>("[1,2] trailing").is_err());
     }
 
     #[test]
     fn json_escape_round_trips_through_the_parser() {
         let nasty = "quote \" slash \\ newline \n tab \t ctrl \u{1}";
         let doc = format!("{{\"k\":\"{}\"}}", json_escape(nasty));
-        let v = parse_json(&doc).expect("escaped string parses");
-        assert_eq!(v.get("k").and_then(Value::as_str), Some(nasty));
+        let v: Value = serde_json::from_str(&doc).expect("escaped string parses");
+        assert_eq!(v.field("k").unwrap(), &Value::Str(nasty.to_owned()));
     }
 }
