@@ -17,12 +17,16 @@
 //!    `n` with reject-on-first-failure, on the CSR or the
 //!    frontier-compressed exploration engine.
 //!
-//! The pipeline runs the two symbolic stages on one [`Prefilter`] it owns:
-//! their flat rows are reused from miss to miss, and the Karp–Miller cover
-//! both stages intersect with is computed once per transition structure —
-//! the η-floor stage reuses the cover of the stage before it, and so does
-//! every following miss with the same non-silent transitions.  Verdicts are
-//! those of the free functions, whatever the order of the misses.
+//! The pipeline runs the two symbolic stages on one [`Prefilter`] it owns,
+//! on the flat view of the fingerprint ([`FlatProtocol`]): a memo miss
+//! builds a [`Protocol`] only when it reaches the concrete slices.  The
+//! filter keeps what depends on the transition structure alone — the
+//! Karp–Miller cover, and the backward basis of each state — for the last
+//! structure it saw, and the canonical fingerprints make every output
+//! pattern of one structure decode to the same transitions, so a structure
+//! is analysed once however many of its output patterns miss the memo.
+//! Verdicts are those of the free functions, whatever the order of the
+//! misses.
 //!
 //! # Cross-candidate memoization
 //!
@@ -38,11 +42,11 @@
 //! re-running the stages.  With
 //! [`PipelineConfig::canonical_fingerprints`] the key is additionally
 //! quotiented by the restriction's residual relabelling group (the
-//! lexicographically smallest encoding over all permutations of the
-//! non-input states): equal keys ⟺ relabelling-equivalent restrictions,
-//! which share verdicts because every stage is relabelling-invariant — the
-//! table answers strictly more hits and still never conflates different
-//! verdicts.  In the 4-state space enormous numbers of orbits share a
+//! smallest encoding over all permutations of the non-input states,
+//! comparing the transitions first and the outputs second): equal keys ⟺
+//! relabelling-equivalent restrictions, which share verdicts because every
+//! stage is relabelling-invariant — the table answers strictly more hits
+//! and still never conflates different verdicts.  In the 4-state space enormous numbers of orbits share a
 //! 3-state (or smaller) sub-protocol — exactly the reuse the `BB_det(4)`
 //! rung needs.  See `crates/reach/README.md` for the full soundness
 //! argument.
@@ -71,7 +75,7 @@
 use crate::orbit_stream::{permutations_fixing_zero, OrbitSpace};
 use popproto_model::{Output, Protocol, ProtocolBuilder, StateId};
 use popproto_reach::{frontier_threshold_profile, unary_threshold_profile, ExploreLimits};
-use popproto_symbolic::{Prefilter, SymbolicLimits};
+use popproto_symbolic::{FlatProtocol, Prefilter, SymbolicLimits, OMEGA};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -118,13 +122,14 @@ pub struct PipelineConfig {
     pub memo_max_entries: usize,
     /// Quotient the transposition-table key by the residual relabelling
     /// group of the coverable-support restriction: the key becomes the
-    /// lexicographically smallest encoding over all permutations of the
-    /// restriction's non-input states.  Sound because every triage stage is
-    /// invariant under state relabellings fixing the input state (the same
-    /// argument that lets the generator keep one representative per orbit);
-    /// two restrictions get equal keys iff they are relabellings of each
-    /// other, so the table answers strictly more hits and still never
-    /// collides across genuinely different verdicts.
+    /// smallest encoding over all permutations of the restriction's
+    /// non-input states, transitions compared before outputs.  Sound
+    /// because every triage stage is invariant under state relabellings
+    /// fixing the input state (the same argument that lets the generator
+    /// keep one representative per orbit); two restrictions get equal keys
+    /// iff they are relabellings of each other, so the table answers
+    /// strictly more hits and still never collides across genuinely
+    /// different verdicts.
     pub canonical_fingerprints: bool,
     /// Engine for the concrete-slice stage.
     pub engine: ReachEngine,
@@ -244,7 +249,7 @@ impl PipelineStats {
 ///
 /// Entries map a restriction fingerprint to its memoized [`MemoVerdict`].
 /// Because every verdict is a pure function of the fingerprint (the triage
-/// stages run on the protocol the fingerprint *decodes to*), it does not
+/// stages run on what the fingerprint *decodes to*), it does not
 /// matter which worker inserted an entry first — a racing double-compute
 /// produces the identical verdict, so the table never changes any result,
 /// only how often stages re-run.  Sharded `Mutex<HashMap>`s are plenty here:
@@ -623,6 +628,8 @@ pub struct CandidatePipeline {
     scratch_best: Vec<u8>,
     /// The symbolic stages' working memory, shared by every memo miss.
     prefilter: Prefilter,
+    /// The flat view of the last memo miss, read by the symbolic stages.
+    flat: FlatProtocol,
 }
 
 impl CandidatePipeline {
@@ -648,6 +655,7 @@ impl CandidatePipeline {
             scratch: Vec::new(),
             scratch_best: Vec::new(),
             prefilter: Prefilter::default(),
+            flat: FlatProtocol::default(),
         }
     }
 
@@ -728,11 +736,7 @@ impl CandidatePipeline {
             );
         }
         if !self.config.memoize {
-            let verdict = triage(
-                &fingerprint_protocol(&self.fingerprint),
-                &self.config,
-                &mut self.prefilter,
-            );
+            let verdict = self.triage();
             self.apply(verdict, index);
             return;
         }
@@ -749,16 +753,45 @@ impl CandidatePipeline {
                 return;
             }
         }
-        let verdict = triage(
-            &fingerprint_protocol(&self.fingerprint),
-            &self.config,
-            &mut self.prefilter,
-        );
+        let verdict = self.triage();
         self.insert_local(verdict);
         if let Some(table) = shared {
             table.insert(&self.fingerprint, verdict);
         }
         self.apply(verdict, index);
+    }
+
+    /// The staged triage of the restriction in `self.fingerprint`.  The
+    /// symbolic stages read its flat view; a [`Protocol`] is built only for
+    /// a candidate that reaches the concrete slices.
+    fn triage(&mut self) -> MemoVerdict {
+        decode_flat(&self.fingerprint, &mut self.flat);
+        let config = &self.config;
+        if !self
+            .prefilter
+            .threshold_flat(&self.flat, config.max_input, &config.symbolic)
+        {
+            return MemoVerdict::RejectedSymbolic;
+        }
+        if !self
+            .prefilter
+            .eta_floor_flat(&self.flat, config.eta_floor, &config.symbolic)
+        {
+            return MemoVerdict::RejectedEta;
+        }
+        let protocol = fingerprint_protocol(&self.fingerprint);
+        let profile = match config.engine {
+            ReachEngine::Csr => {
+                unary_threshold_profile(&protocol, config.max_input, &config.explore)
+            }
+            ReachEngine::Frontier => {
+                frontier_threshold_profile(&protocol, config.max_input, &config.explore)
+            }
+        };
+        MemoVerdict::Profiled {
+            verified: profile.verified_threshold(),
+            truncated: profile.inputs.iter().any(|p| !p.exhaustive),
+        }
     }
 
     fn insert_local(&mut self, verdict: MemoVerdict) {
@@ -826,10 +859,21 @@ impl CandidatePipeline {
     }
 }
 
-/// Rewrites `bytes` (an [`encode_fingerprint`] encoding) into the
-/// lexicographically smallest encoding over all relabellings of the
-/// restriction's states that fix the input state 0 — the canonical
-/// representative of the restriction's relabelling class.
+/// Rewrites `bytes` (an [`encode_fingerprint`] encoding) into the smallest
+/// encoding over all relabellings of the restriction's states that fix the
+/// input state 0 — the canonical representative of the restriction's
+/// relabelling class.
+///
+/// Encodings are ordered by their transition bytes `bytes[2..]` first and
+/// their output byte `bytes[1]` second.  The coverable support, and with it
+/// the state count and the unrelabelled transition bytes, depends on the
+/// transitions alone, so every output pattern of one assignment minimises
+/// the same transition bytes: all of them come out with byte-identical
+/// transitions, and the pre-filter analyses that structure once for all of
+/// them.  Ordering by the whole byte string would put the outputs first,
+/// and patterns that relabel differently would split one structure into
+/// several.  Either order picks one member per class, so the memo answers
+/// the same hits; only the representative a key holds differs.
 ///
 /// `perms` must be the non-identity permutations of `0..k` fixing 0, where
 /// `k = bytes[0]`.  Soundness: every triage stage (symbolic pre-filter,
@@ -880,31 +924,11 @@ pub(crate) fn canonicalize_fingerprint(
                 scratch[dst + 1] = c.max(d) as u8;
             }
         }
-        if *scratch < *best {
+        if (&scratch[2..], scratch[1]) < (&best[2..], best[1]) {
             std::mem::swap(best, scratch);
         }
     }
     std::mem::swap(bytes, best);
-}
-
-/// The staged triage of one (restricted) candidate protocol.
-fn triage(protocol: &Protocol, config: &PipelineConfig, prefilter: &mut Prefilter) -> MemoVerdict {
-    if !prefilter.threshold(protocol, config.max_input, &config.symbolic) {
-        return MemoVerdict::RejectedSymbolic;
-    }
-    if !prefilter.eta_floor(protocol, config.eta_floor, &config.symbolic) {
-        return MemoVerdict::RejectedEta;
-    }
-    let profile = match config.engine {
-        ReachEngine::Csr => unary_threshold_profile(protocol, config.max_input, &config.explore),
-        ReachEngine::Frontier => {
-            frontier_threshold_profile(protocol, config.max_input, &config.explore)
-        }
-    };
-    MemoVerdict::Profiled {
-        verified: profile.verified_threshold(),
-        truncated: profile.inputs.iter().any(|p| !p.exhaustive),
-    }
 }
 
 /// Encodes the coverable-support restriction of `(assignment, outputs)` as
@@ -958,9 +982,10 @@ fn encode_fingerprint(
     }
 }
 
-/// Materialises the restriction protocol a fingerprint encodes.  The triage
-/// stages run on this protocol, which makes the memoized verdict a function
-/// of the fingerprint *by construction*.
+/// Materialises the restriction protocol a fingerprint encodes.  The
+/// concrete slices run on this protocol and the symbolic stages on its flat
+/// view ([`decode_flat`]), which makes the memoized verdict a function of
+/// the fingerprint *by construction*.
 fn fingerprint_protocol(bytes: &[u8]) -> Protocol {
     let k = bytes[0] as usize;
     let out_bits = bytes[1];
@@ -984,6 +1009,32 @@ fn fingerprint_protocol(bytes: &[u8]) -> Protocol {
     b.set_input_state("x", states[0]);
     b.build()
         .expect("fingerprint decodes to a well-formed protocol")
+}
+
+/// Writes the restriction a fingerprint encodes into `flat`: the ω-initial
+/// row (input state 0, no leaders), the outputs and the non-silent
+/// transitions in pair order — the view [`FlatProtocol::load`] writes for
+/// [`fingerprint_protocol`]'s protocol.
+fn decode_flat(bytes: &[u8], flat: &mut FlatProtocol) {
+    let k = bytes[0] as usize;
+    flat.root.clear();
+    flat.root.resize(k, 0);
+    flat.root[0] = OMEGA;
+    flat.leaders = 0;
+    flat.accepts.clear();
+    flat.accepts
+        .extend((0..k).map(|q| (bytes[1] >> q) & 1 == 1));
+    flat.transitions.clear();
+    let mut idx = 2;
+    for a in 0..k {
+        for b in a..k {
+            let (lo, hi) = (bytes[idx] as usize, bytes[idx + 1] as usize);
+            idx += 2;
+            if (a, b) != (lo, hi) {
+                flat.transitions.push([a, b, lo, hi]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1160,6 +1211,78 @@ mod tests {
             }
         }
         assert!(checked > 1_000);
+    }
+
+    #[test]
+    fn canonical_fingerprints_share_the_structure_across_output_patterns() {
+        // The coverable support depends on the transitions alone, and the
+        // canonical form minimises the transition bytes before the outputs:
+        // every output pattern of one assignment must come out with the
+        // same state count and the same transition bytes, which is what
+        // lets the pre-filter keep one structure's artifacts for all of
+        // them.
+        let space = OrbitSpace::new(4);
+        let perms_by_k: Vec<Vec<Vec<usize>>> = (0..=4).map(permutations_fixing_zero).collect();
+        let mut assignment = vec![0usize; space.pairs().len()];
+        let mut support = vec![false; 4];
+        let (mut bytes, mut first) = (Vec::new(), Vec::new());
+        let (mut scratch, mut scratch_best) = (Vec::new(), Vec::new());
+        let mut relabelled = 0;
+        let assignments = space.total_candidates() / space.output_patterns();
+        for a in (0..assignments).step_by((assignments / 307) as usize) {
+            space.decode_assignment(a, &mut assignment);
+            for outputs in 0..space.output_patterns() as u32 {
+                encode_fingerprint(&space, &assignment, outputs, &mut support, &mut bytes);
+                let raw = bytes.clone();
+                let k = bytes[0] as usize;
+                canonicalize_fingerprint(
+                    &mut bytes,
+                    &perms_by_k[k],
+                    &mut scratch,
+                    &mut scratch_best,
+                );
+                relabelled += usize::from(bytes[2..] != raw[2..]);
+                if outputs == 0 {
+                    first.clone_from(&bytes);
+                } else {
+                    assert_eq!(bytes[0], first[0], "assignment {a}: state counts differ");
+                    assert_eq!(
+                        bytes[2..],
+                        first[2..],
+                        "assignment {a}, outputs {outputs:#b}: transition bytes differ"
+                    );
+                }
+            }
+        }
+        assert!(relabelled > 0, "no sampled restriction was relabelled");
+    }
+
+    #[test]
+    fn flat_view_matches_the_decoded_protocol() {
+        // The symbolic stages read the fingerprint's flat view instead of
+        // the protocol `fingerprint_protocol` builds: both must describe
+        // the same candidate.
+        let space = OrbitSpace::new(4);
+        let perms_by_k: Vec<Vec<Vec<usize>>> = (0..=4).map(permutations_fixing_zero).collect();
+        let mut assignment = vec![0usize; space.pairs().len()];
+        let mut support = vec![false; 4];
+        let (mut bytes, mut scratch, mut scratch_best) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut decoded, mut loaded) = (FlatProtocol::default(), FlatProtocol::default());
+        for k in (0..space.total_candidates()).step_by(7_919).take(500) {
+            space.decode_assignment(k / space.output_patterns(), &mut assignment);
+            let outputs = (k % space.output_patterns()) as u32;
+            encode_fingerprint(&space, &assignment, outputs, &mut support, &mut bytes);
+            let states = bytes[0] as usize;
+            canonicalize_fingerprint(
+                &mut bytes,
+                &perms_by_k[states],
+                &mut scratch,
+                &mut scratch_best,
+            );
+            decode_flat(&bytes, &mut decoded);
+            loaded.load(&fingerprint_protocol(&bytes));
+            assert_eq!(decoded, loaded, "candidate {k}");
+        }
     }
 
     #[test]

@@ -717,6 +717,30 @@ mod tests {
     }
 
     #[test]
+    fn e12_segment_40_funnel_reaches_the_profile_stage() {
+        // The prefix above profiles nothing; segment 40 of the E12 plan
+        // (candidates [40·2¹⁴, 41·2¹⁴)) sends hundreds of restrictions to
+        // the concrete slices and confirms dozens, so a changed verdict on
+        // a profiled candidate moves these counts too.
+        let space = OrbitSpace::new(4);
+        let segment = 1u128 << 14;
+        let mut pipeline = CandidatePipeline::new(4, e12_pipeline_config(8));
+        let mut stream = OrbitStream::range(&space, 40 * segment, 41 * segment);
+        while let Some(k) = stream.next_canonical() {
+            let outputs = (k % space.output_patterns()) as u32;
+            pipeline.offer(&space, k, stream.current_assignment(), outputs);
+        }
+        let s = pipeline.stats();
+        assert_eq!(s.canonical_orbits, 14_048);
+        assert_eq!(s.pruned_symbolic, 7_288);
+        assert_eq!(s.pruned_eta_bounded, 6_298);
+        assert_eq!(s.profiled, 462);
+        assert_eq!(s.threshold_protocols, 67);
+        assert_eq!(s.memo_hits, 6_958);
+        assert_eq!(s.truncated_orbits, 0);
+    }
+
+    #[test]
     fn e12_checkpoint_resume_reproduces_the_stats() {
         let straight = experiment_e12_segmented(9_000, 6, 1, SegmentOrder::Index);
         // Same budget, split across three sessions through serialised

@@ -24,8 +24,8 @@
 //! per-segment results**, and each per-segment result is a pure function of
 //! the segment's index range and the pipeline configuration:
 //!
-//! * stage verdicts are pure functions of the candidate (triage runs on the
-//!   protocol the memo fingerprint decodes to, so even a verdict replayed
+//! * stage verdicts are pure functions of the candidate (triage runs on
+//!   what the memo fingerprint decodes to, so even a verdict replayed
 //!   from the shared table equals the one a recompute would produce);
 //! * per-segment counters (`canonical_orbits`, `pruned_*`, `profiled`,
 //!   `threshold_protocols`, `truncated_orbits`, and the *local*
@@ -836,8 +836,11 @@ impl SegmentedSearch {
 }
 
 /// Version 2: memo tables are delta-packed ([`PackedMemo`]) instead of
-/// serialised as raw record arrays.
-const SEGMENTED_CHECKPOINT_VERSION: u32 = 2;
+/// serialised as raw record arrays.  Version 3: canonical fingerprints
+/// order transitions before outputs, so a memo key of version 2 names a
+/// representative no version-3 search looks up; resuming one would answer
+/// fewer hits than the straight run.
+const SEGMENTED_CHECKPOINT_VERSION: u32 = 3;
 
 /// Computes `(segment size, range end, segment ids in visit order)` — a pure
 /// function of the space and the segmentation config, recomputed identically
@@ -1090,6 +1093,10 @@ mod tests {
             &|c| c.shared_memo.entries = 1 << 40,
             "corrupt packed shared memo",
         );
+        // Version-2 memo keys hold outputs-first canonical fingerprints,
+        // which this version never looks up: a resume from one would count
+        // fewer memo hits than the straight run.
+        corrupt(&|c| c.version = 2, "unknown segmented checkpoint version");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! (Lemma 3.1 in action: the finite basis witnesses downward closure for
 //! *all* population sizes simultaneously).
 
+use crate::cover::transition_deltas;
 use crate::omega::{ideal_rows_to_set, OMEGA_BOUND};
 use crate::SymbolicLimits;
 use popproto_model::{Output, Protocol};
@@ -67,7 +68,9 @@ pub fn backward_coverability(
         assert_eq!(t.len(), n, "target dimension mismatch");
         rows.targets.extend_from_slice(t);
     }
-    let (generated, complete) = rows.backward(protocol, limits);
+    let mut transitions = Vec::new();
+    transition_deltas(protocol, &mut transitions);
+    let (generated, complete) = rows.backward(n, &transitions, limits);
     CoverabilityBasis {
         minimal: rows.minimal.chunks_exact(n).map(<[u64]>::to_vec).collect(),
         generated,
@@ -142,29 +145,92 @@ impl FlatRows {
         &self.ideals
     }
 
+    /// The minimal antichain of the last [`FlatRows::unit_basis`].
+    pub(crate) fn minimal(&self) -> &[u64] {
+        &self.minimal
+    }
+
     /// `SC_b` as flat ideal rows in [`FlatRows::ideals`]: the complement of
-    /// the least backward fixpoint of the states with output `≠ b`.
+    /// the least backward fixpoint of the unit targets of the states
+    /// `target` selects (those with output `≠ b`), over `n` states and the
+    /// non-silent `transitions` (as written by `transition_deltas`).
     ///
     /// Returns `None` if the complement exceeded `limits.max_ideals`,
     /// otherwise the basis size and whether the fixpoint converged.
     pub(crate) fn stable_set(
         &mut self,
-        protocol: &Protocol,
-        b: Output,
+        n: usize,
+        transitions: &[[usize; 4]],
+        target: impl Fn(usize) -> bool,
         limits: &SymbolicLimits,
     ) -> Option<(usize, bool)> {
-        let n = protocol.num_states();
         self.targets.clear();
-        for q in protocol.state_ids() {
-            if protocol.output_of(q) != b {
-                let start = self.targets.len();
-                self.targets.resize(start + n, 0);
-                self.targets[start + q.index()] = 1;
-            }
+        for q in (0..n).filter(|&q| target(q)) {
+            let start = self.targets.len();
+            self.targets.resize(start + n, 0);
+            self.targets[start + q] = 1;
         }
-        let (_, complete) = self.backward(protocol, limits);
+        let (_, complete) = self.backward(n, transitions, limits);
         let basis_size = self.minimal.len() / n;
         self.complement(n, limits).then_some((basis_size, complete))
+    }
+
+    /// The minimal basis of `pre*(↑e_q)` into [`FlatRows::minimal`];
+    /// returns whether the fixpoint converged.
+    pub(crate) fn unit_basis(
+        &mut self,
+        n: usize,
+        transitions: &[[usize; 4]],
+        q: usize,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        self.targets.clear();
+        self.targets.resize(n, 0);
+        self.targets[q] = 1;
+        self.backward(n, transitions, limits).1
+    }
+
+    /// The complement of `↑(B₁ ∪ … ∪ B_k)` into [`FlatRows::ideals`], for
+    /// the minimal bases `B_i` of `pre*(↑U_i)`: the result is that of
+    /// [`FlatRows::stable_set`] on the targets `U₁ ∪ … ∪ U_k` whenever its
+    /// fixpoint converges, because `pre*(↑(U ∪ V)) = pre*(↑U) ∪ pre*(↑V)`
+    /// and a minimal antichain is unique.
+    ///
+    /// Returns `false`, leaving the ideals unset, unless no order of the
+    /// union's rows could take an intermediate complement past
+    /// `limits.max_ideals`.  The union comes out in a different order than
+    /// the combined fixpoint keeps its basis, and the intermediate
+    /// antichains of the complement depend on that order; every ideal they
+    /// hold bounds each state `q` by `ω` or by `m(q) − 1` for a row `m`, so
+    /// none holds more than `∏_q (d_q + 1)` ideals, `d_q` bounding the
+    /// number of distinct nonzero values of state `q` in the union.  At or
+    /// below the cap that bound makes the cap unreachable in every order.
+    pub(crate) fn complement_of_union<'a>(
+        &mut self,
+        n: usize,
+        bases: impl IntoIterator<Item = &'a [u64]>,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        self.minimal.clear();
+        for basis in bases {
+            for m in basis.chunks_exact(n) {
+                insert_minimal(m, &mut self.minimal);
+            }
+        }
+        let mut bound = 1usize;
+        for q in 0..n {
+            // Values below 64 are counted once each, larger ones once per row.
+            let (mut seen, mut large) = (0u64, 0usize);
+            for m in self.minimal.chunks_exact(n) {
+                match m[q] {
+                    0 => {}
+                    v @ 1..=63 => seen |= 1 << v,
+                    _ => large += 1,
+                }
+            }
+            bound = bound.saturating_mul(seen.count_ones() as usize + large + 1);
+        }
+        bound <= limits.max_ideals && self.complement(n, limits)
     }
 
     /// The backward fixpoint from `self.targets` into `self.minimal`;
@@ -172,8 +238,12 @@ impl FlatRows {
     ///
     /// The pop order and the insert/retain order are those of the
     /// row-per-`Vec` algorithm, so `minimal` comes out in the same order.
-    fn backward(&mut self, protocol: &Protocol, limits: &SymbolicLimits) -> (usize, bool) {
-        let n = protocol.num_states();
+    fn backward(
+        &mut self,
+        n: usize,
+        transitions: &[[usize; 4]],
+        limits: &SymbolicLimits,
+    ) -> (usize, bool) {
         let FlatRows {
             deltas,
             targets,
@@ -184,18 +254,20 @@ impl FlatRows {
             ..
         } = self;
         deltas.clear();
-        for t in protocol.non_silent_transitions() {
+        for &[p0, p1, q0, q1] in transitions {
             let start = deltas.len();
             deltas.resize(start + 2 * n, 0);
-            deltas[start + t.pre.lo().index()] += 1;
-            deltas[start + t.pre.hi().index()] += 1;
-            deltas[start + n + t.post.lo().index()] += 1;
-            deltas[start + n + t.post.hi().index()] += 1;
+            deltas[start + p0] += 1;
+            deltas[start + p1] += 1;
+            deltas[start + n + q0] += 1;
+            deltas[start + n + q1] += 1;
         }
         minimal.clear();
         worklist.clear();
         for target in targets.chunks_exact(n) {
-            insert_minimal(target, minimal, worklist);
+            if insert_minimal(target, minimal) {
+                worklist.extend_from_slice(target);
+            }
         }
 
         let mut generated = 0usize;
@@ -225,7 +297,9 @@ impl FlatRows {
                 candidate.clear();
                 candidate
                     .extend((0..n).map(|q| pre[q].max((row[q] + pre[q]).saturating_sub(post[q]))));
-                insert_minimal(candidate, minimal, worklist);
+                if insert_minimal(candidate, minimal) {
+                    worklist.extend_from_slice(candidate);
+                }
             }
         }
         (generated, complete)
@@ -237,7 +311,7 @@ impl FlatRows {
     /// The size of each intermediate antichain does not depend on the order
     /// its ideals are generated in, so the cap fires at the same step as in
     /// the [`DownwardClosedSet`] computation.
-    fn complement(&mut self, n: usize, limits: &SymbolicLimits) -> bool {
+    pub(crate) fn complement(&mut self, n: usize, limits: &SymbolicLimits) -> bool {
         let FlatRows {
             minimal,
             row,
@@ -276,15 +350,15 @@ impl FlatRows {
 }
 
 /// Adds `candidate` to the antichain of minimal rows unless an element lies
-/// below it, dropping the elements above it and queueing it on `worklist`.
-fn insert_minimal(candidate: &[u64], minimal: &mut Vec<u64>, worklist: &mut Vec<u64>) {
+/// below it, dropping the elements above it; returns whether it was added.
+fn insert_minimal(candidate: &[u64], minimal: &mut Vec<u64>) -> bool {
     let n = candidate.len();
     if minimal.chunks_exact(n).any(|m| row_leq_u64(m, candidate)) {
-        return;
+        return false;
     }
     retain_rows(minimal, n, |m| !row_leq_u64(candidate, m));
-    worklist.extend_from_slice(candidate);
     minimal.extend_from_slice(candidate);
+    true
 }
 
 /// Adds the ideal `row` to the antichain of maximal ideal rows unless an
@@ -341,8 +415,16 @@ pub fn symbolic_stable_sets(
     b: Output,
     limits: &SymbolicLimits,
 ) -> Option<SymbolicStableSet> {
+    let mut transitions = Vec::new();
+    transition_deltas(protocol, &mut transitions);
+    let states = protocol.states();
     let mut rows = FlatRows::default();
-    let (basis_size, exact) = rows.stable_set(protocol, b, limits)?;
+    let (basis_size, exact) = rows.stable_set(
+        protocol.num_states(),
+        &transitions,
+        |q| states[q].output != b,
+        limits,
+    )?;
     Some(SymbolicStableSet {
         output: b,
         set: ideal_rows_to_set(rows.ideals(), protocol.num_states()),
@@ -417,6 +499,94 @@ mod tests {
         // All-zero element: everything is covered, the complement is empty.
         let none = complement_of_upward(&[vec![0, 0]], 2, &limits).unwrap();
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn complement_cap_depends_on_the_row_order() {
+        // One antichain in two orders: the first passes through five
+        // intermediate ideals, the second never through more than four.
+        // A union of per-state bases comes out in another order than the
+        // combined fixpoint's, so it must not rely on the cap alone.
+        let limits = SymbolicLimits {
+            max_ideals: 4,
+            ..SymbolicLimits::default()
+        };
+        let rows = [vec![3, 0, 1, 3], vec![0, 2, 2, 0], vec![3, 0, 2, 0]];
+        let reordered = [rows[0].clone(), rows[2].clone(), rows[1].clone()];
+        assert!(complement_of_upward(&rows, 4, &limits).is_none());
+        assert!(complement_of_upward(&reordered, 4, &limits).is_some());
+        for order in [&rows, &reordered] {
+            let flat = order.concat();
+            assert!(!FlatRows::default().complement_of_union(4, [flat.as_slice()], &limits));
+        }
+    }
+
+    /// A protocol whose backward fixpoint from `{q0, q2}` stops at a basis
+    /// cap of 2 although the fixpoints from `q0` and from `q2` alone converge
+    /// (the oracle suite checks the pre-filter verdicts on it).
+    fn split_basis_protocol() -> Protocol {
+        let mut b = ProtocolBuilder::new("split basis");
+        let q: Vec<_> = (0..4)
+            .map(|i| b.add_state(format!("q{i}"), Output::False))
+            .collect();
+        for (pre, post) in [
+            ((0, 0), (0, 3)),
+            ((0, 1), (1, 3)),
+            ((0, 2), (0, 0)),
+            ((1, 1), (2, 2)),
+            ((1, 2), (2, 2)),
+            ((2, 3), (1, 1)),
+            ((3, 3), (0, 3)),
+        ] {
+            b.add_transition((q[pre.0], q[pre.1]), (q[post.0], q[post.1]))
+                .unwrap();
+        }
+        b.set_input_state("x", q[0]);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn union_of_unit_bases_is_exact_where_the_combined_fixpoint_stops() {
+        let p = split_basis_protocol();
+        let limits = SymbolicLimits {
+            max_backward_basis: 2,
+            ..SymbolicLimits::default()
+        };
+        let targets = [vec![1, 0, 0, 0], vec![0, 0, 1, 0]];
+        let sorted = |rows: &[u64]| {
+            let mut rows: Vec<&[u64]> = rows.chunks_exact(4).collect();
+            rows.sort();
+            rows.concat()
+        };
+        let exact = backward_coverability(&p, &targets, &SymbolicLimits::default());
+        assert!(exact.complete);
+        let truncated = backward_coverability(&p, &targets, &limits);
+        assert!(!truncated.complete);
+
+        let mut transitions = Vec::new();
+        transition_deltas(&p, &mut transitions);
+        let mut rows = FlatRows::default();
+        let mut bases = Vec::new();
+        for q in [0, 2] {
+            assert!(rows.unit_basis(4, &transitions, q, &limits), "B_q{q}");
+            bases.push(rows.minimal().to_vec());
+        }
+        assert!(rows.complement_of_union(4, bases.iter().map(Vec::as_slice), &limits));
+        assert_eq!(sorted(rows.minimal()), sorted(&exact.minimal.concat()));
+        assert_ne!(sorted(rows.minimal()), sorted(&truncated.minimal.concat()));
+        let union_sc = rows.ideals().to_vec();
+
+        assert_eq!(
+            rows.stable_set(4, &transitions, |q| q == 0 || q == 2, &limits),
+            Some((truncated.minimal.len(), false))
+        );
+        let truncated_sc = rows.ideals().to_vec();
+        // The exact SC_b lies inside the over-approximation of the stopped
+        // fixpoint, strictly.
+        let within =
+            |ideal: &[u64], set: &[u64]| set.chunks_exact(4).any(|i| row_leq_u64(ideal, i));
+        assert!(union_sc.chunks_exact(4).all(|i| within(i, &truncated_sc)));
+        assert!(!truncated_sc.chunks_exact(4).all(|i| within(i, &union_sc)));
     }
 
     #[test]

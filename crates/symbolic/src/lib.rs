@@ -51,8 +51,8 @@ pub use omega::{row_leq, row_to_ideal, OmegaArena, OMEGA};
 pub use rays::nonneg_cone_generators;
 pub use termination::{find_silencing_certificate, EliminationRound, SilencingCertificate};
 pub use verifier::{
-    eta_floor_prefilter, silent_ideals, threshold_prefilter, Prefilter, SymbolicVerifier,
-    ThresholdVerdict,
+    eta_floor_prefilter, silent_ideals, threshold_prefilter, FlatProtocol, Prefilter,
+    SymbolicVerifier, ThresholdVerdict,
 };
 
 use popproto_reach::ExploreLimits;

@@ -353,18 +353,74 @@ pub fn eta_floor_prefilter(protocol: &Protocol, eta_floor: u64, limits: &Symboli
     Prefilter::default().eta_floor(protocol, eta_floor, limits)
 }
 
-/// The two busy-beaver pre-filters with their working memory: the flat rows
-/// of the stable sets, and the Karp–Miller cover of the last transition
-/// structure it was asked about.
+/// A candidate as the pre-filters read it: the ω-initial row, the leader
+/// count, the output of every state and the non-silent transitions.
 ///
-/// Both filters intersect a stable set with the same cover, and successive
-/// candidates of a busy-beaver search often share their non-silent
-/// transitions (they differ in outputs, or in transitions that are silent).
-/// The cover depends only on the state count, the ω-initial row, the
-/// ordered non-silent transitions and the label cap, so the filter keeps
-/// the cover of the last such input and recomputes it only when one of
-/// them changes.  Verdicts are those of [`threshold_prefilter`] and
-/// [`eta_floor_prefilter`] whatever the sequence of calls.
+/// [`Prefilter::threshold_flat`] and [`Prefilter::eta_floor_flat`] read
+/// this view, so a caller that holds its candidates in another encoding
+/// fills it directly and never builds a [`Protocol`];
+/// [`FlatProtocol::load`] writes the view of a [`Protocol`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FlatProtocol {
+    /// The ω-initial row `L + ω·I(x)`: [`OMEGA`] at the input states, the
+    /// leader count elsewhere.  Its length is the state count.
+    pub root: Vec<u32>,
+    /// `|L|`, the number of leaders.
+    pub leaders: u64,
+    /// `accepts[q]` iff state `q` has output `1`.
+    pub accepts: Vec<bool>,
+    /// The non-silent transitions in order, as
+    /// `[pre_lo, pre_hi, post_lo, post_hi]` state indices.
+    pub transitions: Vec<[usize; 4]>,
+}
+
+impl FlatProtocol {
+    /// Overwrites this view with that of `protocol`, reusing its buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a leader count does not fit a finite ω-row entry.
+    pub fn load(&mut self, protocol: &Protocol) {
+        omega_initial_row(protocol, &mut self.root);
+        self.leaders = protocol.leaders().size();
+        self.accepts.clear();
+        self.accepts.extend(
+            protocol
+                .states()
+                .iter()
+                .map(|state| state.output == Output::True),
+        );
+        transition_deltas(protocol, &mut self.transitions);
+    }
+}
+
+/// The two busy-beaver pre-filters with their working memory: the flat rows
+/// of the stable sets, and what they computed from the transition
+/// structure of the last candidate.
+///
+/// A busy-beaver search offers every output pattern of one transition
+/// structure in a row.  The Karp–Miller cover, and the minimal basis `B_q`
+/// of `pre*(↑e_q)` for each state `q`, depend only on the state count, the
+/// ω-initial row, the ordered non-silent transitions and the caps, so the
+/// filter keeps them for the last such structure; each is computed the
+/// first time a call needs it.  Stage 3 forms the basis of `pre*` of the
+/// states with output `≠ b` as the antichain-minimised union of their
+/// `B_q`, because `pre*(↑(U ∪ V)) = pre*(↑U) ∪ pre*(↑V)` and a minimal
+/// antichain is unique.  When a needed `B_q` hit `max_backward_basis`, or
+/// the union's complement could hit `max_ideals` in some order, the call
+/// runs one backward fixpoint from all those states instead, as
+/// [`symbolic_stable_sets`] does.  A verdict depends on the candidate and
+/// the limits alone, whatever the sequence of calls, so
+/// [`threshold_prefilter`] and [`eta_floor_prefilter`], one call each on a
+/// fresh filter, agree with a reused one.
+///
+/// The union is the exact basis.  The single fixpoint can stop at
+/// `max_backward_basis` even when every `B_q` converged, and then keeps a
+/// smaller basis and so a larger `SC_b`: this filter rejects every
+/// candidate that form rejects, and possibly more, soundly.  With
+/// [`SymbolicLimits::prefilter`] no fixpoint of the `BB_det(3)` space or of
+/// the E12 prefix stops at a cap, and the oracle suite compares the
+/// verdicts with the single-fixpoint reference under tiny caps too.
 ///
 /// # Examples
 ///
@@ -389,27 +445,103 @@ pub fn eta_floor_prefilter(protocol: &Protocol, eta_floor: u64, limits: &Symboli
 pub struct Prefilter {
     rows: FlatRows,
     coverable: Vec<bool>,
-    /// The cover input of the current call, compared against `cover.key`.
-    probe: CoverKey,
-    cover: CachedCover,
+    /// The view of the protocol of the current [`Prefilter::threshold`] or
+    /// [`Prefilter::eta_floor`] call.
+    view: FlatProtocol,
+    structure: StructureCache,
 }
 
-/// Everything the Karp–Miller cover of a pre-filter call depends on.
-#[derive(Debug, Default, PartialEq)]
-struct CoverKey {
+/// The artifacts of one transition structure: everything in it is a
+/// function of the key fields alone.
+#[derive(Debug, Default)]
+struct StructureCache {
     /// The ω-initial row; its length is the state count.
     root: Vec<u32>,
     transitions: Vec<[usize; 4]>,
-    max_labels: usize,
+    max_cover_labels: usize,
+    max_backward_basis: usize,
+    /// The Karp–Miller cover as flat ideal rows, valid once
+    /// `cover_complete` is set.
+    cover_labels: Vec<u64>,
+    /// Whether the cover finished below the label cap; `None` until the
+    /// cover is computed.
+    cover_complete: Option<bool>,
+    /// Per state `q`, the minimal basis of `pre*(↑e_q)`.
+    bases: Vec<UnitBasis>,
 }
 
-/// The cover of [`CachedCover::key`], as flat ideal rows.
+/// The minimal basis of `pre*(↑e_q)` for one state `q`.
 #[derive(Debug, Default)]
-struct CachedCover {
-    /// `None` until the first cover is computed.
-    key: Option<CoverKey>,
-    labels: Vec<u64>,
-    complete: bool,
+struct UnitBasis {
+    rows: Vec<u64>,
+    /// Whether the fixpoint converged; `None` until it is computed.
+    complete: Option<bool>,
+}
+
+impl StructureCache {
+    /// Makes this the cache of the structure of `candidate` under `limits`,
+    /// dropping the artifacts of any other structure.
+    fn load(&mut self, candidate: &FlatProtocol, limits: &SymbolicLimits) {
+        if self.root == candidate.root
+            && self.transitions == candidate.transitions
+            && self.max_cover_labels == limits.max_cover_labels
+            && self.max_backward_basis == limits.max_backward_basis
+        {
+            return;
+        }
+        self.root.clone_from(&candidate.root);
+        self.transitions.clone_from(&candidate.transitions);
+        self.max_cover_labels = limits.max_cover_labels;
+        self.max_backward_basis = limits.max_backward_basis;
+        self.cover_complete = None;
+        self.bases
+            .resize_with(candidate.root.len(), UnitBasis::default);
+        for basis in &mut self.bases {
+            basis.complete = None;
+        }
+    }
+
+    /// Whether `B_q` converged, computing it on `rows` if it is not known.
+    fn unit_basis(&mut self, q: usize, rows: &mut FlatRows, limits: &SymbolicLimits) -> bool {
+        let basis = &mut self.bases[q];
+        if let Some(complete) = basis.complete {
+            return complete;
+        }
+        let complete = rows.unit_basis(self.root.len(), &self.transitions, q, limits);
+        basis.rows.clear();
+        basis.rows.extend_from_slice(rows.minimal());
+        basis.complete = Some(complete);
+        complete
+    }
+
+    /// The cover labels and whether the cover is complete, computing them
+    /// if they are not known.
+    fn cover(&mut self) -> (&[u64], bool) {
+        let complete = match self.cover_complete {
+            Some(complete) => complete,
+            None => {
+                let (arena, _, complete) = karp_miller_labels(
+                    self.root.len(),
+                    &self.transitions,
+                    [self.root.as_slice()],
+                    self.max_cover_labels,
+                );
+                self.cover_labels.clear();
+                for (_, row) in arena.iter() {
+                    self.cover_labels.extend(row.iter().map(|&c| {
+                        if c == OMEGA {
+                            OMEGA_BOUND
+                        } else {
+                            u64::from(c)
+                        }
+                    }));
+                }
+                self.cover_complete = Some(complete);
+                complete
+            }
+        };
+        (&self.cover_labels, complete)
+    }
 }
 
 impl Prefilter {
@@ -420,31 +552,48 @@ impl Prefilter {
         max_input: u64,
         limits: &SymbolicLimits,
     ) -> bool {
+        let mut view = std::mem::take(&mut self.view);
+        view.load(protocol);
+        let passes = self.threshold_flat(&view, max_input, limits);
+        self.view = view;
+        passes
+    }
+
+    /// [`eta_floor_prefilter`] on this filter's working memory.
+    pub fn eta_floor(
+        &mut self,
+        protocol: &Protocol,
+        eta_floor: u64,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        let mut view = std::mem::take(&mut self.view);
+        view.load(protocol);
+        let passes = self.eta_floor_flat(&view, eta_floor, limits);
+        self.view = view;
+        passes
+    }
+
+    /// [`Prefilter::threshold`] on the flat view of a candidate.
+    pub fn threshold_flat(
+        &mut self,
+        candidate: &FlatProtocol,
+        max_input: u64,
+        limits: &SymbolicLimits,
+    ) -> bool {
         // Stage 1: an accepting consensus needs at least one 1-output state.
-        if !protocol
-            .state_ids()
-            .any(|q| protocol.output_of(q) == Output::True)
-        {
+        if !candidate.accepts.contains(&true) {
             return false;
         }
 
         // Stage 2: support saturation (a Boolean abstraction of the cover).
         let coverable = &mut self.coverable;
         coverable.clear();
-        coverable.resize(protocol.num_states(), false);
-        for var in protocol.input_variables() {
-            coverable[var.state.index()] = true;
-        }
-        for (q, &count) in protocol.leaders().counts().iter().enumerate() {
-            if count > 0 {
-                coverable[q] = true;
-            }
-        }
+        coverable.extend(candidate.root.iter().map(|&c| c != 0));
         loop {
             let mut changed = false;
-            for t in protocol.non_silent_transitions() {
-                if coverable[t.pre.lo().index()] && coverable[t.pre.hi().index()] {
-                    for q in [t.post.lo().index(), t.post.hi().index()] {
+            for &[p0, p1, q0, q1] in &candidate.transitions {
+                if coverable[p0] && coverable[p1] {
+                    for q in [q0, q1] {
                         if !coverable[q] {
                             coverable[q] = true;
                             changed = true;
@@ -456,26 +605,27 @@ impl Prefilter {
                 break;
             }
         }
-        if !protocol
-            .state_ids()
-            .any(|q| protocol.output_of(q) == Output::True && coverable[q.index()])
+        if !coverable
+            .iter()
+            .zip(&candidate.accepts)
+            .any(|(&covered, &accepts)| covered && accepts)
         {
             return false;
         }
 
         // Stage 3: bounded accepting stable sets.
         self.stable_set_reaches(
-            protocol,
+            candidate,
             Output::True,
-            protocol.leaders().size() + max_input,
+            candidate.leaders + max_input,
             limits,
         )
     }
 
-    /// [`eta_floor_prefilter`] on this filter's working memory.
-    pub fn eta_floor(
+    /// [`Prefilter::eta_floor`] on the flat view of a candidate.
+    pub fn eta_floor_flat(
         &mut self,
-        protocol: &Protocol,
+        candidate: &FlatProtocol,
         eta_floor: u64,
         limits: &SymbolicLimits,
     ) -> bool {
@@ -484,76 +634,66 @@ impl Prefilter {
         }
         // No 0-output state at all: no configuration is 0-stable, nothing can
         // ever be rejected.
-        if !protocol
-            .state_ids()
-            .any(|q| protocol.output_of(q) == Output::False)
-        {
+        if !candidate.accepts.contains(&false) {
             return false;
         }
-        self.stable_set_reaches(
-            protocol,
-            Output::False,
-            protocol.leaders().size() + 2,
-            limits,
-        )
+        self.stable_set_reaches(candidate, Output::False, candidate.leaders + 2, limits)
     }
 
     /// `false` only if the reachable `b`-stable configurations provably all
     /// have fewer than `size` agents.
     fn stable_set_reaches(
         &mut self,
-        protocol: &Protocol,
+        candidate: &FlatProtocol,
         b: Output,
         size: u64,
         limits: &SymbolicLimits,
     ) -> bool {
-        if self.rows.stable_set(protocol, b, limits).is_none() {
+        self.structure.load(candidate, limits);
+        if !self.stable_ideals(candidate, b == Output::True, limits) {
             return true; // representation cap hit: cannot rule the candidate out
         }
         if self.rows.ideals().is_empty() {
             return false;
         }
-        self.load_cover(protocol, limits);
-        match stable_population_bound(
-            self.rows.ideals(),
-            &self.cover.labels,
-            self.cover.complete,
-            protocol.num_states(),
-        ) {
+        let (labels, complete) = self.structure.cover();
+        match stable_population_bound(self.rows.ideals(), labels, complete, candidate.root.len()) {
             None => true,
             Some(max) => max >= size,
         }
     }
 
-    /// Makes `self.cover` the Karp–Miller cover of `protocol`, recomputing
-    /// it only when its input differs from the cached one.
-    fn load_cover(&mut self, protocol: &Protocol, limits: &SymbolicLimits) {
-        let probe = &mut self.probe;
-        omega_initial_row(protocol, &mut probe.root);
-        transition_deltas(protocol, &mut probe.transitions);
-        probe.max_labels = limits.max_cover_labels;
-        if self.cover.key.as_ref() == Some(probe) {
-            return;
+    /// `SC_b` of `candidate` into the ideals of `self.rows`, from the
+    /// cached `B_q` of the states whose output is not `accepting`, or from
+    /// the combined fixpoint when those do not decide it exactly.  Returns
+    /// `false` if the complement hit `max_ideals`.
+    fn stable_ideals(
+        &mut self,
+        candidate: &FlatProtocol,
+        accepting: bool,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        let n = candidate.root.len();
+        let target = |q: &usize| candidate.accepts[*q] != accepting;
+        let Prefilter {
+            rows, structure, ..
+        } = self;
+        let converged = (0..n)
+            .filter(target)
+            .all(|q| structure.unit_basis(q, rows, limits));
+        if converged
+            && rows.complement_of_union(
+                n,
+                (0..n)
+                    .filter(target)
+                    .map(|q| structure.bases[q].rows.as_slice()),
+                limits,
+            )
+        {
+            return true;
         }
-        let (arena, _, complete) = karp_miller_labels(
-            probe.root.len(),
-            &probe.transitions,
-            [probe.root.as_slice()],
-            probe.max_labels,
-        );
-        let cover = &mut self.cover;
-        cover.labels.clear();
-        for (_, row) in arena.iter() {
-            cover.labels.extend(row.iter().map(|&c| {
-                if c == OMEGA {
-                    OMEGA_BOUND
-                } else {
-                    u64::from(c)
-                }
-            }));
-        }
-        cover.complete = complete;
-        std::mem::swap(cover.key.get_or_insert_with(CoverKey::default), probe);
+        rows.stable_set(n, &candidate.transitions, |q| target(&q), limits)
+            .is_some()
     }
 }
 
@@ -722,8 +862,8 @@ mod tests {
         // Replaces the cached cover by one bounded at zero agents: a call
         // that reuses it rejects, one that recomputes passes.
         let poison = |filter: &mut Prefilter| {
-            filter.cover.labels.fill(0);
-            filter.cover.complete = true;
+            filter.structure.cover_labels.fill(0);
+            filter.structure.cover_complete = Some(true);
         };
         let mut filter = Prefilter::default();
         assert!(filter.threshold(&p, 6, &limits));

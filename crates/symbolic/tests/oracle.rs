@@ -199,3 +199,121 @@ fn one_reused_prefilter_matches_fresh_calls() {
         );
     }
 }
+
+/// Every output pattern of `p`'s states, in the order a busy-beaver search
+/// offers them: pattern `k` gives state `q` output `1` iff bit `q` of `k`
+/// is set.
+fn output_patterns(p: &Protocol) -> impl Iterator<Item = Protocol> + '_ {
+    let n = p.num_states();
+    (0..1u32 << n).map(move |k| {
+        let outputs: Vec<Output> = (0..n)
+            .map(|q| Output::from_bool((k >> q) & 1 == 1))
+            .collect();
+        with_outputs(p, &outputs)
+    })
+}
+
+#[test]
+fn one_prefilter_reused_across_output_patterns_matches_the_reference() {
+    // A busy-beaver search offers every output pattern of one transition
+    // structure in a row, and the filter keeps that structure's cover and
+    // per-state backward bases between them.
+    let mut rng = StdRng::seed_from_u64(0x0B75_7A7E);
+    let structures: Vec<Protocol> = (0..400)
+        .map(|i| {
+            let num_states = rng.gen_range(2..=5);
+            let max_leaders = if i % 4 == 0 { 2 } else { 0 };
+            random_candidate(&mut rng, num_states, max_leaders)
+        })
+        .collect();
+    let mut settings = vec![SymbolicLimits::default(), SymbolicLimits::prefilter()];
+    settings.extend([0, 1, 2, 4].map(tiny));
+    // One cap tiny and the others not: a per-state basis stops at the
+    // basis cap while the cover completes, and a complement can stop at
+    // the ideal cap in one row order and not in another.
+    settings.extend([1, 2].map(|cap| SymbolicLimits {
+        max_backward_basis: cap,
+        ..SymbolicLimits::default()
+    }));
+    settings.extend([2, 4].map(|cap| SymbolicLimits {
+        max_ideals: cap,
+        ..SymbolicLimits::default()
+    }));
+    for limits in &settings {
+        let mut filter = Prefilter::default();
+        // Threshold verdicts at horizon 6: [rejected, passed].
+        let mut verdicts = [0usize; 2];
+        for p in &structures {
+            for candidate in output_patterns(p) {
+                for max_input in [2, 6] {
+                    let passes = filter.threshold(&candidate, max_input, limits);
+                    assert_eq!(
+                        passes,
+                        support::threshold_prefilter(&candidate, max_input, limits),
+                        "{candidate}: threshold verdict at horizon {max_input}, {limits:?}"
+                    );
+                    if max_input == 6 {
+                        verdicts[usize::from(passes)] += 1;
+                    }
+                }
+                assert_eq!(
+                    filter.eta_floor(&candidate, 3, limits),
+                    support::eta_floor_prefilter(&candidate, 3, limits),
+                    "{candidate}: η-floor verdict, {limits:?}"
+                );
+            }
+        }
+        assert!(
+            verdicts.iter().all(|&count| count > 0),
+            "{limits:?}: one verdict never occurs ({verdicts:?})"
+        );
+    }
+}
+
+#[test]
+fn capped_union_rejects_soundly_what_the_stopped_fixpoint_passes() {
+    // The fixpoint from the two states {q0, q2} stops at a basis cap of 2
+    // while each state's own fixpoint converges.  The union of the
+    // per-state bases is then exact, so the filter rejects a candidate the
+    // reference, built on the stopped fixpoint's larger SC_b, passes; the
+    // uncapped verdict agrees with the filter.
+    let build = |outputs: [bool; 4]| {
+        let mut b = popproto_model::ProtocolBuilder::new("split basis");
+        let q: Vec<_> = (0..4)
+            .map(|i| b.add_state(format!("q{i}"), Output::from_bool(outputs[i])))
+            .collect();
+        for (pre, post) in [
+            ((0, 0), (0, 3)),
+            ((0, 1), (1, 3)),
+            ((0, 2), (0, 0)),
+            ((1, 1), (2, 2)),
+            ((1, 2), (2, 2)),
+            ((2, 3), (1, 1)),
+            ((3, 3), (0, 3)),
+        ] {
+            b.add_transition((q[pre.0], q[pre.1]), (q[post.0], q[post.1]))
+                .unwrap();
+        }
+        b.set_input_state("x", q[0]);
+        b.build().unwrap()
+    };
+    let capped = SymbolicLimits {
+        max_backward_basis: 2,
+        ..SymbolicLimits::default()
+    };
+    let uncapped = SymbolicLimits::default();
+    // SC_1 excludes the output-0 states q0 and q2.
+    let p = build([false, true, false, true]);
+    for max_input in [2, 6] {
+        assert!(support::threshold_prefilter(&p, max_input, &capped));
+        assert!(!Prefilter::default().threshold(&p, max_input, &capped));
+        assert!(!threshold_prefilter(&p, max_input, &uncapped));
+        assert!(!support::threshold_prefilter(&p, max_input, &uncapped));
+    }
+    // SC_0 excludes the output-1 states q0 and q2.
+    let p = build([true, false, true, false]);
+    assert!(support::eta_floor_prefilter(&p, 3, &capped));
+    assert!(!Prefilter::default().eta_floor(&p, 3, &capped));
+    assert!(!eta_floor_prefilter(&p, 3, &uncapped));
+    assert!(!support::eta_floor_prefilter(&p, 3, &uncapped));
+}
