@@ -39,17 +39,16 @@
 //! table by the restriction's **exact canonical encoding** (the
 //! fingerprint; equal bytes ⟺ equal restrictions, so collisions are
 //! impossible by construction) and replays the memoized verdict instead of
-//! re-running the stages.  With
-//! [`PipelineConfig::canonical_fingerprints`] the key is additionally
-//! quotiented by the restriction's residual relabelling group (the
-//! smallest encoding over all permutations of the non-input states,
-//! comparing the transitions first and the outputs second): equal keys ⟺
-//! relabelling-equivalent restrictions, which share verdicts because every
-//! stage is relabelling-invariant — the table answers strictly more hits
-//! and still never conflates different verdicts.  In the 4-state space enormous numbers of orbits share a
-//! 3-state (or smaller) sub-protocol — exactly the reuse the `BB_det(4)`
-//! rung needs.  See `crates/reach/README.md` for the full soundness
-//! argument.
+//! re-running the stages.  The key is always quotiented by the
+//! restriction's residual relabelling group (the smallest encoding over all
+//! permutations of the non-input states, comparing the transitions first
+//! and the outputs second): equal keys ⟺ relabelling-equivalent
+//! restrictions, which share verdicts because every stage is
+//! relabelling-invariant — the table answers more hits than raw keys would
+//! and still never conflates different verdicts.  In the 4-state space
+//! enormous numbers of orbits share a 3-state (or smaller) sub-protocol —
+//! exactly the reuse the `BB_det(4)` rung needs.  See
+//! `crates/reach/README.md` for the full soundness argument.
 //!
 //! For multi-core runs, [`SharedMemo`] is the cross-segment variant of the
 //! table: a sharded concurrent map probed *after* the pipeline's own local
@@ -110,8 +109,6 @@ pub struct PipelineConfig {
     pub explore: ExploreLimits,
     /// Caps for the symbolic stages.
     pub symbolic: SymbolicLimits,
-    /// Enables the cross-candidate transposition table.
-    pub memoize: bool,
     /// Maximum number of entries the transposition table may hold.  Once
     /// full, existing entries keep answering hits but no new restriction is
     /// inserted — the table, and with it every checkpoint, stays bounded
@@ -120,33 +117,20 @@ pub struct PipelineConfig {
     /// (both checkpointed), so kill/resume stays bit-identical under any
     /// cap.
     pub memo_max_entries: usize,
-    /// Quotient the transposition-table key by the residual relabelling
-    /// group of the coverable-support restriction: the key becomes the
-    /// smallest encoding over all permutations of the restriction's
-    /// non-input states, transitions compared before outputs.  Sound
-    /// because every triage stage is invariant under state relabellings
-    /// fixing the input state (the same argument that lets the generator
-    /// keep one representative per orbit); two restrictions get equal keys
-    /// iff they are relabellings of each other, so the table answers
-    /// strictly more hits and still never collides across genuinely
-    /// different verdicts.
-    pub canonical_fingerprints: bool,
     /// Engine for the concrete-slice stage.
     pub engine: ReachEngine,
 }
 
 impl PipelineConfig {
     /// The configuration [`crate::enumeration::busy_beaver_search`] uses:
-    /// no η floor, tight symbolic caps, memoization on, CSR slices.
+    /// no η floor, tight symbolic caps, CSR slices.
     pub fn exact(max_input: u64, explore: &ExploreLimits) -> Self {
         PipelineConfig {
             max_input,
             eta_floor: 2,
             explore: *explore,
             symbolic: SymbolicLimits::prefilter(),
-            memoize: true,
             memo_max_entries: 4_000_000,
-            canonical_fingerprints: true,
             engine: ReachEngine::Csr,
         }
     }
@@ -675,11 +659,6 @@ impl CandidatePipeline {
         self.best
     }
 
-    /// Number of distinct restrictions in the transposition table.
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-
     /// Runs one canonical candidate through the staged funnel.
     ///
     /// `assignment` must be the decoded transition assignment of `index`
@@ -726,20 +705,13 @@ impl CandidatePipeline {
             &mut self.support,
             &mut self.fingerprint,
         );
-        if self.config.canonical_fingerprints {
-            let k = self.fingerprint[0] as usize;
-            canonicalize_fingerprint(
-                &mut self.fingerprint,
-                &self.perms_by_k[k],
-                &mut self.scratch,
-                &mut self.scratch_best,
-            );
-        }
-        if !self.config.memoize {
-            let verdict = self.triage();
-            self.apply(verdict, index);
-            return;
-        }
+        let k = self.fingerprint[0] as usize;
+        canonicalize_fingerprint(
+            &mut self.fingerprint,
+            &self.perms_by_k[k],
+            &mut self.scratch,
+            &mut self.scratch_best,
+        );
         if let Some(&hit) = self.memo.get(&self.fingerprint) {
             self.stats.memo_hits += 1;
             self.apply(hit, index);
@@ -1042,6 +1014,7 @@ mod tests {
     use super::*;
     use crate::orbit_stream::OrbitStream;
     use crate::segmented::{SegmentationConfig, SegmentedCheckpoint, SegmentedSearch};
+    use popproto_symbolic::{eta_floor_prefilter, threshold_prefilter};
 
     fn config(max_input: u64) -> PipelineConfig {
         PipelineConfig::exact(max_input, &ExploreLimits::default())
@@ -1070,30 +1043,6 @@ mod tests {
     fn run_space(num_states: usize, cfg: PipelineConfig) -> (PipelineStats, Option<BestCandidate>) {
         let (pipeline, stats) = drain(num_states, u128::MAX, cfg);
         (stats, pipeline.best())
-    }
-
-    #[test]
-    fn memoization_changes_no_verdict() {
-        let with = {
-            let mut c = config(6);
-            c.memoize = true;
-            run_space(2, c)
-        };
-        let without = {
-            let mut c = config(6);
-            c.memoize = false;
-            run_space(2, c)
-        };
-        assert_eq!(with.1, without.1);
-        assert!(
-            with.0.memo_hits > 0,
-            "the 2-state space must share restrictions"
-        );
-        let mut a = with.0.clone();
-        let mut b = without.0.clone();
-        a.memo_hits = 0;
-        b.memo_hits = 0;
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1285,58 +1234,104 @@ mod tests {
         }
     }
 
-    #[test]
-    fn canonical_fingerprints_change_no_verdict() {
-        // Same capped 3-state prefix with and without canonicalization:
-        // every funnel counter and the best candidate must be identical;
-        // canonicalization may only convert computes into hits.
-        let run = |canonical: bool| {
-            let mut c = config(5);
-            c.canonical_fingerprints = canonical;
-            let (pipeline, _) = drain(3, 40_000, c);
-            (
-                pipeline.stats().clone(),
-                pipeline.best(),
-                pipeline.confirmed().to_vec(),
-                pipeline.memo_len(),
-            )
-        };
-        let (with_stats, with_best, with_confirmed, with_entries) = run(true);
-        let (without_stats, without_best, without_confirmed, without_entries) = run(false);
-        assert_eq!(with_best, without_best);
-        assert_eq!(with_confirmed, without_confirmed, "witness sets differ");
-        let mut a = with_stats.clone();
-        let mut b = without_stats.clone();
-        assert!(
-            a.memo_hits >= b.memo_hits,
-            "the quotient must never lose hits"
-        );
-        assert!(with_entries <= without_entries);
-        a.memo_hits = 0;
-        b.memo_hits = 0;
-        assert_eq!(a, b, "only memo_hits may differ under the quotient");
-        // Note: the delta can legitimately be zero on a canonical-orbit
-        // prefix (the generator already emits orbit-minimal *candidates*,
-        // which biases restrictions towards their own canonical form); at
-        // scale it is positive but small: a historical single run over the
-        // first 2^18 candidates of the 4-state space (94,904 canonical
-        // orbits) measured the hit rate at 58.34 % without and 58.58 % with
-        // canonicalization.
+    /// What a memo-free, raw-key pipeline computes over the candidate range
+    /// `[0, end)`: every canonical candidate's raw restriction runs through
+    /// the free pre-filters and the CSR profile, with no transposition
+    /// table and no canonicalisation.  Returns the counters, the best
+    /// candidate, the witness list and how many candidates canonicalisation
+    /// relabels.
+    fn memo_free_reference(
+        num_states: usize,
+        end: u128,
+        cfg: &PipelineConfig,
+    ) -> (PipelineStats, Option<BestCandidate>, Vec<u128>, u64) {
+        let space = OrbitSpace::new(num_states);
+        let perms_by_k: Vec<Vec<Vec<usize>>> =
+            (0..=num_states).map(permutations_fixing_zero).collect();
+        let mut support = vec![false; num_states];
+        let (mut raw, mut canonical) = (Vec::new(), Vec::new());
+        let (mut scratch, mut scratch_best) = (Vec::new(), Vec::new());
+        let mut stats = PipelineStats::default();
+        let (mut best, mut confirmed, mut relabelled) = (None, Vec::new(), 0);
+        let mut stream = OrbitStream::range(&space, 0, end);
+        while let Some(index) = stream.next_canonical() {
+            let outputs = (index % space.output_patterns()) as u32;
+            encode_fingerprint(
+                &space,
+                stream.current_assignment(),
+                outputs,
+                &mut support,
+                &mut raw,
+            );
+            canonical.clone_from(&raw);
+            let k = raw[0] as usize;
+            canonicalize_fingerprint(
+                &mut canonical,
+                &perms_by_k[k],
+                &mut scratch,
+                &mut scratch_best,
+            );
+            relabelled += u64::from(canonical != raw);
+            stats.canonical_orbits += 1;
+            let protocol = fingerprint_protocol(&raw);
+            if !threshold_prefilter(&protocol, cfg.max_input, &cfg.symbolic) {
+                stats.pruned_symbolic += 1;
+                continue;
+            }
+            if !eta_floor_prefilter(&protocol, cfg.eta_floor, &cfg.symbolic) {
+                stats.pruned_eta_bounded += 1;
+                continue;
+            }
+            let profile = unary_threshold_profile(&protocol, cfg.max_input, &cfg.explore);
+            stats.profiled += 1;
+            if profile.inputs.iter().any(|p| !p.exhaustive) {
+                stats.truncated_orbits += 1;
+            }
+            if let Some(eta) = profile.verified_threshold() {
+                stats.threshold_protocols += 1;
+                confirmed.push(index);
+                best = BestCandidate::merge(best, Some(BestCandidate { eta, index }));
+            }
+        }
+        stats.pruned_symmetric = stream.pruned_symmetric();
+        (stats, best, confirmed, relabelled)
     }
 
     #[test]
-    fn engines_agree_on_the_whole_two_state_space() {
-        let csr = {
-            let mut c = config(6);
-            c.engine = ReachEngine::Csr;
-            run_space(2, c)
-        };
-        let frontier = {
-            let mut c = config(6);
-            c.engine = ReachEngine::Frontier;
-            run_space(2, c)
-        };
-        assert_eq!(csr, frontier);
+    fn pipeline_matches_the_memo_free_reference() {
+        // Neither the memo, nor the quotient of its key, nor the frontier
+        // engine may change a verdict: every counter but `memo_hits`, the
+        // best candidate and the witness list must be the reference's.
+        let cases = [
+            (2, u128::MAX, 6, 2, ReachEngine::Csr),
+            (2, u128::MAX, 6, 2, ReachEngine::Frontier),
+            (2, u128::MAX, 6, 3, ReachEngine::Csr),
+            (2, u128::MAX, 6, 3, ReachEngine::Frontier),
+            (3, 20_000, 5, 2, ReachEngine::Csr),
+            (3, 20_000, 5, 3, ReachEngine::Frontier),
+        ];
+        for (num_states, end, max_input, eta_floor, engine) in cases {
+            let case = format!("{num_states} states, floor {eta_floor}, {engine:?}");
+            let mut cfg = config(max_input);
+            cfg.eta_floor = eta_floor;
+            cfg.engine = engine;
+            let (expected, best, confirmed, relabelled) =
+                memo_free_reference(num_states, end, &cfg);
+            let (pipeline, mut stats) = drain(num_states, end, cfg);
+            assert!(stats.memo_hits > 0, "{case}: the memo answered nothing");
+            stats.memo_hits = 0;
+            assert_eq!(stats, expected, "{case}: funnel counters differ");
+            assert_eq!(pipeline.best(), best, "{case}: best candidate differs");
+            assert_eq!(
+                pipeline.confirmed(),
+                confirmed,
+                "{case}: witness lists differ"
+            );
+            if num_states == 3 {
+                // Without relabelled keys the quotient would go untested.
+                assert!(relabelled > 0, "{case}: no key was relabelled");
+            }
+        }
     }
 
     #[test]

@@ -182,20 +182,6 @@ pub fn busy_beaver_search_with_threads(
         .to_enumeration_result(search.space(), max_input)
 }
 
-/// Materialises the candidate protocol with encoding index `k` of the
-/// `num_states` search space.
-///
-/// This is the exact decoding the search itself uses (same pair order, same
-/// output-bit layout), so bench-harness samples drawn through it see the
-/// real candidate space.  Note the pipeline runs its pre-filter on the
-/// candidate's *coverable-support restriction* (see
-/// [`crate::candidate_pipeline`]), so a full-candidate pre-filter statistic
-/// computed on these samples is indicative rather than bit-identical: a cap
-/// can bind on the full protocol but not on its smaller restriction.
-pub fn decode_candidate(num_states: usize, k: u128) -> Protocol {
-    OrbitSpace::new(num_states).protocol_at(k)
-}
-
 /// Determines whether the protocol computes `x ≥ η` for some `η` confirmed on
 /// all inputs `2 ≤ i ≤ max_input`, and returns that `η`.
 ///

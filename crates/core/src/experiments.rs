@@ -11,7 +11,6 @@ use crate::ackermann_bound::{theorem_4_5_bound, AckermannBound};
 use crate::busy_beaver::{lower_bound_witnesses, BusyBeaverRecord};
 use crate::candidate_pipeline::{PipelineConfig, PipelineStats, ReachEngine};
 use crate::certificate::{search_pumping_certificate, PumpingCertificate};
-use crate::concentration::{find_zero_concentrated_multiset, ConcentrationReport};
 use crate::constants::small_basis_constant;
 use crate::enumeration::{busy_beaver_search, EnumerationResult};
 use crate::orbit_stream::{SegmentOrder, U128Parts};
@@ -389,7 +388,7 @@ pub fn experiment_symbolic(max_slice_input: u64) -> Vec<SymbolicRow> {
 }
 
 /// Builds the pipeline configuration E12 runs with: η floor 3, frontier
-/// exploration engine, memoization on.
+/// exploration engine.
 pub fn e12_pipeline_config(max_input: u64) -> PipelineConfig {
     let mut config = PipelineConfig::exact(max_input, &ExploreLimits::default());
     config.eta_floor = 3;
@@ -545,12 +544,6 @@ pub fn experiment_e10(max_dimension: usize, max_delta: u64, node_budget: u64) ->
         }
     }
     rows
-}
-
-/// E6 companion: the Lemma 5.8 concentration search on its own (also used by E5).
-pub fn experiment_concentration(protocol: &Protocol) -> ConcentrationReport {
-    let accepting = protocol.states_with_output(Output::True);
-    find_zero_concentrated_multiset(protocol, &accepting, &HilbertOptions::default())
 }
 
 /// A convenience bundle used by the `state_complexity_report` example: runs

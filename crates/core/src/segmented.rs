@@ -839,8 +839,11 @@ impl SegmentedSearch {
 /// serialised as raw record arrays.  Version 3: canonical fingerprints
 /// order transitions before outputs, so a memo key of version 2 names a
 /// representative no version-3 search looks up; resuming one would answer
-/// fewer hits than the straight run.
-const SEGMENTED_CHECKPOINT_VERSION: u32 = 3;
+/// fewer hits than the straight run.  Version 4: the pipeline configuration
+/// lost its switches for the memo and for the key quotient, so every memo
+/// key is canonical; a version-3 checkpoint may carry raw keys or a
+/// memo-free configuration, neither of which this version can resume.
+const SEGMENTED_CHECKPOINT_VERSION: u32 = 4;
 
 /// Computes `(segment size, range end, segment ids in visit order)` — a pure
 /// function of the space and the segmentation config, recomputed identically
@@ -1097,6 +1100,9 @@ mod tests {
         // which this version never looks up: a resume from one would count
         // fewer memo hits than the straight run.
         corrupt(&|c| c.version = 2, "unknown segmented checkpoint version");
+        // Version-3 checkpoints may hold raw memo keys or a memo-free
+        // configuration: both are refused rather than resumed.
+        corrupt(&|c| c.version = 3, "unknown segmented checkpoint version");
     }
 
     #[test]

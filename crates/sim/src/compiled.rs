@@ -52,17 +52,6 @@ impl Delta {
             *c = next as u64;
         }
     }
-
-    /// Applies the delta `times` times at once (used by the batched engine).
-    #[inline]
-    pub fn apply_scaled(&self, counts: &mut [u64], times: u64) {
-        for &(q, d) in self.entries() {
-            let c = &mut counts[q as usize];
-            let next = *c as i64 + d as i64 * times as i64;
-            debug_assert!(next >= 0, "scaled delta underflow on state {q}");
-            *c = next as u64;
-        }
-    }
 }
 
 /// A [`Protocol`] lowered into dense tables for fast simulation.
@@ -80,8 +69,6 @@ pub struct CompiledProtocol {
     non_silent: Vec<bool>,
     /// Post pair `(lo, hi)` per transition, for the batched engine.
     posts: Vec<(u32, u32)>,
-    /// `true` for pairs with at least one non-silent candidate.
-    pair_non_silent: Vec<bool>,
     /// For each state, the indices of non-silent pairs containing it.
     non_silent_pairs_by_state: Vec<Vec<u32>>,
     /// All non-silent pair indices (for full silence recomputation).
@@ -184,7 +171,6 @@ impl CompiledProtocol {
             deltas,
             non_silent,
             posts,
-            pair_non_silent,
             non_silent_pairs_by_state,
             non_silent_pairs,
             pair_los,
@@ -238,12 +224,6 @@ impl CompiledProtocol {
     #[inline]
     pub fn candidate_alias(&self, pidx: usize) -> Option<&AliasTable> {
         self.candidate_alias[pidx].as_ref()
-    }
-
-    /// Whether the pair with dense index `pidx` has a non-silent candidate.
-    #[inline]
-    pub fn pair_has_non_silent(&self, pidx: usize) -> bool {
-        self.pair_non_silent[pidx]
     }
 
     /// The non-silent pair indices containing state `q`.
