@@ -1297,41 +1297,74 @@ mod tests {
         (stats, best, confirmed, relabelled)
     }
 
+    /// Runs the pipeline over `[0, end)` and checks it against
+    /// [`memo_free_reference`]: every counter but `memo_hits`, the best
+    /// candidate and the witness list must be the reference's, and the memo
+    /// must answer something.  Returns how many keys canonicalisation
+    /// relabelled.
+    fn assert_matches_reference(
+        num_states: usize,
+        end: u128,
+        max_input: u64,
+        eta_floor: u64,
+        engine: ReachEngine,
+    ) -> u64 {
+        let case = format!("{num_states} states, floor {eta_floor}, {engine:?}");
+        let mut cfg = config(max_input);
+        cfg.eta_floor = eta_floor;
+        cfg.engine = engine;
+        let (expected, best, confirmed, relabelled) = memo_free_reference(num_states, end, &cfg);
+        let (pipeline, mut stats) = drain(num_states, end, cfg);
+        assert!(stats.memo_hits > 0, "{case}: the memo answered nothing");
+        stats.memo_hits = 0;
+        assert_eq!(stats, expected, "{case}: funnel counters differ");
+        assert_eq!(pipeline.best(), best, "{case}: best candidate differs");
+        assert_eq!(
+            pipeline.confirmed(),
+            confirmed,
+            "{case}: witness lists differ"
+        );
+        relabelled
+    }
+
     #[test]
-    fn pipeline_matches_the_memo_free_reference() {
-        // Neither the memo, nor the quotient of its key, nor the frontier
-        // engine may change a verdict: every counter but `memo_hits`, the
-        // best candidate and the witness list must be the reference's.
-        let cases = [
-            (2, u128::MAX, 6, 2, ReachEngine::Csr),
-            (2, u128::MAX, 6, 2, ReachEngine::Frontier),
-            (2, u128::MAX, 6, 3, ReachEngine::Csr),
-            (2, u128::MAX, 6, 3, ReachEngine::Frontier),
-            (3, 20_000, 5, 2, ReachEngine::Csr),
-            (3, 20_000, 5, 3, ReachEngine::Frontier),
-        ];
-        for (num_states, end, max_input, eta_floor, engine) in cases {
-            let case = format!("{num_states} states, floor {eta_floor}, {engine:?}");
-            let mut cfg = config(max_input);
-            cfg.eta_floor = eta_floor;
-            cfg.engine = engine;
-            let (expected, best, confirmed, relabelled) =
-                memo_free_reference(num_states, end, &cfg);
-            let (pipeline, mut stats) = drain(num_states, end, cfg);
-            assert!(stats.memo_hits > 0, "{case}: the memo answered nothing");
-            stats.memo_hits = 0;
-            assert_eq!(stats, expected, "{case}: funnel counters differ");
-            assert_eq!(pipeline.best(), best, "{case}: best candidate differs");
-            assert_eq!(
-                pipeline.confirmed(),
-                confirmed,
-                "{case}: witness lists differ"
-            );
-            if num_states == 3 {
-                // Without relabelled keys the quotient would go untested.
-                assert!(relabelled > 0, "{case}: no key was relabelled");
-            }
+    fn memoization_changes_no_verdict() {
+        // The memo may only turn computes into hits: over the whole 2-state
+        // space the pipeline must match the memo-free reference.
+        for eta_floor in [2, 3] {
+            assert_matches_reference(2, u128::MAX, 6, eta_floor, ReachEngine::Csr);
         }
+    }
+
+    #[test]
+    fn canonical_fingerprints_change_no_verdict() {
+        // The quotient of the memo key by relabellings may only turn
+        // computes into hits: on a capped 3-state prefix, where some keys
+        // really are relabelled, the pipeline must match the raw-key
+        // reference.
+        for (eta_floor, engine) in [(2, ReachEngine::Csr), (3, ReachEngine::Frontier)] {
+            let relabelled = assert_matches_reference(3, 20_000, 5, eta_floor, engine);
+            // Without relabelled keys the quotient would go untested.
+            assert!(relabelled > 0, "floor {eta_floor}: no key was relabelled");
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_the_whole_two_state_space() {
+        for eta_floor in [2, 3] {
+            assert_matches_reference(2, u128::MAX, 6, eta_floor, ReachEngine::Frontier);
+        }
+        let csr = {
+            let mut c = config(6);
+            c.engine = ReachEngine::Csr;
+            run_space(2, c)
+        };
+        let frontier = {
+            let mut c = config(6);
+            c.engine = ReachEngine::Frontier;
+            run_space(2, c)
+        };
+        assert_eq!(csr, frontier);
     }
 
     #[test]
