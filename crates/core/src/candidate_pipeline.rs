@@ -50,6 +50,21 @@
 //! exactly the reuse the `BB_det(4)` rung needs.  See
 //! `crates/reach/README.md` for the full soundness argument.
 //!
+//! The key is built per transition structure, not per candidate.  The
+//! coverable support, the restriction's transition bytes and their minimum
+//! over the relabellings depend on the transitions alone, so the pipeline
+//! computes them once per function index and keeps the relabellings that
+//! reach the minimum (the ties); an output pattern's key byte is then the
+//! smallest image of its restricted outputs under the ties.  The table holds
+//! one entry per canonical structure `[k, transitions…]` with a row of `2^k`
+//! verdict slots indexed by that byte: a new structure costs one hash probe,
+//! its patterns index the row, and the full fingerprint `[k, outputs,
+//! transitions…]` is built only on a local miss, for the shared table and
+//! the triage.  [`PipelineConfig::memo_max_entries`] still counts (structure,
+//! output pattern) entries, and [`CandidatePipeline::memo_records`] flattens
+//! the rows into one record per entry, so hits, insertion decisions and
+//! checkpoint bytes are those of a table keyed by the full fingerprint.
+//!
 //! For multi-core runs, [`SharedMemo`] is the cross-segment variant of the
 //! table: a sharded concurrent map probed *after* the pipeline's own local
 //! table, so that local hit counts stay deterministic per segment while the
@@ -76,6 +91,7 @@ use popproto_model::{Output, Protocol, ProtocolBuilder, StateId};
 use popproto_reach::{frontier_threshold_profile, unary_threshold_profile, ExploreLimits};
 use popproto_symbolic::{FlatProtocol, Prefilter, SymbolicLimits, OMEGA};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -109,13 +125,13 @@ pub struct PipelineConfig {
     pub explore: ExploreLimits,
     /// Caps for the symbolic stages.
     pub symbolic: SymbolicLimits,
-    /// Maximum number of entries the transposition table may hold.  Once
-    /// full, existing entries keep answering hits but no new restriction is
-    /// inserted — the table, and with it every checkpoint, stays bounded
-    /// regardless of how deep a multi-session search streams.  Insertion
-    /// decisions depend only on the table state and the candidate order
-    /// (both checkpointed), so kill/resume stays bit-identical under any
-    /// cap.
+    /// Maximum number of entries the transposition table may hold, one
+    /// per (structure, output pattern) restriction.  Once full, existing
+    /// entries keep answering hits but no new restriction is inserted — the
+    /// table, and with it every checkpoint, stays bounded regardless of how
+    /// deep a multi-session search streams.  Insertion decisions depend
+    /// only on the table state and the candidate order (both
+    /// checkpointed), so kill/resume stays bit-identical under any cap.
     pub memo_max_entries: usize,
     /// Engine for the concrete-slice stage.
     pub engine: ReachEngine,
@@ -596,7 +612,14 @@ impl BestCandidate {
 #[derive(Debug)]
 pub struct CandidatePipeline {
     config: PipelineConfig,
-    memo: HashMap<Vec<u8>, MemoVerdict>,
+    /// The transposition table, one entry per canonical structure: its key
+    /// `[k, transitions…]` maps to the offset in `slots` of the structure's
+    /// row of `2^k` verdicts, indexed by the canonical output byte.
+    memo: HashMap<Vec<u8>, usize>,
+    slots: Vec<Option<MemoVerdict>>,
+    /// Filled slots — the (structure, output pattern) entries
+    /// [`PipelineConfig::memo_max_entries`] bounds.
+    memo_entries: usize,
     stats: PipelineStats,
     best: Option<BestCandidate>,
     /// Encoding indices of every candidate with a confirmed threshold, in
@@ -607,13 +630,59 @@ pub struct CandidatePipeline {
     /// canonicalization (index = state count of the restriction).
     perms_by_k: Vec<Vec<Vec<usize>>>,
     support: Vec<bool>,
+    /// The transition structure of the last offered function index.
+    structure: Structure,
+    /// The full fingerprint of the last local memo miss.
     fingerprint: Vec<u8>,
+    /// The current structure's unrelabelled `[k, transitions…]`, and
+    /// scratch for its relabellings.
+    raw: Vec<u8>,
     scratch: Vec<u8>,
-    scratch_best: Vec<u8>,
     /// The symbolic stages' working memory, shared by every memo miss.
     prefilter: Prefilter,
     /// The flat view of the last memo miss, read by the symbolic stages.
     flat: FlatProtocol,
+}
+
+/// What every output pattern of one transition structure shares: its
+/// coverable support, its canonical transition bytes, the relabellings that
+/// reach them and its row in the transposition table.
+#[derive(Debug)]
+struct Structure {
+    /// The function index (`index / 2ⁿ`) described; `u128::MAX` = none.
+    function: u128,
+    /// Dense label of each covered state, in increasing original order
+    /// (`u8::MAX` outside the support).
+    labels: [u8; 8],
+    /// `[k, transitions…]`: the smallest transition bytes over all
+    /// relabellings of the restriction that fix state 0.
+    key: Vec<u8>,
+    /// The relabellings of the restriction (identity included) whose image
+    /// of its transition bytes is `key[1..]`.
+    ties: Vec<[u8; 8]>,
+    /// Offset of the structure's verdict row in the memo slots, if any.
+    row: Option<usize>,
+}
+
+impl Structure {
+    const IDENTITY: [u8; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+    /// The output byte of the canonical fingerprint of the pattern
+    /// `outputs`: the smallest relabelled restriction outputs over the ties.
+    fn canonical_outputs(&self, outputs: u32) -> u8 {
+        let mut dense = 0u8;
+        for (q, &label) in self.labels.iter().enumerate() {
+            if label != u8::MAX && (outputs >> q) & 1 == 1 {
+                dense |= 1 << label;
+            }
+        }
+        let k = self.key[0] as usize;
+        self.ties
+            .iter()
+            .map(|perm| (0..k).fold(0u8, |acc, q| acc | (((dense >> q) & 1) << perm[q])))
+            .min()
+            .expect("the identity always ties")
+    }
 }
 
 impl CandidatePipeline {
@@ -630,14 +699,23 @@ impl CandidatePipeline {
         CandidatePipeline {
             config,
             memo: HashMap::new(),
+            slots: Vec::new(),
+            memo_entries: 0,
             stats: PipelineStats::default(),
             best: None,
             confirmed: Vec::new(),
             perms_by_k,
             support: vec![false; num_states],
+            structure: Structure {
+                function: u128::MAX,
+                labels: [u8::MAX; 8],
+                key: Vec::new(),
+                ties: Vec::new(),
+                row: None,
+            },
             fingerprint: Vec::new(),
+            raw: Vec::new(),
             scratch: Vec::new(),
-            scratch_best: Vec::new(),
             prefilter: Prefilter::default(),
             flat: FlatProtocol::default(),
         }
@@ -698,39 +776,102 @@ impl CandidatePipeline {
         shared: Option<&SharedMemo>,
     ) {
         self.stats.canonical_orbits += 1;
-        encode_fingerprint(
-            space,
-            assignment,
-            outputs,
-            &mut self.support,
-            &mut self.fingerprint,
-        );
-        let k = self.fingerprint[0] as usize;
-        canonicalize_fingerprint(
-            &mut self.fingerprint,
-            &self.perms_by_k[k],
-            &mut self.scratch,
-            &mut self.scratch_best,
-        );
-        if let Some(&hit) = self.memo.get(&self.fingerprint) {
-            self.stats.memo_hits += 1;
-            self.apply(hit, index);
-            return;
+        let function = index / space.output_patterns();
+        if function != self.structure.function {
+            self.load_structure(space, function, assignment);
         }
+        let out = self.structure.canonical_outputs(outputs);
+        if let Some(row) = self.structure.row {
+            if let Some(hit) = self.slots[row + out as usize] {
+                self.stats.memo_hits += 1;
+                self.apply(hit, index);
+                return;
+            }
+        }
+        let key = &self.structure.key;
+        self.fingerprint.clear();
+        self.fingerprint.extend_from_slice(&[key[0], out]);
+        self.fingerprint.extend_from_slice(&key[1..]);
         if let Some(table) = shared {
             if let Some(hit) = table.get(&self.fingerprint) {
                 self.stats.memo_hits_cross += 1;
-                self.insert_local(hit);
+                self.insert_local(out, hit);
                 self.apply(hit, index);
                 return;
             }
         }
         let verdict = self.triage();
-        self.insert_local(verdict);
+        self.insert_local(out, verdict);
         if let Some(table) = shared {
             table.insert(&self.fingerprint, verdict);
         }
         self.apply(verdict, index);
+    }
+
+    /// Analyses the transition structure of `function` once for all its
+    /// output patterns: the coverable support, the transition bytes of its
+    /// restriction minimised over the relabellings fixing state 0 (computed
+    /// from the unrelabelled bytes, so the result is a class invariant), the
+    /// relabellings that reach that minimum, and the structure's memo row.
+    fn load_structure(&mut self, space: &OrbitSpace, function: u128, assignment: &[usize]) {
+        space.coverable_support(assignment, &mut self.support);
+        let s = &mut self.structure;
+        s.function = function;
+        let mut k = 0u8;
+        for (q, &covered) in self.support.iter().enumerate() {
+            s.labels[q] = if covered { k } else { u8::MAX };
+            k += u8::from(covered);
+        }
+        // `[k, (post_lo, post_hi) per support pair]`, support states densely
+        // relabelled and pairs enumerated (0,0), (0,1) … (k-1,k-1).
+        self.raw.clear();
+        self.raw.push(k);
+        let n = space.num_states();
+        for a in (0..n).filter(|&a| self.support[a]) {
+            for b in (a..n).filter(|&b| self.support[b]) {
+                let (c, d) = space.pairs()[assignment[space.pair_position(a, b)]];
+                // The support is forward-closed, so the post pair is inside it.
+                let (c, d) = (s.labels[c], s.labels[d]);
+                self.raw.extend_from_slice(&[c.min(d), c.max(d)]);
+            }
+        }
+        s.key.clone_from(&self.raw);
+        s.ties.clear();
+        s.ties.push(Structure::IDENTITY);
+        let k = k as usize;
+        // Byte offset of the post pair of pre pair (a, b), a ≤ b.
+        let offset = |a: usize, b: usize| 1 + 2 * (a * (2 * k + 1 - a) / 2 + (b - a));
+        for perm in &self.perms_by_k[k] {
+            self.scratch.clear();
+            self.scratch.resize(self.raw.len(), 0);
+            self.scratch[0] = self.raw[0];
+            for a in 0..k {
+                for b in a..k {
+                    let src = offset(a, b);
+                    let (c, d) = (
+                        perm[self.raw[src] as usize],
+                        perm[self.raw[src + 1] as usize],
+                    );
+                    let dst = offset(perm[a].min(perm[b]), perm[a].max(perm[b]));
+                    self.scratch[dst] = c.min(d) as u8;
+                    self.scratch[dst + 1] = c.max(d) as u8;
+                }
+            }
+            let ordering = self.scratch.cmp(&s.key);
+            if ordering == Ordering::Greater {
+                continue;
+            }
+            if ordering == Ordering::Less {
+                std::mem::swap(&mut s.key, &mut self.scratch);
+                s.ties.clear();
+            }
+            let mut relabelling = Structure::IDENTITY;
+            for (q, &pq) in perm.iter().enumerate() {
+                relabelling[q] = pq as u8;
+            }
+            s.ties.push(relabelling);
+        }
+        s.row = self.memo.get(&s.key).copied();
     }
 
     /// The staged triage of the restriction in `self.fingerprint`.  The
@@ -766,10 +907,24 @@ impl CandidatePipeline {
         }
     }
 
-    fn insert_local(&mut self, verdict: MemoVerdict) {
-        if self.memo.len() < self.config.memo_max_entries {
-            self.memo.insert(self.fingerprint.clone(), verdict);
+    /// Memoizes the verdict of the current structure's output byte `out`,
+    /// unless the table holds `memo_max_entries` entries already.
+    fn insert_local(&mut self, out: u8, verdict: MemoVerdict) {
+        if self.memo_entries >= self.config.memo_max_entries {
+            return;
         }
+        let row = match self.structure.row {
+            Some(row) => row,
+            None => {
+                let row = self.slots.len();
+                self.slots.resize(row + (1 << self.structure.key[0]), None);
+                self.memo.insert(self.structure.key.clone(), row);
+                self.structure.row = Some(row);
+                row
+            }
+        };
+        self.slots[row + out as usize] = Some(verdict);
+        self.memo_entries += 1;
     }
 
     fn apply(&mut self, verdict: MemoVerdict, index: u128) {
@@ -800,20 +955,34 @@ impl CandidatePipeline {
     }
 
     /// Serialises the transposition table, sorted by fingerprint so the
-    /// checkpoint bytes are deterministic.
+    /// checkpoint bytes are deterministic: one record per (structure,
+    /// output pattern) entry, keyed `[k, outputs, transitions…]`.
     pub fn memo_records(&self) -> Vec<MemoRecord> {
-        let mut records: Vec<MemoRecord> = self
-            .memo
-            .iter()
-            .map(|(fingerprint, &verdict)| MemoRecord {
-                fingerprint: fingerprint.clone(),
-                verdict,
-            })
-            .collect();
+        let mut records = Vec::with_capacity(self.memo_entries);
+        for (key, &row) in &self.memo {
+            let width = 1usize << key[0];
+            for (out, slot) in self.slots[row..row + width].iter().enumerate() {
+                if let Some(verdict) = *slot {
+                    let mut fingerprint = Vec::with_capacity(key.len() + 1);
+                    fingerprint.extend_from_slice(&[key[0], out as u8]);
+                    fingerprint.extend_from_slice(&key[1..]);
+                    records.push(MemoRecord {
+                        fingerprint,
+                        verdict,
+                    });
+                }
+            }
+        }
         records.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
         records
     }
 
+    /// Restores a checkpointed pipeline state.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a record that is not the fingerprint of a restriction of
+    /// at most `num_states` states.
     pub(crate) fn restore(
         &mut self,
         stats: PipelineStats,
@@ -824,132 +993,35 @@ impl CandidatePipeline {
         self.stats = stats;
         self.best = best;
         self.confirmed = confirmed;
-        self.memo = memo
-            .iter()
-            .map(|r| (r.fingerprint.clone(), r.verdict))
-            .collect();
-    }
-}
-
-/// Rewrites `bytes` (an [`encode_fingerprint`] encoding) into the smallest
-/// encoding over all relabellings of the restriction's states that fix the
-/// input state 0 — the canonical representative of the restriction's
-/// relabelling class.
-///
-/// Encodings are ordered by their transition bytes `bytes[2..]` first and
-/// their output byte `bytes[1]` second.  The coverable support, and with it
-/// the state count and the unrelabelled transition bytes, depends on the
-/// transitions alone, so every output pattern of one assignment minimises
-/// the same transition bytes: all of them come out with byte-identical
-/// transitions, and the pre-filter analyses that structure once for all of
-/// them.  Ordering by the whole byte string would put the outputs first,
-/// and patterns that relabel differently would split one structure into
-/// several.  Either order picks one member per class, so the memo answers
-/// the same hits; only the representative a key holds differs.
-///
-/// `perms` must be the non-identity permutations of `0..k` fixing 0, where
-/// `k = bytes[0]`.  Soundness: every triage stage (symbolic pre-filter,
-/// η-floor filter, concrete threshold profile) is invariant under such
-/// relabellings — the reachability graphs of relabelled protocols are
-/// isomorphic, outputs and input state are carried along — so all members of
-/// the class share one verdict and may share one memo entry.
-///
-/// Every permutation image is computed from the *original* bytes and
-/// compared against a separately-tracked champion: the result is
-/// `min {π(x) : π in the full group}` — a true class invariant (all
-/// members canonicalize to the same representative, and the function is
-/// idempotent).  Mutating `bytes` mid-loop instead would compare only a
-/// path-dependent subset of the orbit, which is still *sound* (any orbit
-/// member decodes to an isomorphic restriction) but silently misses hits —
-/// the invariance property test is what pins this down.
-pub(crate) fn canonicalize_fingerprint(
-    bytes: &mut Vec<u8>,
-    perms: &[Vec<usize>],
-    scratch: &mut Vec<u8>,
-    best: &mut Vec<u8>,
-) {
-    let k = bytes[0] as usize;
-    if k < 3 || perms.is_empty() {
-        return; // the residual group of ≤ 2 states (input fixed) is trivial
-    }
-    // Byte offset of the post pair of pre pair (a, b), a ≤ b, in the layout
-    // of `encode_fingerprint`: pairs enumerated (0,0), (0,1) … (k-1,k-1).
-    let offset = |a: usize, b: usize| 2 + 2 * (a * (2 * k + 1 - a) / 2 + (b - a));
-    best.clear();
-    best.extend_from_slice(bytes);
-    for perm in perms {
-        scratch.clear();
-        scratch.resize(bytes.len(), 0);
-        scratch[0] = bytes[0];
-        for (q, &pq) in perm.iter().enumerate().take(k) {
-            if (bytes[1] >> q) & 1 == 1 {
-                scratch[1] |= 1 << pq;
-            }
-        }
-        for a in 0..k {
-            for b in a..k {
-                let src = offset(a, b);
-                let (c, d) = (perm[bytes[src] as usize], perm[bytes[src + 1] as usize]);
-                let (pa, pb) = (perm[a].min(perm[b]), perm[a].max(perm[b]));
-                let dst = offset(pa, pb);
-                scratch[dst] = c.min(d) as u8;
-                scratch[dst + 1] = c.max(d) as u8;
-            }
-        }
-        if (&scratch[2..], scratch[1]) < (&best[2..], best[1]) {
-            std::mem::swap(best, scratch);
-        }
-    }
-    std::mem::swap(bytes, best);
-}
-
-/// Encodes the coverable-support restriction of `(assignment, outputs)` as
-/// its exact canonical byte string.
-///
-/// Layout: `[k, outputs_bitmask, (post_lo, post_hi) per support pair]` with
-/// support states densely relabelled in increasing original order and pairs
-/// enumerated `(0,0), (0,1) … (k-1,k-1)`.  Two candidates get equal bytes
-/// iff their restrictions are equal protocols — the encoding is injective,
-/// so the transposition table is collision-free by construction.
-fn encode_fingerprint(
-    space: &OrbitSpace,
-    assignment: &[usize],
-    outputs: u32,
-    support: &mut [bool],
-    bytes: &mut Vec<u8>,
-) {
-    space.coverable_support(assignment, support);
-    let n = space.num_states();
-    let mut map = [u8::MAX; 8];
-    let mut k = 0u8;
-    for (q, &covered) in support.iter().enumerate() {
-        if covered {
-            map[q] = k;
-            k += 1;
-        }
-    }
-    bytes.clear();
-    bytes.push(k);
-    let mut out_bits = 0u8;
-    for q in 0..n {
-        if support[q] && (outputs >> q) & 1 == 1 {
-            out_bits |= 1 << map[q];
-        }
-    }
-    bytes.push(out_bits);
-    for a in 0..n {
-        if !support[a] {
-            continue;
-        }
-        for b in a..n {
-            if !support[b] {
-                continue;
-            }
-            let (c, d) = space.pairs()[assignment[space.pair_position(a, b)]];
-            // The support is forward-closed, so the post pair is inside it.
-            let (lo, hi) = (map[c].min(map[d]), map[c].max(map[d]));
-            bytes.push(lo);
-            bytes.push(hi);
+        self.memo.clear();
+        self.slots.clear();
+        self.memo_entries = 0;
+        self.structure.function = u128::MAX;
+        let mut key = Vec::new();
+        for record in memo {
+            let fingerprint = &record.fingerprint;
+            let k = fingerprint.first().map_or(usize::MAX, |&k| k as usize);
+            assert!(
+                k <= self.support.len()
+                    && fingerprint.len() == 2 + k * (k + 1)
+                    && (fingerprint[1] as usize) < 1 << k,
+                "corrupt local memo record in checkpoint"
+            );
+            key.clear();
+            key.push(fingerprint[0]);
+            key.extend_from_slice(&fingerprint[2..]);
+            let row = match self.memo.get(&key) {
+                Some(&row) => row,
+                None => {
+                    let row = self.slots.len();
+                    self.slots.resize(row + (1 << k), None);
+                    self.memo.insert(key.clone(), row);
+                    row
+                }
+            };
+            let slot = &mut self.slots[row + fingerprint[1] as usize];
+            self.memo_entries += usize::from(slot.is_none());
+            *slot = Some(record.verdict);
         }
     }
 }
@@ -1015,6 +1087,133 @@ mod tests {
     use crate::orbit_stream::OrbitStream;
     use crate::segmented::{SegmentationConfig, SegmentedCheckpoint, SegmentedSearch};
     use popproto_symbolic::{eta_floor_prefilter, threshold_prefilter};
+
+    /// The reference key, part 1: encodes the coverable-support restriction
+    /// of `(assignment, outputs)` as its exact byte string, one candidate at a
+    /// time.  With [`canonicalize_fingerprint`] it computes what the
+    /// pipeline's per-structure key (`load_structure`, then
+    /// `Structure::canonical_outputs`) must reproduce byte for byte.
+    ///
+    /// Layout: `[k, outputs_bitmask, (post_lo, post_hi) per support pair]` with
+    /// support states densely relabelled in increasing original order and pairs
+    /// enumerated `(0,0), (0,1) … (k-1,k-1)`.  Two candidates get equal bytes
+    /// iff their restrictions are equal protocols — the encoding is injective,
+    /// so the transposition table is collision-free by construction.
+    fn encode_fingerprint(
+        space: &OrbitSpace,
+        assignment: &[usize],
+        outputs: u32,
+        support: &mut [bool],
+        bytes: &mut Vec<u8>,
+    ) {
+        space.coverable_support(assignment, support);
+        let n = space.num_states();
+        let mut map = [u8::MAX; 8];
+        let mut k = 0u8;
+        for (q, &covered) in support.iter().enumerate() {
+            if covered {
+                map[q] = k;
+                k += 1;
+            }
+        }
+        bytes.clear();
+        bytes.push(k);
+        let mut out_bits = 0u8;
+        for q in 0..n {
+            if support[q] && (outputs >> q) & 1 == 1 {
+                out_bits |= 1 << map[q];
+            }
+        }
+        bytes.push(out_bits);
+        for a in 0..n {
+            if !support[a] {
+                continue;
+            }
+            for b in a..n {
+                if !support[b] {
+                    continue;
+                }
+                let (c, d) = space.pairs()[assignment[space.pair_position(a, b)]];
+                // The support is forward-closed, so the post pair is inside it.
+                let (lo, hi) = (map[c].min(map[d]), map[c].max(map[d]));
+                bytes.push(lo);
+                bytes.push(hi);
+            }
+        }
+    }
+
+    /// The reference key, part 2: rewrites `bytes` (an
+    /// [`encode_fingerprint`] encoding) into the smallest
+    /// encoding over all relabellings of the restriction's states that fix the
+    /// input state 0 — the canonical representative of the restriction's
+    /// relabelling class.
+    ///
+    /// Encodings are ordered by their transition bytes `bytes[2..]` first and
+    /// their output byte `bytes[1]` second.  The coverable support, and with it
+    /// the state count and the unrelabelled transition bytes, depends on the
+    /// transitions alone, so every output pattern of one assignment minimises
+    /// the same transition bytes: all of them come out with byte-identical
+    /// transitions, and the pre-filter analyses that structure once for all of
+    /// them.  Ordering by the whole byte string would put the outputs first,
+    /// and patterns that relabel differently would split one structure into
+    /// several.  Either order picks one member per class, so the memo answers
+    /// the same hits; only the representative a key holds differs.
+    ///
+    /// `perms` must be the non-identity permutations of `0..k` fixing 0, where
+    /// `k = bytes[0]`.  Soundness: every triage stage (symbolic pre-filter,
+    /// η-floor filter, concrete threshold profile) is invariant under such
+    /// relabellings — the reachability graphs of relabelled protocols are
+    /// isomorphic, outputs and input state are carried along — so all members of
+    /// the class share one verdict and may share one memo entry.
+    ///
+    /// Every permutation image is computed from the *original* bytes and
+    /// compared against a separately-tracked champion: the result is
+    /// `min {π(x) : π in the full group}` — a true class invariant (all
+    /// members canonicalize to the same representative, and the function is
+    /// idempotent).  Mutating `bytes` mid-loop instead would compare only a
+    /// path-dependent subset of the orbit, which is still *sound* (any orbit
+    /// member decodes to an isomorphic restriction) but silently misses hits —
+    /// the invariance property test is what pins this down.
+    fn canonicalize_fingerprint(
+        bytes: &mut Vec<u8>,
+        perms: &[Vec<usize>],
+        scratch: &mut Vec<u8>,
+        best: &mut Vec<u8>,
+    ) {
+        let k = bytes[0] as usize;
+        if k < 3 || perms.is_empty() {
+            return; // the residual group of ≤ 2 states (input fixed) is trivial
+        }
+        // Byte offset of the post pair of pre pair (a, b), a ≤ b, in the layout
+        // of `encode_fingerprint`: pairs enumerated (0,0), (0,1) … (k-1,k-1).
+        let offset = |a: usize, b: usize| 2 + 2 * (a * (2 * k + 1 - a) / 2 + (b - a));
+        best.clear();
+        best.extend_from_slice(bytes);
+        for perm in perms {
+            scratch.clear();
+            scratch.resize(bytes.len(), 0);
+            scratch[0] = bytes[0];
+            for (q, &pq) in perm.iter().enumerate().take(k) {
+                if (bytes[1] >> q) & 1 == 1 {
+                    scratch[1] |= 1 << pq;
+                }
+            }
+            for a in 0..k {
+                for b in a..k {
+                    let src = offset(a, b);
+                    let (c, d) = (perm[bytes[src] as usize], perm[bytes[src + 1] as usize]);
+                    let (pa, pb) = (perm[a].min(perm[b]), perm[a].max(perm[b]));
+                    let dst = offset(pa, pb);
+                    scratch[dst] = c.min(d) as u8;
+                    scratch[dst + 1] = c.max(d) as u8;
+                }
+            }
+            if (&scratch[2..], scratch[1]) < (&best[2..], best[1]) {
+                std::mem::swap(best, scratch);
+            }
+        }
+        std::mem::swap(bytes, best);
+    }
 
     fn config(max_input: u64) -> PipelineConfig {
         PipelineConfig::exact(max_input, &ExploreLimits::default())
@@ -1099,6 +1298,135 @@ mod tests {
             shared.insert(&i.to_le_bytes(), MemoVerdict::RejectedSymbolic);
         }
         assert!(shared.len() > 5 && shared.len() <= 64, "{}", shared.len());
+    }
+
+    /// Checks the per-structure key against the reference over `[0, end)`:
+    /// it must be byte for byte the reference key of every candidate, and
+    /// the row memo must hold exactly the records a table keyed by the
+    /// reference would — the same fingerprints with the same verdicts — and
+    /// answer the same hits.  This is what keeps checkpoints readable across
+    /// the two key paths.
+    ///
+    /// The reference verdicts reach the pipeline through a [`SharedMemo`]
+    /// seeded just before each offer, so every local miss must be a shared
+    /// hit on its full fingerprint and no restriction is triaged twice.
+    fn assert_keys_and_records_match_the_reference(num_states: usize, end: u128) {
+        let space = OrbitSpace::new(num_states);
+        let perms_by_k: Vec<Vec<Vec<usize>>> =
+            (0..=num_states).map(permutations_fixing_zero).collect();
+        let mut pipeline = CandidatePipeline::new(num_states, config(5));
+        // Triages the reference keys on a pipeline of its own.
+        let mut reference = CandidatePipeline::new(num_states, config(5));
+        let mut table: HashMap<Vec<u8>, MemoVerdict> = HashMap::new();
+        let shared = SharedMemo::new(usize::MAX);
+        let mut support = vec![false; num_states];
+        let (mut expected, mut scratch, mut scratch_best) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut hits, mut relabelled) = (0u64, 0u64);
+        let mut stream = OrbitStream::range(&space, 0, end);
+        while let Some(index) = stream.next_canonical() {
+            let assignment = stream.current_assignment();
+            let outputs = (index % space.output_patterns()) as u32;
+            encode_fingerprint(&space, assignment, outputs, &mut support, &mut expected);
+            let raw = expected.clone();
+            let k = expected[0] as usize;
+            canonicalize_fingerprint(
+                &mut expected,
+                &perms_by_k[k],
+                &mut scratch,
+                &mut scratch_best,
+            );
+            relabelled += u64::from(raw != expected);
+            if table.contains_key(&expected) {
+                hits += 1;
+            } else {
+                reference.fingerprint.clone_from(&expected);
+                let verdict = reference.triage();
+                table.insert(expected.clone(), verdict);
+                shared.insert(&expected, verdict);
+            }
+
+            pipeline.offer_shared(&space, index, assignment, outputs, &shared);
+            let s = &pipeline.structure;
+            let mut key = vec![s.key[0], s.canonical_outputs(outputs)];
+            key.extend_from_slice(&s.key[1..]);
+            assert_eq!(key, expected, "{num_states} states, candidate {index}");
+        }
+        assert!(relabelled > 0, "{num_states} states: no key was relabelled");
+        let stats = pipeline.stats();
+        assert_eq!(stats.memo_hits, hits, "{num_states} states");
+        assert_eq!(
+            stats.memo_hits_cross,
+            table.len() as u64,
+            "{num_states} states"
+        );
+        let mut records: Vec<MemoRecord> = table
+            .into_iter()
+            .map(|(fingerprint, verdict)| MemoRecord {
+                fingerprint,
+                verdict,
+            })
+            .collect();
+        records.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
+        assert_eq!(pipeline.memo_records(), records, "{num_states} states");
+    }
+
+    #[test]
+    fn structure_keys_and_memo_records_match_the_reference_on_three_states() {
+        assert_keys_and_records_match_the_reference(3, u128::MAX);
+    }
+
+    #[test]
+    fn structure_keys_and_memo_records_match_the_reference_on_a_four_state_prefix() {
+        assert_keys_and_records_match_the_reference(4, 1 << 20);
+    }
+
+    #[test]
+    fn capped_memo_hits_are_pinned() {
+        // `memo_max_entries` counts (structure, output pattern) entries, not
+        // structures: the exact capped hit counts pin which verdicts a full
+        // table still admits.  An upper bound alone would pass a table that
+        // counted something else.
+        let capped = |num_states: usize, end: u128, max_input: u64, cap: usize| {
+            let mut c = config(max_input);
+            c.memo_max_entries = cap;
+            drain(num_states, end, c).1.memo_hits
+        };
+        assert_eq!(capped(2, u128::MAX, 6, 5), 34);
+        assert_eq!(capped(3, 20_000, 5, 1_000), 7_378);
+        // The 3-state cap binds: uncapped, the same range answers more.
+        assert_eq!(capped(3, 20_000, 5, usize::MAX), 7_930);
+    }
+
+    #[test]
+    fn restore_round_trips_the_row_memo_and_rejects_foreign_records() {
+        let (pipeline, stats) = drain(3, 4_000, config(6));
+        let records = pipeline.memo_records();
+        let mut restored = CandidatePipeline::new(3, config(6));
+        restored.restore(
+            stats,
+            pipeline.best(),
+            pipeline.confirmed().to_vec(),
+            &records,
+        );
+        assert_eq!(restored.memo_records(), records);
+        assert_eq!(restored.memo_entries, records.len());
+
+        // An output byte outside its row, a record longer than its state
+        // count and a state count beyond the space would each land in
+        // another structure's row or outside the table.
+        let mut wide = records[0].clone();
+        wide.fingerprint[1] = 1 << wide.fingerprint[0];
+        let mut long = records[0].clone();
+        long.fingerprint.push(0);
+        let mut large = records[0].clone();
+        large.fingerprint[0] = 4;
+        for bad in [wide, long, large] {
+            let outcome = std::panic::catch_unwind(|| {
+                let mut p = CandidatePipeline::new(3, config(6));
+                p.restore(PipelineStats::default(), None, Vec::new(), &[bad]);
+            });
+            assert!(outcome.is_err(), "a foreign record was restored");
+        }
     }
 
     #[test]

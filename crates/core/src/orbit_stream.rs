@@ -16,7 +16,12 @@
 //! * [`OrbitStream`] walks any index range `[start, end)` lazily, yielding
 //!   exactly the candidates whose encoding index is minimal within their
 //!   orbit, in increasing index order — the same set, in the same order, as
-//!   a full materialised scan (a property-tested invariant);
+//!   a full materialised scan (a property-tested invariant).  It classifies
+//!   each function index once, not each candidate: a function index that
+//!   some relabelling makes smaller rules out all `2ⁿ` output patterns of
+//!   its block at once, and in the other blocks a pattern is canonical iff
+//!   the relabellings fixing the function index (its stabiliser) cannot
+//!   make its output bitmask smaller;
 //! * [`StreamCursor`] checkpoints a stream between any two yields: the
 //!   serialisable cursor restarts the stream bit-identically, which is what
 //!   makes the multi-session `BB_det(4)` prefix search resumable.
@@ -178,6 +183,57 @@ impl OrbitSpace {
         true
     }
 
+    /// Classifies a decoded transition assignment `f` against every
+    /// relabelling fixing state 0, for all `2ⁿ` output patterns at once.
+    ///
+    /// Returns `false` if some relabelling maps `f` to a smaller function
+    /// index: then no candidate `(f, outputs)` is canonical.  Otherwise
+    /// `stabiliser` receives the relabellings that map `f` to itself, and
+    /// `(f, outputs)` is canonical exactly when
+    /// [`OrbitSpace::outputs_minimal`] holds for them — together the same
+    /// verdict as [`OrbitSpace::is_canonical`].
+    ///
+    /// `relabeled` is caller-provided scratch of length `pairs().len()`.
+    pub(crate) fn classify_function(
+        &self,
+        assignment: &[usize],
+        relabeled: &mut [usize],
+        stabiliser: &mut Vec<usize>,
+    ) -> bool {
+        stabiliser.clear();
+        'perms: for (p, perm) in self.perms.iter().enumerate() {
+            for (i, &(a, b)) in self.pairs.iter().enumerate() {
+                let j = self.pair_index[perm[a]][perm[b]];
+                let (c, d) = self.pairs[assignment[i]];
+                relabeled[j] = self.pair_index[perm[c]][perm[d]];
+            }
+            // Most significant digit last, as in `is_canonical`.
+            for i in (0..assignment.len()).rev() {
+                if relabeled[i] < assignment[i] {
+                    return false;
+                }
+                if relabeled[i] > assignment[i] {
+                    continue 'perms;
+                }
+            }
+            stabiliser.push(p);
+        }
+        true
+    }
+
+    /// Returns `true` if no relabelling of `stabiliser` (as filled by
+    /// [`OrbitSpace::classify_function`]) maps the output bitmask `outputs`
+    /// to a smaller one.
+    pub(crate) fn outputs_minimal(&self, stabiliser: &[usize], outputs: u32) -> bool {
+        stabiliser.iter().all(|&p| {
+            let mut relabeled_outputs = 0u32;
+            for (q, &pq) in self.perms[p].iter().enumerate() {
+                relabeled_outputs |= ((outputs >> q) & 1) << pq;
+            }
+            relabeled_outputs >= outputs
+        })
+    }
+
     /// Materialises the candidate protocol with encoding index `k`.
     ///
     /// # Panics
@@ -337,7 +393,10 @@ pub struct StreamCursor {
 ///
 /// The stream never materialises anything beyond one decoded transition
 /// assignment: the same `O(|P|)` scratch serves every candidate of a
-/// function-index block (all `2ⁿ` output patterns share one decode).
+/// function-index block, and all `2ⁿ` output patterns share one decode and
+/// one classification against the relabelling group.  A block whose
+/// function index is not minimal in its orbit is skipped whole; in the
+/// others each pattern is only checked against the stabiliser.
 #[derive(Debug)]
 pub struct OrbitStream<'a> {
     space: &'a OrbitSpace,
@@ -348,6 +407,8 @@ pub struct OrbitStream<'a> {
     /// Function index currently decoded into `assignment` (`u128::MAX` =
     /// none yet).
     decoded_function: u128,
+    /// The relabellings fixing the decoded function index (its stabiliser).
+    stabiliser: Vec<usize>,
     pruned_symmetric: u64,
     yielded: u64,
 }
@@ -370,6 +431,7 @@ impl<'a> OrbitStream<'a> {
             assignment: vec![0usize; num_pairs],
             relabeled: vec![0usize; num_pairs],
             decoded_function: u128::MAX,
+            stabiliser: Vec::new(),
             pruned_symmetric: 0,
             yielded: 0,
         }
@@ -432,20 +494,33 @@ impl<'a> OrbitStream<'a> {
     /// After a yield, [`OrbitStream::current_assignment`] exposes the
     /// decoded transition assignment without a second decode.
     pub fn next_canonical(&mut self) -> Option<u128> {
+        let patterns = self.space.output_patterns;
         while self.next < self.end {
             let k = self.next;
-            self.next += 1;
-            let function_index = k / self.space.output_patterns;
+            let function_index = k / patterns;
             if function_index != self.decoded_function {
                 self.space
                     .decode_assignment(function_index, &mut self.assignment);
                 self.decoded_function = function_index;
+                if !self.space.classify_function(
+                    &self.assignment,
+                    &mut self.relabeled,
+                    &mut self.stabiliser,
+                ) {
+                    // No output pattern of a non-minimal function index is
+                    // canonical: skip the rest of its block.
+                    let block_end = function_index
+                        .saturating_add(1)
+                        .saturating_mul(patterns)
+                        .min(self.end);
+                    self.pruned_symmetric += (block_end - k) as u64;
+                    self.next = block_end;
+                    continue;
+                }
             }
-            let outputs = (k % self.space.output_patterns) as u32;
-            if self
-                .space
-                .is_canonical(&self.assignment, outputs, &mut self.relabeled)
-            {
+            self.next += 1;
+            let outputs = (k % patterns) as u32;
+            if self.space.outputs_minimal(&self.stabiliser, outputs) {
                 self.yielded += 1;
                 return Some(k);
             }
@@ -468,10 +543,16 @@ mod tests {
     /// The reference semantics: materialise every canonical candidate of the
     /// space by a straight index scan.
     fn materialized_canonical(space: &OrbitSpace, end: u128) -> Vec<u128> {
+        materialized_window(space, 0, end)
+    }
+
+    /// [`materialized_canonical`] over `[start, end)`: the per-candidate
+    /// [`OrbitSpace::is_canonical`] oracle, index by index.
+    fn materialized_window(space: &OrbitSpace, start: u128, end: u128) -> Vec<u128> {
         let mut assignment = vec![0usize; space.pairs().len()];
         let mut relabeled = vec![0usize; space.pairs().len()];
         let mut out = Vec::new();
-        for k in 0..end.min(space.total_candidates()) {
+        for k in start..end.min(space.total_candidates()) {
             space.decode_assignment(k / space.output_patterns(), &mut assignment);
             if space.is_canonical(
                 &assignment,
@@ -561,6 +642,85 @@ mod tests {
             cursor = stream.cursor();
         }
         assert_eq!(resumed, uninterrupted);
+    }
+
+    #[test]
+    fn four_state_windows_match_the_per_candidate_oracle() {
+        // Windows that start and end inside 16-pattern blocks, among them
+        // blocks whose function index is not minimal (skipped whole) and
+        // blocks with a nontrivial stabiliser (some patterns pruned).  The
+        // stream must yield the oracle's indices, count the oracle's pruned
+        // candidates at every yield, and resume bit-identically from a
+        // JSON-round-tripped cursor after every yield.
+        let space = OrbitSpace::new(4);
+        let patterns = space.output_patterns();
+        let blocks = space.total_candidates() / patterns;
+        let canonical_in = |f: u128| materialized_window(&space, f * patterns, (f + 1) * patterns);
+        let non_minimal_from = |f: u128| (f..blocks).find(|&g| canonical_in(g).is_empty());
+        let mut windows = Vec::new();
+        for first in [0, blocks / 3 + 12_345, blocks - 64] {
+            let a = non_minimal_from(first).expect("a non-minimal block");
+            let b = non_minimal_from(a + 25).unwrap_or(blocks - 1);
+            windows.push((a * patterns + 5, b * patterns + 11));
+            // A window inside one non-minimal block.
+            windows.push((a * patterns + 3, a * patterns + 9));
+        }
+        // Minimal function indices with a nontrivial stabiliser (rare away
+        // from 0): some but not all of their patterns are canonical.
+        for c in [0, 3_026_588_811, 6_772_760_602] {
+            assert!((1..patterns as usize).contains(&canonical_in(c).len()));
+            windows.push((c * patterns + 1, (c + 2) * patterns + 7));
+        }
+        // The last window runs to the end of the space.
+        windows.push(((blocks - 3) * patterns + 2, u128::MAX));
+        for (start, end) in windows {
+            let expected = materialized_window(&space, start, end);
+            let end = end.min(space.total_candidates());
+            let mut stream = OrbitStream::range(&space, start, end);
+            let mut got = Vec::new();
+            while let Some(k) = stream.next_canonical() {
+                got.push(k);
+                assert_eq!(
+                    stream.pruned_symmetric() as u128,
+                    k + 1 - start - got.len() as u128,
+                    "window [{start}, {end}): pruned count after yielding {k}"
+                );
+            }
+            assert_eq!(got, expected, "window [{start}, {end})");
+            assert_eq!(
+                stream.pruned_symmetric() as u128 + got.len() as u128,
+                end - start
+            );
+
+            let mut cursor = OrbitStream::range(&space, start, end).cursor();
+            let mut resumed = Vec::new();
+            loop {
+                let json = serde_json::to_string(&cursor).unwrap();
+                let back: StreamCursor = serde_json::from_str(&json).unwrap();
+                assert_eq!(back, cursor);
+                let mut stream = OrbitStream::resume(&space, &back);
+                match stream.next_canonical() {
+                    Some(k) => {
+                        resumed.push(k);
+                        assert_eq!(
+                            stream.pruned_symmetric() as u128,
+                            k + 1 - start - resumed.len() as u128
+                        );
+                        cursor = stream.cursor();
+                        assert_eq!(cursor.next.get(), k + 1);
+                    }
+                    None => {
+                        assert!(stream.is_exhausted());
+                        assert_eq!(
+                            stream.pruned_symmetric() as u128 + resumed.len() as u128,
+                            end - start
+                        );
+                        break;
+                    }
+                }
+            }
+            assert_eq!(resumed, expected, "window [{start}, {end}) resumed");
+        }
     }
 
     #[test]
