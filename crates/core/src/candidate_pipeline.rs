@@ -59,18 +59,20 @@
 //! one entry per canonical structure `[k, transitions…]` with a row of `2^k`
 //! verdict slots indexed by that byte: a new structure costs one hash probe,
 //! its patterns index the row, and the full fingerprint `[k, outputs,
-//! transitions…]` is built only on a local miss, for the shared table and
-//! the triage.  [`PipelineConfig::memo_max_entries`] still counts (structure,
-//! output pattern) entries, and [`CandidatePipeline::memo_records`] flattens
-//! the rows into one record per entry, so hits, insertion decisions and
+//! transitions…]` is built only on a miss, for the triage.
+//! [`PipelineConfig::memo_max_entries`] still counts (structure, output
+//! pattern) entries, and [`CandidatePipeline::memo_records`] flattens the
+//! rows into one record per entry, so hits, insertion decisions and
 //! checkpoint bytes are those of a table keyed by the full fingerprint.
 //!
-//! For multi-core runs, [`SharedMemo`] is the cross-segment variant of the
-//! table: a sharded concurrent map probed *after* the pipeline's own local
-//! table, so that local hit counts stay deterministic per segment while the
-//! shared table recycles verdicts across segments (counted separately as
-//! [`PipelineStats::memo_hits_cross`], the one scheduling-dependent
-//! counter).
+//! Each pipeline owns its table and shares it with no other: in the
+//! [segmented search](crate::segmented) every segment runs its own
+//! pipeline, so [`PipelineStats::memo_hits`] is a function of the segment's
+//! range alone.  A table shared across segments was tried and deleted: on
+//! the 10⁶-orbit `BB_det(4)` prefix one table over the whole range answers
+//! 512 450 hits and per-segment tables 452 550, so sharing can spare the
+//! triage of at most 6% of the orbits, and locking and copying keys into a
+//! shared map cost more CPU time than that saved.
 //!
 //! # Resumability
 //!
@@ -93,7 +95,6 @@ use popproto_symbolic::{FlatProtocol, Prefilter, SymbolicLimits, OMEGA};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Which exact-exploration engine the concrete-slice stage runs on.
 ///
@@ -152,14 +153,9 @@ impl PipelineConfig {
     }
 }
 
-/// Per-stage counters of a pipeline run.  Every counter except
-/// [`PipelineStats::memo_hits_cross`] is a function of the candidate range
-/// alone: a segment replays them identically under any worker count,
-/// scheduling or kill/resume pattern.  `memo_hits_cross` counts hits against
-/// the *shared* transposition table, whose contents depend on which segments
-/// other workers happened to finish first — it is reported separately and
-/// labelled nondeterministic precisely so nothing downstream is tempted to
-/// assert it.
+/// Per-stage counters of a pipeline run.  Every counter is a function of
+/// the candidate range alone: a segment replays them identically under any
+/// worker count, scheduling or kill/resume pattern.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineStats {
     /// Canonical orbit representatives that entered the pipeline.
@@ -178,15 +174,13 @@ pub struct PipelineStats {
     /// their `None` verdict is a cap artefact, not a proof, so any exactness
     /// claim must check this is zero.
     pub truncated_orbits: u64,
-    /// Candidates answered from the pipeline's **own** (segment-local)
-    /// transposition table.  Deterministic: a pure function of the candidate
-    /// range this pipeline processed, independent of workers or scheduling.
+    /// Candidates answered from the pipeline's own transposition table.
+    /// Deterministic: a pure function of the candidate range this pipeline
+    /// processed, independent of workers or scheduling.
     pub memo_hits: u64,
-    /// Candidates answered from the **shared** cross-segment transposition
-    /// table.  Nondeterministic under parallel execution (it depends on
-    /// which segments other workers completed first) — never asserted in
-    /// equivalence tests; the verdicts themselves are still deterministic
-    /// because every memoized verdict is a pure function of its fingerprint.
+    /// Always 0.  It counted hits against a transposition table shared
+    /// across segments, which no longer exists; the field stays only
+    /// because the benchmark still writes it.
     pub memo_hits_cross: u64,
 }
 
@@ -202,7 +196,6 @@ impl PipelineStats {
         self.threshold_protocols += other.threshold_protocols;
         self.truncated_orbits += other.truncated_orbits;
         self.memo_hits += other.memo_hits;
-        self.memo_hits_cross += other.memo_hits_cross;
     }
 
     /// Publishes the funnel counters as gauges named `{prefix}.{counter}`
@@ -237,142 +230,6 @@ impl PipelineStats {
             self.truncated_orbits as i64,
         );
         reg.set_gauge(&format!("{prefix}.memo_hits"), self.memo_hits as i64);
-        reg.set_gauge(
-            &format!("{prefix}.memo_hits_cross"),
-            self.memo_hits_cross as i64,
-        );
-    }
-}
-
-/// A concurrent, sharded transposition table shared across the segments of a
-/// parallel search.
-///
-/// Entries map a restriction fingerprint to its memoized [`MemoVerdict`].
-/// Because every verdict is a pure function of the fingerprint (the triage
-/// stages run on what the fingerprint *decodes to*), it does not
-/// matter which worker inserted an entry first — a racing double-compute
-/// produces the identical verdict, so the table never changes any result,
-/// only how often stages re-run.  Sharded `Mutex<HashMap>`s are plenty here:
-/// probes are two orders of magnitude cheaper than the triage work they
-/// save, and the shard count (64) keeps contention negligible at realistic
-/// worker counts.
-#[derive(Debug)]
-pub struct SharedMemo {
-    shards: Vec<Mutex<HashMap<Vec<u8>, MemoSlot>>>,
-    per_shard_cap: usize,
-}
-
-/// A memoized verdict plus how often it has been looked up since it entered
-/// this table (checkpoint eviction keys off the hit count: entries that
-/// never saved anyone any work are the first to go).
-#[derive(Debug, Clone, Copy)]
-struct MemoSlot {
-    verdict: MemoVerdict,
-    hits: u32,
-}
-
-impl SharedMemo {
-    const SHARDS: usize = 64;
-
-    /// Creates an empty table holding at most `64 · ⌈max_entries / 64⌉`
-    /// entries: the cap is enforced per shard (`⌈max_entries / 64⌉` each,
-    /// over 64 shards), so it can exceed the requested one by up to 63 — a
-    /// cap of 5 admits 64 entries.
-    pub fn new(max_entries: usize) -> Self {
-        SharedMemo {
-            shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            per_shard_cap: max_entries.div_ceil(Self::SHARDS),
-        }
-    }
-
-    fn shard(&self, fingerprint: &[u8]) -> usize {
-        // FNV-1a over the fingerprint bytes; the top bits pick the shard.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in fingerprint {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h >> 58) as usize % Self::SHARDS
-    }
-
-    /// Looks a fingerprint up, bumping the entry's hit count on success.
-    pub fn get(&self, fingerprint: &[u8]) -> Option<MemoVerdict> {
-        self.shards[self.shard(fingerprint)]
-            .lock()
-            .expect("shared memo poisoned")
-            .get_mut(fingerprint)
-            .map(|slot| {
-                slot.hits = slot.hits.saturating_add(1);
-                slot.verdict
-            })
-    }
-
-    /// Inserts a verdict unless the shard is at capacity.  Last-write-wins
-    /// races are harmless: all writers hold the same verdict.  Re-inserting
-    /// an existing fingerprint keeps its hit count.
-    pub fn insert(&self, fingerprint: &[u8], verdict: MemoVerdict) {
-        let mut shard = self.shards[self.shard(fingerprint)]
-            .lock()
-            .expect("shared memo poisoned");
-        if let Some(slot) = shard.get_mut(fingerprint) {
-            slot.verdict = verdict;
-        } else if shard.len() < self.per_shard_cap {
-            shard.insert(fingerprint.to_vec(), MemoSlot { verdict, hits: 0 });
-        }
-    }
-
-    /// Number of entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shared memo poisoned").len())
-            .sum()
-    }
-
-    /// Returns `true` if the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Serialises the table, sorted by fingerprint so checkpoint bytes are a
-    /// deterministic function of the entry set.
-    pub fn records(&self) -> Vec<MemoRecord> {
-        self.records_with_min_hits(0)
-    }
-
-    /// Serialises only the entries looked up at least `min_hits` times since
-    /// they entered this table (`0` = everything).  Verdicts are a pure
-    /// cache — dropping cold entries can only cost recomputation on resume,
-    /// never change a result — so checkpoints can shed the long cold tail
-    /// (entries inserted once and never consulted again) while keeping the
-    /// hot cross-segment entries that actually amortise triage work.
-    pub fn records_with_min_hits(&self, min_hits: u32) -> Vec<MemoRecord> {
-        let mut records: Vec<MemoRecord> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("shared memo poisoned")
-                    .iter()
-                    .filter(|(_, slot)| slot.hits >= min_hits)
-                    .map(|(fingerprint, slot)| MemoRecord {
-                        fingerprint: fingerprint.clone(),
-                        verdict: slot.verdict,
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        records.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
-        records
-    }
-
-    /// Seeds the table from checkpointed records.
-    pub fn seed(&self, records: &[MemoRecord]) {
-        for r in records {
-            self.insert(&r.fingerprint, r.verdict);
-        }
     }
 }
 
@@ -466,8 +323,7 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
 
 impl PackedMemo {
     /// Packs a record list.  Lossless for any input order; sorted input
-    /// (what [`SharedMemo::records_with_min_hits`] and
-    /// [`CandidatePipeline::memo_records`] emit) compresses best.
+    /// (what [`CandidatePipeline::memo_records`] emits) compresses best.
     pub fn pack(records: &[MemoRecord]) -> Self {
         let mut bytes = Vec::new();
         let mut previous: &[u8] = &[];
@@ -632,7 +488,7 @@ pub struct CandidatePipeline {
     support: Vec<bool>,
     /// The transition structure of the last offered function index.
     structure: Structure,
-    /// The full fingerprint of the last local memo miss.
+    /// The full fingerprint of the last memo miss.
     fingerprint: Vec<u8>,
     /// The current structure's unrelabelled `[k, transitions…]`, and
     /// scratch for its relabellings.
@@ -744,37 +600,6 @@ impl CandidatePipeline {
     /// [`OrbitStream::current_assignment`](crate::orbit_stream::OrbitStream::current_assignment))
     /// and `outputs` its output bitmask.
     pub fn offer(&mut self, space: &OrbitSpace, index: u128, assignment: &[usize], outputs: u32) {
-        self.offer_impl(space, index, assignment, outputs, None);
-    }
-
-    /// [`CandidatePipeline::offer`] probing a cross-segment [`SharedMemo`]
-    /// between the local table and the triage stages.
-    ///
-    /// Probe order: local table (deterministic hit), shared table
-    /// (nondeterministic `memo_hits_cross`), full triage.  Computed verdicts
-    /// are inserted into both tables; shared hits are copied into the local
-    /// table so that repeats *within this pipeline's range* count as local
-    /// hits from then on — which keeps `memo_hits` a pure function of the
-    /// range even when the shared table raced.
-    pub fn offer_shared(
-        &mut self,
-        space: &OrbitSpace,
-        index: u128,
-        assignment: &[usize],
-        outputs: u32,
-        shared: &SharedMemo,
-    ) {
-        self.offer_impl(space, index, assignment, outputs, Some(shared));
-    }
-
-    fn offer_impl(
-        &mut self,
-        space: &OrbitSpace,
-        index: u128,
-        assignment: &[usize],
-        outputs: u32,
-        shared: Option<&SharedMemo>,
-    ) {
         self.stats.canonical_orbits += 1;
         let function = index / space.output_patterns();
         if function != self.structure.function {
@@ -792,19 +617,8 @@ impl CandidatePipeline {
         self.fingerprint.clear();
         self.fingerprint.extend_from_slice(&[key[0], out]);
         self.fingerprint.extend_from_slice(&key[1..]);
-        if let Some(table) = shared {
-            if let Some(hit) = table.get(&self.fingerprint) {
-                self.stats.memo_hits_cross += 1;
-                self.insert_local(out, hit);
-                self.apply(hit, index);
-                return;
-            }
-        }
         let verdict = self.triage();
-        self.insert_local(out, verdict);
-        if let Some(table) = shared {
-            table.insert(&self.fingerprint, verdict);
-        }
+        self.insert(out, verdict);
         self.apply(verdict, index);
     }
 
@@ -909,7 +723,7 @@ impl CandidatePipeline {
 
     /// Memoizes the verdict of the current structure's output byte `out`,
     /// unless the table holds `memo_max_entries` entries already.
-    fn insert_local(&mut self, out: u8, verdict: MemoVerdict) {
+    fn insert(&mut self, out: u8, verdict: MemoVerdict) {
         if self.memo_entries >= self.config.memo_max_entries {
             return;
         }
@@ -1269,7 +1083,7 @@ mod tests {
         let seg = SegmentationConfig::index_order(16, None);
         let mut straight = SegmentedSearch::new(2, c.clone(), seg.clone());
         straight.run(1, u64::MAX);
-        let mut expected = straight.result();
+        let expected = straight.result();
         let mut search = SegmentedSearch::new(2, c, seg);
         let mut budget = 0;
         while !search.is_finished() {
@@ -1282,22 +1096,10 @@ mod tests {
                 .iter()
                 .all(|e| e.local_memo.entries <= 5));
             search = SegmentedSearch::from_checkpoint(&checkpoint);
-            // The shared table's cap is per shard: 64 · ⌈5 / 64⌉ = 64.
-            assert!(search.shared_memo_len() <= 64);
         }
-        let mut result = search.result();
+        let result = search.result();
         assert!(result.finished);
-        result.stats.memo_hits_cross = 0;
-        expected.stats.memo_hits_cross = 0;
         assert_eq!(result, expected, "capped kill/resume diverged");
-
-        // The per-shard cap admits more than the requested 5 entries, but
-        // never more than 64.
-        let shared = SharedMemo::new(5);
-        for i in 0..1_000u32 {
-            shared.insert(&i.to_le_bytes(), MemoVerdict::RejectedSymbolic);
-        }
-        assert!(shared.len() > 5 && shared.len() <= 64, "{}", shared.len());
     }
 
     /// Checks the per-structure key against the reference over `[0, end)`:
@@ -1307,9 +1109,9 @@ mod tests {
     /// answer the same hits.  This is what keeps checkpoints readable across
     /// the two key paths.
     ///
-    /// The reference verdicts reach the pipeline through a [`SharedMemo`]
-    /// seeded just before each offer, so every local miss must be a shared
-    /// hit on its full fingerprint and no restriction is triaged twice.
+    /// The pipeline triages its own misses and the reference triages each
+    /// reference key on a pipeline of its own, so every verdict in the row
+    /// memo is checked against one computed from the reference key.
     fn assert_keys_and_records_match_the_reference(num_states: usize, end: u128) {
         let space = OrbitSpace::new(num_states);
         let perms_by_k: Vec<Vec<Vec<usize>>> =
@@ -1318,7 +1120,6 @@ mod tests {
         // Triages the reference keys on a pipeline of its own.
         let mut reference = CandidatePipeline::new(num_states, config(5));
         let mut table: HashMap<Vec<u8>, MemoVerdict> = HashMap::new();
-        let shared = SharedMemo::new(usize::MAX);
         let mut support = vec![false; num_states];
         let (mut expected, mut scratch, mut scratch_best) = (Vec::new(), Vec::new(), Vec::new());
         let (mut hits, mut relabelled) = (0u64, 0u64);
@@ -1342,10 +1143,9 @@ mod tests {
                 reference.fingerprint.clone_from(&expected);
                 let verdict = reference.triage();
                 table.insert(expected.clone(), verdict);
-                shared.insert(&expected, verdict);
             }
 
-            pipeline.offer_shared(&space, index, assignment, outputs, &shared);
+            pipeline.offer(&space, index, assignment, outputs);
             let s = &pipeline.structure;
             let mut key = vec![s.key[0], s.canonical_outputs(outputs)];
             key.extend_from_slice(&s.key[1..]);
@@ -1354,8 +1154,9 @@ mod tests {
         assert!(relabelled > 0, "{num_states} states: no key was relabelled");
         let stats = pipeline.stats();
         assert_eq!(stats.memo_hits, hits, "{num_states} states");
+        // Every miss was triaged and memoized under a distinct reference key.
         assert_eq!(
-            stats.memo_hits_cross,
+            stats.canonical_orbits - stats.memo_hits,
             table.len() as u64,
             "{num_states} states"
         );

@@ -48,15 +48,12 @@
 //!
 //! The index space is segmented and fanned out across the
 //! [worker pool](popproto_exec) via the
-//! [segmented search](crate::segmented::SegmentedSearch), with a shared
-//! cross-segment transposition table.  The result is deterministic
-//! regardless of worker count: ties between equal thresholds are broken
-//! towards the smallest candidate index, and every per-stage counter is a
-//! function of the candidate range alone
-//! ([`EnumerationResult::memo_hits_cross`] excepted — hits against the
-//! *shared* table depend on which segments other workers finished first;
-//! the segment-local [`EnumerationResult::memo_hits`] stays deterministic
-//! per segmentation).
+//! [segmented search](crate::segmented::SegmentedSearch), each segment with
+//! its own transposition table.  The result is deterministic regardless of
+//! worker count: ties between equal thresholds are broken towards the
+//! smallest candidate index, and every per-stage counter is a function of
+//! the candidate range alone ([`EnumerationResult::memo_hits`] of the
+//! segmentation: each segment's table sees only its own candidates).
 //!
 //! For searches too large for one sitting (the `BB_det(4)` prefix of
 //! experiment E12), drive the [segmented search](crate::segmented::SegmentedSearch)
@@ -98,16 +95,12 @@ pub struct EnumerationResult {
     /// their `None` verdict is a resource artefact, not a proof.  Any
     /// exactness claim must check [`EnumerationResult::is_exact`].
     pub truncated_orbits: u64,
-    /// Candidates whose staged verdict was replayed from a **segment-local**
+    /// Candidates whose staged verdict was replayed from their segment's
     /// transposition table.  Deterministic per segmentation: a pure function
     /// of the candidate ranges processed, independent of worker count and
     /// scheduling (it does vary when the segment *size* changes, because the
-    /// local tables then cover different ranges).
+    /// tables then cover different ranges).
     pub memo_hits: u64,
-    /// Candidates whose staged verdict was replayed from the **shared**
-    /// cross-segment table.  Scheduling-dependent (the only such counter):
-    /// reported separately so equivalence tests never assert it.
-    pub memo_hits_cross: u64,
     /// The verification cap used (thresholds are only confirmed up to this input).
     pub max_input: u64,
 }
@@ -146,11 +139,10 @@ pub fn busy_beaver_search(
 /// [`busy_beaver_search`] with an explicit worker count on the
 /// worker pool.
 ///
-/// The result is identical for every `threads ≥ 1` with two exceptions,
-/// both memo diagnostics: [`EnumerationResult::memo_hits_cross`] is
-/// scheduling-dependent, and [`EnumerationResult::memo_hits`] — while
-/// deterministic per segmentation — varies with `threads` here because the
-/// segment size is derived from the thread count (each local table covers a
+/// The result is identical for every `threads ≥ 1` with one exception, a
+/// memo diagnostic: [`EnumerationResult::memo_hits`] — while deterministic
+/// per segmentation — varies with `threads` here because the segment size
+/// is derived from the thread count (each segment's table covers a
 /// different range).  Every other field is bit-identical (part of the
 /// equivalence test suite).  `threads = 1` runs the whole range as a single
 /// segment — the exact PR 4 sequential semantics, local memo table

@@ -402,18 +402,18 @@ pub fn e12_pipeline_config(max_input: u64) -> PipelineConfig {
 /// in checkpointed sessions.  E12 streams canonical orbits through the full
 /// triage pipeline (symbolic pre-filter → η-floor filter → concrete slices
 /// on the frontier engine) as deterministic segments over the
-/// [worker pool](popproto_exec), with a shared cross-segment
-/// transposition table and an ordered segment merge, and reports the
-/// per-stage rejection funnel of the merged prefix.  `best_eta` is exact
+/// [worker pool](popproto_exec), each with its own transposition table,
+/// merges them in order and reports the per-stage rejection funnel of the
+/// merged prefix.  `best_eta` is exact
 /// *for that prefix* whenever no orbit was truncated; the η floor of 3 is
 /// sound because `BB_det(4) ≥ BB_det(3) = 3` (monotonicity: pad a 3-state
 /// witness with an isolated state).
 ///
-/// Everything here except [`PipelineStats::memo_hits_cross`] is
-/// bit-identical for every worker count (the property suite pins it); the
-/// `order` field records which [`SegmentOrder`] chose the prefix — an
-/// `"entropy"` prefix contains *different* (non-degenerate-first) orbits
-/// than an `"index"` prefix of the same budget, which is the point.
+/// Everything here except the `workers` field is bit-identical for every
+/// worker count (the property suite pins it); the `order` field records
+/// which [`SegmentOrder`] chose the prefix — an `"entropy"` prefix contains
+/// *different* (non-degenerate-first) orbits than an `"index"` prefix of
+/// the same budget, which is the point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct E12SegmentedReport {
     /// State count of the candidate space (4).
@@ -439,8 +439,6 @@ pub struct E12SegmentedReport {
     /// Encoding indices of every confirmed threshold protocol in the
     /// prefix, sorted — the witness set.
     pub confirmed: Vec<U128Parts>,
-    /// Entries in the shared cross-segment transposition table.
-    pub shared_memo_entries: u64,
     /// Candidate encodings consumed by the merged prefix.
     pub candidates_consumed: u64,
     /// Canonical orbits in the merged prefix (≥ the budget unless the plan
@@ -462,7 +460,7 @@ pub fn e12_segmentation(order: SegmentOrder) -> SegmentationConfig {
     }
 }
 
-/// Builds the E12 search (η floor 3, frontier engine, shared memo) without
+/// Builds the E12 search (η floor 3, frontier engine) without
 /// running it — the multi-session entry point: drive growing budgets
 /// through [`SegmentedSearch::run`], persist
 /// [`SegmentedSearch::checkpoint`] between sessions, and continue with
@@ -492,7 +490,6 @@ pub fn e12_segmented_report_from(
         segments_merged: result.segments_merged as u64,
         best_eta: result.best.map(|b| b.eta),
         confirmed: result.confirmed.iter().map(|&c| c.into()).collect(),
-        shared_memo_entries: search.shared_memo_len() as u64,
         candidates_consumed: u64::try_from(result.candidates_consumed).unwrap_or(u64::MAX),
         prefix_orbits: result.prefix_orbits,
         finished: result.finished,
@@ -746,11 +743,7 @@ mod tests {
             search = SegmentedSearch::from_checkpoint(&cp);
         }
         let resumed = e12_segmented_report_from(&search, 9_000, 2);
-        let mut stats = resumed.stats.clone();
-        let mut expected = straight.stats.clone();
-        stats.memo_hits_cross = 0;
-        expected.memo_hits_cross = 0;
-        assert_eq!(stats, expected, "stats must be bit-identical");
+        assert_eq!(resumed.stats, straight.stats, "stats must be bit-identical");
         assert_eq!(resumed.best_eta, straight.best_eta);
         assert_eq!(resumed.confirmed, straight.confirmed);
         assert_eq!(resumed.candidates_consumed, straight.candidates_consumed);
@@ -773,13 +766,11 @@ mod tests {
         }
         let mut ref_stats = reference.stats().clone();
         ref_stats.pruned_symmetric = stream.pruned_symmetric();
-        // The memo hits split differently between segment-local and shared
-        // tables; every other counter is a function of the range.
+        // The memo hits depend on where the segments are cut; every other
+        // counter is a function of the range.
         let mut seg_stats = segmented.stats.clone();
-        for s in [&mut ref_stats, &mut seg_stats] {
-            s.memo_hits = 0;
-            s.memo_hits_cross = 0;
-        }
+        ref_stats.memo_hits = 0;
+        seg_stats.memo_hits = 0;
         assert_eq!(seg_stats, ref_stats);
         assert_eq!(segmented.best_eta, reference.best().map(|b| b.eta));
         let seg_confirmed: Vec<u128> = segmented.confirmed.iter().map(|c| c.get()).collect();

@@ -38,9 +38,8 @@
 //!   memoization;
 //! * [`segmented`] — the busy-beaver search: parallel segmented
 //!   streaming: deterministic `u128` segments on the [`popproto_exec`]
-//!   worker pool, a shared cross-segment transposition table,
-//!   ordered segment merges and multi-cursor checkpoints that resume on any
-//!   worker count;
+//!   worker pool, one transposition table per segment, ordered segment
+//!   merges and multi-cursor checkpoints that resume on any worker count;
 //! * [`enumeration`] — exact busy-beaver values for tiny state counts by
 //!   exhaustive protocol enumeration (under documented restrictions),
 //!   driving the generator + pipeline over the segmented search;

@@ -156,8 +156,7 @@ pub fn render_symbolic(rows: &[SymbolicRow]) -> String {
 
 /// Renders the E12 report: the segment summary, then the staged-funnel
 /// table — how the merged `BB_det(4)` prefix was whittled down stage by
-/// stage — with the memo hits split into the deterministic (segment-local)
-/// and scheduling-dependent (cross-segment) counts.
+/// stage — with the hits answered by the segments' own memo tables.
 pub fn render_e12_segmented(report: &E12SegmentedReport) -> String {
     let s = &report.stats;
     let mut out = format!(
@@ -182,18 +181,13 @@ pub fn render_e12_segmented(report: &E12SegmentedReport) -> String {
     row("rejected: η-floor (SC₀ bounded)", s.pruned_eta_bounded);
     row("profiled on concrete slices", s.profiled);
     row("confirmed a threshold", s.threshold_protocols);
-    row("memo hits, local (deterministic)", s.memo_hits);
-    row(
-        "memo hits, cross-segment (scheduling-dependent)",
-        s.memo_hits_cross,
-    );
+    row("memo hits (per-segment tables)", s.memo_hits);
     out.push_str(&format!(
-        "\n{} non-canonical encodings were skipped by the generator; the shared \
-         memo table held {} distinct coverable-support restrictions; best η so \
+        "\n{} non-canonical encodings were skipped by the generator; every \
+         memo hit came from its segment's own memo table; best η so \
          far: {} (floor {}), truncated orbits: {}; witness set: {} confirmed \
          candidate indices.\n",
         s.pruned_symmetric,
-        report.shared_memo_entries,
         report
             .best_eta
             .map(|e| e.to_string())
@@ -278,12 +272,11 @@ pub fn render_full(report: &FullReport) -> String {
              (symbolic pre-filter, η-floor filter, concrete slices) whose verdicts are \
              memoized across candidates sharing a coverable-support restriction.  The \
              candidate range is cut into deterministic segments, workers pull segments \
-             from a shared worker pool and share one cross-segment transposition table, \
+             from a shared worker pool, each segment runs its own transposition table, \
              and the per-segment results are folded in a fixed segment order — so every \
-             number above except the cross-segment memo hits is bit-identical at any \
-             worker count.  The whole search state (one generator cursor, funnel and \
-             memo table per segment, plus the shared table) checkpoints to JSON for \
-             multi-session resumption.  The `entropy` order visits segments by \
+             number above is bit-identical at any worker count.  The whole search state \
+             (one generator cursor and funnel per segment, plus the memo table of each \
+             segment in flight) checkpoints to JSON for multi-session resumption.  The `entropy` order visits segments by \
              descending function-index entropy, surfacing non-degenerate candidates \
              long before an index-ordered scan would reach them.\n",
         );
@@ -357,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn e12_segmented_table_renders_the_split_memo_hits() {
+    fn e12_segmented_table_renders_the_per_segment_memo_hits() {
         let report = experiments::experiment_e12_segmented(
             300,
             6,
@@ -366,8 +359,11 @@ mod tests {
         );
         let table = render_e12_segmented(&report);
         assert!(table.contains("entropy"));
-        assert!(table.contains("local (deterministic)"));
-        assert!(table.contains("cross-segment"));
+        assert!(table.contains(&format!(
+            "| memo hits (per-segment tables) | {} |",
+            report.stats.memo_hits
+        )));
+        assert!(!table.contains("cross-segment"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Parallel segmented streaming for the busy-beaver search: deterministic
-//! `u128` segments, a persistent worker pool, a shared cross-segment
-//! transposition table, and ordered segment merges.
+//! `u128` segments, a persistent worker pool, one transposition table per
+//! segment, and ordered segment merges.
 //!
 //! This is the workspace's only busy-beaver search loop: exhaustive
 //! searches ([`crate::enumeration`]) and the checkpointed `BB_det(4)` prefix
@@ -13,10 +13,15 @@
 //! whole output blocks so every segment decodes its own function indices
 //! from scratch exactly once) and makes the segment the unit of
 //! parallelism, of checkpointing and of budget cuts: workers pull segments
-//! from a shared-queue worker pool ([`popproto_exec`]), run each through
-//! its own [`CandidatePipeline`] funnel, and probe a [`SharedMemo`] between
-//! their segment-local table and the triage stages.  One worker with one
-//! segment is the sequential stream: one pipeline over one range scan.
+//! from a shared-queue worker pool ([`popproto_exec`]) and run each through
+//! its own [`CandidatePipeline`] funnel, memo table included.  Segments
+//! share nothing: a table shared across them was measured to cost more CPU
+//! time in locking and key copies than its extra hits saved (see
+//! [`crate::candidate_pipeline`]).  A segment that finishes drops its
+//! pipeline and keeps only its counters, best candidate and witnesses, so
+//! only the segments in flight hold memo tables.
+//! One worker with one segment is the sequential stream: one pipeline over
+//! one range scan.
 //!
 //! # The determinism argument
 //!
@@ -25,23 +30,23 @@
 //! the segment's index range and the pipeline configuration:
 //!
 //! * stage verdicts are pure functions of the candidate (triage runs on
-//!   what the memo fingerprint decodes to, so even a verdict replayed
-//!   from the shared table equals the one a recompute would produce);
-//! * per-segment counters (`canonical_orbits`, `pruned_*`, `profiled`,
-//!   `threshold_protocols`, `truncated_orbits`, and the *local*
-//!   `memo_hits`) therefore never depend on what other segments did;
+//!   what the memo fingerprint decodes to, so a verdict replayed from the
+//!   memo equals the one a recompute would produce);
+//! * every per-segment counter (`canonical_orbits`, `pruned_*`, `profiled`,
+//!   `threshold_protocols`, `truncated_orbits` and `memo_hits`) therefore
+//!   depends on the segment's range alone — its memo table sees only the
+//!   segment's own candidates;
 //! * the merge folds segments in the fixed [`SegmentOrder`] with the
 //!   [`BestCandidate::merge`] tie-break (larger η, then smaller index), so
 //!   the fold is associative-in-order and independent of completion order.
 //!
-//! The single exception is [`PipelineStats::memo_hits_cross`] — hits against
-//! the shared table — which depends on scheduling and is reported separately
-//! (and never asserted).  A full range processed at any worker count is
-//! therefore **bit-identical** (stats, best η, witness set, funnel) to the
-//! same range processed sequentially, which the property suite in
-//! `crates/core/tests/parallel_equivalence.rs` pins for worker counts
-//! {1, 2, 4, 7}, random segment sizes, and kill/resume across differing
-//! worker counts.
+//! A range processed at any worker count is therefore **bit-identical**
+//! (every counter, best η, witness set) to the same segmentation processed
+//! on one worker, and equal to the same range processed sequentially in
+//! every counter but `memo_hits`, which depends on where the segments are
+//! cut.  The property suite in `crates/core/tests/parallel_equivalence.rs`
+//! pins this for worker counts {1, 2, 4, 7}, random segment sizes, and
+//! kill/resume across differing worker counts.
 //!
 //! # Budgeted prefixes
 //!
@@ -56,13 +61,13 @@
 //! # Multi-cursor checkpoints
 //!
 //! [`SegmentedSearch::checkpoint`] serialises one [`StreamCursor`] *per
-//! touched segment* plus its per-segment stats/best/witnesses, the local
-//! memo of in-flight segments, and the shared table.  Because per-segment
-//! results are scheduling-independent, a checkpoint taken from an 8-worker
-//! run resumes bit-identically at any other worker count.
+//! touched segment* plus its per-segment stats/best/witnesses and, for
+//! in-flight segments only, the memo table.  Because per-segment results
+//! are scheduling-independent, a checkpoint taken from an 8-worker run
+//! resumes bit-identically at any other worker count.
 
 use crate::candidate_pipeline::{
-    BestCandidate, CandidatePipeline, PackedMemo, PipelineConfig, PipelineStats, SharedMemo,
+    BestCandidate, CandidatePipeline, PackedMemo, PipelineConfig, PipelineStats,
 };
 use crate::enumeration::EnumerationResult;
 use crate::orbit_stream::{OrbitSpace, OrbitStream, SegmentOrder, StreamCursor, U128Parts};
@@ -136,10 +141,9 @@ pub struct SegmentEntry {
     pub confirmed: Vec<U128Parts>,
     /// `true` once the segment's range is exhausted.
     pub done: bool,
-    /// The segment-local memo table, delta-packed ([`PackedMemo`]) —
-    /// serialised only for in-flight segments (a finished segment's local
-    /// hits can never change again, and its computed verdicts already
-    /// live in the shared table).
+    /// The segment's memo table, delta-packed ([`PackedMemo`]) — serialised
+    /// only for in-flight segments: a finished segment's hits can never
+    /// change again, so it keeps no table.
     pub local_memo: PackedMemo,
 }
 
@@ -159,12 +163,6 @@ pub struct SegmentedCheckpoint {
     pub target_orbits: u64,
     /// Every touched segment, in plan order.
     pub segments: Vec<SegmentEntry>,
-    /// The shared cross-segment transposition table, sorted by
-    /// fingerprint and delta-packed ([`PackedMemo`]): version-2
-    /// checkpoints shrank an order of magnitude mostly through this field
-    /// (sorted fingerprints share long prefixes, and the hex stream costs
-    /// 2 characters per byte where a JSON number array costs ~4).
-    pub shared_memo: PackedMemo,
 }
 
 /// The ordered-merge result of a segmented search's completed prefix.
@@ -206,7 +204,6 @@ impl SegmentedResult {
             pruned_eta_bounded: self.stats.pruned_eta_bounded,
             truncated_orbits: self.stats.truncated_orbits,
             memo_hits: self.stats.memo_hits,
-            memo_hits_cross: self.stats.memo_hits_cross,
             max_input,
         }
     }
@@ -218,17 +215,83 @@ struct SegmentRun {
     start: u128,
     end: u128,
     cursor: StreamCursor,
-    pipeline: CandidatePipeline,
-    done: bool,
+    progress: Progress,
+}
+
+/// A segment's pipeline while it runs; only the pipeline's results once
+/// the segment is done, so a finished segment holds no memo table.
+#[derive(Debug)]
+enum Progress {
+    Running(Box<CandidatePipeline>),
+    Done {
+        /// The pipeline's counters (`pruned_symmetric` lives in the cursor).
+        stats: PipelineStats,
+        best: Option<BestCandidate>,
+        confirmed: Vec<u128>,
+    },
 }
 
 impl SegmentRun {
+    fn done(&self) -> bool {
+        matches!(self.progress, Progress::Done { .. })
+    }
+
     /// The segment's deterministic stats with the generator's
     /// `pruned_symmetric` folded in from the cursor.
     fn stats(&self) -> PipelineStats {
-        let mut stats = self.pipeline.stats().clone();
+        let mut stats = match &self.progress {
+            Progress::Running(pipeline) => pipeline.stats().clone(),
+            Progress::Done { stats, .. } => stats.clone(),
+        };
         stats.pruned_symmetric = self.cursor.pruned_symmetric;
         stats
+    }
+
+    fn best(&self) -> Option<BestCandidate> {
+        match &self.progress {
+            Progress::Running(pipeline) => pipeline.best(),
+            Progress::Done { best, .. } => *best,
+        }
+    }
+
+    fn confirmed(&self) -> &[u128] {
+        match &self.progress {
+            Progress::Running(pipeline) => pipeline.confirmed(),
+            Progress::Done { confirmed, .. } => confirmed,
+        }
+    }
+
+    /// Streams the segment's canonical candidates through its pipeline
+    /// until the range is exhausted or `stop` returns `true` (polled every
+    /// 64 offers).  A segment that reaches its end drops its pipeline.
+    fn advance(&mut self, space: &OrbitSpace, stop: impl Fn() -> bool) {
+        let Progress::Running(pipeline) = &mut self.progress else {
+            return;
+        };
+        let mut stream = OrbitStream::resume(space, &self.cursor);
+        let mut since_check = 0u32;
+        let exhausted = loop {
+            if since_check >= 64 {
+                since_check = 0;
+                if stop() {
+                    break false;
+                }
+            }
+            since_check += 1;
+            let Some(k) = stream.next_canonical() else {
+                break true;
+            };
+            let outputs = (k % space.output_patterns()) as u32;
+            pipeline.offer(space, k, stream.current_assignment(), outputs);
+        };
+        self.cursor = stream.cursor();
+        if exhausted {
+            self.progress = Progress::Done {
+                stats: pipeline.stats().clone(),
+                best: pipeline.best(),
+                confirmed: pipeline.confirmed().to_vec(),
+            };
+        }
     }
 }
 
@@ -257,11 +320,11 @@ impl PrefixTracker {
 }
 
 /// The parallel segmented streaming search: a segment plan, per-segment
-/// pipelines, a shared memo, and ordered merges.
+/// pipelines and ordered merges.
 #[derive(Debug)]
 pub struct SegmentedSearch {
-    /// Arc so pool jobs (which must be `'static`) can share the space and
-    /// the memo without borrowing `self`.
+    /// Arc so pool jobs (which must be `'static`) can share the space
+    /// without borrowing `self`.
     space: Arc<OrbitSpace>,
     config: PipelineConfig,
     segmentation: SegmentationConfig,
@@ -280,7 +343,6 @@ pub struct SegmentedSearch {
     /// prefix whose canonical-orbit count reaches it, which keeps the
     /// merged result independent of how far past the cut eager workers ran.
     target_orbits: u64,
-    shared: Arc<SharedMemo>,
 }
 
 impl SegmentedSearch {
@@ -301,7 +363,6 @@ impl SegmentedSearch {
         let num_segments = order.len();
         SegmentedSearch {
             space,
-            shared: Arc::new(SharedMemo::new(config.memo_max_entries)),
             config,
             segmentation,
             seg_size,
@@ -334,12 +395,6 @@ impl SegmentedSearch {
             checkpoint.segmentation.clone(),
         );
         search.target_orbits = checkpoint.target_orbits;
-        search.shared.seed(
-            &checkpoint
-                .shared_memo
-                .unpack()
-                .expect("corrupt packed shared memo in checkpoint"),
-        );
         for entry in &checkpoint.segments {
             let start = entry.start.get();
             let seg_id = usize::try_from(start / search.seg_size).expect("segment id fits");
@@ -366,8 +421,6 @@ impl SegmentedSearch {
                 !entry.done || next == end,
                 "checkpoint marks a segment done before its cursor reached the end"
             );
-            let mut pipeline =
-                CandidatePipeline::new(checkpoint.num_states, checkpoint.config.clone());
             let best = match (entry.best_eta, entry.best_index) {
                 (Some(eta), Some(index)) => Some(BestCandidate {
                     eta,
@@ -377,48 +430,46 @@ impl SegmentedSearch {
             };
             let mut stats = entry.stats.clone();
             stats.pruned_symmetric = 0; // lives in the cursor until merge time
-            pipeline.restore(
-                stats,
-                best,
-                entry.confirmed.iter().map(|c| c.get()).collect(),
-                &entry
-                    .local_memo
-                    .unpack()
-                    .expect("corrupt packed local memo in checkpoint"),
-            );
+            let confirmed = entry.confirmed.iter().map(|c| c.get()).collect();
+            let progress = if entry.done {
+                Progress::Done {
+                    stats,
+                    best,
+                    confirmed,
+                }
+            } else {
+                let mut pipeline =
+                    CandidatePipeline::new(checkpoint.num_states, checkpoint.config.clone());
+                pipeline.restore(
+                    stats,
+                    best,
+                    confirmed,
+                    &entry
+                        .local_memo
+                        .unpack()
+                        .expect("corrupt packed local memo in checkpoint"),
+                );
+                Progress::Running(Box::new(pipeline))
+            };
             search.runs[seg_id] = Some(Box::new(SegmentRun {
                 start,
                 end,
                 cursor: entry.cursor.clone(),
-                pipeline,
-                done: entry.done,
+                progress,
             }));
         }
         search
     }
 
     /// Serialises the full search state: one cursor and stats block per
-    /// touched segment, local memos of in-flight segments, and the merged
-    /// (shared) memo table.
+    /// touched segment, and the memo tables of in-flight segments.
     pub fn checkpoint(&self) -> SegmentedCheckpoint {
-        self.checkpoint_evicting(0)
-    }
-
-    /// [`SegmentedSearch::checkpoint`], but sheds shared-memo entries hit
-    /// fewer than `min_hits` times.  The shared table is a pure cache of
-    /// deterministic verdicts, so eviction never changes what a resumed
-    /// search reports — at worst an evicted verdict is recomputed (see
-    /// `cold_memo_eviction_preserves_resumed_results` in this module's
-    /// tests).  Most entries are inserted once and never consulted again;
-    /// `min_hits = 1` typically shrinks BB checkpoints by an order of
-    /// magnitude.
-    pub fn checkpoint_evicting(&self, min_hits: u32) -> SegmentedCheckpoint {
         let mut segments = Vec::new();
         for &seg_id in &self.order {
             let Some(run) = &self.runs[seg_id as usize] else {
                 continue;
             };
-            let best = run.pipeline.best();
+            let best = run.best();
             segments.push(SegmentEntry {
                 start: run.start.into(),
                 end: run.end.into(),
@@ -426,12 +477,11 @@ impl SegmentedSearch {
                 stats: run.stats(),
                 best_eta: best.map(|b| b.eta),
                 best_index: best.map(|b| b.index.into()),
-                confirmed: run.pipeline.confirmed().iter().map(|&c| c.into()).collect(),
-                done: run.done,
-                local_memo: if run.done {
-                    PackedMemo::default()
-                } else {
-                    PackedMemo::pack(&run.pipeline.memo_records())
+                confirmed: run.confirmed().iter().map(|&c| c.into()).collect(),
+                done: run.done(),
+                local_memo: match &run.progress {
+                    Progress::Running(pipeline) => PackedMemo::pack(&pipeline.memo_records()),
+                    Progress::Done { .. } => PackedMemo::default(),
                 },
             });
         }
@@ -442,7 +492,6 @@ impl SegmentedSearch {
             segmentation: self.segmentation.clone(),
             target_orbits: self.target_orbits,
             segments,
-            shared_memo: PackedMemo::pack(&self.shared.records_with_min_hits(min_hits)),
         }
     }
 
@@ -471,11 +520,6 @@ impl SegmentedSearch {
         self.order.len()
     }
 
-    /// Entries in the shared cross-segment memo table.
-    pub fn shared_memo_len(&self) -> usize {
-        self.shared.len()
-    }
-
     /// Canonical orbits in the completed in-order prefix.
     pub fn prefix_orbits(&self) -> u64 {
         self.prefix_state().1
@@ -495,7 +539,7 @@ impl SegmentedSearch {
         let mut orbits = 0u64;
         for (pos, &seg_id) in self.order.iter().enumerate() {
             match &self.runs[seg_id as usize] {
-                Some(run) if run.done => orbits += run.cursor.yielded,
+                Some(run) if run.done() => orbits += run.cursor.yielded,
                 _ => return (pos, orbits),
             }
         }
@@ -615,12 +659,12 @@ impl SegmentedSearch {
         let mut segments_done = 0usize;
         for run in self.runs.iter().flatten() {
             stats.merge(&run.stats());
-            best = BestCandidate::merge(best, run.pipeline.best());
-            segments_done += usize::from(run.done);
+            best = BestCandidate::merge(best, run.best());
+            segments_done += usize::from(run.done());
         }
         let best_eta = best.map_or("null".to_owned(), |b| b.eta.to_string());
-        let checkpoint = serde_json::to_string(&self.checkpoint_evicting(1))
-            .expect("segmented checkpoints serialise");
+        let checkpoint =
+            serde_json::to_string(&self.checkpoint()).expect("segmented checkpoints serialise");
         format!(
             concat!(
                 "{{\"kind\":\"segmented_heartbeat\",\"seq\":{},\"elapsed_s\":{:.3},",
@@ -684,7 +728,11 @@ impl SegmentedSearch {
         self.order[prefix_pos..]
             .iter()
             .enumerate()
-            .filter(|(_, &seg_id)| !self.runs[seg_id as usize].as_ref().is_some_and(|r| r.done))
+            .filter(|(_, &seg_id)| {
+                !self.runs[seg_id as usize]
+                    .as_ref()
+                    .is_some_and(|r| r.done())
+            })
             .map(|(off, _)| prefix_pos + off)
             .take(wave)
             .collect()
@@ -710,7 +758,7 @@ impl SegmentedSearch {
         };
         for (pos, &seg_id) in self.order.iter().enumerate().skip(prefix_pos_before) {
             if let Some(run) = &self.runs[seg_id as usize] {
-                if run.done {
+                if run.done() {
                     tracker.complete(pos, run.cursor.yielded);
                 }
             }
@@ -722,20 +770,9 @@ impl SegmentedSearch {
             .iter()
             .map(|&pos| {
                 let seg_id = self.order[pos];
-                let run = self.runs[seg_id as usize].take().unwrap_or_else(|| {
-                    let start = self.seg_size * seg_id as u128;
-                    let end = (start + self.seg_size).min(self.end);
-                    Box::new(SegmentRun {
-                        start,
-                        end,
-                        cursor: OrbitStream::range(&self.space, start, end).cursor(),
-                        pipeline: CandidatePipeline::new(
-                            self.space.num_states(),
-                            self.config.clone(),
-                        ),
-                        done: false,
-                    })
-                });
+                let run = self.runs[seg_id as usize]
+                    .take()
+                    .unwrap_or_else(|| self.fresh_run(seg_id));
                 (pos, seg_id, run)
             })
             .collect();
@@ -744,45 +781,17 @@ impl SegmentedSearch {
         let cancel = Arc::new(AtomicBool::new(false));
         let tracker = Arc::new(Mutex::new(tracker));
         let space = Arc::clone(&self.space);
-        let shared = Arc::clone(&self.shared);
         let finished: Vec<(u32, Box<SegmentRun>)> = pool.map(
             jobs,
             move |_, (pos, seg_id, mut run): (usize, u32, Box<SegmentRun>)| {
-                if run.done || cancel.load(Ordering::Relaxed) {
+                if run.done() || cancel.load(Ordering::Relaxed) {
                     return (seg_id, run);
                 }
                 // The segment lease: one complete span per segment a worker
                 // holds, the unit of the per-worker exec timeline.
                 let _lease = obs::span_with_arg("segment", "seg", u64::from(seg_id));
-                let mut stream = OrbitStream::resume(&space, &run.cursor);
-                let mut since_check = 0u32;
-                loop {
-                    if since_check >= 64 {
-                        since_check = 0;
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                    since_check += 1;
-                    match stream.next_canonical() {
-                        Some(k) => {
-                            let outputs = (k % space.output_patterns()) as u32;
-                            run.pipeline.offer_shared(
-                                &space,
-                                k,
-                                stream.current_assignment(),
-                                outputs,
-                                &shared,
-                            );
-                        }
-                        None => {
-                            run.done = true;
-                            break;
-                        }
-                    }
-                }
-                run.cursor = stream.cursor();
-                if run.done {
+                run.advance(&space, || cancel.load(Ordering::Relaxed));
+                if run.done() {
                     let prefix = tracker
                         .lock()
                         .expect("prefix tracker poisoned")
@@ -799,6 +808,21 @@ impl SegmentedSearch {
         }
     }
 
+    /// A new, untouched run of segment `seg_id`.
+    fn fresh_run(&self, seg_id: u32) -> Box<SegmentRun> {
+        let start = self.seg_size * seg_id as u128;
+        let end = (start + self.seg_size).min(self.end);
+        Box::new(SegmentRun {
+            start,
+            end,
+            cursor: OrbitStream::range(&self.space, start, end).cursor(),
+            progress: Progress::Running(Box::new(CandidatePipeline::new(
+                self.space.num_states(),
+                self.config.clone(),
+            ))),
+        })
+    }
+
     /// The ordered merge of the completed in-order prefix.
     pub fn result(&self) -> SegmentedResult {
         let mut stats = PipelineStats::default();
@@ -811,10 +835,10 @@ impl SegmentedSearch {
                 break; // the deterministic budget cut, not "whatever finished"
             }
             match &self.runs[seg_id as usize] {
-                Some(run) if run.done => {
+                Some(run) if run.done() => {
                     stats.merge(&run.stats());
-                    best = BestCandidate::merge(best, run.pipeline.best());
-                    confirmed.extend_from_slice(run.pipeline.confirmed());
+                    best = BestCandidate::merge(best, run.best());
+                    confirmed.extend_from_slice(run.confirmed());
                     candidates += run.end - run.start;
                     segments_merged += 1;
                 }
@@ -843,7 +867,10 @@ impl SegmentedSearch {
 /// lost its switches for the memo and for the key quotient, so every memo
 /// key is canonical; a version-3 checkpoint may carry raw keys or a
 /// memo-free configuration, neither of which this version can resume.
-const SEGMENTED_CHECKPOINT_VERSION: u32 = 4;
+/// Version 5: segments share no memo table, so the checkpoint lost its
+/// shared table; the segment stats of a version-4 checkpoint count hits
+/// against that table, which a version-5 search never reports.
+const SEGMENTED_CHECKPOINT_VERSION: u32 = 5;
 
 /// Computes `(segment size, range end, segment ids in visit order)` — a pure
 /// function of the space and the segmentation config, recomputed identically
@@ -989,23 +1016,46 @@ mod tests {
 
     #[test]
     fn packed_memo_checkpoints_shrink_and_resume_bit_identically() {
-        let seg = SegmentationConfig::index_order(100, None);
-        let straight = sequential(2, seg.clone(), 6);
+        let seg = SegmentationConfig::index_order(4_096, Some(16_384));
+        let mut straight = SegmentedSearch::new(3, config(5), seg.clone());
+        straight.run(1, u64::MAX);
+        let straight = straight.result();
 
-        let mut search = SegmentedSearch::new(2, config(6), seg);
-        search.run(2, 300);
+        // Finish the first segments, then leave the last one in flight
+        // after 1 600 offers, as a worker cancelled mid-segment would.
+        let mut search = SegmentedSearch::new(3, config(5), seg);
+        search.run(1, 1);
+        let last = *search.order.last().unwrap();
+        assert!(
+            search.runs[last as usize].is_none(),
+            "the wave reached the end"
+        );
+        let mut run = search.fresh_run(last);
+        let polls = std::cell::Cell::new(0);
+        run.advance(&search.space, || {
+            polls.set(polls.get() + 1);
+            polls.get() > 24
+        });
+        let Progress::Running(pipeline) = &run.progress else {
+            panic!("1 600 offers finished a whole segment");
+        };
+        let memo = pipeline.memo_records();
+        let start = run.start;
+        search.runs[last as usize] = Some(run);
         let checkpoint = search.checkpoint();
 
-        // The packed table decodes to exactly what the shared table holds,
-        // and the packed serialisation beats the v1 raw-record-array shape
-        // of the same field by a wide margin.
-        let records = checkpoint
-            .shared_memo
-            .unpack()
-            .expect("packed table decodes");
-        assert_eq!(records.len() as u64, checkpoint.shared_memo.entries);
+        // The in-flight segment's packed table decodes to exactly its
+        // pipeline's records, and the packed serialisation beats the v1
+        // raw-record-array shape of the same field by a wide margin.
+        let entry = checkpoint
+            .segments
+            .iter()
+            .find(|e| e.start.get() == start)
+            .expect("the in-flight segment is checkpointed");
+        let records = entry.local_memo.unpack().expect("packed table decodes");
+        assert_eq!(records, memo);
         assert!(records.len() >= 10, "table too small to exercise packing");
-        let packed_json = serde_json::to_string(&checkpoint.shared_memo).unwrap();
+        let packed_json = serde_json::to_string(&entry.local_memo).unwrap();
         let legacy_json = serde_json::to_string(&records).unwrap();
         assert!(
             packed_json.len() * 4 < legacy_json.len(),
@@ -1015,25 +1065,16 @@ mod tests {
             legacy_json.len()
         );
 
-        // Resuming through the packed JSON reproduces the uninterrupted
-        // run bit for bit.
+        // Resuming through the packed JSON restores the table and then
+        // reproduces the uninterrupted run bit for bit.
         let json = serde_json::to_string(&checkpoint).unwrap();
         let parsed: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
         let mut resumed = SegmentedSearch::from_checkpoint(&parsed);
+        let again = resumed.checkpoint();
+        let entry_again = again.segments.iter().find(|e| e.start.get() == start);
+        assert_eq!(entry_again.unwrap().local_memo, entry.local_memo);
         resumed.run(3, u64::MAX);
-        let result = resumed.result();
-        assert!(result.finished);
-        assert_eq!(result.best, straight.best);
-        assert_eq!(result.confirmed, straight.confirmed);
-        assert_eq!(
-            result.stats.canonical_orbits,
-            straight.stats.canonical_orbits
-        );
-        assert_eq!(result.stats.memo_hits, straight.stats.memo_hits);
-        assert_eq!(
-            result.stats.threshold_protocols,
-            straight.stats.threshold_protocols
-        );
+        assert_eq!(resumed.result(), straight);
     }
 
     #[test]
@@ -1093,8 +1134,11 @@ mod tests {
             "done before its cursor reached the end",
         );
         corrupt(
-            &|c| c.shared_memo.entries = 1 << 40,
-            "corrupt packed shared memo",
+            &|c| {
+                c.segments[last].done = false;
+                c.segments[last].local_memo.entries = 1 << 40;
+            },
+            "corrupt packed local memo",
         );
         // Version-2 memo keys hold outputs-first canonical fingerprints,
         // which this version never looks up: a resume from one would count
@@ -1103,45 +1147,34 @@ mod tests {
         // Version-3 checkpoints may hold raw memo keys or a memo-free
         // configuration: both are refused rather than resumed.
         corrupt(&|c| c.version = 3, "unknown segmented checkpoint version");
+        // Version-4 segment stats count hits against a shared table that
+        // this version never reports.
+        corrupt(&|c| c.version = 4, "unknown segmented checkpoint version");
     }
 
     #[test]
-    fn cold_memo_eviction_preserves_resumed_results() {
-        let seg = SegmentationConfig::index_order(100, None);
-        let straight = sequential(2, seg.clone(), 6);
-
-        let mut search = SegmentedSearch::new(2, config(6), seg);
-        search.run(2, 300);
-        let full = search.checkpoint();
-        let evicted = search.checkpoint_evicting(1);
-        // Eviction must actually shrink the serialised table (the cold tail
-        // is real), without touching any other checkpoint field.
-        assert!(
-            evicted.shared_memo.entries <= full.shared_memo.entries,
-            "eviction grew the table"
-        );
-        assert_eq!(evicted.segments.len(), full.segments.len());
-
-        // Resuming from the evicted checkpoint reaches verdict-identical
-        // results: the memo is a pure cache, so dropping entries can only
-        // cost recomputation.
-        let json = serde_json::to_string(&evicted).unwrap();
-        let checkpoint: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
-        let mut resumed = SegmentedSearch::from_checkpoint(&checkpoint);
-        resumed.run(2, u64::MAX);
-        let result = resumed.result();
-        assert!(result.finished);
-        assert_eq!(result.best, straight.best);
-        assert_eq!(result.confirmed, straight.confirmed);
-        assert_eq!(
-            result.stats.canonical_orbits,
-            straight.stats.canonical_orbits
-        );
-        assert_eq!(
-            result.stats.threshold_protocols,
-            straight.stats.threshold_protocols
-        );
-        assert_eq!(result.stats.profiled, straight.stats.profiled);
+    fn finished_segments_drop_their_memo_and_keep_their_results() {
+        let space = OrbitSpace::new(3);
+        let seg = SegmentationConfig::index_order(1_024, Some(8_192));
+        let mut search = SegmentedSearch::new(3, config(5), seg);
+        search.run(2, u64::MAX);
+        assert!(search.result().finished);
+        for run in search.runs.iter().flatten() {
+            // A done segment holds no pipeline, so no memo entry either.
+            assert!(matches!(run.progress, Progress::Done { .. }));
+            // What it keeps is what a pipeline over its range alone reports.
+            let mut pipeline = CandidatePipeline::new(3, config(5));
+            let mut stream = OrbitStream::range(&space, run.start, run.end);
+            while let Some(k) = stream.next_canonical() {
+                let outputs = (k % space.output_patterns()) as u32;
+                pipeline.offer(&space, k, stream.current_assignment(), outputs);
+            }
+            let mut stats = pipeline.stats().clone();
+            stats.pruned_symmetric = stream.pruned_symmetric();
+            assert_eq!(run.stats(), stats, "segment at {}", run.start);
+            assert_eq!(run.best(), pipeline.best());
+            assert_eq!(run.confirmed(), pipeline.confirmed());
+        }
     }
 
     #[test]
@@ -1160,15 +1193,10 @@ mod tests {
         let observed_result = observed.result();
 
         // The heartbeat is a pure observer: the observed run's merged
-        // prefix equals an unobserved run's of the same budget (modulo
-        // `memo_hits_cross`, which is scheduling-dependent either way).
+        // prefix equals an unobserved run's of the same budget.
         let mut plain = SegmentedSearch::new(2, config(6), seg);
         plain.run(2, 20);
-        let mut observed_det = observed_result.clone();
-        let mut plain_det = plain.result();
-        observed_det.stats.memo_hits_cross = 0;
-        plain_det.stats.memo_hits_cross = 0;
-        assert_eq!(observed_det, plain_det);
+        assert_eq!(observed_result, plain.result());
 
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();

@@ -114,7 +114,6 @@ fn checkpoint_resume_reproduces_busy_beaver_bit_identically() {
     // worker (a single segment).
     let limits = ExploreLimits::default();
     let reference = busy_beaver_search_with_threads(2, 6, u64::MAX, &limits, 1);
-    assert_eq!(reference.memo_hits_cross, 0, "one segment, one table");
 
     // Output-block-sized segments (4 encodings on 2 states), so every
     // budget cut falls on a fine-grained boundary.
@@ -163,22 +162,14 @@ fn checkpoint_resume_reproduces_busy_beaver_bit_identically() {
             result.truncated_orbits, reference.truncated_orbits,
             "round {round}"
         );
-        // Local memo hits are deterministic per segmentation, so they match
-        // the uninterrupted run with the same segments (not the one-segment
-        // reference); the cross-segment count is scheduling-dependent and
-        // never asserted.
+        // Memo hits are deterministic per segmentation, so they match the
+        // uninterrupted run with the same segments (not the one-segment
+        // reference).
         assert_eq!(
             merged.stats.memo_hits, straight.stats.memo_hits,
             "round {round}"
         );
         assert_eq!(merged.confirmed, straight.confirmed, "round {round}");
-        // Uncapped, the shared table ends up holding every distinct
-        // restriction of the space, whatever the kill points.
-        assert_eq!(
-            search.shared_memo_len(),
-            uninterrupted.shared_memo_len(),
-            "round {round}"
-        );
     }
 }
 
