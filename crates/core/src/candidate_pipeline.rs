@@ -61,9 +61,9 @@
 //! its patterns index the row, and the full fingerprint `[k, outputs,
 //! transitions…]` is built only on a miss, for the triage.
 //! [`PipelineConfig::memo_max_entries`] still counts (structure, output
-//! pattern) entries, and [`CandidatePipeline::memo_records`] flattens the
-//! rows into one record per entry, so hits, insertion decisions and
-//! checkpoint bytes are those of a table keyed by the full fingerprint.
+//! pattern) entries, so hits and insertion decisions are those of a table
+//! keyed by the full fingerprint; the test module flattens the rows into
+//! one record per entry and checks them against such a table.
 //!
 //! Each pipeline owns its table and shares it with no other: in the
 //! [segmented search](crate::segmented) every segment runs its own
@@ -76,13 +76,14 @@
 //!
 //! # Resumability
 //!
-//! A pipeline is a plain value: its counters, best candidate, witness set
-//! and memo table are what [`CandidatePipeline::memo_records`] and the
-//! crate-private `restore` round-trip.  The busy-beaver search,
-//! [`SegmentedSearch`](crate::segmented::SegmentedSearch), checkpoints them
-//! per segment next to the segment's generator cursor and restarts
-//! bit-identically — same verdicts, same counters, same `memo_hits` — which
-//! the equivalence suites assert at pseudo-random kill points.
+//! A pipeline is never checkpointed.  Its counters, best candidate and
+//! witness set are a pure function of the candidates it was offered, so
+//! the busy-beaver search,
+//! [`SegmentedSearch`](crate::segmented::SegmentedSearch), checkpoints
+//! whole segments: a finished segment keeps its pipeline's results, and a
+//! segment cut off part way is redone from its start on a fresh pipeline,
+//! with the same verdicts, counters and `memo_hits` — which the
+//! equivalence suites assert at pseudo-random kill points.
 //!
 //! [`threshold_prefilter`]: popproto_symbolic::threshold_prefilter
 //! [`eta_floor_prefilter`]: popproto_symbolic::eta_floor_prefilter
@@ -128,11 +129,12 @@ pub struct PipelineConfig {
     pub symbolic: SymbolicLimits,
     /// Maximum number of entries the transposition table may hold, one
     /// per (structure, output pattern) restriction.  Once full, existing
-    /// entries keep answering hits but no new restriction is inserted — the
-    /// table, and with it every checkpoint, stays bounded regardless of how
-    /// deep a multi-session search streams.  Insertion decisions depend
-    /// only on the table state and the candidate order (both
-    /// checkpointed), so kill/resume stays bit-identical under any cap.
+    /// entries keep answering hits but no new restriction is inserted, so
+    /// the cap bounds one pipeline's memory however long a range it
+    /// streams (a one-thread exhaustive search runs a whole space as one
+    /// segment).  No checkpoint holds a table.  Insertion decisions depend
+    /// only on the candidate order, so every counter stays a function of
+    /// the range under any cap.
     pub memo_max_entries: usize,
     /// Engine for the concrete-slice stage.
     pub engine: ReachEngine,
@@ -234,7 +236,7 @@ impl PipelineStats {
 }
 
 /// The memoized outcome of the staged triage of one restriction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoVerdict {
     /// Rejected by the symbolic pre-filter.
     RejectedSymbolic,
@@ -248,189 +250,6 @@ pub enum MemoVerdict {
         /// verdict is then inconclusive rather than proven).
         truncated: bool,
     },
-}
-
-/// One serialised transposition-table entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemoRecord {
-    /// The restriction fingerprint (exact canonical encoding).
-    pub fingerprint: Vec<u8>,
-    /// The memoized triage outcome.
-    pub verdict: MemoVerdict,
-}
-
-/// Delta-packed serialisation of a [`MemoRecord`] list.
-///
-/// A checkpointed memo table is dominated by its fingerprints: the records
-/// are emitted sorted, so neighbours share long common prefixes (the
-/// encoding leads with the state count and the restriction support), and
-/// the JSON layer renders a `Vec<u8>` as a number array at roughly four
-/// characters per byte plus a tagged verdict object per entry.  Packing
-/// therefore (a) delta-encodes each fingerprint against its predecessor —
-/// a shared-prefix length plus the fresh suffix — (b) squeezes each
-/// verdict into one code byte (with an LEB128 threshold where one
-/// exists), and (c) renders the whole byte stream as a single hex string
-/// at two characters per byte.  Decoding is exact: [`PackedMemo::unpack`]
-/// reproduces the input record list entry for entry, so checkpoint resume
-/// stays bit-identical — the encoding changes checkpoint *bytes*, never
-/// what a resumed search computes.  (Prefix sharing is a pure compression
-/// win: unsorted input still round-trips, it just shares less.)
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PackedMemo {
-    /// Number of packed records.
-    pub entries: u64,
-    /// Hex rendering of the delta byte stream: per record an LEB128
-    /// shared-prefix length, an LEB128 suffix length, the suffix bytes, a
-    /// verdict code (0 symbolic, 1 η-floor, 2/3 profiled-unverified with
-    /// the truncation bit, 4/5 profiled-verified likewise), and for codes
-    /// 4/5 the LEB128 verified threshold.
-    pub stream: String,
-}
-
-/// Appends `v` to `out` as an LEB128 varint (7 payload bits per byte,
-/// high bit = continuation).
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Reads one LEB128 varint starting at `*pos`, advancing `*pos` past it.
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &byte = bytes
-            .get(*pos)
-            .ok_or_else(|| "packed memo stream truncated inside a varint".to_owned())?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err("packed memo varint overflows u64".to_owned());
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-impl PackedMemo {
-    /// Packs a record list.  Lossless for any input order; sorted input
-    /// (what [`CandidatePipeline::memo_records`] emits) compresses best.
-    pub fn pack(records: &[MemoRecord]) -> Self {
-        let mut bytes = Vec::new();
-        let mut previous: &[u8] = &[];
-        for record in records {
-            let shared = previous
-                .iter()
-                .zip(&record.fingerprint)
-                .take_while(|(a, b)| a == b)
-                .count();
-            push_varint(&mut bytes, shared as u64);
-            push_varint(&mut bytes, (record.fingerprint.len() - shared) as u64);
-            bytes.extend_from_slice(&record.fingerprint[shared..]);
-            let (code, verified) = match record.verdict {
-                MemoVerdict::RejectedSymbolic => (0u8, None),
-                MemoVerdict::RejectedEta => (1, None),
-                MemoVerdict::Profiled {
-                    verified: None,
-                    truncated,
-                } => (2 + u8::from(truncated), None),
-                MemoVerdict::Profiled {
-                    verified: Some(eta),
-                    truncated,
-                } => (4 + u8::from(truncated), Some(eta)),
-            };
-            bytes.push(code);
-            if let Some(eta) = verified {
-                push_varint(&mut bytes, eta);
-            }
-            previous = &record.fingerprint;
-        }
-        let mut stream = String::with_capacity(bytes.len() * 2);
-        for b in bytes {
-            stream.push(char::from_digit(u32::from(b >> 4), 16).unwrap());
-            stream.push(char::from_digit(u32::from(b & 0xf), 16).unwrap());
-        }
-        PackedMemo {
-            entries: records.len() as u64,
-            stream,
-        }
-    }
-
-    /// Reconstructs the exact record list [`PackedMemo::pack`] consumed.
-    pub fn unpack(&self) -> Result<Vec<MemoRecord>, String> {
-        let hex = self.stream.as_bytes();
-        if !hex.len().is_multiple_of(2) {
-            return Err("packed memo hex stream has odd length".to_owned());
-        }
-        let digit = |c: u8| {
-            (c as char)
-                .to_digit(16)
-                .ok_or_else(|| format!("invalid hex digit {:?} in packed memo", c as char))
-        };
-        let mut bytes = Vec::with_capacity(hex.len() / 2);
-        for pair in hex.chunks_exact(2) {
-            bytes.push((digit(pair[0])? * 16 + digit(pair[1])?) as u8);
-        }
-        // Every record takes at least three bytes (two length varints and a
-        // verdict code), so the stream, not the untrusted count, bounds the
-        // reservation.
-        let mut records =
-            Vec::with_capacity(usize::try_from(self.entries).map_or(0, |n| n.min(bytes.len() / 3)));
-        let mut previous: Vec<u8> = Vec::new();
-        let mut pos = 0usize;
-        for _ in 0..self.entries {
-            let shared = usize::try_from(read_varint(&bytes, &mut pos)?)
-                .map_err(|_| "packed memo prefix length overflows usize".to_owned())?;
-            let suffix = usize::try_from(read_varint(&bytes, &mut pos)?)
-                .map_err(|_| "packed memo suffix length overflows usize".to_owned())?;
-            if shared > previous.len() || pos + suffix > bytes.len() {
-                return Err("packed memo stream truncated inside a fingerprint".to_owned());
-            }
-            let mut fingerprint = previous[..shared].to_vec();
-            fingerprint.extend_from_slice(&bytes[pos..pos + suffix]);
-            pos += suffix;
-            let code = *bytes
-                .get(pos)
-                .ok_or_else(|| "packed memo stream truncated before a verdict".to_owned())?;
-            pos += 1;
-            let verdict = match code {
-                0 => MemoVerdict::RejectedSymbolic,
-                1 => MemoVerdict::RejectedEta,
-                2 | 3 => MemoVerdict::Profiled {
-                    verified: None,
-                    truncated: code == 3,
-                },
-                4 | 5 => MemoVerdict::Profiled {
-                    verified: Some(read_varint(&bytes, &mut pos)?),
-                    truncated: code == 5,
-                },
-                other => return Err(format!("unknown packed memo verdict code {other}")),
-            };
-            records.push(MemoRecord {
-                fingerprint: fingerprint.clone(),
-                verdict,
-            });
-            previous = fingerprint;
-        }
-        if pos != bytes.len() {
-            return Err("trailing bytes after the last packed memo record".to_owned());
-        }
-        Ok(records)
-    }
-
-    /// Returns `true` if no records are packed.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
 }
 
 /// The best verified candidate seen so far, as `(η, encoding index)` — ties
@@ -767,77 +586,6 @@ impl CandidatePipeline {
     pub fn confirmed(&self) -> &[u128] {
         &self.confirmed
     }
-
-    /// Serialises the transposition table, sorted by fingerprint so the
-    /// checkpoint bytes are deterministic: one record per (structure,
-    /// output pattern) entry, keyed `[k, outputs, transitions…]`.
-    pub fn memo_records(&self) -> Vec<MemoRecord> {
-        let mut records = Vec::with_capacity(self.memo_entries);
-        for (key, &row) in &self.memo {
-            let width = 1usize << key[0];
-            for (out, slot) in self.slots[row..row + width].iter().enumerate() {
-                if let Some(verdict) = *slot {
-                    let mut fingerprint = Vec::with_capacity(key.len() + 1);
-                    fingerprint.extend_from_slice(&[key[0], out as u8]);
-                    fingerprint.extend_from_slice(&key[1..]);
-                    records.push(MemoRecord {
-                        fingerprint,
-                        verdict,
-                    });
-                }
-            }
-        }
-        records.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
-        records
-    }
-
-    /// Restores a checkpointed pipeline state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a record that is not the fingerprint of a restriction of
-    /// at most `num_states` states.
-    pub(crate) fn restore(
-        &mut self,
-        stats: PipelineStats,
-        best: Option<BestCandidate>,
-        confirmed: Vec<u128>,
-        memo: &[MemoRecord],
-    ) {
-        self.stats = stats;
-        self.best = best;
-        self.confirmed = confirmed;
-        self.memo.clear();
-        self.slots.clear();
-        self.memo_entries = 0;
-        self.structure.function = u128::MAX;
-        let mut key = Vec::new();
-        for record in memo {
-            let fingerprint = &record.fingerprint;
-            let k = fingerprint.first().map_or(usize::MAX, |&k| k as usize);
-            assert!(
-                k <= self.support.len()
-                    && fingerprint.len() == 2 + k * (k + 1)
-                    && (fingerprint[1] as usize) < 1 << k,
-                "corrupt local memo record in checkpoint"
-            );
-            key.clear();
-            key.push(fingerprint[0]);
-            key.extend_from_slice(&fingerprint[2..]);
-            let row = match self.memo.get(&key) {
-                Some(&row) => row,
-                None => {
-                    let row = self.slots.len();
-                    self.slots.resize(row + (1 << k), None);
-                    self.memo.insert(key.clone(), row);
-                    row
-                }
-            };
-            let slot = &mut self.slots[row + fingerprint[1] as usize];
-            self.memo_entries += usize::from(slot.is_none());
-            *slot = Some(record.verdict);
-        }
-    }
 }
 
 /// Materialises the restriction protocol a fingerprint encodes.  The
@@ -1033,6 +781,25 @@ mod tests {
         PipelineConfig::exact(max_input, &ExploreLimits::default())
     }
 
+    /// Flattens the pipeline's memo rows into one `(fingerprint, verdict)`
+    /// record per (structure, output pattern) entry, keyed `[k, outputs,
+    /// transitions…]` as the reference keys are, sorted by fingerprint.
+    fn memo_records(pipeline: &CandidatePipeline) -> Vec<(Vec<u8>, MemoVerdict)> {
+        let mut records = Vec::with_capacity(pipeline.memo_entries);
+        for (key, &row) in &pipeline.memo {
+            let width = 1usize << key[0];
+            for (out, slot) in pipeline.slots[row..row + width].iter().enumerate() {
+                if let Some(verdict) = *slot {
+                    let mut fingerprint = vec![key[0], out as u8];
+                    fingerprint.extend_from_slice(&key[1..]);
+                    records.push((fingerprint, verdict));
+                }
+            }
+        }
+        records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        records
+    }
+
     /// Drives one pipeline over the candidate range `[0, end)` sequentially;
     /// returns it with its stats (generator's `pruned_symmetric` folded in).
     fn drain(
@@ -1075,9 +842,9 @@ mod tests {
         b.memo_hits = 0;
         assert_eq!(a, b, "only memo_hits may differ under a cap");
 
-        // Kill/resume stays bit-identical under the cap: segment-local tables
-        // ride in the checkpoint, so insertion decisions replay
-        // deterministically.
+        // Kill/resume stays bit-identical under the cap: a resumed segment
+        // runs from its start on a fresh table, so its insertion decisions
+        // replay deterministically.
         let mut c = config(6);
         c.memo_max_entries = 5;
         let seg = SegmentationConfig::index_order(16, None);
@@ -1091,10 +858,6 @@ mod tests {
             search.run(2, budget);
             let json = serde_json::to_string(&search.checkpoint()).unwrap();
             let checkpoint: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
-            assert!(checkpoint
-                .segments
-                .iter()
-                .all(|e| e.local_memo.entries <= 5));
             search = SegmentedSearch::from_checkpoint(&checkpoint);
         }
         let result = search.result();
@@ -1106,8 +869,7 @@ mod tests {
     /// it must be byte for byte the reference key of every candidate, and
     /// the row memo must hold exactly the records a table keyed by the
     /// reference would — the same fingerprints with the same verdicts — and
-    /// answer the same hits.  This is what keeps checkpoints readable across
-    /// the two key paths.
+    /// answer the same hits.
     ///
     /// The pipeline triages its own misses and the reference triages each
     /// reference key on a pipeline of its own, so every verdict in the row
@@ -1160,15 +922,9 @@ mod tests {
             table.len() as u64,
             "{num_states} states"
         );
-        let mut records: Vec<MemoRecord> = table
-            .into_iter()
-            .map(|(fingerprint, verdict)| MemoRecord {
-                fingerprint,
-                verdict,
-            })
-            .collect();
-        records.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
-        assert_eq!(pipeline.memo_records(), records, "{num_states} states");
+        let mut records: Vec<(Vec<u8>, MemoVerdict)> = table.into_iter().collect();
+        records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(memo_records(&pipeline), records, "{num_states} states");
     }
 
     #[test]
@@ -1196,38 +952,6 @@ mod tests {
         assert_eq!(capped(3, 20_000, 5, 1_000), 7_378);
         // The 3-state cap binds: uncapped, the same range answers more.
         assert_eq!(capped(3, 20_000, 5, usize::MAX), 7_930);
-    }
-
-    #[test]
-    fn restore_round_trips_the_row_memo_and_rejects_foreign_records() {
-        let (pipeline, stats) = drain(3, 4_000, config(6));
-        let records = pipeline.memo_records();
-        let mut restored = CandidatePipeline::new(3, config(6));
-        restored.restore(
-            stats,
-            pipeline.best(),
-            pipeline.confirmed().to_vec(),
-            &records,
-        );
-        assert_eq!(restored.memo_records(), records);
-        assert_eq!(restored.memo_entries, records.len());
-
-        // An output byte outside its row, a record longer than its state
-        // count and a state count beyond the space would each land in
-        // another structure's row or outside the table.
-        let mut wide = records[0].clone();
-        wide.fingerprint[1] = 1 << wide.fingerprint[0];
-        let mut long = records[0].clone();
-        long.fingerprint.push(0);
-        let mut large = records[0].clone();
-        large.fingerprint[0] = 4;
-        for bad in [wide, long, large] {
-            let outcome = std::panic::catch_unwind(|| {
-                let mut p = CandidatePipeline::new(3, config(6));
-                p.restore(PipelineStats::default(), None, Vec::new(), &[bad]);
-            });
-            assert!(outcome.is_err(), "a foreign record was restored");
-        }
     }
 
     #[test]
@@ -1515,88 +1239,6 @@ mod tests {
             floored.0.threshold_protocols < unfloored.0.threshold_protocols,
             "η = 2 candidates must no longer reach the profile stage"
         );
-    }
-
-    #[test]
-    fn packed_memo_round_trips_and_shrinks_real_tables() {
-        // A real table: stream a chunk of the 3-state space and pack the
-        // pipeline's sorted memo records.
-        let records = drain(3, 4_000, config(6)).0.memo_records();
-        assert!(records.len() > 100, "table too small to exercise packing");
-        let packed = PackedMemo::pack(&records);
-        assert_eq!(packed.unpack().expect("packed memo decodes"), records);
-        let packed_json = serde_json::to_string(&packed).unwrap();
-        let raw_json = serde_json::to_string(&records).unwrap();
-        assert!(
-            packed_json.len() * 4 < raw_json.len(),
-            "packing must shrink the serialised table at least 4x \
-             ({} vs {} bytes)",
-            packed_json.len(),
-            raw_json.len()
-        );
-
-        // Adversarial records: every verdict shape, unsorted order (legal,
-        // just compresses worse), empty and extreme fingerprints.
-        let awkward = vec![
-            MemoRecord {
-                fingerprint: vec![7; 40],
-                verdict: MemoVerdict::Profiled {
-                    verified: Some(u64::MAX),
-                    truncated: true,
-                },
-            },
-            MemoRecord {
-                fingerprint: Vec::new(),
-                verdict: MemoVerdict::RejectedEta,
-            },
-            MemoRecord {
-                fingerprint: vec![0],
-                verdict: MemoVerdict::Profiled {
-                    verified: None,
-                    truncated: true,
-                },
-            },
-            MemoRecord {
-                fingerprint: vec![0, 255, 128],
-                verdict: MemoVerdict::Profiled {
-                    verified: Some(0),
-                    truncated: false,
-                },
-            },
-            MemoRecord {
-                fingerprint: vec![0, 255, 128],
-                verdict: MemoVerdict::RejectedSymbolic,
-            },
-            MemoRecord {
-                fingerprint: vec![0, 255],
-                verdict: MemoVerdict::Profiled {
-                    verified: None,
-                    truncated: false,
-                },
-            },
-        ];
-        let packed = PackedMemo::pack(&awkward);
-        assert_eq!(packed.unpack().expect("awkward records decode"), awkward);
-        assert_eq!(PackedMemo::pack(&[]).unpack().unwrap(), Vec::new());
-
-        // Corruption is detected, not silently misread.
-        let mut broken = PackedMemo::pack(&awkward);
-        broken.stream.truncate(broken.stream.len() - 2);
-        assert!(broken.unpack().is_err());
-        let mut odd = PackedMemo::pack(&awkward);
-        odd.stream.pop();
-        assert!(odd.unpack().is_err());
-        let garbage = PackedMemo {
-            entries: 1,
-            stream: "zz".to_owned(),
-        };
-        assert!(garbage.unpack().is_err());
-        // A corrupt count must not size an allocation.
-        let huge = PackedMemo {
-            entries: 1 << 40,
-            stream: String::new(),
-        };
-        assert!(huge.unpack().is_err());
     }
 
     #[test]

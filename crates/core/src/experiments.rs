@@ -734,7 +734,8 @@ mod tests {
     fn e12_checkpoint_resume_reproduces_the_stats() {
         let straight = experiment_e12_segmented(9_000, 6, 1, SegmentOrder::Index);
         // Same budget, split across three sessions through serialised
-        // checkpoints; two workers leave segments in flight at each kill.
+        // checkpoints; two workers may cut a segment off part way at each
+        // kill, and the next session redoes it from its start.
         let mut search = e12_segmented_search(6, SegmentOrder::Index);
         for budget in [1_000, 6_000, 9_000] {
             search.run(2, budget);

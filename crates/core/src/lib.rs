@@ -31,15 +31,15 @@
 //! * [`pipeline`] — the end-to-end Section 5 analysis of a leaderless
 //!   protocol (Lemma 5.2 certificate assembly, Theorem 5.9 comparison);
 //! * [`orbit_stream`] — the streaming generator of canonical busy-beaver
-//!   candidates: lazy, splittable into deterministic work ranges, and
-//!   checkpointable for multi-session searches;
+//!   candidates: lazy and splittable into deterministic work ranges;
 //! * [`candidate_pipeline`] — the staged triage funnel (symbolic
 //!   pre-filter, η-floor filter, concrete slices) with cross-candidate
 //!   memoization;
 //! * [`segmented`] — the busy-beaver search: parallel segmented
 //!   streaming: deterministic `u128` segments on the [`popproto_exec`]
 //!   worker pool, one transposition table per segment, ordered segment
-//!   merges and multi-cursor checkpoints that resume on any worker count;
+//!   merges and checkpoints of finished segments that resume on any worker
+//!   count;
 //! * [`enumeration`] — exact busy-beaver values for tiny state counts by
 //!   exhaustive protocol enumeration (under documented restrictions),
 //!   driving the generator + pipeline over the segmented search;

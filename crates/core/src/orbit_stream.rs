@@ -21,14 +21,11 @@
 //!   some relabelling makes smaller rules out all `2ⁿ` output patterns of
 //!   its block at once, and in the other blocks a pattern is canonical iff
 //!   the relabellings fixing the function index (its stabiliser) cannot
-//!   make its output bitmask smaller;
-//! * [`StreamCursor`] checkpoints a stream between any two yields: the
-//!   serialisable cursor restarts the stream bit-identically, which is what
-//!   makes the multi-session `BB_det(4)` prefix search resumable.
+//!   make its output bitmask smaller.
 //!
 //! Candidate indices are `u128` (the 4-state space alone has `10¹⁰·16`
-//! encodings); the vendored serde stack has no native `u128`, so cursors
-//! store indices as explicit [`U128Parts`].
+//! encodings); the vendored serde stack has no native `u128`, so
+//! checkpoints store indices as explicit [`U128Parts`].
 
 use popproto_model::{Output, Protocol, ProtocolBuilder, StateId};
 use serde::{Deserialize, Serialize};
@@ -374,21 +371,6 @@ fn heap_permutations(items: &mut [usize], k: usize, emit: &mut impl FnMut(&[usiz
     }
 }
 
-/// A serialisable snapshot of an [`OrbitStream`] between two yields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StreamCursor {
-    /// The state count of the space the cursor belongs to.
-    pub num_states: usize,
-    /// The next candidate index to examine.
-    pub next: U128Parts,
-    /// The exclusive end of the stream's range.
-    pub end: U128Parts,
-    /// Candidates skipped so far as non-canonical orbit members.
-    pub pruned_symmetric: u64,
-    /// Canonical candidates yielded so far.
-    pub yielded: u64,
-}
-
 /// A lazy scan over the canonical orbit representatives of an index range.
 ///
 /// The stream never materialises anything beyond one decoded transition
@@ -437,40 +419,6 @@ impl<'a> OrbitStream<'a> {
         }
     }
 
-    /// Restores a stream from a checkpointed cursor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor belongs to a different state count.
-    pub fn resume(space: &'a OrbitSpace, cursor: &StreamCursor) -> Self {
-        assert_eq!(
-            cursor.num_states,
-            space.num_states(),
-            "cursor belongs to a different candidate space"
-        );
-        let mut stream = Self::range(space, cursor.next.get(), cursor.end.get());
-        stream.pruned_symmetric = cursor.pruned_symmetric;
-        stream.yielded = cursor.yielded;
-        stream
-    }
-
-    /// Checkpoints the stream; [`OrbitStream::resume`] continues it
-    /// bit-identically.
-    pub fn cursor(&self) -> StreamCursor {
-        StreamCursor {
-            num_states: self.space.num_states(),
-            next: self.next.into(),
-            end: self.end.into(),
-            pruned_symmetric: self.pruned_symmetric,
-            yielded: self.yielded,
-        }
-    }
-
-    /// The space this stream walks.
-    pub fn space(&self) -> &'a OrbitSpace {
-        self.space
-    }
-
     /// Candidates skipped so far as non-canonical orbit members.
     pub fn pruned_symmetric(&self) -> u64 {
         self.pruned_symmetric
@@ -479,13 +427,6 @@ impl<'a> OrbitStream<'a> {
     /// Canonical candidates yielded so far.
     pub fn yielded(&self) -> u64 {
         self.yielded
-    }
-
-    /// Returns `true` once every candidate encoding of the range has been
-    /// consumed (the next [`OrbitStream::next_canonical`] would yield
-    /// `None`).
-    pub fn is_exhausted(&self) -> bool {
-        self.next >= self.end
     }
 
     /// Advances to the next canonical candidate of the range and returns its
@@ -603,55 +544,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_is_bit_identical() {
-        let space = OrbitSpace::new(3);
-        let end = 30_000u128;
-        let uninterrupted: Vec<u128> = {
-            let mut s = OrbitStream::range(&space, 0, end);
-            std::iter::from_fn(|| s.next_canonical()).collect()
-        };
-        // Interrupt after every yield count in a pseudo-random schedule.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next_cut = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 56) + 1
-        };
-        let mut resumed: Vec<u128> = Vec::new();
-        let mut cursor = OrbitStream::range(&space, 0, end).cursor();
-        loop {
-            // Round-trip the cursor through JSON, as a real kill/resume would.
-            let json = serde_json::to_string(&cursor).unwrap();
-            let cursor_back: StreamCursor = serde_json::from_str(&json).unwrap();
-            assert_eq!(cursor_back, cursor);
-            let mut stream = OrbitStream::resume(&space, &cursor_back);
-            let budget = next_cut();
-            let mut n = 0;
-            while n < budget {
-                match stream.next_canonical() {
-                    Some(k) => resumed.push(k),
-                    None => break,
-                }
-                n += 1;
-            }
-            if stream.is_exhausted() && n < budget {
-                assert_eq!(stream.yielded() as usize, resumed.len());
-                break;
-            }
-            cursor = stream.cursor();
-        }
-        assert_eq!(resumed, uninterrupted);
-    }
-
-    #[test]
     fn four_state_windows_match_the_per_candidate_oracle() {
         // Windows that start and end inside 16-pattern blocks, among them
         // blocks whose function index is not minimal (skipped whole) and
         // blocks with a nontrivial stabiliser (some patterns pruned).  The
-        // stream must yield the oracle's indices, count the oracle's pruned
-        // candidates at every yield, and resume bit-identically from a
-        // JSON-round-tripped cursor after every yield.
+        // stream must yield the oracle's indices and count the oracle's
+        // pruned candidates at every yield.
         let space = OrbitSpace::new(4);
         let patterns = space.output_patterns();
         let blocks = space.total_candidates() / patterns;
@@ -691,35 +589,6 @@ mod tests {
                 stream.pruned_symmetric() as u128 + got.len() as u128,
                 end - start
             );
-
-            let mut cursor = OrbitStream::range(&space, start, end).cursor();
-            let mut resumed = Vec::new();
-            loop {
-                let json = serde_json::to_string(&cursor).unwrap();
-                let back: StreamCursor = serde_json::from_str(&json).unwrap();
-                assert_eq!(back, cursor);
-                let mut stream = OrbitStream::resume(&space, &back);
-                match stream.next_canonical() {
-                    Some(k) => {
-                        resumed.push(k);
-                        assert_eq!(
-                            stream.pruned_symmetric() as u128,
-                            k + 1 - start - resumed.len() as u128
-                        );
-                        cursor = stream.cursor();
-                        assert_eq!(cursor.next.get(), k + 1);
-                    }
-                    None => {
-                        assert!(stream.is_exhausted());
-                        assert_eq!(
-                            stream.pruned_symmetric() as u128 + resumed.len() as u128,
-                            end - start
-                        );
-                        break;
-                    }
-                }
-            }
-            assert_eq!(resumed, expected, "window [{start}, {end}) resumed");
         }
     }
 

@@ -274,9 +274,10 @@ pub fn render_full(report: &FullReport) -> String {
              candidate range is cut into deterministic segments, workers pull segments \
              from a shared worker pool, each segment runs its own transposition table, \
              and the per-segment results are folded in a fixed segment order — so every \
-             number above is bit-identical at any worker count.  The whole search state \
-             (one generator cursor and funnel per segment, plus the memo table of each \
-             segment in flight) checkpoints to JSON for multi-session resumption.  The `entropy` order visits segments by \
+             number above is bit-identical at any worker count.  The search state (the \
+             funnel, best candidate and witnesses of each finished segment) checkpoints \
+             to JSON for multi-session resumption; a segment cut off part way is redone \
+             from its start.  The `entropy` order visits segments by \
              descending function-index entropy, surfacing non-degenerate candidates \
              long before an index-ordered scan would reach them.\n",
         );

@@ -54,23 +54,25 @@
 //! order until the **completed in-order prefix** holds at least the target
 //! number of canonical orbits.  The prefix cut is segment-aligned, so it is
 //! a deterministic function of the budget — independent of worker count.
-//! Workers that ran past the cut keep their partial progress in the
-//! checkpoint (nothing is recomputed when the budget grows), but the merged
-//! result never includes a segment outside the completed prefix.
+//! Segments that workers finished past the cut are kept (a larger budget
+//! does not redo them), but the merged result never includes a segment
+//! outside the completed prefix.  A segment still running when the prefix
+//! reaches the target is cancelled and its part-done work is dropped: the
+//! next run that picks it redoes it from its start.  Only the last wave of
+//! a run cancels, so this redoes at most one segment per worker and run.
 //!
-//! # Multi-cursor checkpoints
+//! # Checkpoints
 //!
-//! [`SegmentedSearch::checkpoint`] serialises one [`StreamCursor`] *per
-//! touched segment* plus its per-segment stats/best/witnesses and, for
-//! in-flight segments only, the memo table.  Because per-segment results
-//! are scheduling-independent, a checkpoint taken from an 8-worker run
-//! resumes bit-identically at any other worker count.
+//! A segment is untouched or finished, never part-done, so
+//! [`SegmentedSearch::checkpoint`] serialises the finished segments only:
+//! each one's range, counters, best candidate and witnesses.  It holds no
+//! generator position and no memo table.  Because per-segment results are
+//! scheduling-independent, a checkpoint taken from an 8-worker run resumes
+//! bit-identically at any other worker count.
 
-use crate::candidate_pipeline::{
-    BestCandidate, CandidatePipeline, PackedMemo, PipelineConfig, PipelineStats,
-};
+use crate::candidate_pipeline::{BestCandidate, CandidatePipeline, PipelineConfig, PipelineStats};
 use crate::enumeration::EnumerationResult;
-use crate::orbit_stream::{OrbitSpace, OrbitStream, SegmentOrder, StreamCursor, U128Parts};
+use crate::orbit_stream::{OrbitSpace, OrbitStream, SegmentOrder, U128Parts};
 use popproto_exec::Pool;
 use popproto_obs as obs;
 use serde::{Deserialize, Serialize};
@@ -121,30 +123,21 @@ impl SegmentationConfig {
 /// per-segment bookkeeping are materialised in memory).
 const MAX_SEGMENTS: usize = 1 << 20;
 
-/// The serialisable snapshot of one touched segment.
+/// The serialisable snapshot of one finished segment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SegmentEntry {
     /// Start of the segment's candidate range.
     pub start: U128Parts,
     /// Exclusive end of the segment's candidate range.
     pub end: U128Parts,
-    /// The segment's stream cursor (multi-cursor checkpointing: one cursor
-    /// per segment).
-    pub cursor: StreamCursor,
-    /// The segment's deterministic per-stage counters so far.
+    /// The segment's deterministic per-stage counters.
     pub stats: PipelineStats,
-    /// Threshold of the segment's best candidate so far.
+    /// Threshold of the segment's best candidate.
     pub best_eta: Option<u64>,
-    /// Encoding index of the segment's best candidate so far.
+    /// Encoding index of the segment's best candidate.
     pub best_index: Option<U128Parts>,
     /// Encoding indices of the segment's confirmed threshold protocols.
     pub confirmed: Vec<U128Parts>,
-    /// `true` once the segment's range is exhausted.
-    pub done: bool,
-    /// The segment's memo table, delta-packed ([`PackedMemo`]) — serialised
-    /// only for in-flight segments: a finished segment's hits can never
-    /// change again, so it keeps no table.
-    pub local_memo: PackedMemo,
 }
 
 /// A serialisable snapshot of a [`SegmentedSearch`] between two bursts.
@@ -161,7 +154,7 @@ pub struct SegmentedCheckpoint {
     pub segmentation: SegmentationConfig,
     /// The merge cut of the latest run (`u64::MAX` = the whole plan).
     pub target_orbits: u64,
-    /// Every touched segment, in plan order.
+    /// Every finished segment, in plan order.
     pub segments: Vec<SegmentEntry>,
 }
 
@@ -171,7 +164,7 @@ pub struct SegmentedResult {
     /// State count of the candidate space.
     pub num_states: usize,
     /// Merged per-stage counters of the completed prefix (with each
-    /// segment's `pruned_symmetric` folded in from its cursor).
+    /// segment's `pruned_symmetric` folded in from its generator).
     pub stats: PipelineStats,
     /// The best candidate of the completed prefix.
     pub best: Option<BestCandidate>,
@@ -209,95 +202,55 @@ impl SegmentedResult {
     }
 }
 
-/// One segment's runtime state.
+/// What a finished segment keeps: its pipeline's results, not the
+/// pipeline, so it holds no memo table.
 #[derive(Debug)]
-struct SegmentRun {
+struct FinishedSegment {
+    /// The pipeline's counters with the generator's `pruned_symmetric`.
+    stats: PipelineStats,
+    best: Option<BestCandidate>,
+    confirmed: Vec<u128>,
+}
+
+/// Streams the canonical candidates of `[start, end)` through a fresh
+/// pipeline.  Returns `None`, dropping the part-done work, as soon as
+/// `stop` returns `true` (polled every 64 offers).
+fn run_segment(
+    space: &OrbitSpace,
+    config: &PipelineConfig,
     start: u128,
     end: u128,
-    cursor: StreamCursor,
-    progress: Progress,
-}
-
-/// A segment's pipeline while it runs; only the pipeline's results once
-/// the segment is done, so a finished segment holds no memo table.
-#[derive(Debug)]
-enum Progress {
-    Running(Box<CandidatePipeline>),
-    Done {
-        /// The pipeline's counters (`pruned_symmetric` lives in the cursor).
-        stats: PipelineStats,
-        best: Option<BestCandidate>,
-        confirmed: Vec<u128>,
-    },
-}
-
-impl SegmentRun {
-    fn done(&self) -> bool {
-        matches!(self.progress, Progress::Done { .. })
-    }
-
-    /// The segment's deterministic stats with the generator's
-    /// `pruned_symmetric` folded in from the cursor.
-    fn stats(&self) -> PipelineStats {
-        let mut stats = match &self.progress {
-            Progress::Running(pipeline) => pipeline.stats().clone(),
-            Progress::Done { stats, .. } => stats.clone(),
-        };
-        stats.pruned_symmetric = self.cursor.pruned_symmetric;
-        stats
-    }
-
-    fn best(&self) -> Option<BestCandidate> {
-        match &self.progress {
-            Progress::Running(pipeline) => pipeline.best(),
-            Progress::Done { best, .. } => *best,
-        }
-    }
-
-    fn confirmed(&self) -> &[u128] {
-        match &self.progress {
-            Progress::Running(pipeline) => pipeline.confirmed(),
-            Progress::Done { confirmed, .. } => confirmed,
-        }
-    }
-
-    /// Streams the segment's canonical candidates through its pipeline
-    /// until the range is exhausted or `stop` returns `true` (polled every
-    /// 64 offers).  A segment that reaches its end drops its pipeline.
-    fn advance(&mut self, space: &OrbitSpace, stop: impl Fn() -> bool) {
-        let Progress::Running(pipeline) = &mut self.progress else {
-            return;
-        };
-        let mut stream = OrbitStream::resume(space, &self.cursor);
-        let mut since_check = 0u32;
-        let exhausted = loop {
-            if since_check >= 64 {
-                since_check = 0;
-                if stop() {
-                    break false;
-                }
+    stop: impl Fn() -> bool,
+) -> Option<FinishedSegment> {
+    let mut pipeline = CandidatePipeline::new(space.num_states(), config.clone());
+    let mut stream = OrbitStream::range(space, start, end);
+    let mut since_check = 0u32;
+    loop {
+        if since_check >= 64 {
+            since_check = 0;
+            if stop() {
+                return None;
             }
-            since_check += 1;
-            let Some(k) = stream.next_canonical() else {
-                break true;
-            };
-            let outputs = (k % space.output_patterns()) as u32;
-            pipeline.offer(space, k, stream.current_assignment(), outputs);
-        };
-        self.cursor = stream.cursor();
-        if exhausted {
-            self.progress = Progress::Done {
-                stats: pipeline.stats().clone(),
-                best: pipeline.best(),
-                confirmed: pipeline.confirmed().to_vec(),
-            };
         }
+        since_check += 1;
+        let Some(k) = stream.next_canonical() else {
+            break;
+        };
+        let outputs = (k % space.output_patterns()) as u32;
+        pipeline.offer(space, k, stream.current_assignment(), outputs);
     }
+    let mut stats = pipeline.stats().clone();
+    stats.pruned_symmetric = stream.pruned_symmetric();
+    Some(FinishedSegment {
+        stats,
+        best: pipeline.best(),
+        confirmed: pipeline.confirmed().to_vec(),
+    })
 }
 
 /// Tracks the completed in-order prefix while a wave of segments runs.
 struct PrefixTracker {
-    /// `yielded` orbit counts of completed segments, keyed by plan
+    /// Canonical-orbit counts of completed segments, keyed by plan
     /// position, for positions at or beyond the prefix pointer.
     done: HashMap<usize, u64>,
     /// First plan position not yet completed.
@@ -309,8 +262,8 @@ struct PrefixTracker {
 impl PrefixTracker {
     /// Records the completion of the segment at plan position `pos` and
     /// advances the prefix; returns the new prefix orbit count.
-    fn complete(&mut self, pos: usize, yielded: u64) -> u64 {
-        self.done.insert(pos, yielded);
+    fn complete(&mut self, pos: usize, orbits: u64) -> u64 {
+        self.done.insert(pos, orbits);
         while let Some(y) = self.done.remove(&self.prefix_pos) {
             self.prefix_orbits += y;
             self.prefix_pos += 1;
@@ -334,10 +287,10 @@ pub struct SegmentedSearch {
     end: u128,
     /// Segment ids in visit order.
     order: Vec<u32>,
-    /// Runtime state per segment id (`None` = untouched).  Boxed: a range
-    /// has far more segments than a search touches, and an untouched slot
-    /// then costs one pointer, not a whole pipeline.
-    runs: Vec<Option<Box<SegmentRun>>>,
+    /// The results of each finished segment, by segment id (`None` = not
+    /// finished).  Boxed: a range has far more segments than a search
+    /// finishes, and an unfinished slot then costs one pointer.
+    runs: Vec<Option<Box<FinishedSegment>>>,
     /// The orbit target of the latest [`SegmentedSearch::run`] — the merge
     /// cut: [`SegmentedSearch::result`] folds the minimal in-order segment
     /// prefix whose canonical-orbit count reaches it, which keeps the
@@ -380,10 +333,8 @@ impl SegmentedSearch {
     /// # Panics
     ///
     /// Panics if the checkpoint does not match the recomputed plan: a
-    /// segment entry whose `start` or `end` is not a plan segment's, a
-    /// second entry for the same segment, a cursor that would scan outside
-    /// its segment, or a `done` segment whose cursor stopped short of its
-    /// end.
+    /// segment entry whose `start` or `end` is not a plan segment's, or a
+    /// second entry for the same segment.
     pub fn from_checkpoint(checkpoint: &SegmentedCheckpoint) -> Self {
         assert_eq!(
             checkpoint.version, SEGMENTED_CHECKPOINT_VERSION,
@@ -402,24 +353,14 @@ impl SegmentedSearch {
                 seg_id < search.runs.len() && start == search.seg_size * seg_id as u128,
                 "checkpoint segment does not match the recomputed plan"
             );
-            let end = (start + search.seg_size).min(search.end);
             assert_eq!(
                 entry.end.get(),
-                end,
+                search.bounds(seg_id).1,
                 "checkpoint segment end does not match the recomputed plan"
             );
             assert!(
                 search.runs[seg_id].is_none(),
                 "checkpoint holds two entries for the segment at {start}"
-            );
-            let (next, cursor_end) = (entry.cursor.next.get(), entry.cursor.end.get());
-            assert!(
-                start <= next && next <= end && cursor_end == end,
-                "checkpoint cursor scans outside its segment"
-            );
-            assert!(
-                !entry.done || next == end,
-                "checkpoint marks a segment done before its cursor reached the end"
             );
             let best = match (entry.best_eta, entry.best_index) {
                 (Some(eta), Some(index)) => Some(BestCandidate {
@@ -428,61 +369,31 @@ impl SegmentedSearch {
                 }),
                 _ => None,
             };
-            let mut stats = entry.stats.clone();
-            stats.pruned_symmetric = 0; // lives in the cursor until merge time
-            let confirmed = entry.confirmed.iter().map(|c| c.get()).collect();
-            let progress = if entry.done {
-                Progress::Done {
-                    stats,
-                    best,
-                    confirmed,
-                }
-            } else {
-                let mut pipeline =
-                    CandidatePipeline::new(checkpoint.num_states, checkpoint.config.clone());
-                pipeline.restore(
-                    stats,
-                    best,
-                    confirmed,
-                    &entry
-                        .local_memo
-                        .unpack()
-                        .expect("corrupt packed local memo in checkpoint"),
-                );
-                Progress::Running(Box::new(pipeline))
-            };
-            search.runs[seg_id] = Some(Box::new(SegmentRun {
-                start,
-                end,
-                cursor: entry.cursor.clone(),
-                progress,
+            search.runs[seg_id] = Some(Box::new(FinishedSegment {
+                stats: entry.stats.clone(),
+                best,
+                confirmed: entry.confirmed.iter().map(|c| c.get()).collect(),
             }));
         }
         search
     }
 
-    /// Serialises the full search state: one cursor and stats block per
-    /// touched segment, and the memo tables of in-flight segments.
+    /// Serialises the full search state: the results of every finished
+    /// segment.
     pub fn checkpoint(&self) -> SegmentedCheckpoint {
         let mut segments = Vec::new();
         for &seg_id in &self.order {
             let Some(run) = &self.runs[seg_id as usize] else {
                 continue;
             };
-            let best = run.best();
+            let (start, end) = self.bounds(seg_id as usize);
             segments.push(SegmentEntry {
-                start: run.start.into(),
-                end: run.end.into(),
-                cursor: run.cursor.clone(),
-                stats: run.stats(),
-                best_eta: best.map(|b| b.eta),
-                best_index: best.map(|b| b.index.into()),
-                confirmed: run.confirmed().iter().map(|&c| c.into()).collect(),
-                done: run.done(),
-                local_memo: match &run.progress {
-                    Progress::Running(pipeline) => PackedMemo::pack(&pipeline.memo_records()),
-                    Progress::Done { .. } => PackedMemo::default(),
-                },
+                start: start.into(),
+                end: end.into(),
+                stats: run.stats.clone(),
+                best_eta: run.best.map(|b| b.eta),
+                best_index: run.best.map(|b| b.index.into()),
+                confirmed: run.confirmed.iter().map(|&c| c.into()).collect(),
             });
         }
         SegmentedCheckpoint {
@@ -493,6 +404,12 @@ impl SegmentedSearch {
             target_orbits: self.target_orbits,
             segments,
         }
+    }
+
+    /// The candidate range `[start, end)` of segment `seg_id`.
+    fn bounds(&self, seg_id: usize) -> (u128, u128) {
+        let start = self.seg_size * seg_id as u128;
+        (start, (start + self.seg_size).min(self.end))
     }
 
     /// The candidate space being searched.
@@ -515,16 +432,6 @@ impl SegmentedSearch {
         self.segmentation.order
     }
 
-    /// Number of segments in the plan.
-    pub fn num_segments(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Canonical orbits in the completed in-order prefix.
-    pub fn prefix_orbits(&self) -> u64 {
-        self.prefix_state().1
-    }
-
     /// Returns `true` once [`Self::result`] covers the whole plan: every
     /// segment is done and the last run's budget does not cut the merge
     /// short.  Segments can all finish under a smaller budget (a wave's
@@ -539,8 +446,8 @@ impl SegmentedSearch {
         let mut orbits = 0u64;
         for (pos, &seg_id) in self.order.iter().enumerate() {
             match &self.runs[seg_id as usize] {
-                Some(run) if run.done() => orbits += run.cursor.yielded,
-                _ => return (pos, orbits),
+                Some(run) => orbits += run.stats.canonical_orbits,
+                None => return (pos, orbits),
             }
         }
         (self.order.len(), orbits)
@@ -551,9 +458,12 @@ impl SegmentedSearch {
     /// least `target_prefix_orbits` canonical orbits (or the plan is
     /// exhausted).  Returns the prefix orbit count afterwards.
     ///
-    /// The target counts *cumulative* orbits, so growing budgets across
-    /// sessions compose: `run(w, 1000)` then `run(w, 3000)` processes
-    /// exactly what one `run(w, 3000)` would have.
+    /// Once the prefix reaches the target, segments still running are
+    /// cancelled and their part-done work is dropped; segments finished
+    /// past the cut are kept.  The target counts *cumulative* orbits, so
+    /// growing budgets across sessions compose: `run(w, 1000)` then
+    /// `run(w, 3000)` merges exactly what one `run(w, 3000)` would have,
+    /// redoing from its start only a segment the first run cancelled.
     pub fn run(&mut self, workers: usize, target_prefix_orbits: u64) -> u64 {
         // One persistent pool for the whole run: the wave loop below fans
         // out many times, and with scoped threads each wave paid a full
@@ -564,8 +474,8 @@ impl SegmentedSearch {
 
     /// [`SegmentedSearch::run`] on a caller-owned pool, so the caller can
     /// read [`Pool::stats`] afterwards (per-worker task counts, idle time,
-    /// helping-wait jobs) — e.g. for the `parallel_scaling` rows of the
-    /// busy-beaver bench report.
+    /// helping-wait jobs).  Cancellation at the target is that of
+    /// [`SegmentedSearch::run`]: a segment is kept whole or not at all.
     pub fn run_on(&mut self, pool: &Pool, target_prefix_orbits: u64) -> u64 {
         self.run_inner(pool, target_prefix_orbits, None)
     }
@@ -576,7 +486,7 @@ impl SegmentedSearch {
     /// the funnel counters so far, the best η so far — and a full
     /// serialised [`SegmentedCheckpoint`] under `"checkpoint"`, so a
     /// consumer can resume the search from **any** heartbeat line it has
-    /// seen (the per-segment [`StreamCursor`]s ride inside it).
+    /// seen (the finished segments' results ride inside it).
     ///
     /// The heartbeat is a pure observer: it reads completed per-segment
     /// state between waves and never influences wave picking, budget cuts,
@@ -658,9 +568,9 @@ impl SegmentedSearch {
         let mut best = None;
         let mut segments_done = 0usize;
         for run in self.runs.iter().flatten() {
-            stats.merge(&run.stats());
-            best = BestCandidate::merge(best, run.best());
-            segments_done += usize::from(run.done());
+            stats.merge(&run.stats);
+            best = BestCandidate::merge(best, run.best);
+            segments_done += 1;
         }
         let best_eta = best.map_or("null".to_owned(), |b| b.eta.to_string());
         let checkpoint =
@@ -704,13 +614,17 @@ impl SegmentedSearch {
         workers: usize,
     ) -> Vec<usize> {
         // Estimate how many segments the remaining budget needs from the
-        // canonical-orbit density observed so far (pure scheduling hint —
-        // results never depend on it; overshoot is kept, not discarded).
+        // canonical-orbit density of the finished segments (pure scheduling
+        // hint — results never depend on it; overshoot is kept, not
+        // discarded).
         let mut seen_candidates = 0u128;
         let mut seen_orbits = 0u64;
-        for run in self.runs.iter().flatten() {
-            seen_candidates += run.cursor.next.get() - run.start;
-            seen_orbits += run.cursor.yielded;
+        for (seg_id, run) in self.runs.iter().enumerate() {
+            if let Some(run) = run {
+                let (start, end) = self.bounds(seg_id);
+                seen_candidates += end - start;
+                seen_orbits += run.stats.canonical_orbits;
+            }
         }
         let density = if seen_candidates > 0 && seen_orbits > 0 {
             (seen_orbits as f64 / seen_candidates as f64).max(1e-6)
@@ -728,18 +642,15 @@ impl SegmentedSearch {
         self.order[prefix_pos..]
             .iter()
             .enumerate()
-            .filter(|(_, &seg_id)| {
-                !self.runs[seg_id as usize]
-                    .as_ref()
-                    .is_some_and(|r| r.done())
-            })
+            .filter(|(_, &seg_id)| self.runs[seg_id as usize].is_none())
             .map(|(off, _)| prefix_pos + off)
             .take(wave)
             .collect()
     }
 
-    /// Runs one wave of segments on the pool, cancelling co-operatively as
-    /// soon as the completed in-order prefix reaches the target.
+    /// Runs one wave of unfinished segments on the pool, cancelling
+    /// co-operatively as soon as the completed in-order prefix reaches the
+    /// target.  A cancelled segment leaves its slot empty.
     fn run_wave(
         &mut self,
         pool: &Pool,
@@ -749,8 +660,8 @@ impl SegmentedSearch {
     ) {
         let _wave = obs::span_with_arg("bb_wave", "segments", positions.len() as u64);
         let (prefix_pos_before, _) = self.prefix_state();
-        // Prime the tracker with already-done segments beyond the prefix
-        // (left over from earlier, larger waves).
+        // Prime the tracker with finished segments beyond the prefix (left
+        // over from earlier, larger waves).
         let mut tracker = PrefixTracker {
             done: HashMap::new(),
             prefix_pos: prefix_pos_before,
@@ -758,22 +669,15 @@ impl SegmentedSearch {
         };
         for (pos, &seg_id) in self.order.iter().enumerate().skip(prefix_pos_before) {
             if let Some(run) = &self.runs[seg_id as usize] {
-                if run.done() {
-                    tracker.complete(pos, run.cursor.yielded);
-                }
+                tracker.complete(pos, run.stats.canonical_orbits);
             }
         }
 
-        // Move each wave segment's state into its job; results are moved
-        // back afterwards (distinct segments, so no sharing is needed).
-        let jobs: Vec<(usize, u32, Box<SegmentRun>)> = positions
+        let jobs: Vec<(usize, u32, (u128, u128))> = positions
             .iter()
             .map(|&pos| {
                 let seg_id = self.order[pos];
-                let run = self.runs[seg_id as usize]
-                    .take()
-                    .unwrap_or_else(|| self.fresh_run(seg_id));
-                (pos, seg_id, run)
+                (pos, seg_id, self.bounds(seg_id as usize))
             })
             .collect();
 
@@ -781,21 +685,24 @@ impl SegmentedSearch {
         let cancel = Arc::new(AtomicBool::new(false));
         let tracker = Arc::new(Mutex::new(tracker));
         let space = Arc::clone(&self.space);
-        let finished: Vec<(u32, Box<SegmentRun>)> = pool.map(
+        let config = self.config.clone();
+        let finished: Vec<(u32, Option<FinishedSegment>)> = pool.map(
             jobs,
-            move |_, (pos, seg_id, mut run): (usize, u32, Box<SegmentRun>)| {
-                if run.done() || cancel.load(Ordering::Relaxed) {
-                    return (seg_id, run);
+            move |_, (pos, seg_id, (start, end)): (usize, u32, (u128, u128))| {
+                if cancel.load(Ordering::Relaxed) {
+                    return (seg_id, None);
                 }
                 // The segment lease: one complete span per segment a worker
                 // holds, the unit of the per-worker exec timeline.
                 let _lease = obs::span_with_arg("segment", "seg", u64::from(seg_id));
-                run.advance(&space, || cancel.load(Ordering::Relaxed));
-                if run.done() {
+                let run = run_segment(&space, &config, start, end, || {
+                    cancel.load(Ordering::Relaxed)
+                });
+                if let Some(run) = &run {
                     let prefix = tracker
                         .lock()
                         .expect("prefix tracker poisoned")
-                        .complete(pos, run.cursor.yielded);
+                        .complete(pos, run.stats.canonical_orbits);
                     if prefix >= target {
                         cancel.store(true, Ordering::Relaxed);
                     }
@@ -804,23 +711,8 @@ impl SegmentedSearch {
             },
         );
         for (seg_id, run) in finished {
-            self.runs[seg_id as usize] = Some(run);
+            self.runs[seg_id as usize] = run.map(Box::new);
         }
-    }
-
-    /// A new, untouched run of segment `seg_id`.
-    fn fresh_run(&self, seg_id: u32) -> Box<SegmentRun> {
-        let start = self.seg_size * seg_id as u128;
-        let end = (start + self.seg_size).min(self.end);
-        Box::new(SegmentRun {
-            start,
-            end,
-            cursor: OrbitStream::range(&self.space, start, end).cursor(),
-            progress: Progress::Running(Box::new(CandidatePipeline::new(
-                self.space.num_states(),
-                self.config.clone(),
-            ))),
-        })
     }
 
     /// The ordered merge of the completed in-order prefix.
@@ -834,16 +726,15 @@ impl SegmentedSearch {
             if stats.canonical_orbits >= self.target_orbits {
                 break; // the deterministic budget cut, not "whatever finished"
             }
-            match &self.runs[seg_id as usize] {
-                Some(run) if run.done() => {
-                    stats.merge(&run.stats());
-                    best = BestCandidate::merge(best, run.best());
-                    confirmed.extend_from_slice(run.confirmed());
-                    candidates += run.end - run.start;
-                    segments_merged += 1;
-                }
-                _ => break,
-            }
+            let Some(run) = &self.runs[seg_id as usize] else {
+                break;
+            };
+            let (start, end) = self.bounds(seg_id as usize);
+            stats.merge(&run.stats);
+            best = BestCandidate::merge(best, run.best);
+            confirmed.extend_from_slice(&run.confirmed);
+            candidates += end - start;
+            segments_merged += 1;
         }
         confirmed.sort_unstable();
         SegmentedResult {
@@ -859,8 +750,8 @@ impl SegmentedSearch {
     }
 }
 
-/// Version 2: memo tables are delta-packed ([`PackedMemo`]) instead of
-/// serialised as raw record arrays.  Version 3: canonical fingerprints
+/// Version 2: memo tables are delta-packed instead of serialised as raw
+/// record arrays.  Version 3: canonical fingerprints
 /// order transitions before outputs, so a memo key of version 2 names a
 /// representative no version-3 search looks up; resuming one would answer
 /// fewer hits than the straight run.  Version 4: the pipeline configuration
@@ -870,7 +761,10 @@ impl SegmentedSearch {
 /// Version 5: segments share no memo table, so the checkpoint lost its
 /// shared table; the segment stats of a version-4 checkpoint count hits
 /// against that table, which a version-5 search never reports.
-const SEGMENTED_CHECKPOINT_VERSION: u32 = 5;
+/// Version 6: a checkpoint lists finished segments only; a version-5 entry
+/// may hold a part-done segment (a generator cursor and a packed memo
+/// table), which this version cannot resume.
+const SEGMENTED_CHECKPOINT_VERSION: u32 = 6;
 
 /// Computes `(segment size, range end, segment ids in visit order)` — a pure
 /// function of the space and the segmentation config, recomputed identically
@@ -1015,64 +909,42 @@ mod tests {
     }
 
     #[test]
-    fn packed_memo_checkpoints_shrink_and_resume_bit_identically() {
+    fn in_flight_segments_restart_from_their_start_on_resume() {
         let seg = SegmentationConfig::index_order(4_096, Some(16_384));
         let mut straight = SegmentedSearch::new(3, config(5), seg.clone());
         straight.run(1, u64::MAX);
         let straight = straight.result();
 
-        // Finish the first segments, then leave the last one in flight
-        // after 1 600 offers, as a worker cancelled mid-segment would.
+        // Finish the first segment, then cancel the last one after 1 600
+        // offers, as a worker cancelled at the budget cut would be.
         let mut search = SegmentedSearch::new(3, config(5), seg);
         search.run(1, 1);
-        let last = *search.order.last().unwrap();
-        assert!(
-            search.runs[last as usize].is_none(),
-            "the wave reached the end"
-        );
-        let mut run = search.fresh_run(last);
+        let last = *search.order.last().unwrap() as usize;
+        assert!(search.runs[last].is_none(), "the wave reached the end");
+        let (start, end) = search.bounds(last);
         let polls = std::cell::Cell::new(0);
-        run.advance(&search.space, || {
+        let cancelled = run_segment(&search.space, &search.config, start, end, || {
             polls.set(polls.get() + 1);
             polls.get() > 24
         });
-        let Progress::Running(pipeline) = &run.progress else {
-            panic!("1 600 offers finished a whole segment");
-        };
-        let memo = pipeline.memo_records();
-        let start = run.start;
-        search.runs[last as usize] = Some(run);
-        let checkpoint = search.checkpoint();
+        assert!(cancelled.is_none(), "1 600 offers finished a whole segment");
+        assert_eq!(polls.get(), 25, "the segment was cancelled part way");
 
-        // The in-flight segment's packed table decodes to exactly its
-        // pipeline's records, and the packed serialisation beats the v1
-        // raw-record-array shape of the same field by a wide margin.
-        let entry = checkpoint
-            .segments
-            .iter()
-            .find(|e| e.start.get() == start)
-            .expect("the in-flight segment is checkpointed");
-        let records = entry.local_memo.unpack().expect("packed table decodes");
-        assert_eq!(records, memo);
-        assert!(records.len() >= 10, "table too small to exercise packing");
-        let packed_json = serde_json::to_string(&entry.local_memo).unwrap();
-        let legacy_json = serde_json::to_string(&records).unwrap();
-        assert!(
-            packed_json.len() * 4 < legacy_json.len(),
-            "packed memo must shrink the v1 encoding at least 4x \
-             ({} vs {} bytes)",
-            packed_json.len(),
-            legacy_json.len()
+        // The checkpoint lists the finished segments and nothing of the
+        // cancelled one.
+        let checkpoint = search.checkpoint();
+        assert!(!checkpoint.segments.is_empty());
+        assert!(checkpoint.segments.iter().all(|e| e.start.get() != start));
+        assert_eq!(
+            checkpoint.segments.len(),
+            search.runs.iter().flatten().count()
         );
 
-        // Resuming through the packed JSON restores the table and then
-        // reproduces the uninterrupted run bit for bit.
+        // Resuming through JSON redoes the cancelled segment from its start
+        // and reproduces the uninterrupted run bit for bit.
         let json = serde_json::to_string(&checkpoint).unwrap();
         let parsed: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
         let mut resumed = SegmentedSearch::from_checkpoint(&parsed);
-        let again = resumed.checkpoint();
-        let entry_again = again.segments.iter().find(|e| e.start.get() == start);
-        assert_eq!(entry_again.unwrap().local_memo, entry.local_memo);
         resumed.run(3, u64::MAX);
         assert_eq!(resumed.result(), straight);
     }
@@ -1086,12 +958,12 @@ mod tests {
         let parsed: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
         // The intact checkpoint loads.
         SegmentedSearch::from_checkpoint(&parsed);
-        // A finished segment past the first, so its cursor can be moved
-        // below its start.
+        // A finished segment past the first, so its start can be moved off
+        // the plan.
         let last = parsed
             .segments
             .iter()
-            .rposition(|e| e.done && e.start.get() > 0)
+            .rposition(|e| e.start.get() > 0)
             .expect("the budget finishes at least two segments");
         let corrupt = |edit: &dyn Fn(&mut SegmentedCheckpoint), expected: &str| {
             let mut checkpoint = parsed.clone();
@@ -1111,16 +983,12 @@ mod tests {
             );
         };
         corrupt(
+            &|c| c.segments[last].start = (c.segments[last].start.get() - 4).into(),
+            "segment does not match the recomputed plan",
+        );
+        corrupt(
             &|c| c.segments[last].end = (c.segments[last].end.get() + 16).into(),
             "segment end does not match",
-        );
-        corrupt(
-            &|c| c.segments[last].cursor.next = (c.segments[last].start.get() - 4).into(),
-            "cursor scans outside its segment",
-        );
-        corrupt(
-            &|c| c.segments[last].cursor.end = (c.segments[last].end.get() + 16).into(),
-            "cursor scans outside its segment",
         );
         corrupt(
             &|c| {
@@ -1128,17 +996,6 @@ mod tests {
                 c.segments.push(duplicate);
             },
             "two entries for the segment",
-        );
-        corrupt(
-            &|c| c.segments[last].cursor.next = c.segments[last].start,
-            "done before its cursor reached the end",
-        );
-        corrupt(
-            &|c| {
-                c.segments[last].done = false;
-                c.segments[last].local_memo.entries = 1 << 40;
-            },
-            "corrupt packed local memo",
         );
         // Version-2 memo keys hold outputs-first canonical fingerprints,
         // which this version never looks up: a resume from one would count
@@ -1150,6 +1007,9 @@ mod tests {
         // Version-4 segment stats count hits against a shared table that
         // this version never reports.
         corrupt(&|c| c.version = 4, "unknown segmented checkpoint version");
+        // Version-5 entries may be part-done segments, with a generator
+        // cursor and a packed memo table that this version cannot resume.
+        corrupt(&|c| c.version = 5, "unknown segmented checkpoint version");
     }
 
     #[test]
@@ -1159,21 +1019,23 @@ mod tests {
         let mut search = SegmentedSearch::new(3, config(5), seg);
         search.run(2, u64::MAX);
         assert!(search.result().finished);
-        for run in search.runs.iter().flatten() {
-            // A done segment holds no pipeline, so no memo entry either.
-            assert!(matches!(run.progress, Progress::Done { .. }));
+        for (seg_id, run) in search.runs.iter().enumerate() {
+            // Every slot holds a finished segment's results, which hold no
+            // pipeline, so no memo entry either.
+            let run = run.as_ref().expect("every segment finished");
             // What it keeps is what a pipeline over its range alone reports.
+            let (start, end) = search.bounds(seg_id);
             let mut pipeline = CandidatePipeline::new(3, config(5));
-            let mut stream = OrbitStream::range(&space, run.start, run.end);
+            let mut stream = OrbitStream::range(&space, start, end);
             while let Some(k) = stream.next_canonical() {
                 let outputs = (k % space.output_patterns()) as u32;
                 pipeline.offer(&space, k, stream.current_assignment(), outputs);
             }
             let mut stats = pipeline.stats().clone();
             stats.pruned_symmetric = stream.pruned_symmetric();
-            assert_eq!(run.stats(), stats, "segment at {}", run.start);
-            assert_eq!(run.best(), pipeline.best());
-            assert_eq!(run.confirmed(), pipeline.confirmed());
+            assert_eq!(run.stats, stats, "segment at {start}");
+            assert_eq!(run.best, pipeline.best());
+            assert_eq!(run.confirmed, pipeline.confirmed());
         }
     }
 

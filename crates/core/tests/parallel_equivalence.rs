@@ -125,7 +125,7 @@ fn kill_resume_across_differing_worker_counts_is_bit_identical() {
     assert!(expected.finished);
 
     // Kill after each budget stage, resume on a different worker count,
-    // round-tripping the multi-cursor checkpoint through JSON every time.
+    // round-tripping the checkpoint through JSON every time.
     let mut rng = Lcg(0x5eed5);
     for round in 0..3 {
         let schedule = [

@@ -231,11 +231,6 @@ impl EnsembleSimulator {
         self.lanes[lane].effective_interactions
     }
 
-    /// Parallel time elapsed in lane `lane`.
-    pub fn lane_parallel_time(&self, lane: usize) -> f64 {
-        self.lane_interactions(lane) as f64 / self.population() as f64
-    }
-
     /// Whether lane `lane` is silent.
     pub fn lane_is_silent(&self, lane: usize) -> bool {
         self.silent[lane]

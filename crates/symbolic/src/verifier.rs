@@ -151,12 +151,6 @@ impl SymbolicVerifier {
         &self.cover
     }
 
-    /// The silent ideals (downward closure of the silent configurations),
-    /// when their representation stayed below the ideal cap.
-    pub fn silent_set(&self) -> Option<&DownwardClosedSet> {
-        self.silent.as_ref()
-    }
-
     /// The symbolic stable set `SC_b`, if computed.
     pub fn stable_set(&self, b: Output) -> Option<&SymbolicStableSet> {
         self.stable[match b {
