@@ -119,7 +119,8 @@ fn e12_trace_and_resume(out_dir: &Path) {
     let checkpoint =
         SegmentedCheckpoint::from_value(value.field("checkpoint").expect("checkpoint field"))
             .expect("embedded checkpoint deserialises");
-    let mut resumed = popproto::segmented::SegmentedSearch::from_checkpoint(&checkpoint);
+    let mut resumed = popproto::segmented::SegmentedSearch::from_checkpoint(&checkpoint)
+        .expect("embedded checkpoint resumes");
     resumed.run(3, FULL_ORBITS);
     let resumed = resumed.result();
     assert_eq!(resumed.best, reference_full.best, "resume diverged: best");

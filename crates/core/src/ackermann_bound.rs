@@ -30,7 +30,7 @@ pub struct AckermannBound {
 }
 
 /// Computes the Theorem 4.5 report for a protocol.
-pub fn theorem_4_5_bound(protocol: &Protocol) -> AckermannBound {
+pub(crate) fn theorem_4_5_bound(protocol: &Protocol) -> AckermannBound {
     let n = protocol.num_states();
     let leaders = protocol.leaders().size();
     AckermannBound {

@@ -11,10 +11,10 @@
 //! (see DESIGN.md); the leader-assisted counter documents what the
 //! protocols-with-leaders code path achieves in this repository.
 
-use popproto_model::Protocol;
 use popproto_reach::{verify_unary_threshold, ExploreLimits};
 use popproto_zoo::{
     binary_counter, binary_counter::binary_counter_threshold, flock, leader_counter,
+    leader_counter::leader_counter_threshold,
 };
 use serde::{Deserialize, Serialize};
 
@@ -49,15 +49,6 @@ pub struct BusyBeaverRecord {
 }
 
 impl BusyBeaverRecord {
-    /// Builds the witness protocol this record describes.
-    pub fn build_protocol(&self) -> Protocol {
-        match self.family {
-            WitnessFamily::Flock => flock(self.parameter),
-            WitnessFamily::BinaryCounter => binary_counter(self.parameter as u32),
-            WitnessFamily::LeaderCounter => leader_counter(self.parameter as u32),
-        }
-    }
-
     /// The base-2 logarithm of the threshold per state — the "succinctness
     /// rate" that experiment E1 tabulates (`≈ 1` for an optimal `Ω(2^n)` witness).
     pub fn log2_eta_per_state(&self) -> f64 {
@@ -69,7 +60,7 @@ impl BusyBeaverRecord {
 ///
 /// Verification checks all inputs `2 ≤ i ≤ η + margin` exhaustively and is
 /// skipped (`verified = None`) when `η` exceeds `verify_up_to_eta`.
-pub fn witness_record(
+pub(crate) fn witness_record(
     family: WitnessFamily,
     parameter: u64,
     verify_up_to_eta: u64,
@@ -83,7 +74,7 @@ pub fn witness_record(
         ),
         WitnessFamily::LeaderCounter => (
             leader_counter(parameter as u32),
-            binary_counter_threshold(parameter as u32),
+            leader_counter_threshold(parameter as u32),
         ),
     };
     let verified = if eta <= verify_up_to_eta {
@@ -104,7 +95,7 @@ pub fn witness_record(
 
 /// The witness table of experiment E1: flock and binary-counter records up to
 /// the given parameters, plus leader-counter records.
-pub fn lower_bound_witnesses(
+pub(crate) fn lower_bound_witnesses(
     max_flock_eta: u64,
     max_counter_k: u64,
     max_leader_k: u64,
@@ -195,9 +186,5 @@ mod tests {
         let table = lower_bound_witnesses(4, 3, 2, 8, &limits);
         assert_eq!(table.len(), 3 + 3 + 2);
         assert!(table.iter().all(|r| r.eta >= 2));
-        // Every record can rebuild its protocol with the recorded state count.
-        for r in &table {
-            assert_eq!(r.build_protocol().num_states(), r.states);
-        }
     }
 }

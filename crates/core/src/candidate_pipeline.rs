@@ -237,7 +237,7 @@ impl PipelineStats {
 
 /// The memoized outcome of the staged triage of one restriction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoVerdict {
+pub(crate) enum MemoVerdict {
     /// Rejected by the symbolic pre-filter.
     RejectedSymbolic,
     /// Rejected by the η-floor filter.
@@ -858,7 +858,7 @@ mod tests {
             search.run(2, budget);
             let json = serde_json::to_string(&search.checkpoint()).unwrap();
             let checkpoint: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
-            search = SegmentedSearch::from_checkpoint(&checkpoint);
+            search = SegmentedSearch::from_checkpoint(&checkpoint).expect("checkpoint resumes");
         }
         let result = search.result();
         assert!(result.finished);

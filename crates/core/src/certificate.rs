@@ -29,7 +29,10 @@ use serde::{Deserialize, Serialize};
 /// most `a`" (Lemma 4.1, executable form).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PumpingCertificate {
-    /// The anchor input `a`.
+    /// The anchor input `a`, which is also the bound the certificate
+    /// implies: if the protocol computes `x ≥ η` and the certificate
+    /// verifies with output 0, then `η ≤ a`; with output 1 the protocol
+    /// already accepts at `a`, so `η ≤ a` as well.
     pub a: u64,
     /// The pumping increment `b ≥ 1`.
     pub b: u64,
@@ -105,13 +108,6 @@ impl PumpingCertificate {
             stability_depth_checked: depth_checked,
             stable,
         }
-    }
-
-    /// The bound the certificate implies: if the protocol computes `x ≥ η`
-    /// and the certificate verifies with output 0, then `η ≤ a`; with output
-    /// 1 the protocol already accepts at `a`, so `η ≤ a` as well.
-    pub fn implied_bound(&self) -> u64 {
-        self.a
     }
 }
 
@@ -226,7 +222,12 @@ pub fn search_pumping_certificate(
 impl PumpingCertificate {
     /// Checks b-stability of `anchor + λ·increment` for `λ ≤ depth` (a
     /// lightweight subset of [`PumpingCertificate::verify`]).
-    pub fn pump_stable(&self, protocol: &Protocol, depth: u64, limits: &ExploreLimits) -> bool {
+    pub(crate) fn pump_stable(
+        &self,
+        protocol: &Protocol,
+        depth: u64,
+        limits: &ExploreLimits,
+    ) -> bool {
         (0..=depth).all(|lambda| {
             let pumped = self.anchor.plus(&self.increment.scaled(lambda));
             is_stable_config(protocol, &pumped, self.output, limits) == Some(true)
@@ -263,7 +264,7 @@ mod tests {
         // The pumping anchor must be at least the true threshold when the
         // pair lies in the accepting class, or witness the rejecting class;
         // in both cases it bounds η from above.
-        assert!(cert.implied_bound() >= 2);
+        assert!(cert.a >= 2);
         assert!(cert.b >= 1);
         let check = cert.verify(&p, 3, &limits);
         assert!(check.reach_anchor, "IC(a) must reach the anchor");
@@ -283,9 +284,9 @@ mod tests {
         let limits = ExploreLimits::default();
         let cert = search_pumping_certificate(&p, 12, &limits).unwrap();
         if cert.output == Output::True {
-            assert!(cert.implied_bound() >= 4);
+            assert!(cert.a >= 4);
         } else {
-            assert!(cert.implied_bound() < 4);
+            assert!(cert.a < 4);
         }
     }
 

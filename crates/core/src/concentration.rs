@@ -54,8 +54,7 @@ pub fn find_zero_concentrated_multiset(
             if input == 0 {
                 continue; // pumping needs at least one fresh input agent
             }
-            let zero_concentrated = config.iter().all(|(q, _)| target_states.contains(&q));
-            if zero_concentrated {
+            if config.is_concentrated(target_states, 0.0) {
                 let better = match &found {
                     None => true,
                     Some(ConcentratedMultiset { parikh, .. }) => pi.size() < parikh.size(),

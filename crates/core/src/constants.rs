@@ -7,14 +7,14 @@ use popproto_numerics::{factorial, BigNat, Magnitude};
 use popproto_vas::pottier_constant;
 
 /// The exponent `2(2n+1)! + 1` of the small-basis constant, exactly.
-pub fn small_basis_exponent(num_states: usize) -> BigNat {
+pub(crate) fn small_basis_exponent(num_states: usize) -> BigNat {
     let f = factorial(2 * num_states as u64 + 1);
     &(&f * &BigNat::from(2u64)) + &BigNat::one()
 }
 
 /// The small-basis constant `β = 2^(2(2n+1)!+1)` of Definition 3, as a
 /// magnitude (exact for very small `n`, logarithmic beyond).
-pub fn small_basis_constant(num_states: usize) -> Magnitude {
+pub(crate) fn small_basis_constant(num_states: usize) -> Magnitude {
     Magnitude::from(small_basis_exponent(num_states)).exp2_of()
 }
 

@@ -14,10 +14,10 @@
 //! thresholds below the verification cap); it is a lower bound on the true
 //! `BB(n)` because the fragment is a subset of all protocols, and every
 //! protocol it reports is a genuine witness.  Exactness additionally
-//! requires [`EnumerationResult::is_exact`]: a candidate whose slice
-//! exploration hit [`ExploreLimits`] contributes an *inconclusive* `None`
-//! verdict, which [`EnumerationResult::truncated_orbits`] now surfaces
-//! instead of silently counting the candidate as examined.
+//! requires [`EnumerationResult::truncated_orbits`] to be `0`: a candidate
+//! whose slice exploration hit [`ExploreLimits`] contributes an
+//! *inconclusive* `None` verdict, which that counter surfaces instead of
+//! silently counting the candidate as examined.
 //!
 //! # Architecture
 //!
@@ -92,8 +92,9 @@ pub struct EnumerationResult {
     /// [`busy_beaver_search`], which runs unfloored).
     pub pruned_eta_bounded: u64,
     /// Canonical candidates whose slice exploration hit [`ExploreLimits`]:
-    /// their `None` verdict is a resource artefact, not a proof.  Any
-    /// exactness claim must check [`EnumerationResult::is_exact`].
+    /// their `None` verdict is a resource artefact, not a proof.  The
+    /// computed `BB_det(n)` is exact for the fragment only when this is `0`
+    /// (and the enumeration was not capped by `max_protocols`).
     pub truncated_orbits: u64,
     /// Candidates whose staged verdict was replayed from their segment's
     /// transposition table.  Deterministic per segmentation: a pure function
@@ -103,16 +104,6 @@ pub struct EnumerationResult {
     pub memo_hits: u64,
     /// The verification cap used (thresholds are only confirmed up to this input).
     pub max_input: u64,
-}
-
-impl EnumerationResult {
-    /// Returns `true` if every candidate's verdict was conclusive: no
-    /// orbit's slice exploration was truncated by [`ExploreLimits`].  The
-    /// computed `BB_det(n)` is exact for the fragment only when this holds
-    /// (and the enumeration was not capped by `max_protocols`).
-    pub fn is_exact(&self) -> bool {
-        self.truncated_orbits == 0
-    }
 }
 
 /// Exhaustively searches deterministic leaderless protocols with `num_states`
@@ -216,11 +207,10 @@ mod tests {
         let result = busy_beaver_search(2, 6, 100_000, &limits);
         assert_eq!(result.best_eta, Some(2));
         assert!(result.threshold_protocols >= 1);
-        assert!(
-            result.is_exact(),
+        assert_eq!(
+            result.truncated_orbits, 0,
             "no orbit may be truncated in the exact claim"
         );
-        assert_eq!(result.truncated_orbits, 0);
         let witness = result.witness.expect("a witness protocol exists");
         assert_eq!(
             verified_threshold(&witness, 6, &limits),
@@ -239,7 +229,7 @@ mod tests {
         assert_eq!(result.best_eta, Some(3), "BB_det(3) changed");
         assert_eq!(result.threshold_protocols, 46_144);
         assert_eq!(result.pruned_symmetric, 186_336);
-        assert!(result.is_exact(), "no orbit may be truncated");
+        assert_eq!(result.truncated_orbits, 0, "no orbit may be truncated");
         // The exact pre-filter funnel: a changed symbolic verdict on any
         // orbit moves this count even when the best value survives.
         assert_eq!(
@@ -326,7 +316,6 @@ mod tests {
         let tight = ExploreLimits::with_max_configs(1);
         let result = busy_beaver_search(2, 6, 100_000, &tight);
         assert!(result.truncated_orbits > 0, "truncation went unreported");
-        assert!(!result.is_exact());
         // Candidates with single-configuration slices (e.g. the always-true
         // protocol) still verify exactly even under the cap — only the
         // exactness claim for the *value* is off the table.

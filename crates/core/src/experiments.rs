@@ -243,7 +243,7 @@ pub fn experiment_e8(populations: &[u64], runs: u64, max_interactions: u64) -> V
 /// populations of 10⁶–10⁹ agents tractable (the sequential engine must
 /// simulate every single interaction, the batched one processes Θ(√n)
 /// interactions per O(|Q|²) batch).
-pub fn experiment_e8_with_engine(
+pub(crate) fn experiment_e8_with_engine(
     populations: &[u64],
     runs: u64,
     max_interactions: u64,
@@ -283,7 +283,7 @@ pub fn experiment_e8_with_engine(
 /// Approximate majority converges in O(log n) parallel time, so the batched
 /// engine drives it to silence in seconds even at 10⁸ agents; the input is
 /// split 2:1 between the two opinions.
-pub fn experiment_e8_large(populations: &[u64], runs: u64) -> Vec<E8Row> {
+pub(crate) fn experiment_e8_large(populations: &[u64], runs: u64) -> Vec<E8Row> {
     let mut rows = Vec::new();
     for &n in populations {
         let protocol = approximate_majority();
@@ -336,7 +336,7 @@ pub struct SymbolicRow {
 /// E11 — symbolic vs enumerative verification on the zoo threshold
 /// protocols: an all-`n` verdict per protocol, cross-checked slice by slice
 /// up to `max_slice_input`.
-pub fn experiment_symbolic(max_slice_input: u64) -> Vec<SymbolicRow> {
+pub(crate) fn experiment_symbolic(max_slice_input: u64) -> Vec<SymbolicRow> {
     let limits = SymbolicLimits::default();
     let explore = ExploreLimits::default();
     let mut rows = Vec::new();
@@ -470,7 +470,7 @@ pub fn e12_segmented_search(max_input: u64, order: SegmentOrder) -> SegmentedSea
 }
 
 /// Assembles the E12 report from a (possibly resumed) segmented search.
-pub fn e12_segmented_report_from(
+pub(crate) fn e12_segmented_report_from(
     search: &SegmentedSearch,
     orbit_budget: u64,
     workers: usize,
@@ -500,7 +500,7 @@ pub fn e12_segmented_report_from(
 /// E12 — streams the `BB_det(4)` prefix through the staged pipeline as
 /// pool-scheduled segments until the ordered merge holds at least
 /// `orbit_budget` canonical orbits (the cut is segment-aligned).
-pub fn experiment_e12_segmented(
+pub(crate) fn experiment_e12_segmented(
     orbit_budget: u64,
     max_input: u64,
     workers: usize,
@@ -741,7 +741,7 @@ mod tests {
             search.run(2, budget);
             let json = serde_json::to_string(&search.checkpoint()).unwrap();
             let cp: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
-            search = SegmentedSearch::from_checkpoint(&cp);
+            search = SegmentedSearch::from_checkpoint(&cp).expect("checkpoint resumes");
         }
         let resumed = e12_segmented_report_from(&search, 9_000, 2);
         assert_eq!(resumed.stats, straight.stats, "stats must be bit-identical");

@@ -245,7 +245,7 @@ impl OrbitSpace {
 
     /// Materialises the candidate protocol of a decoded
     /// `(assignment, outputs)` pair.
-    pub fn protocol_from_parts(&self, assignment: &[usize], outputs: u32) -> Protocol {
+    pub(crate) fn protocol_from_parts(&self, assignment: &[usize], outputs: u32) -> Protocol {
         let mut b = ProtocolBuilder::new(format!("enum-{}", self.num_states));
         let states: Vec<StateId> = (0..self.num_states)
             .map(|i| b.add_state(format!("s{i}"), Output::from_bool((outputs >> i) & 1 == 1)))
@@ -331,7 +331,7 @@ impl OrbitSpace {
     /// function index (lower = more uniform digits = higher Rényi-2
     /// entropy).  A pure function of `(space, start)` — every resume and
     /// every worker count recomputes the identical segment order from it.
-    pub fn segment_score(&self, start: u128) -> u64 {
+    pub(crate) fn segment_score(&self, start: u128) -> u64 {
         let mut function_index = start / self.output_patterns;
         let mut hist = vec![0u64; self.pairs.len()];
         for _ in 0..self.pairs.len() {

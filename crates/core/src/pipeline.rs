@@ -36,13 +36,15 @@ use popproto_vas::{
 };
 use serde::{Deserialize, Serialize};
 
+/// Truncation threshold of the Lemma 3.2 basis element extracted from a
+/// stable configuration: states holding more agents become `ω`-states.
+const BASIS_THRESHOLD: u64 = 1;
+
 /// Tunable knobs of the pipeline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineOptions {
     /// Cap on the saturation-input search.
     pub max_saturation_input: u64,
-    /// Truncation threshold used when extracting the basis element.
-    pub basis_threshold: u64,
     /// Depth of the pump-stability spot-checks.
     pub pump_depth: u64,
     /// Exploration limits for all exact searches.
@@ -55,7 +57,6 @@ impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             max_saturation_input: 40,
-            basis_threshold: 1,
             pump_depth: 3,
             limits: ExploreLimits::default(),
             hilbert: HilbertOptions::default(),
@@ -223,8 +224,7 @@ pub fn analyze_leaderless_protocol(
             continue;
         };
         let stable_config = graph.config(stable_id);
-        let element =
-            BasisElement::from_config_with_threshold(&stable_config, options.basis_threshold);
+        let element = BasisElement::from_config_with_threshold(&stable_config, BASIS_THRESHOLD);
         let omega: Vec<StateId> = element.omega_vec();
         if omega.is_empty() {
             continue;
@@ -238,7 +238,7 @@ pub fn analyze_leaderless_protocol(
                 if input == 0 {
                     continue;
                 }
-                if !target.iter().all(|(q, _)| omega.contains(&q)) {
+                if !target.is_concentrated(&omega, 0.0) {
                     continue;
                 }
                 // D must be 2|θ|-saturated for the Lemma 5.1(ii) argument.

@@ -31,7 +31,7 @@ pub fn render_e1(records: &[BusyBeaverRecord]) -> String {
 }
 
 /// Renders the E2 stable-basis table.
-pub fn render_e2(rows: &[E2Row]) -> String {
+pub(crate) fn render_e2(rows: &[E2Row]) -> String {
     let mut out = String::from(
         "| protocol | output | empirical norm | elements | verified | β |\n|---|---|---|---|---|---|\n",
     );
@@ -45,7 +45,7 @@ pub fn render_e2(rows: &[E2Row]) -> String {
 }
 
 /// Renders the E4 saturation table.
-pub fn render_e4(rows: &[E4Row]) -> String {
+pub(crate) fn render_e4(rows: &[E4Row]) -> String {
     let mut out = String::from(
         "| protocol | states | 3^n bound | min saturating input | path length |\n|---|---|---|---|---|\n",
     );
@@ -65,7 +65,7 @@ pub fn render_e4(rows: &[E4Row]) -> String {
 }
 
 /// Renders the E5 Pottier table.
-pub fn render_e5(rows: &[E5Row]) -> String {
+pub(crate) fn render_e5(rows: &[E5Row]) -> String {
     let mut out = String::from(
         "| protocol | |T| | basis size | max ‖π‖₁ | ξ/2 | ξ_det/2 | complete |\n|---|---|---|---|---|---|---|\n",
     );
@@ -108,7 +108,7 @@ pub fn render_e6(rows: &[E6Row]) -> String {
 }
 
 /// Renders the E8 simulation table.
-pub fn render_e8(rows: &[E8Row]) -> String {
+pub(crate) fn render_e8(rows: &[E8Row]) -> String {
     let mut out = String::from(
         "| protocol | population | runs | converged | mean parallel time |\n|---|---|---|---|---|\n",
     );
@@ -125,7 +125,7 @@ pub fn render_e8(rows: &[E8Row]) -> String {
 /// verdict* column: what the symbolic engine proves about **every**
 /// population size, next to the slice range the enumerative cross-check
 /// covered.
-pub fn render_symbolic(rows: &[SymbolicRow]) -> String {
+pub(crate) fn render_symbolic(rows: &[SymbolicRow]) -> String {
     let mut out = String::from(
         "| protocol | η | unbounded verdict | cover labels | SC₁ basis | SC₁ ideals | \
          silencing rounds | slices cross-checked | agrees |\n\
@@ -157,7 +157,7 @@ pub fn render_symbolic(rows: &[SymbolicRow]) -> String {
 /// Renders the E12 report: the segment summary, then the staged-funnel
 /// table — how the merged `BB_det(4)` prefix was whittled down stage by
 /// stage — with the hits answered by the segments' own memo tables.
-pub fn render_e12_segmented(report: &E12SegmentedReport) -> String {
+pub(crate) fn render_e12_segmented(report: &E12SegmentedReport) -> String {
     let s = &report.stats;
     let mut out = format!(
         "| segments merged | workers | order | orbits | candidates |\n|---|---|---|---|---|\n\

@@ -25,7 +25,7 @@ pub struct SaturationAnalysis {
 /// 1-saturated configuration and compare it with `3^n`.
 ///
 /// `max_input` caps the search (exploration is exhaustive per input).
-pub fn analyze_saturation(
+pub(crate) fn analyze_saturation(
     protocol: &Protocol,
     max_input: u64,
     limits: &ExploreLimits,

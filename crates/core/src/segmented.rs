@@ -248,6 +248,61 @@ fn run_segment(
     })
 }
 
+/// Checks one checkpoint entry for the segment `[start, end)` against the
+/// invariants every finished segment keeps, and returns its results.
+fn finished_segment(
+    entry: &SegmentEntry,
+    start: u128,
+    end: u128,
+) -> Result<FinishedSegment, String> {
+    let s = &entry.stats;
+    let orbits_and_pruned = u128::from(s.canonical_orbits) + u128::from(s.pruned_symmetric);
+    if orbits_and_pruned != end - start {
+        return Err(format!(
+            "canonical_orbits + pruned_symmetric = {orbits_and_pruned}, but the segment holds {}",
+            end - start
+        ));
+    }
+    let staged =
+        u128::from(s.pruned_symbolic) + u128::from(s.pruned_eta_bounded) + u128::from(s.profiled);
+    if staged != u128::from(s.canonical_orbits) {
+        return Err(format!(
+            "pruned_symbolic + pruned_eta_bounded + profiled = {staged}, but canonical_orbits = {}",
+            s.canonical_orbits
+        ));
+    }
+    let confirmed: Vec<u128> = entry.confirmed.iter().map(|c| c.get()).collect();
+    if confirmed.len() as u64 != s.threshold_protocols {
+        return Err(format!(
+            "{} confirmed indices, but threshold_protocols = {}",
+            confirmed.len(),
+            s.threshold_protocols
+        ));
+    }
+    if !confirmed.windows(2).all(|w| w[0] < w[1]) {
+        return Err("confirmed indices are not sorted".to_string());
+    }
+    if confirmed.iter().any(|&c| c < start || c >= end) {
+        return Err("a confirmed index lies outside the segment".to_string());
+    }
+    let best = match (entry.best_eta, entry.best_index) {
+        (Some(eta), Some(index)) => {
+            let index = index.get();
+            if confirmed.binary_search(&index).is_err() {
+                return Err(format!("best index {index} is not a confirmed index"));
+            }
+            Some(BestCandidate { eta, index })
+        }
+        (None, None) => None,
+        _ => return Err("best_eta and best_index must be set together".to_string()),
+    };
+    Ok(FinishedSegment {
+        stats: s.clone(),
+        best,
+        confirmed,
+    })
+}
+
 /// Tracks the completed in-order prefix while a wave of segments runs.
 struct PrefixTracker {
     /// Canonical-orbit counts of completed segments, keyed by plan
@@ -330,16 +385,26 @@ impl SegmentedSearch {
     /// the checkpointed segmentation (it is a pure function of it), so the
     /// resumed search continues bit-identically **at any worker count**.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the checkpoint does not match the recomputed plan: a
-    /// segment entry whose `start` or `end` is not a plan segment's, or a
-    /// second entry for the same segment.
-    pub fn from_checkpoint(checkpoint: &SegmentedCheckpoint) -> Self {
-        assert_eq!(
-            checkpoint.version, SEGMENTED_CHECKPOINT_VERSION,
-            "unknown segmented checkpoint version"
-        );
+    /// Refuses a checkpoint of another version, and one whose entries do
+    /// not match the recomputed plan or contradict themselves:
+    /// - an entry's `start` or `end` is not a plan segment's, or a second
+    ///   entry names the same segment;
+    /// - its `canonical_orbits + pruned_symmetric` is not the segment's
+    ///   length, or `pruned_symbolic + pruned_eta_bounded + profiled` is
+    ///   not `canonical_orbits`;
+    /// - `confirmed` does not hold `threshold_protocols` indices, sorted
+    ///   and inside the segment;
+    /// - only one of `best_eta` and `best_index` is set, or `best_index`
+    ///   is not in `confirmed`.
+    pub fn from_checkpoint(checkpoint: &SegmentedCheckpoint) -> Result<Self, String> {
+        if checkpoint.version != SEGMENTED_CHECKPOINT_VERSION {
+            return Err(format!(
+                "unknown segmented checkpoint version {}",
+                checkpoint.version
+            ));
+        }
         let mut search = SegmentedSearch::new(
             checkpoint.num_states,
             checkpoint.config.clone(),
@@ -348,34 +413,31 @@ impl SegmentedSearch {
         search.target_orbits = checkpoint.target_orbits;
         for entry in &checkpoint.segments {
             let start = entry.start.get();
-            let seg_id = usize::try_from(start / search.seg_size).expect("segment id fits");
-            assert!(
-                seg_id < search.runs.len() && start == search.seg_size * seg_id as u128,
-                "checkpoint segment does not match the recomputed plan"
-            );
-            assert_eq!(
-                entry.end.get(),
-                search.bounds(seg_id).1,
-                "checkpoint segment end does not match the recomputed plan"
-            );
-            assert!(
-                search.runs[seg_id].is_none(),
-                "checkpoint holds two entries for the segment at {start}"
-            );
-            let best = match (entry.best_eta, entry.best_index) {
-                (Some(eta), Some(index)) => Some(BestCandidate {
-                    eta,
-                    index: index.get(),
-                }),
-                _ => None,
-            };
-            search.runs[seg_id] = Some(Box::new(FinishedSegment {
-                stats: entry.stats.clone(),
-                best,
-                confirmed: entry.confirmed.iter().map(|c| c.get()).collect(),
-            }));
+            let seg_id = usize::try_from(start / search.seg_size).unwrap_or(usize::MAX);
+            if seg_id >= search.runs.len() || start != search.seg_size * seg_id as u128 {
+                return Err(format!(
+                    "checkpoint segment does not match the recomputed plan: \
+                     no segment starts at {start}"
+                ));
+            }
+            let end = search.bounds(seg_id).1;
+            if entry.end.get() != end {
+                return Err(format!(
+                    "checkpoint segment end does not match the recomputed plan: \
+                     {} instead of {end}",
+                    entry.end.get()
+                ));
+            }
+            if search.runs[seg_id].is_some() {
+                return Err(format!(
+                    "checkpoint holds two entries for the segment at {start}"
+                ));
+            }
+            let run = finished_segment(entry, start, end)
+                .map_err(|e| format!("checkpoint segment at {start}: {e}"))?;
+            search.runs[seg_id] = Some(Box::new(run));
         }
-        search
+        Ok(search)
     }
 
     /// Serialises the full search state: the results of every finished
@@ -428,7 +490,7 @@ impl SegmentedSearch {
     }
 
     /// The segment visit order of the plan.
-    pub fn segmentation_order(&self) -> SegmentOrder {
+    pub(crate) fn segmentation_order(&self) -> SegmentOrder {
         self.segmentation.order
     }
 
@@ -891,7 +953,8 @@ mod tests {
         search.run(4, 300);
         let json = serde_json::to_string(&search.checkpoint()).unwrap();
         let checkpoint: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
-        let mut resumed = SegmentedSearch::from_checkpoint(&checkpoint);
+        let mut resumed =
+            SegmentedSearch::from_checkpoint(&checkpoint).expect("checkpoint resumes");
         resumed.run(2, u64::MAX);
         let result = resumed.result();
         assert!(result.finished);
@@ -944,7 +1007,7 @@ mod tests {
         // and reproduces the uninterrupted run bit for bit.
         let json = serde_json::to_string(&checkpoint).unwrap();
         let parsed: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
-        let mut resumed = SegmentedSearch::from_checkpoint(&parsed);
+        let mut resumed = SegmentedSearch::from_checkpoint(&parsed).expect("checkpoint resumes");
         resumed.run(3, u64::MAX);
         assert_eq!(resumed.result(), straight);
     }
@@ -957,7 +1020,7 @@ mod tests {
         let json = serde_json::to_string(&search.checkpoint()).unwrap();
         let parsed: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
         // The intact checkpoint loads.
-        SegmentedSearch::from_checkpoint(&parsed);
+        SegmentedSearch::from_checkpoint(&parsed).expect("the intact checkpoint loads");
         // A finished segment past the first, so its start can be moved off
         // the plan.
         let last = parsed
@@ -965,22 +1028,22 @@ mod tests {
             .iter()
             .rposition(|e| e.start.get() > 0)
             .expect("the budget finishes at least two segments");
+        // A finished segment with a best candidate, for the entry checks.
+        let won = parsed
+            .segments
+            .iter()
+            .position(|e| e.best_index.is_some())
+            .expect("the budget confirms at least one protocol");
         let corrupt = |edit: &dyn Fn(&mut SegmentedCheckpoint), expected: &str| {
             let mut checkpoint = parsed.clone();
             edit(&mut checkpoint);
-            let Err(panic) =
-                std::panic::catch_unwind(|| SegmentedSearch::from_checkpoint(&checkpoint))
-            else {
-                panic!("a corrupt checkpoint was accepted ({expected:?})");
-            };
-            let message = match panic.downcast_ref::<&str>() {
-                Some(text) => text.to_string(),
-                None => panic.downcast_ref::<String>().cloned().unwrap_or_default(),
-            };
-            assert!(
-                message.contains(expected),
-                "{expected:?} not in {message:?}"
-            );
+            match SegmentedSearch::from_checkpoint(&checkpoint) {
+                Ok(_) => panic!("a corrupt checkpoint was accepted ({expected:?})"),
+                Err(message) => assert!(
+                    message.contains(expected),
+                    "{expected:?} not in {message:?}"
+                ),
+            }
         };
         corrupt(
             &|c| c.segments[last].start = (c.segments[last].start.get() - 4).into(),
@@ -996,6 +1059,46 @@ mod tests {
                 c.segments.push(duplicate);
             },
             "two entries for the segment",
+        );
+        // Entries whose counters or witnesses contradict themselves.
+        corrupt(
+            &|c| c.segments[won].stats.pruned_symmetric += 1,
+            "canonical_orbits + pruned_symmetric",
+        );
+        corrupt(
+            &|c| c.segments[won].stats.profiled += 1,
+            "pruned_symbolic + pruned_eta_bounded + profiled",
+        );
+        corrupt(
+            &|c| c.segments[won].stats.threshold_protocols += 1,
+            "threshold_protocols",
+        );
+        corrupt(
+            &|c| {
+                let entry = &mut c.segments[won];
+                entry.confirmed.push(entry.confirmed[0]);
+                entry.stats.threshold_protocols += 1;
+            },
+            "not sorted",
+        );
+        corrupt(
+            &|c| {
+                let entry = &mut c.segments[won];
+                let last = entry.confirmed.len() - 1;
+                entry.confirmed[last] = entry.end;
+            },
+            "outside the segment",
+        );
+        corrupt(&|c| c.segments[won].best_index = None, "set together");
+        corrupt(
+            &|c| {
+                let entry = &mut c.segments[won];
+                let unconfirmed = (entry.start.get()..entry.end.get())
+                    .find(|&i| entry.confirmed.iter().all(|c| c.get() != i))
+                    .expect("the segment holds an unconfirmed candidate");
+                entry.best_index = Some(unconfirmed.into());
+            },
+            "not a confirmed index",
         );
         // Version-2 memo keys hold outputs-first canonical fingerprints,
         // which this version never looks up: a resume from one would count
@@ -1075,7 +1178,8 @@ mod tests {
         // drive the plan to exhaustion: bit-identical to the straight run.
         let checkpoint =
             SegmentedCheckpoint::from_value(value.field("checkpoint").unwrap()).unwrap();
-        let mut resumed = SegmentedSearch::from_checkpoint(&checkpoint);
+        let mut resumed =
+            SegmentedSearch::from_checkpoint(&checkpoint).expect("checkpoint resumes");
         resumed.run(3, u64::MAX);
         let result = resumed.result();
         assert!(result.finished);

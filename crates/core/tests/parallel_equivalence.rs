@@ -144,7 +144,7 @@ fn kill_resume_across_differing_worker_counts_is_bit_identical() {
             search.run(workers, budget);
             let json = serde_json::to_string(&search.checkpoint()).unwrap();
             let checkpoint: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
-            search = SegmentedSearch::from_checkpoint(&checkpoint);
+            search = SegmentedSearch::from_checkpoint(&checkpoint).expect("checkpoint resumes");
         }
         let result = search.result();
         let context = format!("round {round}, schedule {schedule:?}");

@@ -135,7 +135,7 @@ fn checkpoint_resume_reproduces_busy_beaver_bit_identically() {
             search.run((rng.next() % 3 + 1) as usize, budget);
             let json = serde_json::to_string(&search.checkpoint()).unwrap();
             let checkpoint: SegmentedCheckpoint = serde_json::from_str(&json).unwrap();
-            search = SegmentedSearch::from_checkpoint(&checkpoint);
+            search = SegmentedSearch::from_checkpoint(&checkpoint).expect("checkpoint resumes");
         }
         let merged = search.result();
         assert!(merged.finished, "round {round}");

@@ -54,11 +54,6 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Total jobs executed by workers (excluding helping submitters).
-    pub fn total_tasks(&self) -> u64 {
-        self.per_worker_tasks.iter().sum()
-    }
-
     /// Publishes the counters into the global metrics registry: gauges
     /// `{prefix}.workers` / `{prefix}.helped`, and histograms
     /// `{prefix}.worker_tasks` / `{prefix}.worker_idle_ns` with one
@@ -490,7 +485,7 @@ mod tests {
             let pool = Pool::new(workers);
             let out: Vec<u32> = pool.map(Vec::<u32>::new(), |_, x| x);
             assert!(out.is_empty());
-            assert_eq!(pool.stats().total_tasks(), 0);
+            assert_eq!(pool.stats().per_worker_tasks.iter().sum::<u64>(), 0);
         }
     }
 
@@ -505,7 +500,7 @@ mod tests {
         assert_eq!(stats.per_worker_tasks.len(), 2);
         assert_eq!(stats.per_worker_idle_ns.len(), 2);
         assert_eq!(
-            stats.total_tasks() + stats.helped,
+            stats.per_worker_tasks.iter().sum::<u64>() + stats.helped,
             96,
             "workers + helping submitter must cover all jobs: {stats:?}"
         );

@@ -57,14 +57,6 @@ impl ProtocolBuilder {
         id
     }
 
-    /// Declares `count` states sharing a name prefix and a common output,
-    /// returning their identifiers.
-    pub fn add_states(&mut self, prefix: &str, count: usize, output: Output) -> Vec<StateId> {
-        (0..count)
-            .map(|i| self.add_state(format!("{prefix}{i}"), output))
-            .collect()
-    }
-
     /// Adds the transition `pre ↦ post`.
     ///
     /// Silent transitions (`pre = post`) are accepted but never need to be
@@ -278,17 +270,6 @@ mod tests {
         let p = b.build().unwrap();
         assert_eq!(p.leaders().get(l), 3);
         assert!(!p.is_leaderless());
-    }
-
-    #[test]
-    fn add_states_bulk() {
-        let mut b = ProtocolBuilder::new("bulk");
-        let states = b.add_states("v", 5, Output::False);
-        assert_eq!(states.len(), 5);
-        b.set_input_state("x", states[0]);
-        let p = b.build().unwrap();
-        assert_eq!(p.num_states(), 5);
-        assert_eq!(p.state(states[3]).name, "v3");
     }
 
     #[test]

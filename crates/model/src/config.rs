@@ -97,17 +97,12 @@ impl Config {
     /// Hot callers (stable-set classification, verification, the Section 5
     /// pipeline) should prefer this over [`Config::support`], which builds a
     /// `Vec<StateId>` per call.
-    pub fn support_iter(&self) -> impl Iterator<Item = StateId> + '_ {
+    pub(crate) fn support_iter(&self) -> impl Iterator<Item = StateId> + '_ {
         self.counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, _)| StateId::new(i))
-    }
-
-    /// Number of distinct states populated.
-    pub fn support_size(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
     }
 
     /// Returns `true` if no agent is present.
@@ -159,26 +154,16 @@ impl Config {
         self.counts.iter().zip(&other.counts).all(|(a, b)| a <= b)
     }
 
-    /// The strict pointwise order `C ≨ D` (`C ≤ D` and `C ≠ D`).
-    pub fn lt(&self, other: &Config) -> bool {
-        self.le(other) && self != other
-    }
-
     /// Returns `true` if every state holds at least `j` agents ("j-saturated", Section 5.1).
     pub fn is_saturated(&self, j: u64) -> bool {
         self.counts.iter().all(|&c| c >= j)
-    }
-
-    /// Number of agents populating states in `subset`.
-    pub fn count_in(&self, subset: &[StateId]) -> u64 {
-        subset.iter().map(|q| self.get(*q)).sum()
     }
 
     /// Number of agents populating states *outside* `subset`.
     ///
     /// `subset` is interpreted as a set: duplicate entries are counted once,
     /// and identifiers beyond the configuration's dimension are ignored.
-    pub fn count_outside(&self, subset: &[StateId]) -> u64 {
+    pub(crate) fn count_outside(&self, subset: &[StateId]) -> u64 {
         // Allocation-free: |C| minus the agents inside, with duplicates in
         // `subset` skipped by only counting the first occurrence.
         let inside: u64 = subset
@@ -192,6 +177,9 @@ impl Config {
 
     /// Returns `true` if the configuration is `ε`-concentrated in `subset`
     /// (Definition 5): at most `ε·|C|` agents populate states outside `subset`.
+    ///
+    /// Public for the Lemma 5.8 searches of `popproto`, which test their
+    /// realised targets for 0-concentration in the `ω`-set.
     pub fn is_concentrated(&self, subset: &[StateId], epsilon: f64) -> bool {
         let outside = self.count_outside(subset) as f64;
         outside <= epsilon * self.size() as f64
@@ -224,21 +212,6 @@ impl Config {
     /// invariant (transitions move agents, they never create or destroy them).
     pub fn counts_mut(&mut self) -> &mut [u64] {
         &mut self.counts
-    }
-
-    /// Extends the dimension to `num_states`, padding with zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_states` is smaller than the current dimension.
-    pub fn widened(&self, num_states: usize) -> Config {
-        assert!(
-            num_states >= self.num_states(),
-            "cannot shrink a configuration"
-        );
-        let mut counts = self.counts.clone();
-        counts.resize(num_states, 0);
-        Config { counts }
     }
 }
 
@@ -307,10 +280,8 @@ mod tests {
         let a = cfg(&[1, 2, 0]);
         let b = cfg(&[1, 3, 0]);
         assert!(a.le(&b));
-        assert!(a.lt(&b));
         assert!(!b.le(&a));
         assert!(a.le(&a));
-        assert!(!a.lt(&a));
     }
 
     #[test]
@@ -332,7 +303,6 @@ mod tests {
     #[test]
     fn count_in_and_outside() {
         let c = cfg(&[3, 4, 5]);
-        assert_eq!(c.count_in(&[StateId::new(0), StateId::new(2)]), 8);
         assert_eq!(c.count_outside(&[StateId::new(0), StateId::new(2)]), 4);
         assert_eq!(c.count_outside(&[]), 12);
         // Duplicate subset entries must not be double-counted.
@@ -348,7 +318,6 @@ mod tests {
     fn support_iter_matches_support() {
         let c = cfg(&[0, 2, 0, 7]);
         assert_eq!(c.support_iter().collect::<Vec<_>>(), c.support());
-        assert_eq!(c.support_iter().count(), c.support_size());
         assert_eq!(cfg(&[0, 0]).support_iter().count(), 0);
     }
 
@@ -357,19 +326,6 @@ mod tests {
         let c = cfg(&[0, 2, 0, 1]);
         assert_eq!(c.to_string(), "⟨2·q1, 1·q3⟩");
         assert_eq!(Config::empty(2).to_string(), "⟨∅⟩");
-    }
-
-    #[test]
-    fn widened_preserves_counts() {
-        let c = cfg(&[1, 2]);
-        let w = c.widened(4);
-        assert_eq!(w.counts(), &[1, 2, 0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn widened_panics_on_shrink() {
-        cfg(&[1, 2, 3]).widened(2);
     }
 
     #[test]

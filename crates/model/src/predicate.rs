@@ -26,7 +26,7 @@ use std::fmt;
 /// assert!(p.eval(&Input::unary(5)));
 ///
 /// // Majority: x₀ > x₁, i.e. x₀ - x₁ ≥ 1.
-/// let maj = Predicate::linear_at_least(vec![1, -1], 1);
+/// let maj = Predicate::majority();
 /// assert!(maj.eval(&Input::from_counts(vec![4, 3])));
 /// assert!(!maj.eval(&Input::from_counts(vec![3, 3])));
 /// ```
@@ -67,13 +67,8 @@ impl Predicate {
         }
     }
 
-    /// The unary counting predicate `x < eta` (the complement of `x ≥ eta`).
-    pub fn threshold_less_than(eta: u64) -> Self {
-        Predicate::Not(Box::new(Predicate::threshold_at_least(eta)))
-    }
-
     /// The predicate `Σ coeffs[i]·xᵢ ≥ constant`.
-    pub fn linear_at_least(coeffs: Vec<i64>, constant: i64) -> Self {
+    pub(crate) fn linear_at_least(coeffs: Vec<i64>, constant: i64) -> Self {
         Predicate::Threshold { coeffs, constant }
     }
 
@@ -163,21 +158,6 @@ impl Predicate {
             _ => None,
         }
     }
-
-    /// A crude syntactic size measure (number of atoms and connectives),
-    /// used when discussing the "size of a predicate" in state-complexity terms.
-    pub fn syntactic_size(&self) -> usize {
-        match self {
-            Predicate::Const(_) => 1,
-            Predicate::Threshold { coeffs, .. } | Predicate::Modulo { coeffs, .. } => {
-                1 + coeffs.len()
-            }
-            Predicate::Not(p) => 1 + p.syntactic_size(),
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                1 + ps.iter().map(Predicate::syntactic_size).sum::<usize>()
-            }
-        }
-    }
 }
 
 impl fmt::Display for Predicate {
@@ -252,7 +232,7 @@ mod tests {
 
     #[test]
     fn threshold_less_than() {
-        let p = Predicate::threshold_less_than(3);
+        let p = Predicate::Not(Box::new(Predicate::threshold_at_least(3)));
         assert!(p.eval(&Input::unary(2)));
         assert!(!p.eval(&Input::unary(3)));
         assert_eq!(p.as_unary_threshold(), None);
@@ -313,7 +293,6 @@ mod tests {
             Predicate::threshold_at_least(2),
             Predicate::count_mod(2, 0),
         ]);
-        assert_eq!(p.syntactic_size(), 5);
         assert_eq!(p.to_string(), "(x0 ≥ 2 ∧ x0 ≡ 0 (mod 2))");
         assert_eq!(Predicate::majority().to_string(), "x0 + -1·x1 ≥ 1");
     }

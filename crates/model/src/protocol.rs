@@ -178,21 +178,6 @@ impl Protocol {
         seen
     }
 
-    /// Returns `true` if all agents of `c` populate states of output `b`.
-    pub fn has_consensus(&self, c: &Config, b: Output) -> bool {
-        self.output(c) == Some(b) || c.is_empty()
-    }
-
-    /// The explicit transitions enabled at `c` (silent ones included).
-    pub fn enabled_transitions(&self, c: &Config) -> Vec<usize> {
-        self.transitions
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_enabled(c))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// All *distinct* successor configurations of `c` under non-silent
     /// enabled transitions.  If the result is empty the configuration is
     /// *silent* (only no-ops are enabled) and therefore terminal.
@@ -252,11 +237,6 @@ impl Protocol {
             *seen.get_mut(&t.pre).unwrap() += 1;
         }
         true
-    }
-
-    /// Total number of agents for input `i` under a unary protocol: `|L| + i`.
-    pub fn population_size_unary(&self, i: u64) -> u64 {
-        self.leaders.size() + i
     }
 }
 
@@ -323,7 +303,6 @@ mod tests {
         let ic = p.initial_config_unary(4);
         assert_eq!(ic.size(), 4);
         assert_eq!(ic.get(StateId::new(1)), 4);
-        assert_eq!(p.population_size_unary(4), 4);
     }
 
     #[test]
@@ -335,8 +314,6 @@ mod tests {
         assert_eq!(p.output(&all_true), Some(Output::True));
         assert_eq!(p.output(&all_false), Some(Output::False));
         assert_eq!(p.output(&mixed), None);
-        assert!(p.has_consensus(&all_true, Output::True));
-        assert!(!p.has_consensus(&mixed, Output::True));
     }
 
     #[test]
@@ -372,9 +349,9 @@ mod tests {
     fn enabled_transitions_listing() {
         let p = example_protocol();
         let c = Config::from_counts(vec![1, 1, 1]);
-        let enabled = p.enabled_transitions(&c);
+        let enabled = p.transitions().iter().filter(|t| t.is_enabled(&c)).count();
         // (1,1) not enabled (only one agent in state 1); (0,2) and (1,2) enabled.
-        assert_eq!(enabled.len(), 2);
+        assert_eq!(enabled, 2);
     }
 
     #[test]

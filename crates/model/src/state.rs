@@ -65,14 +65,6 @@ impl Output {
             Output::False
         }
     }
-
-    /// The opposite output.
-    pub fn negate(self) -> Self {
-        match self {
-            Output::True => Output::False,
-            Output::False => Output::True,
-        }
-    }
 }
 
 impl fmt::Display for Output {
@@ -135,8 +127,6 @@ mod tests {
         assert!(!Output::False.as_bool());
         assert_eq!(Output::from_bool(true), Output::True);
         assert_eq!(Output::from(false), Output::False);
-        assert_eq!(Output::True.negate(), Output::False);
-        assert_eq!(Output::False.negate(), Output::True);
         assert_eq!(Output::True.to_string(), "1");
         assert_eq!(Output::False.to_string(), "0");
     }

@@ -51,7 +51,7 @@ impl Pair {
     }
 
     /// Returns `true` if both agents are in the same state.
-    pub fn is_diagonal(self) -> bool {
+    pub(crate) fn is_diagonal(self) -> bool {
         self.lo == self.hi
     }
 
@@ -138,7 +138,7 @@ impl Transition {
 
     /// Returns `true` if the transition is enabled at configuration `c`
     /// (i.e. `c ≥ pre`).
-    pub fn is_enabled(&self, c: &Config) -> bool {
+    pub(crate) fn is_enabled(&self, c: &Config) -> bool {
         if self.pre.is_diagonal() {
             c.get(self.pre.lo()) >= 2
         } else {

@@ -23,7 +23,7 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Shl, Shr, Sub, SubAssign};
 /// let a = BigNat::from(1_000_000_007u64);
 /// let b = BigNat::from(998_244_353u64);
 /// let c = &a * &b;
-/// assert_eq!(c.to_decimal_string(), "998244359987710471");
+/// assert_eq!(c.to_string(), "998244359987710471");
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct BigNat {
@@ -49,21 +49,11 @@ impl BigNat {
         self.limbs.is_empty()
     }
 
-    /// Returns `true` if the value is one.
-    pub fn is_one(&self) -> bool {
-        self.limbs.len() == 1 && self.limbs[0] == 1
-    }
-
     /// Constructs a value from little-endian `u32` limbs (trailing zeros allowed).
-    pub fn from_limbs(limbs: Vec<u32>) -> Self {
+    pub(crate) fn from_limbs(limbs: Vec<u32>) -> Self {
         let mut n = BigNat { limbs };
         n.normalize();
         n
-    }
-
-    /// Returns the little-endian limbs (canonical, no trailing zeros).
-    pub fn limbs(&self) -> &[u32] {
-        &self.limbs
     }
 
     fn normalize(&mut self) {
@@ -99,18 +89,6 @@ impl BigNat {
         }
     }
 
-    /// Converts to `u128` if the value fits.
-    pub fn to_u128(&self) -> Option<u128> {
-        if self.limbs.len() > 4 {
-            return None;
-        }
-        let mut v: u128 = 0;
-        for (i, &l) in self.limbs.iter().enumerate() {
-            v |= (l as u128) << (32 * i);
-        }
-        Some(v)
-    }
-
     /// Approximate base-2 logarithm as an `f64` (`f64::NEG_INFINITY` for zero).
     pub fn log2(&self) -> f64 {
         if self.is_zero() {
@@ -128,7 +106,7 @@ impl BigNat {
     }
 
     /// Adds `other` into `self`.
-    pub fn add_assign_ref(&mut self, other: &BigNat) {
+    pub(crate) fn add_assign_ref(&mut self, other: &BigNat) {
         let mut carry: u64 = 0;
         let n = self.limbs.len().max(other.limbs.len());
         self.limbs.resize(n, 0);
@@ -149,7 +127,7 @@ impl BigNat {
     /// # Panics
     ///
     /// Panics if `other > self` (naturals are not closed under subtraction).
-    pub fn sub_assign_ref(&mut self, other: &BigNat) {
+    pub(crate) fn sub_assign_ref(&mut self, other: &BigNat) {
         assert!(
             *self >= *other,
             "BigNat subtraction underflow: minuend smaller than subtrahend"
@@ -172,7 +150,7 @@ impl BigNat {
     }
 
     /// Multiplies by a `u32` in place.
-    pub fn mul_small(&mut self, m: u32) {
+    pub(crate) fn mul_small(&mut self, m: u32) {
         if m == 0 {
             self.limbs.clear();
             return;
@@ -189,7 +167,7 @@ impl BigNat {
     }
 
     /// Adds a `u32` in place.
-    pub fn add_small(&mut self, a: u32) {
+    pub(crate) fn add_small(&mut self, a: u32) {
         let mut carry = a as u64;
         let mut i = 0;
         while carry > 0 {
@@ -208,7 +186,7 @@ impl BigNat {
     /// # Panics
     ///
     /// Panics if `d == 0`.
-    pub fn div_rem_small(&mut self, d: u32) -> u32 {
+    pub(crate) fn div_rem_small(&mut self, d: u32) -> u32 {
         assert!(d != 0, "division by zero");
         let mut rem: u64 = 0;
         for limb in self.limbs.iter_mut().rev() {
@@ -221,7 +199,7 @@ impl BigNat {
     }
 
     /// Schoolbook multiplication.
-    pub fn mul_ref(&self, other: &BigNat) -> BigNat {
+    pub(crate) fn mul_ref(&self, other: &BigNat) -> BigNat {
         if self.is_zero() || other.is_zero() {
             return BigNat::zero();
         }
@@ -262,7 +240,7 @@ impl BigNat {
     }
 
     /// Computes `2^exp`.
-    pub fn pow2(exp: u64) -> BigNat {
+    pub(crate) fn pow2(exp: u64) -> BigNat {
         let mut n = BigNat::zero();
         let limb = (exp / 32) as usize;
         let off = (exp % 32) as u32;
@@ -272,7 +250,7 @@ impl BigNat {
     }
 
     /// Shifts left by `bits` bits.
-    pub fn shl_bits(&self, bits: u64) -> BigNat {
+    pub(crate) fn shl_bits(&self, bits: u64) -> BigNat {
         if self.is_zero() {
             return BigNat::zero();
         }
@@ -295,7 +273,7 @@ impl BigNat {
     }
 
     /// Shifts right by `bits` bits.
-    pub fn shr_bits(&self, bits: u64) -> BigNat {
+    pub(crate) fn shr_bits(&self, bits: u64) -> BigNat {
         let limb_shift = (bits / 32) as usize;
         if limb_shift >= self.limbs.len() {
             return BigNat::zero();
@@ -319,7 +297,7 @@ impl BigNat {
     /// # Panics
     ///
     /// Panics if `divisor` is zero.
-    pub fn div_rem(&self, divisor: &BigNat) -> (BigNat, BigNat) {
+    pub(crate) fn div_rem(&self, divisor: &BigNat) -> (BigNat, BigNat) {
         assert!(!divisor.is_zero(), "division by zero");
         if self < divisor {
             return (BigNat::zero(), self.clone());
@@ -356,7 +334,7 @@ impl BigNat {
     ///
     /// Returns [`ParseBigNatError`] if the string is empty or contains a
     /// non-digit character.
-    pub fn from_decimal_str(s: &str) -> Result<Self, ParseBigNatError> {
+    pub(crate) fn from_decimal_str(s: &str) -> Result<Self, ParseBigNatError> {
         if s.is_empty() {
             return Err(ParseBigNatError::Empty);
         }
@@ -370,7 +348,7 @@ impl BigNat {
     }
 
     /// Renders the value in decimal.
-    pub fn to_decimal_string(&self) -> String {
+    pub(crate) fn to_decimal_string(&self) -> String {
         if self.is_zero() {
             return "0".to_string();
         }
@@ -568,10 +546,23 @@ impl Shr<u64> for &BigNat {
 mod tests {
     use super::*;
 
+    /// Converts to `u128` if the value fits: the oracle the arithmetic
+    /// tests compare against.
+    fn to_u128(n: &BigNat) -> Option<u128> {
+        if n.limbs.len() > 4 {
+            return None;
+        }
+        let mut v: u128 = 0;
+        for (i, &l) in n.limbs.iter().enumerate() {
+            v |= (l as u128) << (32 * i);
+        }
+        Some(v)
+    }
+
     #[test]
     fn zero_and_one() {
         assert!(BigNat::zero().is_zero());
-        assert!(BigNat::one().is_one());
+        assert_eq!(BigNat::one().to_u64(), Some(1));
         assert_eq!(BigNat::zero().to_decimal_string(), "0");
         assert_eq!(BigNat::one().to_decimal_string(), "1");
         assert_eq!(BigNat::zero().bits(), 0);
@@ -589,7 +580,7 @@ mod tests {
     #[test]
     fn from_u128_roundtrip() {
         let v = 340_282_366_920_938_463_463_374_607_431_768_211_455u128; // u128::MAX
-        assert_eq!(BigNat::from(v).to_u128(), Some(v));
+        assert_eq!(to_u128(&BigNat::from(v)), Some(v));
         assert_eq!(BigNat::from(v).to_u64(), None);
     }
 
@@ -598,7 +589,7 @@ mod tests {
         let a = BigNat::from(u64::MAX);
         let b = BigNat::from(1u64);
         let c = &a + &b;
-        assert_eq!(c.to_u128(), Some(u64::MAX as u128 + 1));
+        assert_eq!(to_u128(&c), Some(u64::MAX as u128 + 1));
     }
 
     #[test]
@@ -606,7 +597,7 @@ mod tests {
         let a = BigNat::from(1u128 << 80);
         let b = BigNat::from(1u64);
         let c = &a - &b;
-        assert_eq!(c.to_u128(), Some((1u128 << 80) - 1));
+        assert_eq!(to_u128(&c), Some((1u128 << 80) - 1));
     }
 
     #[test]
@@ -620,7 +611,7 @@ mod tests {
         let a = 123_456_789_012_345u64;
         let b = 987_654_321_098u64;
         let big = BigNat::from(a) * BigNat::from(b);
-        assert_eq!(big.to_u128(), Some(a as u128 * b as u128));
+        assert_eq!(to_u128(&big), Some(a as u128 * b as u128));
     }
 
     #[test]
@@ -629,7 +620,7 @@ mod tests {
         assert_eq!(BigNat::pow2(100).bits(), 101);
         assert_eq!(BigNat::from(3u64).pow(0), BigNat::one());
         let p = BigNat::from(7u64).pow(20);
-        assert_eq!(p.to_u128(), Some(7u128.pow(20)));
+        assert_eq!(to_u128(&p), Some(7u128.pow(20)));
     }
 
     #[test]
@@ -707,6 +698,6 @@ mod tests {
         n.add_small(u32::MAX);
         // (2^32-1)^2 + (2^32-1) = (2^32-1) * 2^32
         let expect = (u32::MAX as u128) * (1u128 << 32);
-        assert_eq!(n.to_u128(), Some(expect));
+        assert_eq!(to_u128(&n), Some(expect));
     }
 }

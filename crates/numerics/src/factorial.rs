@@ -49,7 +49,7 @@ pub fn double_factorial(n: u64) -> BigNat {
 }
 
 /// Computes the falling factorial `n (n-1) ... (n-k+1)`.
-pub fn falling_factorial(n: u64, k: u64) -> BigNat {
+pub(crate) fn falling_factorial(n: u64, k: u64) -> BigNat {
     if k > n {
         return BigNat::zero();
     }

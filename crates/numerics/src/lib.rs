@@ -23,7 +23,7 @@
 //! use popproto_numerics::{BigNat, factorial};
 //!
 //! let f = factorial(10);
-//! assert_eq!(f.to_decimal_string(), "3628800");
+//! assert_eq!(f.to_string(), "3628800");
 //! assert_eq!(BigNat::from(6u64) * BigNat::from(7u64), BigNat::from(42u64));
 //! ```
 
@@ -38,6 +38,6 @@ pub mod magnitude;
 
 pub use bignat::BigNat;
 pub use checked::{checked_pow_u64, saturating_mul_u64, saturating_pow_u64};
-pub use factorial::{binomial, double_factorial, factorial, falling_factorial};
+pub use factorial::{binomial, double_factorial, factorial};
 pub use fgh::{ackermann, ackermann_small, fast_growing, FghError};
 pub use magnitude::Magnitude;

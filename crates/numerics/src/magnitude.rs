@@ -32,7 +32,7 @@ const EXACT_BIT_LIMIT: u64 = 1 << 22; // ~4 million bits
 /// let exact = Magnitude::exact(BigNat::from(1024u64));
 /// assert_eq!(exact.log2_approx(), Some(10.0));
 ///
-/// let huge = Magnitude::power_of_two(1e9); // 2^(10^9)
+/// let huge = Magnitude::Log2 { exponent: 1e9 }; // 2^(10^9)
 /// assert!(huge > exact);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -66,13 +66,8 @@ impl Magnitude {
         Magnitude::Exact(BigNat::from(value))
     }
 
-    /// Creates the magnitude `2^exponent`.
-    pub fn power_of_two(exponent: f64) -> Self {
-        Magnitude::Log2 { exponent }
-    }
-
     /// Creates a tower of `height` twos topped by `top`: `2^2^…^2^top`.
-    pub fn tower(height: u32, top: f64) -> Self {
+    pub(crate) fn tower(height: u32, top: f64) -> Self {
         Magnitude::Tower { height, top }.normalized()
     }
 
@@ -119,33 +114,6 @@ impl Magnitude {
                     None
                 }
             }
-        }
-    }
-
-    /// `log₂ log₂` of the value, when meaningful and representable.
-    pub fn log2_log2_approx(&self) -> Option<f64> {
-        match self {
-            Magnitude::Exact(v) => {
-                let l = v.log2();
-                if l > 0.0 {
-                    Some(l.log2())
-                } else {
-                    None
-                }
-            }
-            Magnitude::Log2 { exponent } => {
-                if *exponent > 0.0 {
-                    Some(exponent.log2())
-                } else {
-                    None
-                }
-            }
-            Magnitude::Tower { height, top } => match height {
-                0 => Magnitude::Log2 { exponent: *top }.log2_log2_approx(),
-                1 => Some(*top),
-                2 if *top < 1023.0 => Some(top.exp2()),
-                _ => None,
-            },
         }
     }
 
@@ -341,16 +309,16 @@ mod tests {
     #[test]
     fn ordering_exact_vs_log() {
         let small = Magnitude::from_u64(1_000_000);
-        let big = Magnitude::power_of_two(100.0);
+        let big = Magnitude::Log2 { exponent: 100.0 };
         assert!(small < big);
         assert!(big > small);
-        let bigger = Magnitude::power_of_two(200.0);
+        let bigger = Magnitude::Log2 { exponent: 200.0 };
         assert!(big < bigger);
     }
 
     #[test]
     fn ordering_towers() {
-        let a = Magnitude::power_of_two(1e300);
+        let a = Magnitude::Log2 { exponent: 1e300 };
         let b = Magnitude::tower(2, 10.0);
         let c = Magnitude::tower(3, 10.0);
         assert!(a < b, "a tower of height 2 dominates any single exponent");
@@ -363,14 +331,14 @@ mod tests {
         let b = Magnitude::from_u64(7);
         assert_eq!(a.mul(&b), Magnitude::from_u64(42));
 
-        let c = Magnitude::power_of_two(100.0);
-        let d = Magnitude::power_of_two(28.0);
+        let c = Magnitude::Log2 { exponent: 100.0 };
+        let d = Magnitude::Log2 { exponent: 28.0 };
         assert_eq!(c.mul(&d).log2_approx(), Some(128.0));
     }
 
     #[test]
     fn pow_large() {
-        let a = Magnitude::power_of_two(50.0);
+        let a = Magnitude::Log2 { exponent: 50.0 };
         assert_eq!(a.pow(4).log2_approx(), Some(200.0));
         let e = Magnitude::from_u64(2).pow(20);
         assert_eq!(e.as_exact().and_then(|b| b.to_u64()), Some(1 << 20));
@@ -379,20 +347,12 @@ mod tests {
     #[test]
     fn exp2_promotes_to_towers() {
         // 2^(2^2000) cannot have an f64 log, so it becomes a tower.
-        let e = Magnitude::power_of_two(2000.0);
+        let e = Magnitude::Log2 { exponent: 2000.0 };
         let t = e.exp2_of();
         assert!(t > e);
         assert!(t.log2_approx().is_none() || t.log2_approx().unwrap().is_finite());
         let tt = t.exp2_of();
         assert!(tt > t);
-    }
-
-    #[test]
-    fn log2_log2() {
-        let m = Magnitude::power_of_two(1024.0);
-        assert_eq!(m.log2_log2_approx(), Some(10.0));
-        let e = Magnitude::from_u64(16);
-        assert_eq!(e.log2_log2_approx(), Some(2.0));
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Heartbeat {
     }
 
     /// A heartbeat writing to an arbitrary sink.
-    pub fn to_writer(out: Box<dyn Write + Send>, period: Duration) -> Self {
+    pub(crate) fn to_writer(out: Box<dyn Write + Send>, period: Duration) -> Self {
         Heartbeat {
             out,
             period,

@@ -244,13 +244,6 @@ pub struct Span {
     live: Option<SpanState>,
 }
 
-impl Span {
-    /// `true` when this guard will record an event on drop.
-    pub fn is_recording(&self) -> bool {
-        self.live.is_some()
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((t0, name, arg, session)) = self.live.take() {
@@ -335,15 +328,19 @@ mod tests {
         let _guard = test_support::serial();
         assert!(!enabled());
         let s = span("idle");
-        assert!(!s.is_recording());
+        assert!(s.live.is_none(), "a disabled span must not record");
         drop(s);
 
-        // Per-check cost: one relaxed load plus a dead guard.  Assert the
-        // measured floor stays under budget (5 ns in release; debug
-        // builds get slack because nothing is inlined there).
+        // Per-check cost: one relaxed load plus a dead guard.  The loop
+        // counter and the `black_box` calls cost about as much as the
+        // budget on a small host, so the same loop without the `span` call
+        // is timed alongside it and only the difference is asserted.  Each
+        // floor is the best of 5 loops; the budget is 5 ns in release, and
+        // debug builds get slack because nothing is inlined there.
         const ITERS: u32 = 2_000_000;
         let budget_ns = if cfg!(debug_assertions) { 200.0 } else { 5.0 };
-        let mut best = f64::INFINITY;
+        let per_iter = |t0: Instant| t0.elapsed().as_nanos() as f64 / ITERS as f64;
+        let (mut best_span, mut best_loop) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..5 {
             let t0 = Instant::now();
             for i in 0..ITERS {
@@ -351,12 +348,21 @@ mod tests {
                 std::hint::black_box(&s);
                 std::hint::black_box(i);
             }
-            let per = t0.elapsed().as_nanos() as f64 / ITERS as f64;
-            best = best.min(per);
+            best_span = best_span.min(per_iter(t0));
+
+            let t0 = Instant::now();
+            for i in 0..ITERS {
+                let s = std::hint::black_box("idle");
+                std::hint::black_box(&s);
+                std::hint::black_box(i);
+            }
+            best_loop = best_loop.min(per_iter(t0));
         }
+        let cost = best_span - best_loop;
         assert!(
-            best < budget_ns,
-            "disabled span check cost {best:.2} ns/check exceeds {budget_ns} ns budget"
+            cost < budget_ns,
+            "disabled span check cost {cost:.2} ns/check ({best_span:.2} with the span, \
+             {best_loop:.2} without) exceeds {budget_ns} ns budget"
         );
     }
 

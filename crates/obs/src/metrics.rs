@@ -30,11 +30,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds 1 to the counter.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -304,7 +299,7 @@ mod tests {
             histograms: Mutex::new(BTreeMap::new()),
         };
         reg.counter("z.last").add(3);
-        reg.counter("a.first").incr();
+        reg.counter("a.first").add(1);
         reg.set_gauge("mid \"quoted\"", -7);
         let h = reg.histogram("lat");
         h.observe(0);

@@ -138,7 +138,7 @@ impl ConfigArena {
     ///
     /// Returns `None` for configurations of the wrong dimension or with
     /// counts beyond `u32::MAX` (which can never have been interned).
-    pub fn lookup_config(&self, c: &Config) -> Option<u32> {
+    pub(crate) fn lookup_config(&self, c: &Config) -> Option<u32> {
         if c.num_states() != self.num_states {
             return None;
         }
@@ -184,7 +184,7 @@ impl ConfigArena {
     /// # Panics
     ///
     /// Panics on dimension mismatch or counts beyond `u32::MAX`.
-    pub fn intern_config(&mut self, c: &Config) -> (u32, bool) {
+    pub(crate) fn intern_config(&mut self, c: &Config) -> (u32, bool) {
         let scratch: Vec<u32> = c
             .counts()
             .iter()
@@ -211,45 +211,6 @@ impl ConfigArena {
     pub fn heap_bytes(&self) -> usize {
         self.counts.capacity() * std::mem::size_of::<u32>()
             + self.table.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Bytes *occupied* by interned data: the live count rows plus the live
-    /// hash-table slots, ignoring over-allocated capacity.
-    ///
-    /// `bytes_used() ≤ heap_bytes()`; after [`ConfigArena::shrink_to_fit`]
-    /// the two coincide.
-    pub fn bytes_used(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<u32>()
-            + self.table.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Releases over-allocated capacity: shrinks the backing count buffer to
-    /// its length and rebuilds the hash table at the smallest power-of-two
-    /// size that keeps the load factor below 3/4.
-    ///
-    /// Identifiers and lookups are unaffected.  Useful once an exploration
-    /// has finished growing and the arena is kept around read-only (e.g. for
-    /// the backward fixpoints of a frontier-compressed verification).
-    pub fn shrink_to_fit(&mut self) {
-        self.counts.shrink_to_fit();
-        let minimal = ((self.len + 1) * 4 / 3 + 1)
-            .next_power_of_two()
-            .max(INITIAL_TABLE);
-        if minimal < self.table.len() {
-            self.table.clear();
-            self.table.resize(minimal, 0);
-            self.table.shrink_to_fit();
-            self.mask = minimal - 1;
-            for id in 0..self.len() as u32 {
-                let mut idx = Self::hash_slice(self.counts_of(id)) as usize & self.mask;
-                while self.table[idx] != 0 {
-                    idx = (idx + 1) & self.mask;
-                }
-                self.table[idx] = id + 1;
-            }
-        } else {
-            self.table.shrink_to_fit();
-        }
     }
 }
 
@@ -311,31 +272,6 @@ mod tests {
         let collected: Vec<(u32, Vec<u32>)> =
             arena.iter().map(|(id, s)| (id, s.to_vec())).collect();
         assert_eq!(collected, vec![(0, vec![0, 1]), (1, vec![1, 0])]);
-    }
-
-    #[test]
-    fn shrink_to_fit_preserves_ids_and_lookups() {
-        let mut arena = ConfigArena::with_capacity(3, 50_000);
-        let mut slices = Vec::new();
-        for i in 0..1_000u32 {
-            let slice = [i, i % 7, i % 3];
-            arena.intern(&slice);
-            slices.push(slice);
-        }
-        let before = arena.heap_bytes();
-        assert!(arena.bytes_used() < before, "capacity was over-allocated");
-        arena.shrink_to_fit();
-        assert!(arena.heap_bytes() < before);
-        assert_eq!(arena.heap_bytes(), arena.bytes_used());
-        assert_eq!(arena.len(), 1_000);
-        for (id, slice) in slices.iter().enumerate() {
-            assert_eq!(arena.lookup(slice), Some(id as u32));
-            assert_eq!(arena.counts_of(id as u32), slice);
-        }
-        // Interning still works after the rebuild.
-        let (id, fresh) = arena.intern(&[9_999, 0, 0]);
-        assert!(fresh);
-        assert_eq!(id, 1_000);
     }
 
     #[test]

@@ -97,13 +97,8 @@ impl BitSet {
         })
     }
 
-    /// Iterates over the identifiers `0..len` that are *not* in the set.
-    pub fn iter_absent(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len as u32).filter(move |&id| !self.contains(id))
-    }
-
     /// The first identifier not in the set, if any.
-    pub fn first_absent(&self) -> Option<u32> {
+    pub(crate) fn first_absent(&self) -> Option<u32> {
         for (wi, &word) in self.words.iter().enumerate() {
             if word != u64::MAX {
                 let id = wi as u32 * 64 + (!word).trailing_zeros();
@@ -114,14 +109,6 @@ impl BitSet {
             }
         }
         None
-    }
-
-    /// In-place union with `other` (capacities must match).
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
     }
 
     /// The complement within `0..len`.
@@ -143,11 +130,6 @@ impl BitSet {
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
-
-    /// Converts to a `Vec<bool>` (compatibility with older call sites).
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len as u32).map(|id| self.contains(id)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -157,6 +139,7 @@ mod tests {
     #[test]
     fn insert_contains_remove() {
         let mut s = BitSet::new(200);
+        assert!(s.is_clear());
         assert!(s.insert(63));
         assert!(s.insert(64));
         assert!(!s.insert(64));
@@ -164,6 +147,7 @@ mod tests {
         s.remove(63);
         assert!(!s.contains(63));
         assert_eq!(s.count(), 1);
+        assert!(!s.is_clear());
     }
 
     #[test]
@@ -176,7 +160,6 @@ mod tests {
         let c = s.complement();
         assert_eq!(c.count(), 70 - 4);
         assert!(c.contains(2) && !c.contains(0) && !c.contains(69));
-        assert_eq!(s.iter_absent().count(), 66);
     }
 
     #[test]
@@ -192,30 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn union() {
-        let mut a = BitSet::new(10);
-        let mut b = BitSet::new(10);
-        a.insert(1);
-        b.insert(8);
-        a.union_with(&b);
-        assert!(a.contains(1) && a.contains(8));
-        assert!(!a.is_clear());
-        assert!(BitSet::new(10).is_clear());
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let mut s = BitSet::new(100);
         s.insert(42);
         let json = serde_json::to_string(&s).unwrap();
         let back: BitSet = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
-    }
-
-    #[test]
-    fn to_bools_matches_membership() {
-        let mut s = BitSet::new(5);
-        s.insert(2);
-        assert_eq!(s.to_bools(), vec![false, false, true, false, false]);
     }
 }

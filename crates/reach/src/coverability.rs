@@ -34,7 +34,12 @@ pub fn coverable_states(
 /// Returns `true` if some configuration reachable from `from` covers `q`.
 ///
 /// Identifiers outside the protocol's state range are trivially uncoverable.
-pub fn can_cover(protocol: &Protocol, from: &Config, q: StateId, limits: &ExploreLimits) -> bool {
+pub(crate) fn can_cover(
+    protocol: &Protocol,
+    from: &Config,
+    q: StateId,
+    limits: &ExploreLimits,
+) -> bool {
     if q.index() >= protocol.num_states() {
         return false;
     }

@@ -163,12 +163,6 @@ impl FrontierGraph {
         self.peak_bytes
     }
 
-    /// Shrinks the arena to its live size (the exploration is finished and
-    /// the arena only serves lookups from here on).
-    pub fn shrink_to_fit(&mut self) {
-        self.arena.shrink_to_fit();
-    }
-
     /// The set of identifiers backward-reachable from `targets` (including
     /// them), with predecessor edges regenerated from the transition deltas
     /// instead of read from a stored transpose.
@@ -317,7 +311,7 @@ mod tests {
 
         /// The 4-state binary counter P'_2 (decides x ≥ 4): a protocol with
         /// genuinely mixed settling behaviour and larger slices.
-        pub fn counter4_protocol() -> Protocol {
+        pub(crate) fn counter4_protocol() -> Protocol {
             let mut b = ProtocolBuilder::new("counter");
             let one = b.add_state("1", Output::False);
             let two = b.add_state("2", Output::False);
@@ -459,7 +453,6 @@ mod tests {
         let csr = ReachabilityGraph::explore(&p, std::slice::from_ref(&ic), &limits);
         let mut frontier = FrontierGraph::explore(&p, std::slice::from_ref(&ic), &limits);
         let _ = frontier.stable_sets(&p);
-        frontier.shrink_to_fit();
         assert!(csr.is_complete() && frontier.is_complete());
         assert!(
             frontier.peak_bytes() < csr.heap_bytes(),

@@ -263,11 +263,6 @@ impl ReachabilityGraph {
         &self.pred[lo..hi]
     }
 
-    /// Total number of (directed, deduplicated) edges.
-    pub fn num_edges(&self) -> usize {
-        self.succ.len()
-    }
-
     /// Approximate heap usage of the graph: the arena plus both CSR
     /// directions.  The comparison baseline for the frontier-compressed
     /// explorer, which stores no adjacency at all.
@@ -287,23 +282,18 @@ impl ReachabilityGraph {
             .collect()
     }
 
-    /// The set of identifiers forward-reachable from `start` (including it).
-    pub fn forward_closure(&self, start: &[u32]) -> BitSet {
-        self.closure(start.iter().copied(), false)
-    }
-
     /// The set of identifiers backward-reachable from `targets` (including
     /// them): configurations that *can reach* a target.
     pub fn backward_closure(&self, targets: &[u32]) -> BitSet {
-        self.closure(targets.iter().copied(), true)
+        self.closure(targets.iter().copied())
     }
 
     /// Backward closure seeded by a bitset instead of an id list.
     pub fn backward_closure_of(&self, targets: &BitSet) -> BitSet {
-        self.closure(targets.iter(), true)
+        self.closure(targets.iter())
     }
 
-    fn closure(&self, seeds: impl Iterator<Item = u32>, backward: bool) -> BitSet {
+    fn closure(&self, seeds: impl Iterator<Item = u32>) -> BitSet {
         let mut seen = BitSet::new(self.len());
         let mut stack: Vec<u32> = Vec::new();
         for s in seeds {
@@ -312,12 +302,7 @@ impl ReachabilityGraph {
             }
         }
         while let Some(id) = stack.pop() {
-            let edges = if backward {
-                self.predecessors_of(id)
-            } else {
-                self.successors_of(id)
-            };
-            for &next in edges {
+            for &next in self.predecessors_of(id) {
                 if seen.insert(next) {
                     stack.push(next);
                 }
@@ -328,7 +313,11 @@ impl ReachabilityGraph {
 
     /// A shortest path (sequence of configuration identifiers) from some
     /// identifier in `start` to some identifier satisfying `goal`, if one exists.
-    pub fn shortest_path_to(&self, start: &[u32], goal: impl Fn(u32) -> bool) -> Option<Vec<u32>> {
+    pub(crate) fn shortest_path_to(
+        &self,
+        start: &[u32],
+        goal: impl Fn(u32) -> bool,
+    ) -> Option<Vec<u32>> {
         use std::collections::VecDeque;
         let mut prev = vec![u32::MAX; self.len()];
         let mut seen = BitSet::new(self.len());
@@ -416,12 +405,6 @@ mod tests {
         let p = threshold2_protocol();
         let g =
             ReachabilityGraph::explore(&p, &[p.initial_config_unary(3)], &ExploreLimits::default());
-        let fwd = g.forward_closure(g.initial_ids());
-        assert_eq!(
-            fwd.count(),
-            g.len(),
-            "everything is forward-reachable from the initial config"
-        );
         let terminal = g.terminal_ids();
         let bwd = g.backward_closure(&terminal);
         assert_eq!(
@@ -514,7 +497,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(forward, g.num_edges());
+        assert_eq!(forward, g.succ.len());
         let backward: usize = g.ids().map(|id| g.predecessors_of(id).len()).sum();
         assert_eq!(forward, backward);
     }

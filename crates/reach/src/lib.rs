@@ -40,7 +40,7 @@ pub mod stable;
 pub mod verify;
 
 pub use arena::ConfigArena;
-pub use basis_extract::{extract_stable_basis, EmpiricalBasis};
+pub use basis_extract::extract_stable_basis;
 pub use bitset::BitSet;
 pub use coverability::{coverable_states, min_input_covering_state};
 pub use frontier::{frontier_threshold_profile, FrontierGraph};
@@ -48,6 +48,5 @@ pub use graph::{ExploreLimits, ReachabilityGraph};
 pub use saturation::{min_input_for_saturation, SaturationWitness};
 pub use stable::{is_stable_config, StableSets};
 pub use verify::{
-    unary_threshold_profile, verify_predicate, verify_unary_threshold, InputProfile, InputVerdict,
-    ThresholdProfile, VerificationReport,
+    unary_threshold_profile, verify_predicate, verify_unary_threshold, ThresholdProfile,
 };

@@ -26,7 +26,7 @@ pub struct SaturationWitness {
 
 /// Finds, for the unary input `i`, a shortest execution from `IC(i)` to a
 /// `j`-saturated configuration, if one exists within the exploration limits.
-pub fn find_saturated_config(
+pub(crate) fn find_saturated_config(
     protocol: &Protocol,
     input: u64,
     level: u64,

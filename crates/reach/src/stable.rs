@@ -72,7 +72,7 @@ impl StableSets {
     /// explorer, which computes the backward fixpoints by transition-delta
     /// regeneration instead of over a stored CSR).  The caller is responsible
     /// for the bitsets actually being the b-stable sets of its graph.
-    pub fn from_parts(stable0: BitSet, stable1: BitSet) -> Self {
+    pub(crate) fn from_parts(stable0: BitSet, stable1: BitSet) -> Self {
         StableSets { stable0, stable1 }
     }
 
@@ -92,13 +92,6 @@ impl StableSets {
     /// Identifiers of the b-stable configurations.
     pub fn stable_ids(&self, b: Output) -> Vec<u32> {
         self.bitset(b).iter().collect()
-    }
-
-    /// Identifiers of the configurations in `SC = SC_0 ∪ SC_1`.
-    pub fn all_stable_ids(&self) -> Vec<u32> {
-        let mut all = self.stable0.clone();
-        all.union_with(&self.stable1);
-        all.iter().collect()
     }
 
     /// Number of b-stable configurations.
@@ -168,7 +161,6 @@ mod tests {
         let ones = stable.stable_ids(Output::True);
         assert_eq!(ones.len(), 1);
         assert_eq!(g.config(ones[0]).counts(), &[0, 0, 3]);
-        assert_eq!(stable.all_stable_ids(), ones);
         assert!(stable.is_stable(ones[0], Output::True));
         assert!(!stable.is_stable(ones[0], Output::False));
     }

@@ -3,13 +3,13 @@
 //! [`Protocol`] stores transitions as a flat list,
 //! so answering "which transitions apply to the pair `⦃a, b⦄`?" is an O(T)
 //! scan that allocates a fresh `Vec` — unacceptable at millions of
-//! interactions per second.  [`CompiledProtocol`] is built once per
+//! interactions per second.  `CompiledProtocol` is built once per
 //! simulation and answers the same question with one index computation and a
 //! slice lookup:
 //!
 //! * a dense upper-triangular *pair table* maps every unordered state pair to
 //!   its candidate transitions;
-//! * every transition carries a precomputed [`Delta`]: the at-most-4
+//! * every transition carries a precomputed `Delta`: the at-most-4
 //!   `(state, change)` entries to apply to the counts vector, so firing a
 //!   transition never clones a configuration;
 //! * the pairs that enable at least one non-silent transition are indexed
@@ -25,7 +25,7 @@ use popproto_model::Protocol;
 /// A transition touches at most 4 distinct states (2 consumed, 2 produced);
 /// entries hold `(state index, signed change)` with all states distinct.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Delta {
+pub(crate) struct Delta {
     len: u8,
     entries: [(u32, i32); 4],
 }
@@ -56,7 +56,7 @@ impl Delta {
 
 /// A [`Protocol`] lowered into dense tables for fast simulation.
 #[derive(Debug, Clone)]
-pub struct CompiledProtocol {
+pub(crate) struct CompiledProtocol {
     num_states: usize,
     /// Prefix offsets into `candidates`, one slot per unordered pair
     /// (upper-triangular indexing); length `P + 1`.
@@ -187,7 +187,7 @@ impl CompiledProtocol {
 
     /// The dense index of the unordered pair `⦃a, b⦄`.
     #[inline]
-    pub fn pair_index_of(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn pair_index_of(&self, a: usize, b: usize) -> usize {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         pair_index(self.num_states, lo, hi)
     }
@@ -208,7 +208,7 @@ impl CompiledProtocol {
 
     /// Whether transition `t` changes configurations.
     #[inline]
-    pub fn is_non_silent(&self, t: u32) -> bool {
+    pub(crate) fn is_non_silent(&self, t: u32) -> bool {
         self.non_silent[t as usize]
     }
 
@@ -222,26 +222,26 @@ impl CompiledProtocol {
     /// The cached uniform alias table over the candidates of pair `pidx`,
     /// present exactly when the pair is nondeterministic (≥ 2 candidates).
     #[inline]
-    pub fn candidate_alias(&self, pidx: usize) -> Option<&AliasTable> {
+    pub(crate) fn candidate_alias(&self, pidx: usize) -> Option<&AliasTable> {
         self.candidate_alias[pidx].as_ref()
     }
 
     /// The non-silent pair indices containing state `q`.
     #[inline]
-    pub fn non_silent_pairs_of(&self, q: usize) -> &[u32] {
+    pub(crate) fn non_silent_pairs_of(&self, q: usize) -> &[u32] {
         &self.non_silent_pairs_by_state[q]
     }
 
     /// All non-silent pair indices.
     #[inline]
-    pub fn non_silent_pairs(&self) -> &[u32] {
+    pub(crate) fn non_silent_pairs(&self) -> &[u32] {
         &self.non_silent_pairs
     }
 
     /// Whether the pair with dense index `pidx` is enabled at `counts`
     /// (two distinct agents populating its states exist).
     #[inline]
-    pub fn pair_enabled(&self, pidx: usize, counts: &[u64]) -> bool {
+    pub(crate) fn pair_enabled(&self, pidx: usize, counts: &[u64]) -> bool {
         let (lo, hi) = self.pair_states(pidx);
         if lo == hi {
             counts[lo] >= 2
@@ -253,13 +253,13 @@ impl CompiledProtocol {
     /// Recovers the `(lo, hi)` states of a dense pair index — O(1) table
     /// lookup.
     #[inline]
-    pub fn pair_states(&self, pidx: usize) -> (usize, usize) {
+    pub(crate) fn pair_states(&self, pidx: usize) -> (usize, usize) {
         (self.pair_los[pidx] as usize, self.pair_his[pidx] as usize)
     }
 
     /// Decides silence of `counts` by scanning the non-silent pairs — O(|Q|²)
     /// worst case, used by the batched engine once per batch.
-    pub fn is_silent_counts(&self, counts: &[u64]) -> bool {
+    pub(crate) fn is_silent_counts(&self, counts: &[u64]) -> bool {
         !self
             .non_silent_pairs
             .iter()

@@ -1,5 +1,5 @@
 //! The sequential simulation engine: exact step semantics on configuration
-//! counts, rebuilt around [`CompiledProtocol`] for throughput.
+//! counts, rebuilt around `CompiledProtocol` for throughput.
 //!
 //! The seed implementation cloned the whole configuration per interaction
 //! (`Transition::fire`), allocated a `Vec` of candidate transitions per step
@@ -8,7 +8,7 @@
 //! version keeps the exact same per-step semantics while doing none of that:
 //!
 //! * candidate transitions come from the compiled pair table (slice lookup);
-//! * firing applies a precomputed [`Delta`](crate::compiled::Delta) to the
+//! * firing applies a precomputed `Delta` to the
 //!   counts in place — no allocation on the hot path;
 //! * agents are sampled through cached cumulative counts (rebuilt lazily,
 //!   only after an effective interaction) with binary search;

@@ -263,12 +263,12 @@ impl EnsembleSimulator {
     }
 
     /// A configuration snapshot of lane `lane`.
-    pub fn lane_snapshot(&self, lane: usize) -> Config {
+    pub(crate) fn lane_snapshot(&self, lane: usize) -> Config {
         Config::from_counts(self.lane_counts(lane).to_vec())
     }
 
     /// The consensus output of lane `lane`, if any.
-    pub fn lane_output(&self, lane: usize) -> Option<Output> {
+    pub(crate) fn lane_output(&self, lane: usize) -> Option<Output> {
         self.shared.protocol.output(&self.lane_snapshot(lane))
     }
 

@@ -15,7 +15,7 @@
 //! runs the second's batches for many trajectories in lockstep:
 //!
 //! * [`Simulator`] — **tier 1**, the sequential engine: exact step
-//!   semantics, rebuilt around a [`CompiledProtocol`] (dense pair-transition
+//!   semantics, rebuilt around a `CompiledProtocol` (dense pair-transition
 //!   tables, in-place count deltas, incremental silence detection) so the
 //!   per-interaction cost is O(log |Q|) with zero allocation;
 //! * [`BatchedSimulator`] — **tier 2**, the batched engine: processes Θ(√n)
@@ -60,7 +60,6 @@ pub mod sampling;
 pub mod stats;
 
 pub use batched::BatchedSimulator;
-pub use compiled::CompiledProtocol;
 pub use convergence::{
     run_ensemble_until_convergence, run_sharded_ensemble_until_convergence,
     run_sharded_ensemble_with_heartbeat, run_until_convergence, ConvergenceCriterion,
@@ -70,8 +69,7 @@ pub use engine::Simulator;
 pub use engine_api::SimulationEngine;
 pub use ensemble::{EnsembleSimulator, WavePhaseBreakdown};
 pub use runner::{run_experiment, EngineKind, SimulationExperiment};
-pub use sampling::{split_candidates_uniform, AliasTable, CachedBinomial, CachedHypergeometric};
-pub use stats::{aggregate_outcomes, ConvergenceStats, SummaryStats};
+pub use sampling::{CachedBinomial, CachedHypergeometric};
 
 /// Vector-kernel provenance, kept for the `perfbench` harness, which reads
 /// these two names for its host tags.  Every sampler runs the one scalar

@@ -111,7 +111,7 @@ pub fn exp(x: f64) -> f64 {
 /// shift loop never runs; the loop exists so the kernel is total on `x ≥ 1`
 /// for the accuracy tests.
 #[inline]
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     /// `½·ln(2π)` of the Stirling prefactor.
     const HALF_LN_TAU: f64 = 0.918_938_533_204_672_780_56;
     // Bernoulli-number coefficients B₂ₙ/(2n(2n−1)): the asymptotic series

@@ -27,7 +27,7 @@
 //! walk's `pmf(0)`) — and produces a `DrawPlan` naming one *leaf sampler*
 //! with its finished setup plus affine/clamp post-processing; an
 //! *executor* then consumes the RNG.  The scalar entry points
-//! ([`hypergeometric`], [`binomial`]) plan and execute in one call; the
+//! (`hypergeometric`, [`binomial`]) plan and execute in one call; the
 //! parameter-cached entry points ([`CachedHypergeometric`],
 //! [`CachedBinomial`]) hold a finished plan and execute it any number of
 //! times (`draw` / `draw_many`), paying setup once per *distribution*
@@ -36,8 +36,8 @@
 //! by 4000-case property suites).
 //!
 //! Both batched engines draw through the same scalar entry points: the
-//! [`EnsembleSimulator`](crate::EnsembleSimulator) calls [`hypergeometric`]
-//! and [`BirthdaySampler::draw`] once per lane against that lane's own RNG,
+//! [`EnsembleSimulator`](crate::EnsembleSimulator) calls `hypergeometric`
+//! and `BirthdaySampler::draw` once per lane against that lane's own RNG,
 //! exactly as a solo [`BatchedSimulator`](crate::BatchedSimulator) calls
 //! them against its one RNG.  One draw path per distribution is the
 //! foundation of lane-level bit-equivalence between the two engines.
@@ -956,7 +956,7 @@ pub fn binomial<R: RngCore + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
 /// Samples `Hypergeometric(total, successes, draws)`: the number of marked
 /// items in `draws` draws without replacement from a population of `total`
 /// items of which `successes` are marked.
-pub fn hypergeometric<R: RngCore + ?Sized>(
+pub(crate) fn hypergeometric<R: RngCore + ?Sized>(
     rng: &mut R,
     total: u64,
     successes: u64,
@@ -972,7 +972,7 @@ pub fn hypergeometric<R: RngCore + ?Sized>(
 /// # Panics
 ///
 /// Panics if `draws` exceeds the total bucket size.
-pub fn multivariate_hypergeometric<R: RngCore + ?Sized>(
+pub(crate) fn multivariate_hypergeometric<R: RngCore + ?Sized>(
     rng: &mut R,
     sizes: &[u64],
     draws: u64,
@@ -1006,7 +1006,7 @@ pub fn multivariate_hypergeometric<R: RngCore + ?Sized>(
 /// A `Hypergeometric(total, successes, draws)` sampler with all
 /// parameter-only setup done up front.
 ///
-/// [`hypergeometric`] plans (support checks, symmetry reductions, regime
+/// `hypergeometric` plans (support checks, symmetry reductions, regime
 /// selection, HRUA's hat/mode constants — four log-factorials and a
 /// square root) and executes in one call, so a loop of scalar calls pays
 /// the setup once per *draw*.  `CachedHypergeometric` holds the finished
@@ -1015,7 +1015,7 @@ pub fn multivariate_hypergeometric<R: RngCore + ?Sized>(
 /// executions.
 ///
 /// **Stream contract:** `draw` is value- and stream-position-identical to
-/// a scalar [`hypergeometric`] call with the same parameters — both
+/// a scalar `hypergeometric` call with the same parameters — both
 /// execute the *same* plan through the *same* leaf code, the cached form
 /// just skips replanning.  [`Self::draw_many`] is exactly a loop of
 /// `draw`.  Pinned by the `cached_*_bit_identical_*` property suites.
@@ -1033,7 +1033,7 @@ impl CachedHypergeometric {
     }
 
     /// Draws one variate, consuming the RNG exactly as the scalar
-    /// [`hypergeometric`] would.
+    /// `hypergeometric` would.
     #[inline]
     pub fn draw<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
         execute_plan(rng, &self.plan)
@@ -1088,7 +1088,7 @@ impl CachedBinomial {
 /// `P(T > t) = ∏_{i<t} (1 - i/n) ≈ exp(-t²/2n)`, so `T` is approximately
 /// Rayleigh with scale `√n`; the approximation error is `O(1/√n)` and the
 /// batched engine only uses this path for large `n`.
-pub fn birthday_collision_draws<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
+pub(crate) fn birthday_collision_draws<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     let u: f64 = rng.gen_range(0.0..1.0);
     let u = (1.0 - u).max(f64::MIN_POSITIVE); // uniform in (0, 1]
     let t = (-2.0 * n as f64 * pmath::ln(u)).sqrt().ceil();
@@ -1109,7 +1109,7 @@ pub fn birthday_collision_draws<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64
 /// engines, so the candidate-split streams stay bit-identical between the
 /// two engines by construction.
 #[derive(Debug, Clone)]
-pub struct AliasTable {
+pub(crate) struct AliasTable {
     /// Scaled acceptance probability of each column.
     prob: Vec<f64>,
     /// Overflow outcome of each column.
@@ -1176,13 +1176,6 @@ impl AliasTable {
         self.prob.len()
     }
 
-    /// Whether the table has no outcomes (never true for a constructed
-    /// table, provided for API completeness).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
     /// Samples one outcome, consuming exactly one uniform.
     #[inline]
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
@@ -1224,7 +1217,7 @@ impl AliasTable {
 /// Both regimes sample the same distribution exactly; the regime choice is
 /// a deterministic function of `(m, c)`, so it can never desynchronise the
 /// two engines' streams.
-pub fn split_candidates_uniform<R: RngCore + ?Sized>(
+pub(crate) fn split_candidates_uniform<R: RngCore + ?Sized>(
     rng: &mut R,
     m: u64,
     table: &AliasTable,
@@ -1271,7 +1264,7 @@ pub fn split_candidates_uniform<R: RngCore + ?Sized>(
 /// population is documented at `BIRTHDAY_EXACT_MAX_POPULATION` in
 /// `batched.rs`, next to the engine that owns the decision.
 #[derive(Debug, Clone)]
-pub struct BirthdaySampler {
+pub(crate) struct BirthdaySampler {
     n: u64,
     /// `survival[t]` = `P(T > t + 1)`, strictly decreasing; present only in
     /// exact mode.  (`P(T > 1)` = 1 always, so the table starts at t = 2.)
@@ -1320,11 +1313,6 @@ impl BirthdaySampler {
                 (idx as u64 + 2).min(self.n)
             }
         }
-    }
-
-    /// Whether this sampler uses the exact tabulated CDF.
-    pub fn is_exact(&self) -> bool {
-        self.survival.is_some()
     }
 }
 
@@ -1985,7 +1973,6 @@ mod tests {
     fn alias_table_uniform_is_uniform() {
         let table = AliasTable::uniform(7);
         assert_eq!(table.len(), 7);
-        assert!(!table.is_empty());
         let mut rng = StdRng::seed_from_u64(54);
         let trials = 140_000usize;
         let mut observed = vec![0.0f64; 7];

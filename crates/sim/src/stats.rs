@@ -20,7 +20,7 @@ pub struct SummaryStats {
 
 impl SummaryStats {
     /// Computes summary statistics of a sample.
-    pub fn from_samples(samples: &[f64]) -> Self {
+    pub(crate) fn from_samples(samples: &[f64]) -> Self {
         if samples.is_empty() {
             return SummaryStats {
                 count: 0,
@@ -61,7 +61,7 @@ pub struct ConvergenceStats {
 }
 
 /// Aggregates a set of convergence outcomes.
-pub fn aggregate_outcomes(outcomes: &[ConvergenceOutcome]) -> ConvergenceStats {
+pub(crate) fn aggregate_outcomes(outcomes: &[ConvergenceOutcome]) -> ConvergenceStats {
     let converged: Vec<&ConvergenceOutcome> = outcomes.iter().filter(|o| o.converged).collect();
     let parallel: Vec<f64> = converged.iter().filter_map(|o| o.parallel_time).collect();
     let interactions: Vec<f64> = converged

@@ -37,16 +37,6 @@ pub struct CoverabilityBasis {
     pub complete: bool,
 }
 
-impl CoverabilityBasis {
-    /// Returns `true` if `counts` covers some minimal element, i.e. belongs
-    /// to the upward-closed set.
-    pub fn contains_counts(&self, counts: &[u64]) -> bool {
-        self.minimal
-            .iter()
-            .any(|m| m.iter().zip(counts).all(|(&lo, &c)| c >= lo))
-    }
-}
-
 /// Computes the minimal basis of `pre*(↑targets)` by the standard backward
 /// algorithm, keeping the frontier antichain-minimised at every step.
 ///
@@ -438,6 +428,15 @@ mod tests {
     use super::*;
     use popproto_model::{Config, Output, ProtocolBuilder};
 
+    /// Returns `true` if `counts` covers some minimal element of `basis`,
+    /// i.e. belongs to the upward-closed set.
+    fn contains_counts(basis: &CoverabilityBasis, counts: &[u64]) -> bool {
+        basis
+            .minimal
+            .iter()
+            .any(|m| m.iter().zip(counts).all(|(&lo, &c)| c >= lo))
+    }
+
     fn threshold2_protocol() -> Protocol {
         let mut b = ProtocolBuilder::new("x >= 2");
         let zero = b.add_state("0", Output::False);
@@ -464,10 +463,10 @@ mod tests {
             }
         }
         // ⟨2·q1⟩ can produce a q2; a single q1 cannot.
-        assert!(basis.contains_counts(&[0, 2, 0]));
-        assert!(basis.contains_counts(&[0, 0, 1]));
-        assert!(!basis.contains_counts(&[0, 1, 0]));
-        assert!(!basis.contains_counts(&[5, 0, 0]));
+        assert!(contains_counts(&basis, &[0, 2, 0]));
+        assert!(contains_counts(&basis, &[0, 0, 1]));
+        assert!(!contains_counts(&basis, &[0, 1, 0]));
+        assert!(!contains_counts(&basis, &[5, 0, 0]));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   *every reachable configuration lies below some generated label*.
 //!
 //! The label loop returns the arena of labels; [`karp_miller`] and
-//! [`karp_miller_from`] turn it into a canonical [`DownwardClosedSet`] (the
+//! `karp_miller_from` turn it into a canonical [`DownwardClosedSet`] (the
 //! antichain of maximal labels), while the busy-beaver pre-filter reads the
 //! labels directly.  `complete` is `false` when the label cap was hit;
 //! callers that rely on the cover being an over-approximation of
@@ -73,7 +73,7 @@ pub fn karp_miller(protocol: &Protocol, limits: &SymbolicLimits) -> KarpMillerCo
 /// # Panics
 ///
 /// Panics if a root has the wrong dimension.
-pub fn karp_miller_from(
+pub(crate) fn karp_miller_from(
     protocol: &Protocol,
     roots: &[Vec<u32>],
     limits: &SymbolicLimits,

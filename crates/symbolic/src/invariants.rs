@@ -15,7 +15,7 @@
 //! from the junk that the downward closure of a Karp–Miller cover drags in:
 //! an ideal of the cover may contain sub-configurations of *smaller* sizes
 //! that no run of the corresponding size can produce, and those are exactly
-//! the configurations the invariants cut away.  [`max_bad_silent_size`]
+//! the configurations the invariants cut away.  `max_bad_silent_size`
 //! exploits this to bound, over all population sizes at once, the size of
 //! silent configurations that fail a consensus — the key quantity of the
 //! [`SymbolicVerifier`](crate::SymbolicVerifier) certification argument.
@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 
 /// Generators of the non-decreasing and non-increasing weight cones.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InvariantCones {
+pub(crate) struct InvariantCones {
     /// Generators `w` with `w·δ_t ≥ 0` for every non-silent `t`.
     pub nondecreasing: Vec<Vec<u64>>,
     /// Generators `w` with `w·δ_t ≤ 0` for every non-silent `t`.
@@ -44,7 +44,7 @@ pub struct InvariantCones {
 
 /// Computes the invariant cones of a protocol by double description
 /// (see [`crate::rays`]).
-pub fn invariant_cones(protocol: &Protocol, limits: &SymbolicLimits) -> InvariantCones {
+pub(crate) fn invariant_cones(protocol: &Protocol, limits: &SymbolicLimits) -> InvariantCones {
     let n = protocol.num_states();
     let deltas: Vec<Vec<i64>> = protocol
         .non_silent_transitions()
@@ -72,7 +72,7 @@ pub fn invariant_cones(protocol: &Protocol, limits: &SymbolicLimits) -> Invarian
 
 /// Outcome of the bad-silent-configuration analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BadSilentBound {
+pub(crate) enum BadSilentBound {
     /// Every silent, invariant-consistent configuration of size above the
     /// reported value has consensus `b`; sizes `≤ max_size` must be checked
     /// slice by slice.
@@ -92,7 +92,7 @@ pub enum BadSilentBound {
 /// `silent_cover` must over-approximate the *reachable silent*
 /// configurations (e.g. the silent ideals, optionally intersected with a
 /// complete Karp–Miller cover).  The protocol must be unary.
-pub fn max_bad_silent_size(
+pub(crate) fn max_bad_silent_size(
     protocol: &Protocol,
     silent_cover: &DownwardClosedSet,
     b: Output,

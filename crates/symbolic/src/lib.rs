@@ -45,14 +45,11 @@ pub use backward::{
     backward_coverability, complement_of_upward, symbolic_stable_sets, CoverabilityBasis,
     SymbolicStableSet,
 };
-pub use cover::{karp_miller, karp_miller_from, KarpMillerCover};
-pub use invariants::{invariant_cones, max_bad_silent_size, BadSilentBound, InvariantCones};
+pub use cover::{karp_miller, KarpMillerCover};
 pub use omega::{row_leq, row_to_ideal, OmegaArena, OMEGA};
-pub use rays::nonneg_cone_generators;
-pub use termination::{find_silencing_certificate, EliminationRound, SilencingCertificate};
 pub use verifier::{
-    eta_floor_prefilter, silent_ideals, threshold_prefilter, FlatProtocol, Prefilter,
-    SymbolicVerifier, ThresholdVerdict,
+    eta_floor_prefilter, threshold_prefilter, FlatProtocol, Prefilter, SymbolicVerifier,
+    ThresholdVerdict,
 };
 
 use popproto_reach::ExploreLimits;

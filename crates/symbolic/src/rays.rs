@@ -36,7 +36,7 @@ struct Ray {
 /// must then treat the cone as unavailable — never as empty), or if the
 /// tight-set bookkeeping would overflow its 64-bit mask
 /// (`rows.len() + dim > 64`).
-pub fn nonneg_cone_generators(
+pub(crate) fn nonneg_cone_generators(
     rows: &[Vec<i64>],
     dim: usize,
     max_rays: usize,
@@ -158,7 +158,7 @@ pub(crate) fn gcd(a: i128, b: i128) -> i128 {
 ///
 /// Panics if an entry is negative or exceeds `u64` (double description over
 /// `w ≥ 0` only ever produces non-negative rays).
-pub fn ray_to_weights(ray: &[i128]) -> Vec<u64> {
+pub(crate) fn ray_to_weights(ray: &[i128]) -> Vec<u64> {
     ray.iter()
         .map(|&c| u64::try_from(c).expect("cone ray entry out of range"))
         .collect()

@@ -94,7 +94,7 @@ impl SilencingCertificate {
 /// Returns `None` if some round eliminates nothing (within the ray cap):
 /// the protocol admits no iterated linear ranking, or the cap was too small
 /// to find one.
-pub fn find_silencing_certificate(
+pub(crate) fn find_silencing_certificate(
     protocol: &Protocol,
     limits: &SymbolicLimits,
 ) -> Option<SilencingCertificate> {

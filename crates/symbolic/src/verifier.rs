@@ -165,16 +165,6 @@ impl SymbolicVerifier {
         self.silencing.as_ref()
     }
 
-    /// Returns `false` if the protocol provably cannot pass
-    /// `verified_threshold` at horizon `max_input` (see
-    /// [`threshold_prefilter`]); `true` means "cannot rule it out".
-    pub fn may_compute_threshold(&self, max_input: u64) -> bool {
-        match self.sc1_population_bound() {
-            None => true,
-            Some(max) => max >= self.protocol.leaders().size() + max_input,
-        }
-    }
-
     /// The [`stable_population_bound`] of `SC_1`, if it was computed.
     fn sc1_population_bound(&self) -> Option<u64> {
         let sc1 = self.stable_set(Output::True)?;
@@ -292,7 +282,10 @@ impl SymbolicVerifier {
 /// and equals the complement of the upward closure of the minimal enabling
 /// configurations of the non-silent transitions — the "silent ideals".
 /// Returns `None` if the ideal representation exceeds the configured cap.
-pub fn silent_ideals(protocol: &Protocol, limits: &SymbolicLimits) -> Option<DownwardClosedSet> {
+pub(crate) fn silent_ideals(
+    protocol: &Protocol,
+    limits: &SymbolicLimits,
+) -> Option<DownwardClosedSet> {
     let n = protocol.num_states();
     let minimal: Vec<Vec<u64>> = protocol
         .non_silent_transitions()
@@ -702,9 +695,8 @@ impl Prefilter {
 /// one, whose size bound is at least as large and which is unbounded if the
 /// dropped one is.
 ///
-/// This single bound backs all four consumers — the pre-filter stage 3,
-/// [`eta_floor_prefilter`], [`SymbolicVerifier::may_compute_threshold`] and
-/// the all-thresholds refutation of
+/// This single bound backs all three consumers — the pre-filter stage 3,
+/// [`eta_floor_prefilter`] and the all-thresholds refutation of
 /// [`SymbolicVerifier::certify_threshold`] — so the soundness direction is
 /// encoded exactly once.  `SC_b` itself may be an over-approximation (a
 /// truncated backward fixpoint under-approximates `pre*`, so its complement
@@ -784,7 +776,6 @@ mod tests {
         let verifier = SymbolicVerifier::analyze(&p, &SymbolicLimits::default());
         let verdict = verifier.certify_threshold(3);
         assert!(verdict.is_refuted(), "got {verdict:?}");
-        assert!(!verifier.may_compute_threshold(6));
     }
 
     #[test]

@@ -150,17 +150,18 @@ fn enumerate_rec(
     current[pos] = 0;
 }
 
-/// The closed-form maximal length of a δ-controlled bad sequence in dimension 1.
-///
-/// In dimension 1 a bad sequence is strictly decreasing, and the first element
-/// is at most `δ`, so the maximal length is `δ + 1`.
-pub fn max_bad_sequence_length_dim1(delta: u64) -> u64 {
-    delta + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The closed-form maximal length of a δ-controlled bad sequence in
+    /// dimension 1.
+    ///
+    /// In dimension 1 a bad sequence is strictly decreasing, and the first
+    /// element is at most `δ`, so the maximal length is `δ + 1`.
+    fn max_bad_sequence_length_dim1(delta: u64) -> u64 {
+        delta + 1
+    }
 
     #[test]
     fn dimension_one_matches_closed_form() {

@@ -215,11 +215,6 @@ impl Ideal {
             .iter()
             .try_fold(0u64, |acc, b| b.map(|limit| acc.saturating_add(limit)))
     }
-
-    /// Returns `true` if some bound is ω, i.e. the ideal is infinite.
-    pub fn is_unbounded(&self) -> bool {
-        self.bounds.iter().any(Option::is_none)
-    }
 }
 
 impl fmt::Display for Ideal {
@@ -511,9 +506,7 @@ mod tests {
             }
         }
         assert_eq!(k.max_population(), Some(11));
-        assert!(!k.is_unbounded());
         assert_eq!(i.max_population(), None);
-        assert!(i.is_unbounded());
     }
 
     #[test]

@@ -75,18 +75,6 @@ pub fn extract_increasing_subsequence(seq: &[Config]) -> Vec<usize> {
     chain
 }
 
-/// Returns `true` if the sequence is *good*: it contains indices `i < j`
-/// with `seq[i] ≤ seq[j]` (the terminology of Section 4).
-pub fn is_good_sequence(seq: &[Config]) -> bool {
-    find_increasing_pair(seq).is_some()
-}
-
-/// Returns `true` if the sequence is *bad* (not good): no element embeds into
-/// a later one.
-pub fn is_bad_sequence(seq: &[Config]) -> bool {
-    !is_good_sequence(seq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +87,6 @@ mod tests {
     fn increasing_pair_found() {
         let seq = vec![cfg(&[3, 0]), cfg(&[2, 1]), cfg(&[3, 1])];
         assert_eq!(find_increasing_pair(&seq), Some((0, 2)));
-        assert!(is_good_sequence(&seq));
     }
 
     #[test]
@@ -108,7 +95,6 @@ mod tests {
         // only when the first drops: an antichain.
         let seq = vec![cfg(&[3, 0]), cfg(&[2, 1]), cfg(&[1, 2]), cfg(&[0, 3])];
         assert_eq!(find_increasing_pair(&seq), None);
-        assert!(is_bad_sequence(&seq));
     }
 
     #[test]

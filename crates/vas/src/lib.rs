@@ -32,6 +32,6 @@ pub use controlled::{longest_bad_sequence, ControlledSearch};
 pub use dclosed::{BasisElement, DownwardClosedSet, Ideal};
 pub use dickson::{extract_increasing_subsequence, find_increasing_pair};
 pub use hilbert::{hilbert_basis_equalities, hilbert_basis_inequalities, HilbertOptions};
-pub use parikh::{displacement_matrix, ParikhImage};
+pub use parikh::ParikhImage;
 pub use pottier::{pottier_constant, pottier_constant_deterministic, RealisabilitySystem};
 pub use vector::ZVec;

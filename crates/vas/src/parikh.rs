@@ -49,15 +49,6 @@ impl ParikhImage {
         ParikhImage { counts }
     }
 
-    /// Builds the Parikh image of an explicit sequence of transition indices.
-    pub fn from_sequence(num_transitions: usize, sequence: &[usize]) -> Self {
-        let mut pi = ParikhImage::empty(num_transitions);
-        for &t in sequence {
-            pi.add(t, 1);
-        }
-        pi
-    }
-
     /// The number of transitions the image ranges over.
     pub fn num_transitions(&self) -> usize {
         self.counts.len()
@@ -156,7 +147,7 @@ impl fmt::Display for ParikhImage {
 
 /// The displacement matrix of a protocol: one row per state, one column per
 /// explicit transition, entry `(q, t) = Δt(q)`.
-pub fn displacement_matrix(protocol: &Protocol) -> Vec<Vec<i64>> {
+pub(crate) fn displacement_matrix(protocol: &Protocol) -> Vec<Vec<i64>> {
     let n = protocol.num_states();
     let m = protocol.num_transitions();
     let mut rows = vec![vec![0i64; m]; n];
@@ -188,7 +179,7 @@ mod tests {
 
     #[test]
     fn construction_and_size() {
-        let pi = ParikhImage::from_sequence(3, &[0, 0, 2]);
+        let pi = ParikhImage::from_counts(vec![2, 0, 1]);
         assert_eq!(pi.counts(), &[2, 0, 1]);
         assert_eq!(pi.size(), 3);
         assert!(!pi.is_empty());
@@ -225,7 +216,7 @@ mod tests {
         // Fire t0 then t1: ⟨2·q1⟩ → ⟨1·q0, 1·q2⟩ → ⟨2·q2⟩.
         let after_t0 = p.transitions()[0].fire(&ic).unwrap();
         let after_t1 = p.transitions()[1].fire(&after_t0).unwrap();
-        let pi = ParikhImage::from_sequence(3, &[0, 1]);
+        let pi = ParikhImage::from_counts(vec![1, 1, 0]);
         assert_eq!(pi.apply(&p, &ic), Some(after_t1));
     }
 

@@ -9,7 +9,7 @@
 //! *Pottier constant* of the protocol.
 
 use crate::hilbert::{hilbert_basis_inequalities, HilbertBasis, HilbertOptions};
-use crate::parikh::ParikhImage;
+use crate::parikh::{displacement_matrix, ParikhImage};
 use popproto_model::{Config, Protocol, StateId};
 use popproto_numerics::{saturating_pow_u64, BigNat};
 use serde::{Deserialize, Serialize};
@@ -19,15 +19,6 @@ use serde::{Deserialize, Serialize};
 pub fn pottier_constant(protocol: &Protocol) -> BigNat {
     let base = BigNat::from(2 * protocol.num_transitions() as u64 + 1);
     base.pow(protocol.num_states() as u64) * BigNat::from(2u64)
-}
-
-/// The Pottier constant saturated to `u64` (handy for small protocols).
-pub fn pottier_constant_u64(protocol: &Protocol) -> u64 {
-    saturating_pow_u64(
-        2 * protocol.num_transitions() as u64 + 1,
-        protocol.num_states() as u32,
-    )
-    .saturating_mul(2)
 }
 
 /// The Pottier constant for *deterministic* protocols (Remark 1):
@@ -82,15 +73,11 @@ impl RealisabilitySystem {
             .state_ids()
             .filter(|q| !input_states.contains(q))
             .collect();
-        let mut matrix = Vec::with_capacity(constrained_states.len());
-        for &q in &constrained_states {
-            let row: Vec<i64> = protocol
-                .transitions()
-                .iter()
-                .map(|t| t.displacement(n)[q.index()])
-                .collect();
-            matrix.push(row);
-        }
+        let mut full = displacement_matrix(protocol);
+        let matrix = constrained_states
+            .iter()
+            .map(|q| std::mem::take(&mut full[q.index()]))
+            .collect();
         RealisabilitySystem {
             matrix,
             constrained_states,
@@ -103,11 +90,6 @@ impl RealisabilitySystem {
     /// The coefficient matrix (rows = non-input states, columns = transitions).
     pub fn matrix(&self) -> &[Vec<i64>] {
         &self.matrix
-    }
-
-    /// The states constrained by the system (all states except input states).
-    pub fn constrained_states(&self) -> &[StateId] {
-        &self.constrained_states
     }
 
     /// Returns `true` if the multiset `π` is potentially realisable.
@@ -183,7 +165,6 @@ mod tests {
         let q = p.num_states() as u64;
         let xi = pottier_constant(&p);
         assert_eq!(xi, BigNat::from(2 * t + 1).pow(q) * BigNat::from(2u64));
-        assert_eq!(pottier_constant_u64(&p), 2 * (2 * t + 1).pow(q as u32));
         let xi_det = pottier_constant_deterministic(&p);
         assert_eq!(xi_det, BigNat::from(q + 2).pow(q) * BigNat::from(2u64));
         // For this protocol |T| ≥ |Q|, so the deterministic constant is smaller.
@@ -197,7 +178,6 @@ mod tests {
         // One row per non-input state.
         assert_eq!(sys.matrix().len(), 3);
         assert_eq!(sys.matrix()[0].len(), p.num_transitions());
-        assert_eq!(sys.constrained_states().len(), 3);
     }
 
     #[test]

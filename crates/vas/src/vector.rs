@@ -14,7 +14,7 @@ use std::ops::{Add, Neg, Sub};
 /// let a = ZVec::from(vec![1, -2, 3]);
 /// let b = ZVec::from(vec![0, 2, -3]);
 /// assert_eq!((a.clone() + b).entries(), &[1, 0, 0]);
-/// assert_eq!(a.norm1(), 6);
+/// assert_eq!(a.norm_inf(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ZVec {
@@ -56,11 +56,6 @@ impl ZVec {
         self.entries[i] = v;
     }
 
-    /// The 1-norm `‖v‖₁ = Σ|vᵢ|`.
-    pub fn norm1(&self) -> u64 {
-        self.entries.iter().map(|e| e.unsigned_abs()).sum()
-    }
-
     /// The ∞-norm `‖v‖_∞ = max |vᵢ|`.
     pub fn norm_inf(&self) -> u64 {
         self.entries
@@ -68,11 +63,6 @@ impl ZVec {
             .map(|e| e.unsigned_abs())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Returns `true` if all entries are ≥ 0.
-    pub fn is_nonnegative(&self) -> bool {
-        self.entries.iter().all(|&e| e >= 0)
     }
 
     /// Returns `true` if all entries are zero.
@@ -95,7 +85,7 @@ impl ZVec {
     }
 
     /// Adds `k` times `other` to this vector.
-    pub fn add_scaled(&mut self, other: &ZVec, k: i64) {
+    pub(crate) fn add_scaled(&mut self, other: &ZVec, k: i64) {
         assert_eq!(self.dim(), other.dim(), "dimension mismatch");
         for (a, b) in self.entries.iter_mut().zip(&other.entries) {
             *a += k * b;
@@ -103,7 +93,7 @@ impl ZVec {
     }
 
     /// Converts a configuration into the corresponding non-negative vector.
-    pub fn from_config(c: &Config) -> ZVec {
+    pub(crate) fn from_config(c: &Config) -> ZVec {
         ZVec {
             entries: c.counts().iter().map(|&x| x as i64).collect(),
         }
@@ -112,7 +102,7 @@ impl ZVec {
     /// Converts a non-negative vector into a configuration.
     ///
     /// Returns `None` if any entry is negative.
-    pub fn to_config(&self) -> Option<Config> {
+    pub(crate) fn to_config(&self) -> Option<Config> {
         let counts = self
             .entries
             .iter()
@@ -181,9 +171,7 @@ mod tests {
     fn construction_and_norms() {
         let v = ZVec::from(vec![3, -4, 0]);
         assert_eq!(v.dim(), 3);
-        assert_eq!(v.norm1(), 7);
         assert_eq!(v.norm_inf(), 4);
-        assert!(!v.is_nonnegative());
         assert!(!v.is_zero());
         assert!(ZVec::zero(5).is_zero());
         assert_eq!(ZVec::unit(3, 1).entries(), &[0, 1, 0]);

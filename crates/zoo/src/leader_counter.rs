@@ -85,6 +85,9 @@ pub fn leader_counter(k: u32) -> Protocol {
 }
 
 /// The threshold computed by [`leader_counter`]`(k)`, i.e. `2^k`.
+///
+/// Public for experiment E1, whose witness table records this threshold
+/// for every leader-counter row.
 pub fn leader_counter_threshold(k: u32) -> u64 {
     1u64 << k
 }
