@@ -15,18 +15,23 @@
 //!    pipeline reproduces the unfloored search bit for bit;
 //! 3. **concrete slices** — a per-input [`ThresholdProfile`] in ascending
 //!    `n` with reject-on-first-failure, on the CSR or the
-//!    frontier-compressed exploration engine.
+//!    frontier-compressed exploration engine.  On the CSR engine the
+//!    pipeline runs it on one [`SliceProfiler`] it owns.
 //!
 //! The pipeline runs the two symbolic stages on one [`Prefilter`] it owns,
-//! on the flat view of the fingerprint ([`FlatProtocol`]): a memo miss
-//! builds a [`Protocol`] only when it reaches the concrete slices.  The
-//! filter keeps what depends on the transition structure alone — the
-//! Karp–Miller cover, and the backward basis of each state — for the last
-//! structure it saw, and the canonical fingerprints make every output
-//! pattern of one structure decode to the same transitions, so a structure
-//! is analysed once however many of its output patterns miss the memo.
-//! Verdicts are those of the free functions, whatever the order of the
-//! misses.
+//! on the flat view of the fingerprint ([`FlatProtocol`]), and the CSR
+//! profile on its [`SliceProfiler`], on the same restriction as a
+//! [`UnaryView`]: a memo miss builds a [`Protocol`] only for the frontier
+//! engine.  Both keep what depends on the transition structure alone for
+//! the last structure they saw: the filter keeps the Karp–Miller cover and
+//! the backward basis of each state, the profiler keeps each explored slice
+//! with one populated-state mask per configuration.  The canonical
+//! fingerprints make every output pattern of one structure decode to the
+//! same transitions, so a structure is analysed once, and each of its
+//! slices explored once, however many of its output patterns miss the
+//! memo; a further pattern only relabels the slices' stable sets and reruns
+//! their backward closures.  Verdicts are those of the free functions,
+//! whatever the order of the misses.
 //!
 //! # Cross-candidate memoization
 //!
@@ -88,10 +93,12 @@
 //! [`threshold_prefilter`]: popproto_symbolic::threshold_prefilter
 //! [`eta_floor_prefilter`]: popproto_symbolic::eta_floor_prefilter
 //! [`ThresholdProfile`]: popproto_reach::ThresholdProfile
+//! [`SliceProfiler`]: popproto_reach::SliceProfiler
+//! [`UnaryView`]: popproto_reach::UnaryView
 
 use crate::orbit_stream::{permutations_fixing_zero, OrbitSpace};
 use popproto_model::{Output, Protocol, ProtocolBuilder, StateId};
-use popproto_reach::{frontier_threshold_profile, unary_threshold_profile, ExploreLimits};
+use popproto_reach::{frontier_threshold_profile, ExploreLimits, SliceProfiler, UnaryView};
 use popproto_symbolic::{FlatProtocol, Prefilter, SymbolicLimits, OMEGA};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -100,16 +107,21 @@ use std::collections::HashMap;
 /// Which exact-exploration engine the concrete-slice stage runs on.
 ///
 /// Both engines produce bit-identical [`popproto_reach::ThresholdProfile`]s;
-/// they differ only in peak memory (the frontier engine stores no adjacency)
-/// and constant factors (the CSR engine walks stored edges, the frontier
-/// engine regenerates them).
+/// they differ in peak memory (the frontier engine stores no adjacency), in
+/// constant factors (the CSR engine walks stored edges, the frontier engine
+/// regenerates them) and in reuse: only stored edges can be kept, so only
+/// the CSR engine explores a structure's slices once for all its output
+/// patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReachEngine {
-    /// [`popproto_reach::ReachabilityGraph`]: stored CSR adjacency — fastest
-    /// on the small slices of a busy-beaver profile.
+    /// [`popproto_reach::ReachabilityGraph`]s kept by the pipeline's
+    /// [`popproto_reach::SliceProfiler`]: stored CSR adjacency, explored
+    /// once per structure — fastest on the small slices of a busy-beaver
+    /// profile.
     Csr,
     /// [`popproto_reach::FrontierGraph`]: frontier-compressed, adjacency
-    /// regenerated on demand — peak memory bounded by the arena.
+    /// regenerated on demand, every slice explored for every output
+    /// pattern that reaches it — peak memory bounded by the arena.
     Frontier,
 }
 
@@ -317,6 +329,11 @@ pub struct CandidatePipeline {
     prefilter: Prefilter,
     /// The flat view of the last memo miss, read by the symbolic stages.
     flat: FlatProtocol,
+    /// The CSR profile's working memory and slices, shared by every memo
+    /// miss that reaches the concrete slices.
+    profiler: SliceProfiler,
+    /// The last such miss as the profiler reads it.
+    view: UnaryView,
 }
 
 /// What every output pattern of one transition structure shares: its
@@ -393,6 +410,8 @@ impl CandidatePipeline {
             scratch: Vec::new(),
             prefilter: Prefilter::default(),
             flat: FlatProtocol::default(),
+            profiler: SliceProfiler::default(),
+            view: UnaryView::default(),
         }
     }
 
@@ -508,8 +527,8 @@ impl CandidatePipeline {
     }
 
     /// The staged triage of the restriction in `self.fingerprint`.  The
-    /// symbolic stages read its flat view; a [`Protocol`] is built only for
-    /// a candidate that reaches the concrete slices.
+    /// symbolic stages and the CSR profile read its flat view; a
+    /// [`Protocol`] is built only for the frontier engine.
     fn triage(&mut self) -> MemoVerdict {
         decode_flat(&self.fingerprint, &mut self.flat);
         let config = &self.config;
@@ -525,14 +544,17 @@ impl CandidatePipeline {
         {
             return MemoVerdict::RejectedEta;
         }
-        let protocol = fingerprint_protocol(&self.fingerprint);
         let profile = match config.engine {
             ReachEngine::Csr => {
-                unary_threshold_profile(&protocol, config.max_input, &config.explore)
+                unary_view(&self.flat, &mut self.view);
+                self.profiler
+                    .profile_flat(&self.view, config.max_input, &config.explore)
             }
-            ReachEngine::Frontier => {
-                frontier_threshold_profile(&protocol, config.max_input, &config.explore)
-            }
+            ReachEngine::Frontier => frontier_threshold_profile(
+                &fingerprint_protocol(&self.fingerprint),
+                config.max_input,
+                &config.explore,
+            ),
         };
         MemoVerdict::Profiled {
             verified: profile.verified_threshold(),
@@ -589,9 +611,9 @@ impl CandidatePipeline {
 }
 
 /// Materialises the restriction protocol a fingerprint encodes.  The
-/// concrete slices run on this protocol and the symbolic stages on its flat
-/// view ([`decode_flat`]), which makes the memoized verdict a function of
-/// the fingerprint *by construction*.
+/// frontier engine's slices run on this protocol, and the symbolic stages
+/// and the CSR profile on its flat view ([`decode_flat`]), which makes the
+/// memoized verdict a function of the fingerprint *by construction*.
 fn fingerprint_protocol(bytes: &[u8]) -> Protocol {
     let k = bytes[0] as usize;
     let out_bits = bytes[1];
@@ -643,11 +665,22 @@ fn decode_flat(bytes: &[u8], flat: &mut FlatProtocol) {
     }
 }
 
+/// Writes the restriction `flat` describes as the slice profiler reads it:
+/// leaderless, with input state 0.
+fn unary_view(flat: &FlatProtocol, view: &mut UnaryView) {
+    view.leaders.clear();
+    view.leaders.resize(flat.root.len(), 0);
+    view.input = 0;
+    view.accepts.clone_from(&flat.accepts);
+    view.transitions.clone_from(&flat.transitions);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::orbit_stream::OrbitStream;
     use crate::segmented::{SegmentationConfig, SegmentedCheckpoint, SegmentedSearch};
+    use popproto_reach::unary_threshold_profile;
     use popproto_symbolic::{eta_floor_prefilter, threshold_prefilter};
 
     /// The reference key, part 1: encodes the coverable-support restriction
@@ -1085,6 +1118,108 @@ mod tests {
             loaded.load(&fingerprint_protocol(&bytes));
             assert_eq!(decoded, loaded, "candidate {k}");
         }
+    }
+
+    /// The restrictions the `BB_det(3)` pipeline profiles, in offer order:
+    /// the canonical fingerprint of every memo miss that passes the
+    /// symbolic pre-filter (the η floor is off).
+    fn three_state_profiled_fingerprints(cfg: &PipelineConfig) -> Vec<Vec<u8>> {
+        let space = OrbitSpace::new(3);
+        let perms_by_k: Vec<Vec<Vec<usize>>> = (0..=3).map(permutations_fixing_zero).collect();
+        let mut prefilter = Prefilter::default();
+        let mut seen = std::collections::HashSet::new();
+        let mut profiled = Vec::new();
+        let mut support = vec![false; 3];
+        let (mut bytes, mut scratch, mut scratch_best) = (Vec::new(), Vec::new(), Vec::new());
+        let mut stream = OrbitStream::range(&space, 0, u128::MAX);
+        while let Some(index) = stream.next_canonical() {
+            let outputs = (index % space.output_patterns()) as u32;
+            let assignment = stream.current_assignment();
+            encode_fingerprint(&space, assignment, outputs, &mut support, &mut bytes);
+            let k = bytes[0] as usize;
+            canonicalize_fingerprint(&mut bytes, &perms_by_k[k], &mut scratch, &mut scratch_best);
+            if seen.insert(bytes.clone())
+                && prefilter.threshold(&fingerprint_protocol(&bytes), cfg.max_input, &cfg.symbolic)
+            {
+                profiled.push(bytes.clone());
+            }
+        }
+        profiled
+    }
+
+    /// Profiles `order` on one slice profiler, through the view the
+    /// pipeline feeds it, and checks every profile against a fresh
+    /// [`unary_threshold_profile`] on the fingerprint's protocol.  Returns
+    /// how many profiles hold a truncated slice.
+    fn assert_cached_profiles_match_fresh_ones(
+        order: &[&Vec<u8>],
+        limits: &ExploreLimits,
+    ) -> usize {
+        let mut profiler = SliceProfiler::default();
+        let (mut flat, mut view) = (FlatProtocol::default(), UnaryView::default());
+        let mut truncated = 0;
+        for &bytes in order {
+            decode_flat(bytes, &mut flat);
+            unary_view(&flat, &mut view);
+            let cached = profiler.profile_flat(&view, 6, limits);
+            let fresh = unary_threshold_profile(&fingerprint_protocol(bytes), 6, limits);
+            assert_eq!(cached, fresh, "{bytes:?} under {limits:?}");
+            truncated += usize::from(cached.inputs.iter().any(|p| !p.exhaustive));
+        }
+        truncated
+    }
+
+    #[test]
+    fn cached_slice_profiles_match_fresh_ones_on_every_three_state_restriction() {
+        let cfg = config(6);
+        let profiled = three_state_profiled_fingerprints(&cfg);
+        // The list is every restriction the pipeline profiles.
+        let (pipeline, stats) = drain(3, u128::MAX, cfg);
+        let records = memo_records(&pipeline);
+        assert_eq!(stats.threshold_protocols, 46_144);
+        let expected: Vec<&Vec<u8>> = records
+            .iter()
+            .filter(|(_, verdict)| matches!(verdict, MemoVerdict::Profiled { .. }))
+            .map(|(bytes, _)| bytes)
+            .collect();
+        let mut sorted: Vec<&Vec<u8>> = profiled.iter().collect();
+        sorted.sort_unstable();
+        assert_eq!(sorted, expected);
+
+        // In offer order.
+        let offer: Vec<&Vec<u8>> = profiled.iter().collect();
+        assert_eq!(
+            assert_cached_profiles_match_fresh_ones(&offer, &ExploreLimits::default()),
+            0
+        );
+        // Interleaved: each pair of consecutive structures A, B runs as A,
+        // then B, then A again in reverse, so A's slices are explored
+        // again after B replaced them.
+        let mut runs: Vec<Vec<&Vec<u8>>> = Vec::new();
+        for bytes in &profiled {
+            match runs.last_mut() {
+                Some(run) if (run[0][0], &run[0][2..]) == (bytes[0], &bytes[2..]) => {
+                    run.push(bytes)
+                }
+                _ => runs.push(vec![bytes]),
+            }
+        }
+        assert!(runs.iter().any(|run| run.len() > 1));
+        let mut interleaved = Vec::new();
+        for pair in runs.chunks(2) {
+            interleaved.extend(&pair[0]);
+            if let Some(b) = pair.get(1) {
+                interleaved.extend(b);
+                interleaved.extend(pair[0].iter().rev());
+            }
+        }
+        assert_eq!(
+            assert_cached_profiles_match_fresh_ones(&interleaved, &ExploreLimits::default()),
+            0
+        );
+        // Under a tiny cap, so that cached graphs are truncated.
+        let tiny = ExploreLimits::with_max_configs(4);
+        assert!(assert_cached_profiles_match_fresh_ones(&offer, &tiny) > 0);
     }
 
     /// What a memo-free, raw-key pipeline computes over the candidate range

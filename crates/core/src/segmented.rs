@@ -360,16 +360,33 @@ impl SegmentedSearch {
     /// # Panics
     ///
     /// Panics if the plan would exceed `MAX_SEGMENTS` (2²⁰) segments — cap
-    /// the range or grow the segments.
+    /// the range or grow the segments — or if `num_states > 8`.
     pub fn new(
         num_states: usize,
         config: PipelineConfig,
         segmentation: SegmentationConfig,
     ) -> Self {
+        SegmentedSearch::planned(num_states, config, segmentation)
+            .expect("the segment plan fits MAX_SEGMENTS")
+    }
+
+    /// [`SegmentedSearch::new`], or the reason the plan is refused: more
+    /// states than a pipeline encodes, or more than `MAX_SEGMENTS`
+    /// segments.
+    fn planned(
+        num_states: usize,
+        config: PipelineConfig,
+        segmentation: SegmentationConfig,
+    ) -> Result<Self, String> {
+        // `CandidatePipeline::new` takes at most 8 states; refuse more
+        // before the space enumerates `(n − 1)!` relabellings.
+        if num_states > 8 {
+            return Err(format!("{num_states} states: a pipeline encodes at most 8"));
+        }
         let space = Arc::new(OrbitSpace::new(num_states));
-        let (seg_size, end, order) = plan(&space, &segmentation);
+        let (seg_size, end, order) = plan(&space, &segmentation)?;
         let num_segments = order.len();
-        SegmentedSearch {
+        Ok(SegmentedSearch {
             space,
             config,
             segmentation,
@@ -378,7 +395,7 @@ impl SegmentedSearch {
             order,
             runs: (0..num_segments).map(|_| None).collect(),
             target_orbits: u64::MAX,
-        }
+        })
     }
 
     /// Restores a search from a checkpoint.  The plan is recomputed from
@@ -387,8 +404,10 @@ impl SegmentedSearch {
     ///
     /// # Errors
     ///
-    /// Refuses a checkpoint of another version, and one whose entries do
-    /// not match the recomputed plan or contradict themselves:
+    /// Refuses a checkpoint of another version, one whose plan
+    /// [`SegmentedSearch::new`] would refuse (more than 8 states, or more
+    /// than `MAX_SEGMENTS` segments), and one whose entries do not match
+    /// the recomputed plan or contradict themselves:
     /// - an entry's `start` or `end` is not a plan segment's, or a second
     ///   entry names the same segment;
     /// - its `canonical_orbits + pruned_symmetric` is not the segment's
@@ -405,11 +424,12 @@ impl SegmentedSearch {
                 checkpoint.version
             ));
         }
-        let mut search = SegmentedSearch::new(
+        let mut search = SegmentedSearch::planned(
             checkpoint.num_states,
             checkpoint.config.clone(),
             checkpoint.segmentation.clone(),
-        );
+        )
+        .map_err(|e| format!("checkpoint plan refused: {e}"))?;
         search.target_orbits = checkpoint.target_orbits;
         for entry in &checkpoint.segments {
             let start = entry.start.get();
@@ -831,16 +851,20 @@ const SEGMENTED_CHECKPOINT_VERSION: u32 = 6;
 /// Computes `(segment size, range end, segment ids in visit order)` — a pure
 /// function of the space and the segmentation config, recomputed identically
 /// by every resume.
-fn plan(space: &OrbitSpace, seg: &SegmentationConfig) -> (u128, u128, Vec<u32>) {
+///
+/// Refuses a plan of more than `MAX_SEGMENTS` segments.
+fn plan(space: &OrbitSpace, seg: &SegmentationConfig) -> Result<(u128, u128, Vec<u32>), String> {
     let total = space.total_candidates();
     let end = seg.range_end.map(|e| e.get()).unwrap_or(total).min(total);
     let block = space.output_patterns();
     let seg_size = ((seg.segment_size as u128).max(1).div_ceil(block) * block).max(block);
-    let num_segments = usize::try_from(end.div_ceil(seg_size)).unwrap_or(usize::MAX);
-    assert!(
-        num_segments <= MAX_SEGMENTS,
-        "segment plan too large ({num_segments} segments): cap range_end or grow segment_size"
-    );
+    let segments = end.div_ceil(seg_size);
+    if segments > MAX_SEGMENTS as u128 {
+        return Err(format!(
+            "segment plan too large ({segments} segments): cap range_end or grow segment_size"
+        ));
+    }
+    let num_segments = segments as usize;
     let mut order: Vec<u32> = (0..num_segments as u32).collect();
     if seg.order == SegmentOrder::EntropyDescending {
         let scores: Vec<u64> = order
@@ -851,7 +875,7 @@ fn plan(space: &OrbitSpace, seg: &SegmentationConfig) -> (u128, u128, Vec<u32>) 
         // segment id — a total, deterministic order.
         order.sort_by_key(|&id| (scores[id as usize], id));
     }
-    (seg_size, end, order)
+    Ok((seg_size, end, order))
 }
 
 #[cfg(test)]
@@ -1113,6 +1137,18 @@ mod tests {
         // Version-5 entries may be part-done segments, with a generator
         // cursor and a packed memo table that this version cannot resume.
         corrupt(&|c| c.version = 5, "unknown segmented checkpoint version");
+        // Plans `SegmentedSearch::new` refuses are refused before any
+        // entry is read, without a panic: 10¹⁰ one-block segments of the
+        // 4-state space, and a state count no pipeline encodes (whose
+        // space alone would enumerate 39! relabellings).
+        corrupt(
+            &|c| {
+                c.num_states = 4;
+                c.segmentation.segment_size = 1;
+            },
+            "segment plan too large",
+        );
+        corrupt(&|c| c.num_states = 40, "40 states");
     }
 
     #[test]
@@ -1199,8 +1235,8 @@ mod tests {
     fn plan_is_deterministic_and_entropy_order_prefers_diverse_digits() {
         let space = OrbitSpace::new(3);
         let seg = SegmentationConfig::entropy_order(space.output_patterns() as u64, None);
-        let (seg_size, _, order) = plan(&space, &seg);
-        let (_, _, order2) = plan(&space, &seg);
+        let (seg_size, _, order) = plan(&space, &seg).unwrap();
+        let (_, _, order2) = plan(&space, &seg).unwrap();
         assert_eq!(order, order2, "plan must be deterministic");
         // The first segment must score no worse (no more digit collisions)
         // than the last.

@@ -74,6 +74,15 @@ impl ConfigArena {
         }
     }
 
+    /// Empties the arena and gives it dimension `num_states`, keeping its
+    /// buffers: the next configuration interned gets id 0 again.
+    pub(crate) fn clear(&mut self, num_states: usize) {
+        self.num_states = num_states;
+        self.counts.clear();
+        self.table.fill(0);
+        self.len = 0;
+    }
+
     /// The dimension (number of states) of the interned configurations.
     pub fn num_states(&self) -> usize {
         self.num_states
@@ -272,6 +281,22 @@ mod tests {
         let collected: Vec<(u32, Vec<u32>)> =
             arena.iter().map(|(id, s)| (id, s.to_vec())).collect();
         assert_eq!(collected, vec![(0, vec![0, 1]), (1, vec![1, 0])]);
+    }
+
+    #[test]
+    fn clear_forgets_every_configuration_and_reuses_the_table() {
+        let mut arena = ConfigArena::new(2);
+        for i in 0..100u32 {
+            arena.intern(&[i, 0]);
+        }
+        let table = arena.table.len();
+        arena.clear(3);
+        assert!(arena.is_empty());
+        assert_eq!(arena.num_states(), 3);
+        assert_eq!(arena.table.len(), table);
+        assert_eq!(arena.lookup(&[0, 0, 0]), None);
+        assert_eq!(arena.intern(&[7, 0, 1]), (0, true));
+        assert_eq!(arena.counts_of(0), &[7, 0, 1]);
     }
 
     #[test]

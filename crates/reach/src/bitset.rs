@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.count(), 2);
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,
@@ -113,17 +113,29 @@ impl BitSet {
 
     /// The complement within `0..len`.
     pub fn complement(&self) -> BitSet {
-        let mut out = BitSet {
-            words: self.words.iter().map(|w| !w).collect(),
-            len: self.len,
-        };
+        let mut out = self.clone();
+        out.invert();
+        out
+    }
+
+    /// Replaces the set by its complement within `0..len`.
+    pub(crate) fn invert(&mut self) {
+        for w in &mut self.words {
+            *w = !*w;
+        }
         // Mask the padding bits of the last word.
         if !self.len.is_multiple_of(64) {
-            if let Some(last) = out.words.last_mut() {
+            if let Some(last) = self.words.last_mut() {
                 *last &= (1u64 << (self.len % 64)) - 1;
             }
         }
-        out
+    }
+
+    /// Empties the set and gives it capacity `len`, keeping its buffer.
+    pub(crate) fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
     }
 
     /// Approximate heap usage in bytes (the packed word buffer).
@@ -160,6 +172,18 @@ mod tests {
         let c = s.complement();
         assert_eq!(c.count(), 70 - 4);
         assert!(c.contains(2) && !c.contains(0) && !c.contains(69));
+    }
+
+    #[test]
+    fn reset_and_invert_reuse_the_buffer() {
+        let mut s = BitSet::new(200);
+        s.insert(150);
+        s.reset(70);
+        assert_eq!(s, BitSet::new(70));
+        s.insert(3);
+        s.invert();
+        assert_eq!(s.count(), 69);
+        assert!(!s.contains(3) && s.contains(69));
     }
 
     #[test]

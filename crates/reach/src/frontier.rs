@@ -35,7 +35,7 @@ use crate::arena::ConfigArena;
 use crate::bitset::BitSet;
 use crate::graph::ExploreLimits;
 use crate::stable::StableSets;
-use crate::verify::{InputProfile, ThresholdProfile};
+use crate::verify::{profile_inputs, InputProfile, ThresholdProfile};
 use popproto_model::{Config, Output, Protocol};
 
 /// An exactly explored slice without stored adjacency: configurations are
@@ -245,11 +245,7 @@ pub fn frontier_threshold_profile(
     max_input: u64,
     limits: &ExploreLimits,
 ) -> ThresholdProfile {
-    let mut inputs = Vec::with_capacity(max_input.saturating_sub(1) as usize);
-    let mut conclusive = true;
-    let mut lo = 2u64;
-    let mut hi = max_input;
-    for i in 2..=max_input {
+    profile_inputs(max_input, |i| {
         let ic = protocol.initial_config_unary(i);
         let mut graph = FrontierGraph::explore(protocol, std::slice::from_ref(&ic), limits);
         let stable = graph.stable_sets(protocol);
@@ -257,32 +253,13 @@ pub fn frontier_threshold_profile(
             let targets = stable.bitset(b);
             !targets.is_clear() && graph.backward_closure_of(targets).first_absent().is_none()
         };
-        let profile = InputProfile {
+        InputProfile {
             input: i,
             rejects: settles(Output::False),
             accepts: settles(Output::True),
             exhaustive: graph.is_complete(),
-        };
-        inputs.push(profile);
-        if !profile.exhaustive || (!profile.rejects && !profile.accepts) {
-            conclusive = false;
-            break;
         }
-        if profile.accepts {
-            hi = hi.min(i);
-        } else {
-            lo = lo.max(i + 1);
-        }
-        if lo > hi {
-            conclusive = false;
-            break;
-        }
-    }
-    ThresholdProfile {
-        max_input,
-        inputs,
-        conclusive,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -106,38 +106,86 @@ pub(crate) fn transition_deltas(protocol: &Protocol) -> Vec<[usize; 4]> {
 impl ReachabilityGraph {
     /// Explores the configuration space reachable from `initial` under
     /// `protocol`, up to the given limits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an initial configuration has the wrong dimension or a
+    /// count beyond `u32::MAX`.
     pub fn explore(protocol: &Protocol, initial: &[Config], limits: &ExploreLimits) -> Self {
         let n = protocol.num_states();
-        let mut arena = ConfigArena::new(n);
-        let mut initial_ids: Vec<u32> = Vec::new();
+        let mut rows: Vec<u32> = Vec::with_capacity(initial.len() * n);
         for c in initial {
-            let (id, _) = arena.intern_config(c);
-            if !initial_ids.contains(&id) {
-                initial_ids.push(id);
+            assert_eq!(c.num_states(), n, "dimension mismatch");
+            rows.extend(
+                c.counts()
+                    .iter()
+                    .map(|&v| u32::try_from(v).expect("count exceeds the arena's u32 range")),
+            );
+        }
+        let mut graph = ReachabilityGraph::empty();
+        graph.explore_into(n, &transition_deltas(protocol), &rows, limits);
+        graph
+    }
+
+    /// A graph of no configuration, whose buffers
+    /// [`ReachabilityGraph::explore_into`] fills.
+    pub(crate) fn empty() -> Self {
+        ReachabilityGraph {
+            arena: ConfigArena::new(0),
+            succ_off: Vec::new(),
+            succ: Vec::new(),
+            pred_off: Vec::new(),
+            pred: Vec::new(),
+            initial: Vec::new(),
+            complete: true,
+        }
+    }
+
+    /// Explores the configurations of dimension `num_states` reachable
+    /// from the rows of `initial` (concatenated, `num_states` counts each)
+    /// under the non-silent transition `deltas`, up to the given limits,
+    /// into this graph's buffers.  Whatever the graph held before, the
+    /// result is the graph [`ReachabilityGraph::explore`] builds.
+    pub(crate) fn explore_into(
+        &mut self,
+        num_states: usize,
+        deltas: &[[usize; 4]],
+        initial: &[u32],
+        limits: &ExploreLimits,
+    ) {
+        let n = num_states;
+        let arena = &mut self.arena;
+        arena.clear(n);
+        self.initial.clear();
+        for row in initial.chunks_exact(n) {
+            let (id, _) = arena.intern(row);
+            if !self.initial.contains(&id) {
+                self.initial.push(id);
             }
         }
 
-        let deltas = transition_deltas(protocol);
-
-        let mut succ_off: Vec<u32> = vec![0];
-        let mut succ: Vec<u32> = Vec::new();
+        let succ_off = &mut self.succ_off;
+        let succ = &mut self.succ;
+        succ_off.clear();
+        succ_off.push(0);
+        succ.clear();
         let mut current: Vec<u32> = vec![0; n];
         let mut scratch: Vec<u32> = vec![0; n];
-        let mut complete = true;
+        self.complete = true;
 
         // Identifiers are assigned in discovery order, so the BFS queue is
         // implicit: process ids `0, 1, 2, …` until the frontier is exhausted.
         let mut head: usize = 0;
         while head < arena.len() {
             if arena.len() > limits.max_configs {
-                complete = false;
+                self.complete = false;
                 break;
             }
             let id = head as u32;
             head += 1;
             current.copy_from_slice(arena.counts_of(id));
             let base = succ.len();
-            for &[p0, p1, q0, q1] in &deltas {
+            for &[p0, p1, q0, q1] in deltas {
                 let enabled = if p0 == p1 {
                     current[p0] >= 2
                 } else {
@@ -162,35 +210,32 @@ impl ReachabilityGraph {
         }
         // Nodes discovered but not expanded (truncated exploration) have no
         // outgoing edges.
-        succ_off.resize(arena.len() + 1, succ.len() as u32);
-
-        // Transpose into the predecessor CSR.
         let num = arena.len();
-        let mut pred_off = vec![0u32; num + 1];
-        for &dst in &succ {
-            pred_off[dst as usize + 1] += 1;
+        succ_off.resize(num + 1, succ.len() as u32);
+
+        // Transpose into the predecessor CSR: count each node's in-edges at
+        // its own offset, turn the counts into end offsets, then fill every
+        // node's range from its end with the sources in descending order —
+        // which leaves each range in ascending source order and each offset
+        // at its range's start.
+        let pred_off = &mut self.pred_off;
+        pred_off.clear();
+        pred_off.resize(num + 1, 0);
+        for &dst in succ.iter() {
+            pred_off[dst as usize] += 1;
         }
-        for i in 1..pred_off.len() {
+        for i in 1..num {
             pred_off[i] += pred_off[i - 1];
         }
-        let mut pred = vec![0u32; succ.len()];
-        let mut cursor: Vec<u32> = pred_off[..num].to_vec();
-        for src in 0..num {
+        pred_off[num] = succ.len() as u32;
+        self.pred.clear();
+        self.pred.resize(succ.len(), 0);
+        for src in (0..num).rev() {
             let (lo, hi) = (succ_off[src] as usize, succ_off[src + 1] as usize);
             for &dst in &succ[lo..hi] {
-                pred[cursor[dst as usize] as usize] = src as u32;
-                cursor[dst as usize] += 1;
+                pred_off[dst as usize] -= 1;
+                self.pred[pred_off[dst as usize] as usize] = src as u32;
             }
-        }
-
-        ReachabilityGraph {
-            arena,
-            succ_off,
-            succ,
-            pred_off,
-            pred,
-            initial: initial_ids,
-            complete,
         }
     }
 
@@ -285,17 +330,37 @@ impl ReachabilityGraph {
     /// The set of identifiers backward-reachable from `targets` (including
     /// them): configurations that *can reach* a target.
     pub fn backward_closure(&self, targets: &[u32]) -> BitSet {
-        self.closure(targets.iter().copied())
+        let mut seen = BitSet::new(self.len());
+        self.closure_into(targets.iter().copied(), &mut seen, &mut Vec::new());
+        seen
     }
 
     /// Backward closure seeded by a bitset instead of an id list.
     pub fn backward_closure_of(&self, targets: &BitSet) -> BitSet {
-        self.closure(targets.iter())
+        let mut seen = BitSet::new(self.len());
+        self.backward_closure_into(targets, &mut seen, &mut Vec::new());
+        seen
     }
 
-    fn closure(&self, seeds: impl Iterator<Item = u32>) -> BitSet {
-        let mut seen = BitSet::new(self.len());
-        let mut stack: Vec<u32> = Vec::new();
+    /// [`ReachabilityGraph::backward_closure_of`] into `seen`, with `stack`
+    /// as the worklist: both buffers are reused, whatever they held.
+    pub(crate) fn backward_closure_into(
+        &self,
+        targets: &BitSet,
+        seen: &mut BitSet,
+        stack: &mut Vec<u32>,
+    ) {
+        seen.reset(self.len());
+        self.closure_into(targets.iter(), seen, stack);
+    }
+
+    fn closure_into(
+        &self,
+        seeds: impl Iterator<Item = u32>,
+        seen: &mut BitSet,
+        stack: &mut Vec<u32>,
+    ) {
+        stack.clear();
         for s in seeds {
             if seen.insert(s) {
                 stack.push(s);
@@ -308,7 +373,6 @@ impl ReachabilityGraph {
                 }
             }
         }
-        seen
     }
 
     /// A shortest path (sequence of configuration identifiers) from some
@@ -475,6 +539,56 @@ mod tests {
         );
         // Duplicate initial configurations are collapsed.
         assert_eq!(g.initial_ids().len(), 1);
+    }
+
+    /// The 4-state binary counter (decides x ≥ 4), whose slices are larger
+    /// than the 3-state protocol's.
+    fn counter4_protocol() -> Protocol {
+        let mut b = ProtocolBuilder::new("counter");
+        let one = b.add_state("1", Output::False);
+        let two = b.add_state("2", Output::False);
+        let four = b.add_state("4", Output::True);
+        let zero = b.add_state("0", Output::False);
+        b.add_transition((one, one), (two, zero)).unwrap();
+        b.add_transition((two, two), (four, zero)).unwrap();
+        b.add_transition((zero, four), (four, four)).unwrap();
+        b.add_transition((one, four), (four, four)).unwrap();
+        b.add_transition((two, four), (four, four)).unwrap();
+        b.set_input_state("x", one);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn exploring_into_dirty_buffers_matches_a_fresh_exploration() {
+        let small = threshold2_protocol();
+        let large = counter4_protocol();
+        let full = ExploreLimits::default();
+        let tight = ExploreLimits::with_max_configs(5);
+        let mut reused = ReachabilityGraph::empty();
+        // Each slice is explored into the buffers the one before left
+        // behind: larger slices, another dimension and truncated ones.
+        for (p, input, limits) in [
+            (&large, 16, &full),
+            (&small, 3, &full),
+            (&large, 9, &tight),
+            (&large, 5, &full),
+            (&small, 12, &tight),
+            (&small, 2, &full),
+        ] {
+            let ic = p.initial_config_unary(input);
+            let row: Vec<u32> = ic.counts().iter().map(|&c| c as u32).collect();
+            let fresh = ReachabilityGraph::explore(p, &[ic], limits);
+            reused.explore_into(p.num_states(), &transition_deltas(p), &row, limits);
+            assert_eq!(reused.len(), fresh.len(), "slice {input}");
+            assert_eq!(reused.is_complete(), fresh.is_complete());
+            assert_eq!(reused.initial_ids(), fresh.initial_ids());
+            assert_eq!(reused.arena().num_states(), p.num_states());
+            for id in fresh.ids() {
+                assert_eq!(reused.counts_of(id), fresh.counts_of(id));
+                assert_eq!(reused.successors_of(id), fresh.successors_of(id));
+                assert_eq!(reused.predecessors_of(id), fresh.predecessors_of(id));
+            }
+        }
     }
 
     #[test]

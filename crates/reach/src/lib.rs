@@ -17,10 +17,12 @@
 //!   characterisation — for every input `v` and every `C` reachable from
 //!   `IC(v)`, `C` can reach `SC_{φ(v)}` — is decidable on each slice and is
 //!   implemented in [`verify`];
+//! * the threshold profile with a cache of explored slices — module
+//!   [`profiler`]: the slices of one transition structure are explored once
+//!   for all of its output patterns;
 //! * frontier-compressed exploration — module [`frontier`]: the same exact
 //!   semantics with no stored adjacency, bounding peak memory by the arena
 //!   plus the live frontier instead of the full edge structure;
-//! * coverability of individual states — module [`coverability`];
 //! * reachability of `j`-saturated configurations (Lemmas 5.3/5.4) — module
 //!   [`saturation`];
 //! * empirical extraction of small bases of stable sets (Lemma 3.2) — module
@@ -32,9 +34,9 @@
 pub mod arena;
 pub mod basis_extract;
 pub mod bitset;
-pub mod coverability;
 pub mod frontier;
 pub mod graph;
+pub mod profiler;
 pub mod saturation;
 pub mod stable;
 pub mod verify;
@@ -42,9 +44,9 @@ pub mod verify;
 pub use arena::ConfigArena;
 pub use basis_extract::extract_stable_basis;
 pub use bitset::BitSet;
-pub use coverability::{coverable_states, min_input_covering_state};
 pub use frontier::{frontier_threshold_profile, FrontierGraph};
 pub use graph::{ExploreLimits, ReachabilityGraph};
+pub use profiler::{SliceProfiler, UnaryView};
 pub use saturation::{min_input_for_saturation, SaturationWitness};
 pub use stable::{is_stable_config, StableSets};
 pub use verify::{

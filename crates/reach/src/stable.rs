@@ -17,31 +17,75 @@ use crate::graph::{ExploreLimits, ReachabilityGraph};
 use popproto_model::{Config, Output, Protocol};
 use serde::{Deserialize, Serialize};
 
+/// Writes one populated-state bitmask per interned configuration into
+/// `masks`: `num_states.div_ceil(64)` words each, in id order, with bit `q`
+/// set iff state `q` holds an agent.
+pub(crate) fn populated_masks(arena: &ConfigArena, masks: &mut Vec<u64>) {
+    let words = arena.num_states().div_ceil(64);
+    masks.clear();
+    masks.resize(arena.len() * words, 0);
+    for (row, (_, counts)) in masks.chunks_exact_mut(words).zip(arena.iter()) {
+        for (q, &count) in counts.iter().enumerate() {
+            if count > 0 {
+                row[q / 64] |= 1 << (q % 64);
+            }
+        }
+    }
+}
+
+/// Writes the state masks of the two outputs, in the word layout of
+/// [`populated_masks`]: `accepting` holds the states of output 1,
+/// `rejecting` those of output 0.
+pub(crate) fn output_masks(accepts: &[bool], accepting: &mut Vec<u64>, rejecting: &mut Vec<u64>) {
+    let words = accepts.len().div_ceil(64);
+    accepting.clear();
+    accepting.resize(words, 0);
+    rejecting.clear();
+    rejecting.resize(words, 0);
+    for (q, &accept) in accepts.iter().enumerate() {
+        let mask = if accept {
+            &mut *accepting
+        } else {
+            &mut *rejecting
+        };
+        mask[q / 64] |= 1 << (q % 64);
+    }
+}
+
+/// Sets `bad` to the configurations, given by their [`populated_masks`],
+/// that populate a state of `states`.  With `states` the states of output
+/// `≠ b` these are the configurations that are not b-stable themselves, so
+/// `SC_b` is the complement of their backward closure.
+///
+/// The one classification every engine runs: the CSR and the
+/// frontier-compressed stable sets, and the slice profiler, must classify
+/// identically for their verdicts to stay bit-identical.
+pub(crate) fn classify(masks: &[u64], states: &[u64], bad: &mut BitSet) {
+    let words = states.len();
+    bad.reset(masks.len() / words);
+    for (id, row) in masks.chunks_exact(words).enumerate() {
+        if row.iter().zip(states).any(|(m, s)| m & s != 0) {
+            bad.insert(id as u32);
+        }
+    }
+}
+
 /// Classifies every interned configuration by the outputs it populates:
 /// returns `(bad_for_0, bad_for_1)` where `bad_for_b` holds the
 /// configurations populating some state of output `≠ b`.
-///
-/// Shared by [`StableSets::compute`] (CSR engine) and the
-/// frontier-compressed engine — the two must classify identically for their
-/// stable sets to stay bit-identical, so the classification exists once.
 pub(crate) fn classify_bad_sets(protocol: &Protocol, arena: &ConfigArena) -> (BitSet, BitSet) {
-    let outputs: Vec<Output> = protocol
+    let accepts: Vec<bool> = protocol
         .state_ids()
-        .map(|q| protocol.output_of(q))
+        .map(|q| protocol.output_of(q) == Output::True)
         .collect();
-    let mut bad_for_0 = BitSet::new(arena.len());
-    let mut bad_for_1 = BitSet::new(arena.len());
-    for (id, counts) in arena.iter() {
-        for (q, &count) in counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            match outputs[q] {
-                Output::False => bad_for_1.insert(id),
-                Output::True => bad_for_0.insert(id),
-            };
-        }
-    }
+    let (mut accepting, mut rejecting) = (Vec::new(), Vec::new());
+    output_masks(&accepts, &mut accepting, &mut rejecting);
+    let mut masks = Vec::new();
+    populated_masks(arena, &mut masks);
+    let mut bad_for_0 = BitSet::new(0);
+    let mut bad_for_1 = BitSet::new(0);
+    classify(&masks, &accepting, &mut bad_for_0);
+    classify(&masks, &rejecting, &mut bad_for_1);
     (bad_for_0, bad_for_1)
 }
 

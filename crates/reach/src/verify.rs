@@ -11,9 +11,12 @@
 //! on 0, on 1, or on neither.  A single profile answers "which threshold (if
 //! any) does this protocol compute?" for *all* candidate thresholds at once —
 //! the busy-beaver enumeration previously re-explored every slice for every
-//! candidate `η`, a `max_input`-fold waste on its hottest path.
+//! candidate `η`, a `max_input`-fold waste on its hottest path.  It runs on
+//! a fresh [`SliceProfiler`], which a caller can keep instead to explore
+//! each slice once for every output pattern of a transition structure.
 
 use crate::graph::{ExploreLimits, ReachabilityGraph};
+use crate::profiler::SliceProfiler;
 use crate::stable::StableSets;
 use popproto_model::{Config, Input, Output, Predicate, Protocol};
 use serde::{Deserialize, Serialize};
@@ -124,7 +127,7 @@ pub fn verify_unary_threshold(
 
 /// The settling behaviour of one unary input slice: which consensus values
 /// the protocol is guaranteed to reach from `IC(i)`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InputProfile {
     /// The unary input `i`.
     pub input: u64,
@@ -142,7 +145,7 @@ pub struct InputProfile {
 ///
 /// One exploration and one stable-set computation per input answers the
 /// verification question for *every* candidate threshold simultaneously.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThresholdProfile {
     /// The largest input profiled.
     pub max_input: u64,
@@ -205,10 +208,24 @@ impl ThresholdProfile {
 /// The busy-beaver enumeration relies on this reject-on-first-failure
 /// behaviour: a candidate whose verdict flips the wrong way at input `i`
 /// stops after slice `i` instead of exploring all `max_input − 1` slices.
+///
+/// One call on a fresh [`SliceProfiler`]; a caller that profiles many
+/// output patterns of one transition structure keeps a profiler instead,
+/// which explores each slice once for all of them.
 pub fn unary_threshold_profile(
     protocol: &Protocol,
     max_input: u64,
     limits: &ExploreLimits,
+) -> ThresholdProfile {
+    SliceProfiler::default().profile(protocol, max_input, limits)
+}
+
+/// The profile loop of every engine: profiles inputs `2, 3, …, max_input`
+/// in order with `slice`, and stops as soon as no threshold can verify (see
+/// [`unary_threshold_profile`]).
+pub(crate) fn profile_inputs(
+    max_input: u64,
+    mut slice: impl FnMut(u64) -> InputProfile,
 ) -> ThresholdProfile {
     let mut inputs = Vec::with_capacity(max_input.saturating_sub(1) as usize);
     let mut conclusive = true;
@@ -216,19 +233,7 @@ pub fn unary_threshold_profile(
     let mut lo = 2u64;
     let mut hi = max_input;
     for i in 2..=max_input {
-        let ic = protocol.initial_config_unary(i);
-        let graph = ReachabilityGraph::explore(protocol, &[ic], limits);
-        let stable = StableSets::compute(protocol, &graph);
-        let settles = |b: Output| {
-            let targets = stable.bitset(b);
-            !targets.is_clear() && graph.backward_closure_of(targets).first_absent().is_none()
-        };
-        let profile = InputProfile {
-            input: i,
-            rejects: settles(Output::False),
-            accepts: settles(Output::True),
-            exhaustive: graph.is_complete(),
-        };
+        let profile = slice(i);
         inputs.push(profile);
         if !profile.exhaustive || (!profile.rejects && !profile.accepts) {
             conclusive = false;
