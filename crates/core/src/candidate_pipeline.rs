@@ -18,12 +18,12 @@
 //!    frontier-compressed exploration engine.  On the CSR engine the
 //!    pipeline runs it on one [`SliceProfiler`] it owns.
 //!
-//! The pipeline runs the two symbolic stages on one [`Prefilter`] it owns,
-//! on the flat view of the fingerprint ([`FlatProtocol`]), and the CSR
-//! profile on its [`SliceProfiler`], on the same restriction as a
-//! [`UnaryView`]: a memo miss builds a [`Protocol`] only for the frontier
-//! engine.  Both keep what depends on the transition structure alone for
-//! the last structure they saw: the filter keeps the Karp–Miller cover and
+//! A memo miss decodes its fingerprint once, into a [`FlatProtocol`], and
+//! the pipeline runs the two symbolic stages on one [`Prefilter`] it owns
+//! and the CSR profile on its [`SliceProfiler`], both on that one view: it
+//! builds a [`Protocol`] only for the frontier engine.  The filter and the
+//! profiler keep what depends on the transition structure alone for the
+//! last structure they saw: the filter keeps the Karp–Miller cover and
 //! the backward basis of each state, the profiler keeps each explored slice
 //! with one populated-state mask per configuration.  The canonical
 //! fingerprints make every output pattern of one structure decode to the
@@ -94,12 +94,11 @@
 //! [`eta_floor_prefilter`]: popproto_symbolic::eta_floor_prefilter
 //! [`ThresholdProfile`]: popproto_reach::ThresholdProfile
 //! [`SliceProfiler`]: popproto_reach::SliceProfiler
-//! [`UnaryView`]: popproto_reach::UnaryView
 
 use crate::orbit_stream::{permutations_fixing_zero, OrbitSpace};
 use popproto_model::{Output, Protocol, ProtocolBuilder, StateId};
-use popproto_reach::{frontier_threshold_profile, ExploreLimits, SliceProfiler, UnaryView};
-use popproto_symbolic::{FlatProtocol, Prefilter, SymbolicLimits, OMEGA};
+use popproto_reach::{frontier_threshold_profile, ExploreLimits, FlatProtocol, SliceProfiler};
+use popproto_symbolic::{Prefilter, SymbolicLimits};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -327,13 +326,12 @@ pub struct CandidatePipeline {
     scratch: Vec<u8>,
     /// The symbolic stages' working memory, shared by every memo miss.
     prefilter: Prefilter,
-    /// The flat view of the last memo miss, read by the symbolic stages.
+    /// The flat view of the last memo miss, read by the symbolic stages
+    /// and the CSR profile.
     flat: FlatProtocol,
     /// The CSR profile's working memory and slices, shared by every memo
     /// miss that reaches the concrete slices.
     profiler: SliceProfiler,
-    /// The last such miss as the profiler reads it.
-    view: UnaryView,
 }
 
 /// What every output pattern of one transition structure shares: its
@@ -411,7 +409,6 @@ impl CandidatePipeline {
             prefilter: Prefilter::default(),
             flat: FlatProtocol::default(),
             profiler: SliceProfiler::default(),
-            view: UnaryView::default(),
         }
     }
 
@@ -546,9 +543,8 @@ impl CandidatePipeline {
         }
         let profile = match config.engine {
             ReachEngine::Csr => {
-                unary_view(&self.flat, &mut self.view);
                 self.profiler
-                    .profile_flat(&self.view, config.max_input, &config.explore)
+                    .profile_flat(&self.flat, config.max_input, &config.explore)
             }
             ReachEngine::Frontier => frontier_threshold_profile(
                 &fingerprint_protocol(&self.fingerprint),
@@ -639,16 +635,16 @@ fn fingerprint_protocol(bytes: &[u8]) -> Protocol {
         .expect("fingerprint decodes to a well-formed protocol")
 }
 
-/// Writes the restriction a fingerprint encodes into `flat`: the ω-initial
-/// row (input state 0, no leaders), the outputs and the non-silent
-/// transitions in pair order — the view [`FlatProtocol::load`] writes for
-/// [`fingerprint_protocol`]'s protocol.
+/// Writes the restriction a fingerprint encodes into `flat`: no leaders,
+/// input state 0, the outputs and the non-silent transitions in pair order
+/// — the view [`FlatProtocol::load`] writes for [`fingerprint_protocol`]'s
+/// protocol.
 fn decode_flat(bytes: &[u8], flat: &mut FlatProtocol) {
     let k = bytes[0] as usize;
-    flat.root.clear();
-    flat.root.resize(k, 0);
-    flat.root[0] = OMEGA;
-    flat.leaders = 0;
+    flat.leaders.clear();
+    flat.leaders.resize(k, 0);
+    flat.inputs.clear();
+    flat.inputs.push(0);
     flat.accepts.clear();
     flat.accepts
         .extend((0..k).map(|q| (bytes[1] >> q) & 1 == 1));
@@ -663,16 +659,6 @@ fn decode_flat(bytes: &[u8], flat: &mut FlatProtocol) {
             }
         }
     }
-}
-
-/// Writes the restriction `flat` describes as the slice profiler reads it:
-/// leaderless, with input state 0.
-fn unary_view(flat: &FlatProtocol, view: &mut UnaryView) {
-    view.leaders.clear();
-    view.leaders.resize(flat.root.len(), 0);
-    view.input = 0;
-    view.accepts.clone_from(&flat.accepts);
-    view.transitions.clone_from(&flat.transitions);
 }
 
 #[cfg(test)]
@@ -1094,9 +1080,9 @@ mod tests {
 
     #[test]
     fn flat_view_matches_the_decoded_protocol() {
-        // The symbolic stages read the fingerprint's flat view instead of
-        // the protocol `fingerprint_protocol` builds: both must describe
-        // the same candidate.
+        // The symbolic stages and the CSR profile read the fingerprint's
+        // flat view instead of the protocol `fingerprint_protocol` builds:
+        // both must describe the same candidate.
         let space = OrbitSpace::new(4);
         let perms_by_k: Vec<Vec<Vec<usize>>> = (0..=4).map(permutations_fixing_zero).collect();
         let mut assignment = vec![0usize; space.pairs().len()];
@@ -1156,12 +1142,11 @@ mod tests {
         limits: &ExploreLimits,
     ) -> usize {
         let mut profiler = SliceProfiler::default();
-        let (mut flat, mut view) = (FlatProtocol::default(), UnaryView::default());
+        let mut flat = FlatProtocol::default();
         let mut truncated = 0;
         for &bytes in order {
             decode_flat(bytes, &mut flat);
-            unary_view(&flat, &mut view);
-            let cached = profiler.profile_flat(&view, 6, limits);
+            let cached = profiler.profile_flat(&flat, 6, limits);
             let fresh = unary_threshold_profile(&fingerprint_protocol(bytes), 6, limits);
             assert_eq!(cached, fresh, "{bytes:?} under {limits:?}");
             truncated += usize::from(cached.inputs.iter().any(|p| !p.exhaustive));

@@ -1,13 +1,7 @@
 //! Small overflow-aware helpers on machine integers.
 //!
 //! Population sizes and interaction counts are held in `u64`; thresholds and
-//! bound computations occasionally exceed that, so callers either saturate
-//! (for reporting) or check (for control flow).
-
-/// Saturating multiplication on `u64`.
-pub fn saturating_mul_u64(a: u64, b: u64) -> u64 {
-    a.saturating_mul(b)
-}
+//! bound computations occasionally exceed that, so callers saturate.
 
 /// Saturating integer power `base^exp` on `u64`.
 ///
@@ -29,23 +23,6 @@ pub fn saturating_pow_u64(base: u64, exp: u32) -> u64 {
     acc
 }
 
-/// Checked integer power `base^exp` on `u64`, `None` on overflow.
-///
-/// # Examples
-///
-/// ```
-/// use popproto_numerics::checked_pow_u64;
-/// assert_eq!(checked_pow_u64(10, 3), Some(1000));
-/// assert_eq!(checked_pow_u64(2, 64), None);
-/// ```
-pub fn checked_pow_u64(base: u64, exp: u32) -> Option<u64> {
-    let mut acc: u64 = 1;
-    for _ in 0..exp {
-        acc = acc.checked_mul(base)?;
-    }
-    Some(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,19 +34,5 @@ mod tests {
         assert_eq!(saturating_pow_u64(0, 5), 0);
         assert_eq!(saturating_pow_u64(u64::MAX, 2), u64::MAX);
         assert_eq!(saturating_pow_u64(3, 41), u64::MAX);
-    }
-
-    #[test]
-    fn checked_pow_behaviour() {
-        assert_eq!(checked_pow_u64(2, 63), Some(1 << 63));
-        assert_eq!(checked_pow_u64(2, 64), None);
-        assert_eq!(checked_pow_u64(1, 1000), Some(1));
-        assert_eq!(checked_pow_u64(0, 0), Some(1));
-    }
-
-    #[test]
-    fn saturating_mul_behaviour() {
-        assert_eq!(saturating_mul_u64(3, 7), 21);
-        assert_eq!(saturating_mul_u64(u64::MAX, 2), u64::MAX);
     }
 }

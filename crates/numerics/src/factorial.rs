@@ -30,24 +30,6 @@ pub fn factorial(n: u64) -> BigNat {
     acc
 }
 
-/// Computes the double factorial `n!! = n (n-2) (n-4) ...`.
-pub fn double_factorial(n: u64) -> BigNat {
-    let mut acc = BigNat::one();
-    let mut k = n;
-    while k > 1 {
-        if k <= u32::MAX as u64 {
-            acc.mul_small(k as u32);
-        } else {
-            acc = acc.mul_ref(&BigNat::from(k));
-        }
-        if k < 2 {
-            break;
-        }
-        k -= 2;
-    }
-    acc
-}
-
 /// Computes the falling factorial `n (n-1) ... (n-k+1)`.
 pub(crate) fn falling_factorial(n: u64, k: u64) -> BigNat {
     if k > n {
@@ -97,15 +79,6 @@ mod tests {
     fn factorial_100_has_known_digit_count() {
         // 100! has 158 decimal digits.
         assert_eq!(factorial(100).to_decimal_string().len(), 158);
-    }
-
-    #[test]
-    fn double_factorials() {
-        assert_eq!(double_factorial(0).to_u64(), Some(1));
-        assert_eq!(double_factorial(1).to_u64(), Some(1));
-        assert_eq!(double_factorial(5).to_u64(), Some(15));
-        assert_eq!(double_factorial(6).to_u64(), Some(48));
-        assert_eq!(double_factorial(9).to_u64(), Some(945));
     }
 
     #[test]

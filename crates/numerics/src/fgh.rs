@@ -1,4 +1,4 @@
-//! Ackermann and Fast-Growing-Hierarchy evaluation for tiny arguments.
+//! Fast-Growing-Hierarchy evaluation for tiny arguments.
 //!
 //! Lemma 4.4 of the paper bounds the length of linearly controlled good
 //! sequences by a function at level `F_ω` of the Fast-Growing Hierarchy,
@@ -12,8 +12,6 @@
 //! * `F_0(x) = x + 1`
 //! * `F_{k+1}(x) = F_k^{x+1}(x)`  (iterate `x + 1` times)
 //! * `F_ω(x) = F_x(x)`
-//!
-//! and the two-argument Ackermann–Péter function `A(m, n)`.
 
 use crate::bignat::BigNat;
 use crate::magnitude::Magnitude;
@@ -49,69 +47,6 @@ impl std::error::Error for FghError {}
 
 /// Maximum number of primitive steps an exact evaluation may take.
 const STEP_BUDGET: u64 = 50_000_000;
-
-/// Exact Ackermann–Péter function `A(m, n)` for small arguments.
-///
-/// # Errors
-///
-/// Returns [`FghError`] if the evaluation would exceed the internal step
-/// budget (e.g. `A(4, 3)` and beyond).
-///
-/// # Examples
-///
-/// ```
-/// use popproto_numerics::ackermann;
-/// assert_eq!(ackermann(2, 3).unwrap().to_u64(), Some(9));
-/// assert_eq!(ackermann(3, 3).unwrap().to_u64(), Some(61));
-/// ```
-pub fn ackermann(m: u32, n: u64) -> Result<BigNat, FghError> {
-    let mut budget = STEP_BUDGET;
-    ack_rec(m, BigNat::from(n), &mut budget)
-}
-
-fn ack_rec(m: u32, n: BigNat, budget: &mut u64) -> Result<BigNat, FghError> {
-    if *budget == 0 {
-        return Err(FghError::new("step budget exhausted"));
-    }
-    *budget -= 1;
-    match m {
-        0 => Ok(&n + &BigNat::one()),
-        1 => Ok(&n + &BigNat::from(2u64)),
-        2 => Ok(&(&n * &BigNat::from(2u64)) + &BigNat::from(3u64)),
-        3 => {
-            // A(3, n) = 2^(n+3) - 3
-            let e = n
-                .to_u64()
-                .ok_or_else(|| FghError::new("exponent too large for A(3, ·)"))?;
-            if e > 1 << 22 {
-                return Err(FghError::new("A(3, n) result would exceed size limits"));
-            }
-            Ok(&BigNat::pow2(e + 3) - &BigNat::from(3u64))
-        }
-        _ => {
-            // A(m, n) = A(m-1, A(m, n-1)); unrolled iteratively over n so the
-            // recursion depth is bounded by m rather than by n.
-            let reps = n
-                .to_u64()
-                .ok_or_else(|| FghError::new("second Ackermann argument too large"))?;
-            let mut acc = ack_rec(m - 1, BigNat::one(), budget)?; // A(m, 0)
-            for _ in 0..reps {
-                acc = ack_rec(m - 1, acc, budget)?;
-                if acc.bits() > 1 << 22 {
-                    return Err(FghError::new(
-                        "intermediate Ackermann value exceeds size limits",
-                    ));
-                }
-            }
-            Ok(acc)
-        }
-    }
-}
-
-/// Ackermann function restricted to `u64` results, convenient for tests.
-pub fn ackermann_small(m: u32, n: u64) -> Option<u64> {
-    ackermann(m, n).ok().and_then(|v| v.to_u64())
-}
 
 /// Exact Fast-Growing-Hierarchy value `F_k(x)`.
 ///
@@ -201,33 +136,6 @@ pub fn f_omega_magnitude(x: u64) -> Magnitude {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ackermann_known_values() {
-        assert_eq!(ackermann_small(0, 0), Some(1));
-        assert_eq!(ackermann_small(1, 0), Some(2));
-        assert_eq!(ackermann_small(2, 0), Some(3));
-        assert_eq!(ackermann_small(3, 0), Some(5));
-        assert_eq!(ackermann_small(0, 7), Some(8));
-        assert_eq!(ackermann_small(1, 7), Some(9));
-        assert_eq!(ackermann_small(2, 7), Some(17));
-        assert_eq!(ackermann_small(3, 7), Some(1021));
-        assert_eq!(ackermann_small(4, 0), Some(13));
-        assert_eq!(ackermann_small(4, 1), Some(65533));
-    }
-
-    #[test]
-    fn ackermann_4_2_has_many_digits() {
-        // A(4,2) = 2^65536 - 3, which has 19729 decimal digits.
-        let v = ackermann(4, 2).unwrap();
-        assert_eq!(v.to_decimal_string().len(), 19729);
-    }
-
-    #[test]
-    fn ackermann_refuses_huge() {
-        assert!(ackermann(4, 3).is_err());
-        assert!(ackermann(5, 5).is_err());
-    }
 
     #[test]
     fn fast_growing_base_levels() {

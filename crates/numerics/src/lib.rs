@@ -14,8 +14,8 @@
 //!   dependency), sufficient for constants with up to a few million bits;
 //! * [`Magnitude`] — a `log₂`-based representation with an exponent-tower
 //!   fallback, used to *report* bounds that cannot be materialised;
-//! * [`fgh`] — exact evaluation of Ackermann-style and Fast-Growing-Hierarchy
-//!   functions for the tiny arguments where exact evaluation is possible.
+//! * [`fgh`] — exact evaluation of Fast-Growing-Hierarchy functions for the
+//!   tiny arguments where exact evaluation is possible.
 //!
 //! # Examples
 //!
@@ -37,7 +37,7 @@ pub mod fgh;
 pub mod magnitude;
 
 pub use bignat::BigNat;
-pub use checked::{checked_pow_u64, saturating_mul_u64, saturating_pow_u64};
-pub use factorial::{binomial, double_factorial, factorial};
-pub use fgh::{ackermann, ackermann_small, fast_growing, FghError};
+pub use checked::saturating_pow_u64;
+pub use factorial::{binomial, factorial};
+pub use fgh::{fast_growing, FghError};
 pub use magnitude::Magnitude;

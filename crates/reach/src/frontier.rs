@@ -27,7 +27,8 @@
 //! [`frontier_threshold_profile`] is the drop-in replacement for
 //! [`unary_threshold_profile`] on this engine and produces **bit-identical**
 //! [`ThresholdProfile`]s (equality is part of the test suite), so the
-//! busy-beaver pipeline can pick the engine per slice size.
+//! busy-beaver pipeline may run either: one `PipelineConfig::engine`
+//! applies to every slice of a pipeline.
 //!
 //! [`unary_threshold_profile`]: crate::verify::unary_threshold_profile
 

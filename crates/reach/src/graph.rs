@@ -82,12 +82,12 @@ pub struct ReachabilityGraph {
 }
 
 /// The non-silent transitions of a protocol as raw state-index deltas
-/// `(pre0, pre1, post0, post1)`, in transition order.
+/// `[pre_lo, pre_hi, post_lo, post_hi]`, in transition order.
 ///
-/// Shared by the CSR and the frontier-compressed explorers: their
+/// Shared by the CSR and the frontier-compressed explorers, whose
 /// bit-identity contract depends on both applying the *same* delta list in
-/// the same order.
-pub(crate) fn transition_deltas(protocol: &Protocol) -> Vec<[usize; 4]> {
+/// the same order, and by the symbolic crate's covers and fixpoints.
+pub fn transition_deltas(protocol: &Protocol) -> Vec<[usize; 4]> {
     protocol
         .transitions()
         .iter()

@@ -19,7 +19,8 @@
 //!   implemented in [`verify`];
 //! * the threshold profile with a cache of explored slices — module
 //!   [`profiler`]: the slices of one transition structure are explored once
-//!   for all of its output patterns;
+//!   for all of its output patterns.  Its input, [`FlatProtocol`], is also
+//!   what the symbolic pre-filters read;
 //! * frontier-compressed exploration — module [`frontier`]: the same exact
 //!   semantics with no stored adjacency, bounding peak memory by the arena
 //!   plus the live frontier instead of the full edge structure;
@@ -45,8 +46,8 @@ pub use arena::ConfigArena;
 pub use basis_extract::extract_stable_basis;
 pub use bitset::BitSet;
 pub use frontier::{frontier_threshold_profile, FrontierGraph};
-pub use graph::{ExploreLimits, ReachabilityGraph};
-pub use profiler::{SliceProfiler, UnaryView};
+pub use graph::{transition_deltas, ExploreLimits, ReachabilityGraph};
+pub use profiler::{FlatProtocol, SliceProfiler};
 pub use saturation::{min_input_for_saturation, SaturationWitness};
 pub use stable::{is_stable_config, StableSets};
 pub use verify::{

@@ -27,27 +27,28 @@ use popproto_model::{Output, Protocol};
 /// one slice rather than all of its slices.
 const CACHE_BYTES: usize = 1 << 24;
 
-/// A unary protocol as [`SliceProfiler::profile_flat`] reads it: the
-/// initial configuration of input 0, the input state, the output of every
+/// A protocol as the slice profiler and the symbolic pre-filters read it:
+/// the leader count of every state, the input states, the output of every
 /// state and the non-silent transitions.
 ///
 /// A caller that holds its candidates in another encoding fills it directly
-/// and never builds a [`Protocol`]; [`UnaryView::load`] writes the view of a
-/// [`Protocol`].
+/// and never builds a [`Protocol`]; [`FlatProtocol::load`] writes the view
+/// of a [`Protocol`].  [`SliceProfiler::profile_flat`] reads the first
+/// input state; the pre-filters put `ω` agents on every input state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UnaryView {
+pub struct FlatProtocol {
     /// The leader count of every state; its length is the state count.
     pub leaders: Vec<u32>,
-    /// The state `I(x)` of the input variable.
-    pub input: usize,
+    /// The state `I(x)` of every input variable `x`, in declaration order.
+    pub inputs: Vec<usize>,
     /// `accepts[q]` iff state `q` has output `1`.
     pub accepts: Vec<bool>,
-    /// The non-silent transitions in order, as
-    /// `[pre_lo, pre_hi, post_lo, post_hi]` state indices.
+    /// The non-silent transitions in order, as written by
+    /// [`transition_deltas`].
     pub transitions: Vec<[usize; 4]>,
 }
 
-impl UnaryView {
+impl FlatProtocol {
     /// Overwrites this view with that of `protocol`, reusing its buffers.
     ///
     /// # Panics
@@ -62,7 +63,13 @@ impl UnaryView {
                 .iter()
                 .map(|&c| u32::try_from(c).expect("count exceeds the arena's u32 range")),
         );
-        self.input = protocol.input_variables()[0].state.index();
+        self.inputs.clear();
+        self.inputs.extend(
+            protocol
+                .input_variables()
+                .iter()
+                .map(|var| var.state.index()),
+        );
         self.accepts.clear();
         self.accepts.extend(
             protocol
@@ -77,8 +84,8 @@ impl UnaryView {
 /// The concrete-slice profile with its working memory: the explored slices
 /// of the last transition structure, and the scratch of the closures.
 ///
-/// The cached slices are a function of the initial configuration of input
-/// 0, the input state, the ordered non-silent transitions and
+/// The cached slices are a function of the leader counts, the first input
+/// state, the ordered non-silent transitions and
 /// [`ExploreLimits::max_configs`]; a call with another of these drops them
 /// and reuses their buffers.  Each slice is explored the first time a call
 /// needs it, so a profile that stops early leaves the larger inputs for a
@@ -113,7 +120,7 @@ impl UnaryView {
 pub struct SliceProfiler {
     /// The view of the protocol of the current [`SliceProfiler::profile`]
     /// call.
-    view: UnaryView,
+    view: FlatProtocol,
     /// The key of the cached slices.
     leaders: Vec<u32>,
     input: usize,
@@ -164,21 +171,22 @@ impl SliceProfiler {
     ///
     /// # Panics
     ///
-    /// Panics if the view has no state, or if a slice's input count does
-    /// not fit `u32`.
+    /// Panics if the view has no input state, or if a slice's input count
+    /// does not fit `u32`.
     pub fn profile_flat(
         &mut self,
-        view: &UnaryView,
+        view: &FlatProtocol,
         max_input: u64,
         limits: &ExploreLimits,
     ) -> ThresholdProfile {
+        let input = view.inputs[0];
         if self.leaders != view.leaders
-            || self.input != view.input
+            || self.input != input
             || self.transitions != view.transitions
             || self.max_configs != limits.max_configs
         {
             self.leaders.clone_from(&view.leaders);
-            self.input = view.input;
+            self.input = input;
             self.transitions.clone_from(&view.transitions);
             self.max_configs = limits.max_configs;
             self.cached = 0;
@@ -357,5 +365,47 @@ mod tests {
         }
         assert_eq!(profiler.cached, 1);
         assert_eq!(profiler.slices.len(), 8);
+    }
+
+    #[test]
+    fn a_loaded_view_keeps_every_input_state_and_the_leaders() {
+        // Input x converts everything to the accepting state t; input y is
+        // inert.  Two leaders wait in l.
+        let mut b = ProtocolBuilder::new("two inputs, leaders");
+        let x = b.add_state("x", Output::False);
+        let y = b.add_state("y", Output::False);
+        let t = b.add_state("t", Output::True);
+        let l = b.add_state("l", Output::False);
+        b.add_transition((x, x), (t, t)).unwrap();
+        b.add_transition((t, x), (t, t)).unwrap();
+        b.add_transition((t, l), (t, t)).unwrap();
+        b.set_input_state("x", x);
+        b.set_input_state("y", y);
+        b.add_leader(l, 2);
+        let p = b.build().unwrap();
+
+        let mut view = FlatProtocol::default();
+        view.load(&p);
+        // What the pre-filters read: `ω` goes on both input states and the
+        // leader counts stay elsewhere.
+        assert_eq!(view.leaders, [0, 0, 0, 2]);
+        assert_eq!(view.inputs, [0, 1]);
+        assert_eq!(view.accepts, [false, false, true, false]);
+        assert_eq!(view.transitions, [[0, 0, 2, 2], [0, 2, 2, 2], [2, 3, 2, 2]]);
+
+        // The profiler puts the input on the first input state, as
+        // `initial_config_unary` does.
+        let limits = ExploreLimits::default();
+        let mut profiler = SliceProfiler::default();
+        let profile = profiler.profile_flat(&view, 6, &limits);
+        assert_eq!(profile, reference(&p, 6, &limits));
+        assert_eq!(profile.verified_threshold(), Some(2));
+        view.inputs.reverse();
+        assert_eq!(
+            profiler
+                .profile_flat(&view, 6, &limits)
+                .verified_threshold(),
+            None
+        );
     }
 }

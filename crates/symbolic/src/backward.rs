@@ -17,10 +17,10 @@
 //! (Lemma 3.1 in action: the finite basis witnesses downward closure for
 //! *all* population sizes simultaneously).
 
-use crate::cover::transition_deltas;
 use crate::omega::{ideal_rows_to_set, OMEGA_BOUND};
 use crate::SymbolicLimits;
 use popproto_model::{Output, Protocol};
+use popproto_reach::transition_deltas;
 use popproto_vas::{DownwardClosedSet, Ideal};
 use serde::{Deserialize, Serialize};
 
@@ -58,8 +58,7 @@ pub fn backward_coverability(
         assert_eq!(t.len(), n, "target dimension mismatch");
         rows.targets.extend_from_slice(t);
     }
-    let mut transitions = Vec::new();
-    transition_deltas(protocol, &mut transitions);
+    let transitions = transition_deltas(protocol);
     let (generated, complete) = rows.backward(n, &transitions, limits);
     CoverabilityBasis {
         minimal: rows.minimal.chunks_exact(n).map(<[u64]>::to_vec).collect(),
@@ -143,7 +142,7 @@ impl FlatRows {
     /// `SC_b` as flat ideal rows in [`FlatRows::ideals`]: the complement of
     /// the least backward fixpoint of the unit targets of the states
     /// `target` selects (those with output `≠ b`), over `n` states and the
-    /// non-silent `transitions` (as written by `transition_deltas`).
+    /// non-silent `transitions` (as written by [`transition_deltas`]).
     ///
     /// Returns `None` if the complement exceeded `limits.max_ideals`,
     /// otherwise the basis size and whether the fixpoint converged.
@@ -405,8 +404,7 @@ pub fn symbolic_stable_sets(
     b: Output,
     limits: &SymbolicLimits,
 ) -> Option<SymbolicStableSet> {
-    let mut transitions = Vec::new();
-    transition_deltas(protocol, &mut transitions);
+    let transitions = transition_deltas(protocol);
     let states = protocol.states();
     let mut rows = FlatRows::default();
     let (basis_size, exact) = rows.stable_set(
@@ -562,8 +560,7 @@ mod tests {
         let truncated = backward_coverability(&p, &targets, &limits);
         assert!(!truncated.complete);
 
-        let mut transitions = Vec::new();
-        transition_deltas(&p, &mut transitions);
+        let transitions = transition_deltas(&p);
         let mut rows = FlatRows::default();
         let mut bases = Vec::new();
         for q in [0, 2] {

@@ -13,22 +13,22 @@
 //! * whenever a successor strictly dominates an ancestor on its path, the
 //!   strictly-grown entries are *accelerated* to `ω` (the difference can be
 //!   pumped arbitrarily often);
-//! * labels are interned in an [`OmegaArena`] and a child
+//! * labels are interned in a `popproto_reach::ConfigArena` and a child
 //!   whose label was already generated anywhere in the tree is dropped —
 //!   identical labels have identical futures, and accelerations only ever
 //!   enlarge the cover, so the label set keeps the completeness invariant
 //!   *every reachable configuration lies below some generated label*.
 //!
-//! The label loop returns the arena of labels; [`karp_miller`] and
-//! `karp_miller_from` turn it into a canonical [`DownwardClosedSet`] (the
-//! antichain of maximal labels), while the busy-beaver pre-filter reads the
-//! labels directly.  `complete` is `false` when the label cap was hit;
-//! callers that rely on the cover being an over-approximation of
-//! reachability must check it.
+//! The label loop returns the arena of labels; [`karp_miller`] turns it
+//! into a canonical [`DownwardClosedSet`] (the antichain of maximal
+//! labels), while the busy-beaver pre-filter reads the labels directly.
+//! `complete` is `false` when the label cap was hit; callers that rely on
+//! the cover being an over-approximation of reachability must check it.
 
-use crate::omega::{row_leq, row_to_ideal, OmegaArena, OMEGA};
+use crate::omega::{row_leq, row_to_ideal, OMEGA};
 use crate::SymbolicLimits;
 use popproto_model::Protocol;
+use popproto_reach::{ConfigArena, FlatProtocol};
 use popproto_vas::DownwardClosedSet;
 use serde::{Deserialize, Serialize};
 
@@ -63,29 +63,11 @@ impl KarpMillerCover {
 /// Runs Karp–Miller from the ω-initial row `L + ω·I(x)` (every input
 /// variable receives `ω` agents; leaders keep their exact counts).
 pub fn karp_miller(protocol: &Protocol, limits: &SymbolicLimits) -> KarpMillerCover {
-    let mut root = Vec::new();
-    omega_initial_row(protocol, &mut root);
-    karp_miller_from(protocol, &[root], limits)
-}
-
-/// Runs Karp–Miller from explicit root ω-rows.
-///
-/// # Panics
-///
-/// Panics if a root has the wrong dimension.
-pub(crate) fn karp_miller_from(
-    protocol: &Protocol,
-    roots: &[Vec<u32>],
-    limits: &SymbolicLimits,
-) -> KarpMillerCover {
-    let mut deltas = Vec::new();
-    transition_deltas(protocol, &mut deltas);
-    let (arena, expanded, complete) = karp_miller_labels(
-        protocol.num_states(),
-        &deltas,
-        roots.iter().map(Vec::as_slice),
-        limits.max_cover_labels,
-    );
+    let mut candidate = FlatProtocol::default();
+    candidate.load(protocol);
+    let root: Vec<u32> = omega_initial_row(&candidate).collect();
+    let (arena, expanded, complete) =
+        karp_miller_labels(&candidate.transitions, &root, limits.max_cover_labels);
     let mut set = DownwardClosedSet::empty();
     for (_, row) in arena.iter() {
         set.insert(row_to_ideal(row));
@@ -99,64 +81,39 @@ pub(crate) fn karp_miller_from(
     }
 }
 
-/// Writes the ω-initial row `L + ω·I(x)` into `root`.
-///
-/// # Panics
-///
-/// Panics if a leader count does not fit a finite ω-row entry.
-pub(crate) fn omega_initial_row(protocol: &Protocol, root: &mut Vec<u32>) {
-    root.clear();
-    root.extend(
-        protocol
-            .leaders()
-            .counts()
-            .iter()
-            .map(|&c| u32::try_from(c).expect("leader count exceeds u32")),
-    );
-    for var in protocol.input_variables() {
-        root[var.state.index()] = OMEGA;
-    }
-}
-
-/// Writes the non-silent transitions of `protocol`, in order, as
-/// `[pre_lo, pre_hi, post_lo, post_hi]` state indices into `deltas`.
-pub(crate) fn transition_deltas(protocol: &Protocol, deltas: &mut Vec<[usize; 4]>) {
-    deltas.clear();
-    deltas.extend(protocol.non_silent_transitions().map(|t| {
-        [
-            t.pre.lo().index(),
-            t.pre.hi().index(),
-            t.post.lo().index(),
-            t.post.hi().index(),
-        ]
-    }));
-}
-
-/// The Karp–Miller label loop over `n` states and the transitions `deltas`
-/// (as written by [`transition_deltas`]): returns the label arena, the
-/// number of labels expanded and whether the loop finished below
-/// `max_labels` labels.
-///
-/// # Panics
-///
-/// Panics if a root has a dimension other than `n`.
-pub(crate) fn karp_miller_labels<'a>(
-    n: usize,
-    deltas: &[[usize; 4]],
-    roots: impl IntoIterator<Item = &'a [u32]>,
-    max_labels: usize,
-) -> (OmegaArena, usize, bool) {
-    let mut arena = OmegaArena::new(n);
-    // `parent[id]` is the node whose expansion produced label `id`
-    // (`u32::MAX` for roots); labels are created exactly once, so label ids
-    // double as node ids and the ancestor chain of a label is well defined.
-    let mut parent: Vec<u32> = Vec::new();
-    for root in roots {
-        let (_, fresh) = arena.intern(root);
-        if fresh {
-            parent.push(u32::MAX);
+/// The ω-initial row `L + ω·I(x)` of `candidate`: [`OMEGA`] at every
+/// input state, the leader count elsewhere.
+pub(crate) fn omega_initial_row(
+    candidate: &FlatProtocol,
+) -> impl Iterator<Item = u32> + Clone + '_ {
+    let leaders = candidate.leaders.iter().enumerate();
+    leaders.map(move |(q, &c)| {
+        if candidate.inputs.contains(&q) {
+            OMEGA
+        } else {
+            c
         }
-    }
+    })
+}
+
+/// The Karp–Miller label loop from `root` under the transitions `deltas`
+/// (as written by `popproto_reach::transition_deltas`): returns the label
+/// arena, the number of labels expanded and whether the loop finished below
+/// `max_labels` labels.
+pub(crate) fn karp_miller_labels(
+    deltas: &[[usize; 4]],
+    root: &[u32],
+    max_labels: usize,
+) -> (ConfigArena, usize, bool) {
+    let n = root.len();
+    let mut arena = ConfigArena::new(n);
+    // `parent[id]` is the node whose expansion produced label `id`
+    // (`u32::MAX` for the root); labels are created exactly once, so label
+    // ids double as node ids and the ancestor chain of a label is well
+    // defined.
+    let mut parent: Vec<u32> = Vec::new();
+    arena.intern(root);
+    parent.push(u32::MAX);
 
     let mut scratch: Vec<u32> = vec![0; n];
     let mut complete = true;
@@ -170,7 +127,7 @@ pub(crate) fn karp_miller_labels<'a>(
         head += 1;
         for &[p0, p1, q0, q1] in deltas {
             {
-                let row = arena.row(id);
+                let row = arena.counts_of(id);
                 let enabled = if p0 == p1 {
                     row[p0] == OMEGA || row[p0] >= 2
                 } else {
@@ -192,7 +149,7 @@ pub(crate) fn karp_miller_labels<'a>(
                 let mut changed = false;
                 let mut anc = id;
                 loop {
-                    let anc_row = arena.row(anc);
+                    let anc_row = arena.counts_of(anc);
                     if anc_row != scratch && row_leq(anc_row, &scratch) {
                         for q in 0..n {
                             if scratch[q] != OMEGA && anc_row[q] < scratch[q] {
@@ -306,5 +263,21 @@ mod tests {
         assert_eq!(cover.labels, 1);
         assert!(cover.covers_counts(&[7, 0]));
         assert!(!cover.covers_counts(&[0, 1]));
+    }
+
+    #[test]
+    fn the_initial_row_has_omega_on_every_input_state_and_the_leaders_elsewhere() {
+        let mut b = ProtocolBuilder::new("two inputs, leaders");
+        let x = b.add_state("x", Output::False);
+        let y = b.add_state("y", Output::False);
+        let l = b.add_state("l", Output::True);
+        b.add_transition((x, y), (l, l)).unwrap();
+        b.set_input_state("x", x);
+        b.set_input_state("y", y);
+        b.add_leader(l, 3);
+        let mut candidate = FlatProtocol::default();
+        candidate.load(&b.build().unwrap());
+        let root: Vec<u32> = omega_initial_row(&candidate).collect();
+        assert_eq!(root, [OMEGA, OMEGA, 3]);
     }
 }

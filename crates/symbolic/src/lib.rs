@@ -9,8 +9,9 @@
 //! representation that Lemma 3.1 guarantees is closed under the operations
 //! the paper's lower-bound machinery needs:
 //!
-//! * [`omega`] — interned flat ω-rows ([`OmegaArena`], mirroring
-//!   `reach::ConfigArena`), so subsumption checks allocate nothing;
+//! * [`omega`] — ω-rows as flat `u32` rows with the sentinel [`OMEGA`],
+//!   interned in `popproto_reach::ConfigArena`, so subsumption checks
+//!   allocate nothing;
 //! * [`cover`] — Karp–Miller forward acceleration: a finite downward-closed
 //!   over-approximation of everything reachable from every population size;
 //! * [`backward`] — backward coverability with antichain-minimised
@@ -46,10 +47,9 @@ pub use backward::{
     SymbolicStableSet,
 };
 pub use cover::{karp_miller, KarpMillerCover};
-pub use omega::{row_leq, row_to_ideal, OmegaArena, OMEGA};
+pub use omega::{row_leq, row_to_ideal, OMEGA};
 pub use verifier::{
-    eta_floor_prefilter, threshold_prefilter, FlatProtocol, Prefilter, SymbolicVerifier,
-    ThresholdVerdict,
+    eta_floor_prefilter, threshold_prefilter, Prefilter, SymbolicVerifier, ThresholdVerdict,
 };
 
 use popproto_reach::ExploreLimits;

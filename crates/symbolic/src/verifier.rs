@@ -37,15 +37,13 @@
 //! explored.
 
 use crate::backward::{symbolic_stable_sets, FlatRows, SymbolicStableSet};
-use crate::cover::{
-    karp_miller, karp_miller_labels, omega_initial_row, transition_deltas, KarpMillerCover,
-};
+use crate::cover::{karp_miller, karp_miller_labels, omega_initial_row, KarpMillerCover};
 use crate::invariants::{invariant_cones, max_bad_silent_size, BadSilentBound, InvariantCones};
 use crate::omega::{set_to_ideal_rows, OMEGA, OMEGA_BOUND};
 use crate::termination::{find_silencing_certificate, SilencingCertificate};
 use crate::{complement_of_upward, SymbolicLimits};
 use popproto_model::{Output, Protocol};
-use popproto_reach::unary_threshold_profile;
+use popproto_reach::{unary_threshold_profile, FlatProtocol};
 use popproto_vas::DownwardClosedSet;
 use serde::{Deserialize, Serialize};
 
@@ -340,47 +338,6 @@ pub fn eta_floor_prefilter(protocol: &Protocol, eta_floor: u64, limits: &Symboli
     Prefilter::default().eta_floor(protocol, eta_floor, limits)
 }
 
-/// A candidate as the pre-filters read it: the ω-initial row, the leader
-/// count, the output of every state and the non-silent transitions.
-///
-/// [`Prefilter::threshold_flat`] and [`Prefilter::eta_floor_flat`] read
-/// this view, so a caller that holds its candidates in another encoding
-/// fills it directly and never builds a [`Protocol`];
-/// [`FlatProtocol::load`] writes the view of a [`Protocol`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FlatProtocol {
-    /// The ω-initial row `L + ω·I(x)`: [`OMEGA`] at the input states, the
-    /// leader count elsewhere.  Its length is the state count.
-    pub root: Vec<u32>,
-    /// `|L|`, the number of leaders.
-    pub leaders: u64,
-    /// `accepts[q]` iff state `q` has output `1`.
-    pub accepts: Vec<bool>,
-    /// The non-silent transitions in order, as
-    /// `[pre_lo, pre_hi, post_lo, post_hi]` state indices.
-    pub transitions: Vec<[usize; 4]>,
-}
-
-impl FlatProtocol {
-    /// Overwrites this view with that of `protocol`, reusing its buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a leader count does not fit a finite ω-row entry.
-    pub fn load(&mut self, protocol: &Protocol) {
-        omega_initial_row(protocol, &mut self.root);
-        self.leaders = protocol.leaders().size();
-        self.accepts.clear();
-        self.accepts.extend(
-            protocol
-                .states()
-                .iter()
-                .map(|state| state.output == Output::True),
-        );
-        transition_deltas(protocol, &mut self.transitions);
-    }
-}
-
 /// The two busy-beaver pre-filters with their working memory: the flat rows
 /// of the stable sets, and what they computed from the transition
 /// structure of the last candidate.
@@ -469,20 +426,22 @@ impl StructureCache {
     /// Makes this the cache of the structure of `candidate` under `limits`,
     /// dropping the artifacts of any other structure.
     fn load(&mut self, candidate: &FlatProtocol, limits: &SymbolicLimits) {
-        if self.root == candidate.root
+        let root = omega_initial_row(candidate);
+        if self.root.iter().copied().eq(root.clone())
             && self.transitions == candidate.transitions
             && self.max_cover_labels == limits.max_cover_labels
             && self.max_backward_basis == limits.max_backward_basis
         {
             return;
         }
-        self.root.clone_from(&candidate.root);
+        self.root.clear();
+        self.root.extend(root);
         self.transitions.clone_from(&candidate.transitions);
         self.max_cover_labels = limits.max_cover_labels;
         self.max_backward_basis = limits.max_backward_basis;
         self.cover_complete = None;
         self.bases
-            .resize_with(candidate.root.len(), UnitBasis::default);
+            .resize_with(candidate.leaders.len(), UnitBasis::default);
         for basis in &mut self.bases {
             basis.complete = None;
         }
@@ -507,12 +466,8 @@ impl StructureCache {
         let complete = match self.cover_complete {
             Some(complete) => complete,
             None => {
-                let (arena, _, complete) = karp_miller_labels(
-                    self.root.len(),
-                    &self.transitions,
-                    [self.root.as_slice()],
-                    self.max_cover_labels,
-                );
+                let (arena, _, complete) =
+                    karp_miller_labels(&self.transitions, &self.root, self.max_cover_labels);
                 self.cover_labels.clear();
                 for (_, row) in arena.iter() {
                     self.cover_labels.extend(row.iter().map(|&c| {
@@ -575,7 +530,7 @@ impl Prefilter {
         // Stage 2: support saturation (a Boolean abstraction of the cover).
         let coverable = &mut self.coverable;
         coverable.clear();
-        coverable.extend(candidate.root.iter().map(|&c| c != 0));
+        coverable.extend(omega_initial_row(candidate).map(|c| c != 0));
         loop {
             let mut changed = false;
             for &[p0, p1, q0, q1] in &candidate.transitions {
@@ -604,7 +559,7 @@ impl Prefilter {
         self.stable_set_reaches(
             candidate,
             Output::True,
-            candidate.leaders + max_input,
+            leader_count(candidate) + max_input,
             limits,
         )
     }
@@ -624,7 +579,12 @@ impl Prefilter {
         if !candidate.accepts.contains(&false) {
             return false;
         }
-        self.stable_set_reaches(candidate, Output::False, candidate.leaders + 2, limits)
+        self.stable_set_reaches(
+            candidate,
+            Output::False,
+            leader_count(candidate) + 2,
+            limits,
+        )
     }
 
     /// `false` only if the reachable `b`-stable configurations provably all
@@ -644,7 +604,12 @@ impl Prefilter {
             return false;
         }
         let (labels, complete) = self.structure.cover();
-        match stable_population_bound(self.rows.ideals(), labels, complete, candidate.root.len()) {
+        match stable_population_bound(
+            self.rows.ideals(),
+            labels,
+            complete,
+            candidate.leaders.len(),
+        ) {
             None => true,
             Some(max) => max >= size,
         }
@@ -660,7 +625,7 @@ impl Prefilter {
         accepting: bool,
         limits: &SymbolicLimits,
     ) -> bool {
-        let n = candidate.root.len();
+        let n = candidate.leaders.len();
         let target = |q: &usize| candidate.accepts[*q] != accepting;
         let Prefilter {
             rows, structure, ..
@@ -682,6 +647,11 @@ impl Prefilter {
         rows.stable_set(n, &candidate.transitions, |q| target(&q), limits)
             .is_some()
     }
+}
+
+/// `|L|`, the number of leaders of `candidate`.
+fn leader_count(candidate: &FlatProtocol) -> u64 {
+    candidate.leaders.iter().map(|&c| u64::from(c)).sum()
 }
 
 /// The largest population of a reachable b-stable configuration, when it is

@@ -6,8 +6,9 @@
 //! against.
 
 use popproto_model::{Output, Protocol, ProtocolBuilder};
+use popproto_reach::ConfigArena;
 use popproto_symbolic::{
-    row_leq, row_to_ideal, CoverabilityBasis, KarpMillerCover, OmegaArena, SymbolicLimits, OMEGA,
+    row_leq, row_to_ideal, CoverabilityBasis, KarpMillerCover, SymbolicLimits, OMEGA,
 };
 use popproto_vas::{DownwardClosedSet, Ideal};
 use rand::rngs::StdRng;
@@ -155,7 +156,7 @@ pub fn karp_miller(protocol: &Protocol, limits: &SymbolicLimits) -> KarpMillerCo
         })
         .collect();
 
-    let mut arena = OmegaArena::new(n);
+    let mut arena = ConfigArena::new(n);
     let mut parent: Vec<u32> = vec![u32::MAX];
     arena.intern(&root);
     let mut scratch: Vec<u32> = vec![0; n];
@@ -169,7 +170,7 @@ pub fn karp_miller(protocol: &Protocol, limits: &SymbolicLimits) -> KarpMillerCo
         let id = head as u32;
         head += 1;
         for &[p0, p1, q0, q1] in &deltas {
-            let row = arena.row(id);
+            let row = arena.counts_of(id);
             let has = |q: usize, k: u32| row[q] == OMEGA || row[q] >= k;
             let enabled = if p0 == p1 {
                 has(p0, 2)
@@ -194,7 +195,7 @@ pub fn karp_miller(protocol: &Protocol, limits: &SymbolicLimits) -> KarpMillerCo
                 let mut changed = false;
                 let mut anc = id;
                 loop {
-                    let anc_row = arena.row(anc);
+                    let anc_row = arena.counts_of(anc);
                     if anc_row != scratch && row_leq(anc_row, &scratch) {
                         for q in 0..n {
                             if scratch[q] != OMEGA && anc_row[q] < scratch[q] {

@@ -8,7 +8,7 @@
 //!
 //! * **Parikh images and potential reachability** (`C =π⇒ C'`, Section 5.1)
 //!   — module [`parikh`];
-//! * **Dickson's lemma** and ordered subsequences of configuration sequences
+//! * **Dickson's lemma** and ordered pairs in configuration sequences
 //!   (Section 4) — module [`dickson`];
 //! * **Controlled bad sequences** and their maximal lengths (Lemma 4.4)
 //!   — module [`controlled`];
@@ -30,7 +30,7 @@ pub mod vector;
 
 pub use controlled::{longest_bad_sequence, ControlledSearch};
 pub use dclosed::{BasisElement, DownwardClosedSet, Ideal};
-pub use dickson::{extract_increasing_subsequence, find_increasing_pair};
+pub use dickson::find_increasing_pair;
 pub use hilbert::{hilbert_basis_equalities, hilbert_basis_inequalities, HilbertOptions};
 pub use parikh::ParikhImage;
 pub use pottier::{pottier_constant, pottier_constant_deterministic, RealisabilitySystem};
