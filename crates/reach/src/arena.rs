@@ -230,28 +230,18 @@ impl ConfigArena {
 mod tests {
     use super::*;
 
-    /// The symbolic crate's `ω` count.
-    const OMEGA: u32 = u32::MAX;
-
     #[test]
     fn intern_deduplicates_and_preserves_ids() {
-        // Plain counts, and rows with `ω` entries.
-        let pairs: [(&[u32], &[u32]); 2] = [(&[1, 2, 3], &[3, 2, 1]), (&[OMEGA, 3], &[3, OMEGA])];
-        for (a_row, b_row) in pairs {
-            let mut arena = ConfigArena::new(a_row.len());
-            let (a, new_a) = arena.intern(a_row);
-            let (b, new_b) = arena.intern(b_row);
-            let (a2, new_a2) = arena.intern(a_row);
-            assert!(new_a && new_b && !new_a2);
-            assert_eq!(a, a2);
-            assert_ne!(a, b);
-            assert_eq!(arena.len(), 2);
-            assert_eq!(arena.counts_of(a), a_row);
-            assert_eq!(arena.counts_of(b), b_row);
-            assert_eq!(arena.lookup(a_row), Some(a));
-            assert_eq!(arena.lookup(b_row), Some(b));
-            assert_eq!(arena.lookup(&vec![0; a_row.len()]), None);
-        }
+        let mut arena = ConfigArena::new(3);
+        let (a, new_a) = arena.intern(&[1, 2, 3]);
+        let (b, new_b) = arena.intern(&[3, 2, 1]);
+        let (a2, new_a2) = arena.intern(&[1, 2, 3]);
+        assert!(new_a && new_b && !new_a2);
+        assert_eq!(a, a2);
+        assert_ne!(a, b);
+        assert_eq!(arena.len(), 2);
+        assert_eq!(arena.counts_of(a), &[1, 2, 3]);
+        assert_eq!(arena.counts_of(b), &[3, 2, 1]);
     }
 
     #[test]
@@ -271,27 +261,18 @@ mod tests {
 
     #[test]
     fn survives_many_inserts_and_rehashes() {
-        // Plain counts, and rows with `ω` entries.
-        let rows: [fn(u32) -> [u32; 4]; 2] = [
-            |i| [i % 97, i / 97, i % 13, i],
-            |i| [i, i % 7, if i % 3 == 0 { OMEGA } else { i % 5 }, OMEGA],
-        ];
-        for row in rows {
-            let mut arena = ConfigArena::new(4);
-            let mut ids = Vec::new();
-            for i in 0..10_000u32 {
-                let slice = row(i);
-                let (id, fresh) = arena.intern(&slice);
-                assert!(fresh);
-                ids.push((id, slice));
-            }
-            assert_eq!(arena.len(), 10_000);
-            for (id, slice) in &ids {
-                assert_eq!(arena.lookup(slice), Some(*id));
-                assert_eq!(arena.counts_of(*id), slice);
-            }
-            let order: Vec<u32> = arena.iter().map(|(id, _)| id).collect();
-            assert_eq!(order, (0..10_000).collect::<Vec<u32>>());
+        let mut arena = ConfigArena::new(4);
+        let mut ids = Vec::new();
+        for i in 0..10_000u32 {
+            let slice = [i % 97, i / 97, i % 13, i];
+            let (id, fresh) = arena.intern(&slice);
+            assert!(fresh);
+            ids.push((id, slice));
+        }
+        assert_eq!(arena.len(), 10_000);
+        for (id, slice) in &ids {
+            assert_eq!(arena.lookup(slice), Some(*id));
+            assert_eq!(arena.counts_of(*id), slice);
         }
     }
 

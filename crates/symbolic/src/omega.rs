@@ -68,6 +68,22 @@ pub(crate) fn set_to_ideal_rows(set: &DownwardClosedSet) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use popproto_reach::ConfigArena;
+
+    #[test]
+    fn intern_deduplicates_omega_rows() {
+        let mut arena = ConfigArena::new(2);
+        let (a, fresh_a) = arena.intern(&[OMEGA, 3]);
+        let (b, fresh_b) = arena.intern(&[3, OMEGA]);
+        let (a2, fresh_a2) = arena.intern(&[OMEGA, 3]);
+        assert!(fresh_a && fresh_b && !fresh_a2);
+        assert_eq!(a, a2);
+        assert_ne!(a, b);
+        assert_eq!(arena.len(), 2);
+        assert_eq!(arena.lookup(&[OMEGA, 3]), Some(a));
+        assert_eq!(arena.lookup(&[0, 0]), None);
+        assert!(arena.heap_bytes() > 0);
+    }
 
     #[test]
     fn row_order_with_omega() {
@@ -81,5 +97,23 @@ mod tests {
     fn ideal_conversion() {
         let ideal = row_to_ideal(&[2, OMEGA]);
         assert_eq!(ideal.bounds(), &[Some(2), None]);
+    }
+
+    #[test]
+    fn survives_rehashing() {
+        let mut arena = ConfigArena::new(3);
+        let mut ids = Vec::new();
+        for i in 0..5_000u32 {
+            let row = [i, i % 7, if i % 3 == 0 { OMEGA } else { i % 5 }];
+            let (id, fresh) = arena.intern(&row);
+            assert!(fresh);
+            ids.push((id, row));
+        }
+        for (id, row) in &ids {
+            assert_eq!(arena.lookup(row), Some(*id));
+            assert_eq!(arena.counts_of(*id), row);
+        }
+        let collected: Vec<u32> = arena.iter().map(|(id, _)| id).collect();
+        assert_eq!(collected.len(), 5_000);
     }
 }
